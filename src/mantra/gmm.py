@@ -39,46 +39,43 @@ class GmmModel:
         return self.weights.shape[0]
 
 
-def _log_pdf_matrix(obs, weights, means, variances):
-    """log(weight_j * N(x_i; mu_j, var_j)) as an (n, K) matrix."""
-    diff = obs[:, None] - means[None, :]
-    return (np.log(np.maximum(weights, 1e-300))[None, :]
-            - 0.5 * np.log(2.0 * np.pi * variances)[None, :]
-            - 0.5 * diff * diff / variances[None, :])
-
-
-def _log_likelihood_rows(obs, weights, means, variances):
-    lp = _log_pdf_matrix(obs, weights, means, variances)
-    mx = lp.max(axis=1)
-    return mx + np.log(np.exp(lp - mx[:, None]).sum(axis=1)), lp
+def _e_step(sq, weights, variances, resp):
+    """Turn squared deviations sq (K, n) from each mean into responsibilities,
+    written to resp (which may be sq); return the data log-likelihood."""
+    np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
+    resp += (np.log(np.maximum(weights, 1e-300))
+             - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
+    mx = resp.max(axis=0)
+    resp -= mx
+    np.exp(resp, out=resp)
+    s = resp.sum(axis=0)
+    resp /= s
+    return float(mx.sum() + np.log(s).sum())
 
 
 def _em(obs, weights, means, variances, max_iter, tol):
+    sq = (obs - means[:, None]) ** 2
+    resp = np.empty_like(sq)
     history = []
     converged = False
     for _ in range(max_iter):
-        rows, lp = _log_likelihood_rows(obs, weights, means, variances)
-        history.append(float(rows.sum()))
+        history.append(_e_step(sq, weights, variances, resp))
         if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
             converged = True
             break
-        resp = np.exp(lp - rows[:, None])
-        totals = resp.sum(axis=0)
+        totals = resp.sum(axis=1)
         # A starved component keeps its parameters; its weight decays to ~0.
         safe = totals > 1e-12
+        denom = np.maximum(totals, 1e-12)   # quotients of starved ones are unused
         weights = totals / obs.shape[0]
-        means = means.copy()
-        means[safe] = (resp[:, safe] * obs[:, None]).sum(axis=0) / totals[safe]
-        diff = obs[:, None] - means[None, :]
-        variances = variances.copy()
-        variances[safe] = (resp[:, safe] * diff[:, safe] ** 2).sum(axis=0) / totals[safe]
-        variances = np.maximum(variances, VAR_FLOOR)
+        means = np.where(safe, (resp @ obs) / denom, means)
+        np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
+        spread = np.einsum("kn,kn->k", resp, sq)
+        variances = np.maximum(np.where(safe, spread / denom, variances), VAR_FLOOR)
     else:
         # Ran out of iterations right after an M-step; score the final state.
-        rows, _ = _log_likelihood_rows(obs, weights, means, variances)
-        history.append(float(rows.sum()))
-    n_iter = len(history) - 1
-    return weights, means, variances, history[-1], n_iter, converged, history
+        history.append(_e_step(sq, weights, variances, resp))
+    return weights, means, variances, history[-1], len(history) - 1, converged, history
 
 
 def fit_em(obs, k, max_iter=200, tol=1e-6, restarts=0, seed=0):
@@ -138,8 +135,8 @@ def select_model(obs, k_max=3, max_iter=200, tol=1e-6, restarts=0, seed=0):
     """Fit K = 1..k_max and keep the lowest-BIC model (ties favor fewer).
 
     Returns (model, trace) where trace lists one dict per candidate K with
-    its log-likelihood, BIC, and convergence flags.  Candidate orders that
-    exceed the number of observations are not fit.
+    its log-likelihood, BIC, EM iteration count and convergence flags.
+    Candidate orders that exceed the number of observations are not fit.
     """
     obs = np.asarray(obs, dtype=np.float64).ravel()
     if k_max < 1:
@@ -158,6 +155,7 @@ def select_model(obs, k_max=3, max_iter=200, tol=1e-6, restarts=0, seed=0):
             "k": k,
             "log_likelihood": model.log_likelihood,
             "bic": score,
+            "n_iter": model.n_iter,
             "converged": model.converged,
             "degenerate": model.degenerate,
             "weights": model.weights.tolist(),
@@ -175,5 +173,6 @@ def select_model(obs, k_max=3, max_iter=200, tol=1e-6, restarts=0, seed=0):
 def posteriors(model, x):
     """Responsibility of each component for each point, shape (n, K)."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    rows, lp = _log_likelihood_rows(x, model.weights, model.means, model.variances)
-    return np.exp(lp - rows[:, None])
+    resp = (x - model.means[:, None]) ** 2
+    _e_step(resp, model.weights, model.variances, resp)
+    return resp.T

@@ -1,9 +1,12 @@
 """Sequence-learner numeric kernels in two interchangeable backends.
 
 The teacher-forced loss, its gradient, and greedy decoding walk ragged
-token sequences sample by sample; these loops dominate experiment runtime,
-so they are compiled with numba when it is available.  A pure-numpy twin of
-each kernel exists for environments without numba and for cross-checking.
+token sequences sample by sample.  They are the largest cost of
+summarization runs only: classification runs call none of them, and treated
+runs add the per-epoch mixture fits of mantra.gmm (perfbench/ reports the
+time of each layer).  They are compiled with numba when it is available; a
+pure-numpy twin of each kernel covers environments without numba and serves
+for cross-checking.
 
 Backend selection happens once at import from the MANTRA_BACKEND env var:
 "numba", "numpy", or "auto" (default: numba when importable).  Both

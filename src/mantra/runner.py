@@ -268,13 +268,14 @@ def _write_artifacts(out_dir, config, report, store, mask, model):
     with open(os.path.join(out_dir, "gmm_trace.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "k", "log_likelihood", "bic", "converged",
-                         "degenerate", "selected", "weights", "means", "variances"])
+        writer.writerow(["epoch", "k", "log_likelihood", "bic", "n_iter",
+                         "converged", "degenerate", "selected", "weights", "means",
+                         "variances"])
         for row in report.gmm_trace:
             writer.writerow([
                 row["epoch"], row["k"], repr(row["log_likelihood"]),
-                repr(row["bic"]), int(row["converged"]), int(row["degenerate"]),
-                int(row["selected"]),
+                repr(row["bic"]), row["n_iter"], int(row["converged"]),
+                int(row["degenerate"]), int(row["selected"]),
                 ";".join(repr(x) for x in row["weights"]),
                 ";".join(repr(x) for x in row["means"]),
                 ";".join(repr(x) for x in row["variances"]),

@@ -143,3 +143,97 @@ def test_posteriors_are_responsibilities():
     np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
     # a point far in the upper mode belongs to the upper component
     assert gmm.posteriors(model, np.array([2.0]))[0, 1] > 0.99
+
+
+# -- oracle: the row-major EM loop the K-major one replaced ------------------
+
+def _reference_rows(obs, weights, means, variances):
+    """Per-point log-likelihoods and the (n, K) log(weight * density) matrix."""
+    diff = obs[:, None] - means[None, :]
+    lp = (np.log(np.maximum(weights, 1e-300))[None, :]
+          - 0.5 * np.log(2.0 * np.pi * variances)[None, :]
+          - 0.5 * diff * diff / variances[None, :])
+    mx = lp.max(axis=1)
+    return mx + np.log(np.exp(lp - mx[:, None]).sum(axis=1)), lp
+
+
+def _reference_em(obs, weights, means, variances, max_iter, tol):
+    """Row-major (n, K) EM with boolean-indexed M-step updates."""
+    history = []
+    converged = False
+    for _ in range(max_iter):
+        rows, lp = _reference_rows(obs, weights, means, variances)
+        history.append(float(rows.sum()))
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+            converged = True
+            break
+        resp = np.exp(lp - rows[:, None])
+        totals = resp.sum(axis=0)
+        safe = totals > 1e-12
+        weights = totals / obs.shape[0]
+        means = means.copy()
+        means[safe] = (resp[:, safe] * obs[:, None]).sum(axis=0) / totals[safe]
+        diff = obs[:, None] - means[None, :]
+        variances = variances.copy()
+        variances[safe] = (resp[:, safe] * diff[:, safe] ** 2).sum(axis=0) / totals[safe]
+        variances = np.maximum(variances, gmm.VAR_FLOOR)
+    else:
+        rows, _ = _reference_rows(obs, weights, means, variances)
+        history.append(float(rows.sum()))
+    return weights, means, variances, history[-1], len(history) - 1, converged, history
+
+
+def _select_both(monkeypatch, obs):
+    """select_model with the K-major loop, then with the reference loop."""
+    new = gmm.select_model(obs, k_max=3)
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "_em", _reference_em)
+        ref = gmm.select_model(obs, k_max=3)
+    return new, ref
+
+
+def test_em_matches_row_major_reference(monkeypatch):
+    from test_acceptance import _seeded_em_input
+    for i in range(100):
+        obs = _seeded_em_input(i)
+        (model, trace), (ref_model, ref_trace) = _select_both(monkeypatch, obs)
+        assert [row["k"] for row in trace] == [row["k"] for row in ref_trace] == [1, 2, 3]
+        for row, ref in zip(trace, ref_trace):
+            assert row["n_iter"] == ref["n_iter"], (i, row["k"])
+            assert row["converged"] == ref["converged"], (i, row["k"])
+            assert row["log_likelihood"] == pytest.approx(ref["log_likelihood"], rel=1e-9)
+        assert model.k == ref_model.k, i
+        rows, lp = _reference_rows(obs, ref_model.weights, ref_model.means,
+                                   ref_model.variances)
+        np.testing.assert_allclose(gmm.posteriors(ref_model, obs),
+                                   np.exp(lp - rows[:, None]), atol=1e-12)
+
+
+def test_starved_component_keeps_its_parameters():
+    obs = np.random.default_rng(4).normal(0.0, 1.0, 200)
+    start = (np.array([0.5, 0.5]), np.array([0.0, 50.0]), np.array([1.0, 1.0]))
+    # the far component gets exactly zero responsibility from the first E-step
+    with np.errstate(divide="raise", invalid="raise"):
+        weights, means, variances, ll, n_iter, converged, _ = gmm._em(
+            obs, *start, max_iter=200, tol=1e-6)
+    assert means[1] == 50.0 and variances[1] == 1.0
+    assert weights[1] <= 1e-12
+    assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
+    assert math.isfinite(ll)
+    ref = _reference_em(obs, *start, max_iter=200, tol=1e-6)
+    assert (n_iter, converged) == (ref[4], ref[5])
+    np.testing.assert_allclose(means, ref[1], rtol=1e-12)
+    np.testing.assert_allclose(variances, ref[2], rtol=1e-9)
+
+
+def test_variances_survive_a_large_offset(monkeypatch):
+    # spread ~1e-2 around 1e4: E[x^2] - mu^2 would keep only about 4 digits here
+    rng = np.random.default_rng(6)
+    obs = 1e4 + np.concatenate([rng.normal(0.0, 1e-2, 300), rng.normal(0.06, 1e-2, 200)])
+    for k in (1, 2):
+        model = gmm.fit_em(obs, k)
+        with monkeypatch.context() as m:
+            m.setattr(gmm, "_em", _reference_em)
+            ref = gmm.fit_em(obs, k)
+        assert model.converged and model.n_iter == ref.n_iter
+        np.testing.assert_allclose(model.variances, ref.variances, rtol=1e-9)

@@ -136,6 +136,11 @@ def test_artifact_set(tmp_path, tiny_cls_config):
     drop_rows = list(csv.DictReader((out / "drops.csv").open()))
     assert len(drop_rows) == report.dropped_total
 
+    gmm_rows = list(csv.DictReader((out / "gmm_trace.csv").open()))
+    iters = [row["n_iter"] for row in saved["gmm_trace"]]
+    assert gmm_rows and [int(r["n_iter"]) for r in gmm_rows] == iters
+    assert all(1 <= n <= 200 for n in iters)
+
     traj_rows = list(csv.DictReader((out / "trajectory.csv").open()))
     active_per_epoch = {e: 0 for e in range(1, cfg.epochs + 1)}
     for row in traj_rows:
