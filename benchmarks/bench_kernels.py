@@ -57,7 +57,8 @@ def main():
 
     split = data.generate_summarization_dataset(args.seed, args.n_samples, 1, 1)
     model = learner.new_seq2seq(init_scale=0.2, seed=args.seed)
-    batch = learner._pack_summarization(split.train)
+    packed = learner.pack(split.train)
+    batch = packed.src, packed.src_len, packed.tgt, packed.tgt_len
 
     backends = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
     results = {name: bench_backend(name, model, batch, args.repeats)

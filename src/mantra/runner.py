@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels, learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl)
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, MantraError, UsageError
 from .trajectory import TrajectoryStore
 
 TASK_ALIASES = {"cls": "classification", "sum": "summarization",
@@ -170,14 +170,12 @@ def _new_model(config, dataset):
         init_scale=config.init_scale, seed=config.seed)
 
 
-def _eval_metric(config, model, samples):
-    if not samples:
-        raise ConfigError("cannot evaluate on an empty split")
+def _eval_metric(config, model, split):
+    pred = learner.predict(model, split)
     if config.task == "classification":
-        truth = np.stack([s.labels for s in samples])
-        return metrics.micro_f1(truth, learner.predict(model, samples))
-    refs = [s.target[:-1] for s in samples]      # content tokens, EOS stripped
-    return metrics.bleu4(learner.predict(model, samples), refs)
+        return metrics.micro_f1(split.y, pred)
+    refs = [t[:n - 1] for t, n in zip(split.tgt, split.tgt_len)]   # EOS stripped
+    return metrics.bleu4(pred, refs)
 
 
 def run_experiment(config, out_dir=None):
@@ -186,30 +184,38 @@ def run_experiment(config, out_dir=None):
     dataset = _load_dataset(config)
     if not dataset.train:
         raise ConfigError("training split is empty")
+    if not (dataset.validation and dataset.test):
+        raise ConfigError("cannot evaluate on an empty split")
     train, mask = _inject(config, dataset.train)
+    train = learner.pack(train)
+    if not np.array_equal(mask.ids, train.ids):
+        raise MantraError("noise mask ids are not aligned with the train split")
+    val, test = learner.pack(dataset.validation), learner.pack(dataset.test)
     corrupted = mask.corrupted_ids
 
     model = _new_model(config, dataset)
     train_cfg = learner.TrainConfig(lr=config.lr, batch_size=config.batch_size,
                                     shuffle_seed=config.seed)
     policy = config.drop_policy()
-    state = scheduler.DropState.for_ids([s.id for s in train])
+    state = scheduler.DropState.for_ids(train.ids)
     store = TrajectoryStore()
 
     val_metrics = []
     dropped_per_epoch = {}
     drop_events = []
     gmm_trace = []
+    positions = np.arange(len(train))
     for epoch in range(1, config.epochs + 1):
-        active = scheduler.active_samples(state, train) if config.mantra else train
+        rows = scheduler.active_samples(state, positions) if config.mantra else positions
+        # no copy while nothing is dropped: it would only raise peak memory
+        active = train if len(rows) == len(train) else train.take(rows)
         learner.train_epoch(model, active, train_cfg, epoch)
         losses = learner.per_sample_losses(model, active)
-        ids = [s.id for s in active]
-        store.record_epoch(epoch, ids, losses, [s.id in corrupted for s in active])
+        store.record_epoch(epoch, active.ids, losses, mask.corrupted[rows])
         n_dropped = 0
         if config.mantra:
             decision = scheduler.evaluate_epoch(
-                state, policy, epoch, ids, losses, seed=config.seed)
+                state, policy, epoch, active.ids, losses, seed=config.seed)
             n_dropped = len(decision.dropped)
             for sid, posterior in decision.dropped:
                 drop_events.append({
@@ -219,9 +225,9 @@ def run_experiment(config, out_dir=None):
             for row in decision.gmm_trace:
                 gmm_trace.append({"epoch": epoch, **row})
         dropped_per_epoch[epoch] = n_dropped
-        val_metrics.append(_eval_metric(config, model, dataset.validation))
+        val_metrics.append(_eval_metric(config, model, val))
 
-    test_metric = _eval_metric(config, model, dataset.test)
+    test_metric = _eval_metric(config, model, test)
     dropped_ids = sorted(state.dropped)
     detection = metrics.detection_report(dropped_ids, mask)
 

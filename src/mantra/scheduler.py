@@ -10,10 +10,16 @@ a row is dropped permanently.  A single-component selection is treated as
 "no noise evidence this epoch" and resets every counter.  Total drops never
 exceed floor(max_drop_frac * initial train size); when candidates outnumber
 the remaining budget, higher posterior wins and ties fall to the smaller id.
+
+The state is a set of arrays indexed by train position: the consecutive-flag
+counters, the epoch each sample was dropped at (0 while it is active, so
+`dropped_at == 0` is the active mask), and an (n, window) buffer of trailing
+transformed losses, oldest first.  A dropped sample never returns, so every
+active sample has been scored in each epoch so far and all windows hold the
+last min(epoch, window) values.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,23 +57,30 @@ class DropPolicy:
         return self
 
 
-@dataclass
+@dataclass(eq=False)
 class DropState:
-    initial_ids: tuple
-    counters: dict = field(default_factory=dict)     # id -> consecutive flags
-    windows: dict = field(default_factory=dict)      # id -> recent transformed losses
-    dropped: dict = field(default_factory=dict)      # id -> epoch dropped at
+    initial_ids: np.ndarray            # (n,) int64 train ids in train order
+    counters: np.ndarray               # (n,) consecutive flags
+    dropped_at: np.ndarray             # (n,) epoch dropped at, 0 = active
+    buffer: np.ndarray | None = None   # (n, window) trailing losses, oldest first
     last_epoch: int = 0
 
     @classmethod
     def for_ids(cls, ids):
-        ids = tuple(int(i) for i in ids)
-        if len(set(ids)) != len(ids):
+        ids = np.fromiter(ids, dtype=np.int64)
+        if np.unique(ids).shape[0] != ids.shape[0]:
             raise UsageError("train sample ids must be unique")
-        return cls(initial_ids=ids)
+        zeros = np.zeros(ids.shape[0], dtype=np.int64)
+        return cls(initial_ids=ids, counters=zeros, dropped_at=zeros.copy())
+
+    @property
+    def dropped(self):
+        """A fresh {id: epoch dropped at} dict; editing it leaves the state alone."""
+        hit = self.dropped_at > 0
+        return dict(zip(self.initial_ids[hit].tolist(), self.dropped_at[hit].tolist()))
 
     def active_ids(self):
-        return [i for i in self.initial_ids if i not in self.dropped]
+        return self.initial_ids[self.dropped_at == 0].tolist()
 
 
 @dataclass
@@ -89,69 +102,70 @@ def drop_cap(policy, state):
 def evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
     """Consume one epoch of losses and decide which samples to drop.
 
-    sample_ids must be exactly the currently active set.  Epochs must arrive
-    contiguously (1, 2, ...); warmup epochs only feed the trailing windows.
-    Dropped ids take effect from the next epoch's active set.
+    sample_ids must be a permutation of the currently active set; features,
+    flags and posteriors follow its order.  Epochs must arrive contiguously
+    (1, 2, ...); warmup epochs only feed the trailing windows.  Dropped ids
+    take effect from the next epoch's active set.
     """
     policy.validate()
     if epoch != state.last_epoch + 1:
         raise SequencingError(f"expected epoch {state.last_epoch + 1}, got {epoch}")
-    ids = [int(i) for i in sample_ids]
+    ids = np.asarray(sample_ids, dtype=np.int64)
     vals = np.asarray(losses, dtype=np.float64)
     if len(ids) != vals.shape[0]:
         raise UsageError("sample_ids and losses must have matching lengths")
-    if set(ids) != set(state.active_ids()):
-        raise UsageError("sample_ids must match the active set exactly")
+    act = np.flatnonzero(state.dropped_at == 0)
+    by_id = np.argsort(ids)
+    act_by_id = act[np.argsort(state.initial_ids[act])]
+    if not np.array_equal(ids[by_id], state.initial_ids[act_by_id]):
+        raise UsageError("sample_ids must be a permutation of the active set")
+    pos = np.empty_like(act)          # train position of each given id
+    pos[by_id] = act_by_id
     state.last_epoch = epoch     # a rejected call must not consume the epoch
 
-    transformed = TRANSFORMS[policy.transform](vals)
-    for sid, x in zip(ids, transformed):
-        window = state.windows.get(sid)
-        if window is None:
-            window = state.windows[sid] = deque(maxlen=policy.window)
-        window.append(float(x))
+    if state.buffer is None:
+        state.buffer = np.zeros((len(state.initial_ids), policy.window))
+    buf = state.buffer
+    buf[:, :-1] = buf[:, 1:]
+    buf[pos, -1] = TRANSFORMS[policy.transform](vals)
 
     cap = drop_cap(policy, state)
     decision = EpochDecision(epoch=epoch, in_warmup=epoch <= policy.warmup,
                              selected_k=0, flagged=[], dropped=[], gmm_trace=[],
                              cap=cap, n_active=len(ids))
-    if decision.in_warmup or not ids:
+    if decision.in_warmup or not len(ids):
         return decision
 
-    features = np.array([float(np.mean(state.windows[sid])) for sid in ids])
+    features = buf[pos, buf.shape[1] - min(epoch, buf.shape[1]):].mean(axis=1)
     model, trace = gmm.select_model(features, k_max=policy.k_max, seed=seed)
     decision.gmm_trace = trace
     decision.selected_k = model.k
 
     if model.k == 1:
         # No mixture evidence: treat the epoch as clean and restart persistence.
-        state.counters.clear()
+        state.counters[:] = 0
         return decision
 
     post = gmm.posteriors(model, features)[:, -1]   # component with largest mean
-    posterior_by_id = {}
-    for sid, p in zip(ids, post):
-        posterior_by_id[sid] = float(p)
-        if p > policy.tau:
-            state.counters[sid] = state.counters.get(sid, 0) + 1
-            decision.flagged.append(sid)
-        else:
-            state.counters.pop(sid, None)
+    flag = post > policy.tau
+    state.counters[pos] = np.where(flag, state.counters[pos] + 1, 0)
+    decision.flagged = ids[flag].tolist()
 
-    candidates = [sid for sid in ids
-                  if state.counters.get(sid, 0) >= policy.persistence]
-    budget = cap - len(state.dropped)
-    if budget < len(candidates):
-        candidates.sort(key=lambda sid: (-posterior_by_id[sid], sid))
-        candidates = candidates[:max(budget, 0)]
-    for sid in sorted(candidates):
-        state.dropped[sid] = epoch
-        state.counters.pop(sid, None)
-        state.windows.pop(sid, None)
-        decision.dropped.append((sid, posterior_by_id[sid]))
+    cand = np.flatnonzero(state.counters[pos] >= policy.persistence)
+    budget = cap - (len(state.initial_ids) - len(act))
+    if budget < len(cand):
+        cand = cand[np.lexsort((ids[cand], -post[cand]))][:max(budget, 0)]
+    cand = cand[np.argsort(ids[cand])]
+    state.dropped_at[pos[cand]] = epoch
+    state.counters[pos[cand]] = 0
+    decision.dropped = list(zip(ids[cand].tolist(), post[cand].tolist()))
     return decision
 
 
 def active_samples(state, samples):
-    """Subset of samples still active, preserving the given order."""
-    return [s for s in samples if int(s.id) not in state.dropped]
+    """The entries of samples still active, in their order.
+
+    samples is aligned with the state's initial ids and indexable by a
+    boolean mask: the train positions, or any per-sample array.
+    """
+    return samples[state.dropped_at == 0]

@@ -18,6 +18,8 @@ TRANSFORMS = {
     "log1p": lambda x: np.log1p(np.asarray(x, dtype=np.float64)),
 }
 
+_FLAG_SUFFIX = ("0,0\r\n", "0,1\r\n", "1,0\r\n", "1,1\r\n")   # by 2 * noisy + active
+
 
 class TrajectoryStore:
     def __init__(self):
@@ -102,16 +104,17 @@ class TrajectoryStore:
         return edges, density
 
     def save_csv(self, path):
+        # One string per epoch from .tolist() columns: csv.writer's per-row
+        # calls and numpy scalar indexing dominated the write.  No field can
+        # need quoting (ints, finite float reprs), so the bytes are the same.
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "sample_id", "loss", "is_noisy", "active"])
+            fh.write("epoch,sample_id,loss,is_noisy,active\r\n")
             for epoch in self.epochs:
                 rows = self._epochs[epoch]
-                for i in range(rows["ids"].shape[0]):
-                    writer.writerow([
-                        epoch, int(rows["ids"][i]), repr(float(rows["losses"][i])),
-                        int(rows["noisy"][i]), int(rows["active"][i]),
-                    ])
+                flags = (2 * rows["noisy"] + rows["active"]).tolist()
+                fh.write("".join([
+                    f"{epoch},{sid},{loss!r},{_FLAG_SUFFIX[f]}" for sid, loss, f in
+                    zip(rows["ids"].tolist(), rows["losses"].tolist(), flags)]))
 
     def save_group_means_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

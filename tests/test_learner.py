@@ -27,6 +27,49 @@ def test_zero_init_loss_oracles():
     np.testing.assert_allclose(losses, math.log(42.0), rtol=0, atol=1e-9)
 
 
+def _assert_same_split(got, want):
+    assert got.task == want.task and len(got) == len(want)
+    for name in ("ids", "x", "y", "src", "src_len", "tgt", "tgt_len"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("task", ["classification", "summarization"])
+def test_packed_subset_equals_packing_the_subset(task):
+    if task == "classification":
+        samples = _cls_samples(4, 60, d=6)
+        model_a, model_b = (learner.new_classifier(6, init_scale=0.5, seed=1)
+                            for _ in range(2))
+    else:
+        samples = _sum_samples(4, 60)
+        model_a, model_b = (learner.new_seq2seq(init_scale=0.2, seed=1)
+                            for _ in range(2))
+    full = learner.pack(samples)
+    rows = np.random.default_rng(5).permutation(len(samples))[:35]
+    if task == "summarization":
+        # leave out the longest sources and targets so the pads must shrink
+        rows = rows[(full.src_len[rows] < full.src_len.max())
+                    & (full.tgt_len[rows] < full.tgt_len.max())]
+    subset = [samples[i] for i in rows]
+    sub = full.take(rows)
+    _assert_same_split(sub, learner.pack(subset))
+    if task == "summarization":
+        assert sub.src.shape[1] < full.src.shape[1]
+        assert sub.tgt.shape[1] < full.tgt.shape[1]
+
+    np.testing.assert_array_equal(learner.per_sample_losses(model_a, sub),
+                                  learner.per_sample_losses(model_b, subset))
+    cfg = learner.TrainConfig(lr=0.5, batch_size=8, shuffle_seed=2)
+    learner.train_epoch(model_a, sub, cfg, 3)
+    learner.train_epoch(model_b, subset, cfg, 3)
+    for a, b in zip(learner._param_arrays(model_a), learner._param_arrays(model_b)):
+        np.testing.assert_array_equal(a, b)
+    assert learner.pack(sub) is sub
+
+
 def test_classifier_loss_matches_direct_bce(rng):
     samples = _cls_samples(5, 12, d=6)
     model = learner.new_classifier(6, init_scale=0.8, seed=2)
@@ -62,6 +105,8 @@ def test_sample_kind_mismatch():
     seq = learner.new_seq2seq()
     with pytest.raises(UsageError):
         learner.train_epoch(seq, _cls_samples(1, 3), learner.TrainConfig(lr=0.1), 0)
+    with pytest.raises(UsageError):
+        learner.pack(_cls_samples(1, 2) + _sum_samples(1, 2))
 
 
 def test_empty_inputs():

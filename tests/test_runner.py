@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mantra import data, runner
-from mantra.errors import ConfigError, UsageError
+from mantra.errors import ConfigError, MantraError, UsageError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
 
 
@@ -170,6 +170,21 @@ def test_empty_train_file_is_a_config_error(tmp_path, tiny_cls_config):
         {"split": "test", "features": [0.1] * 8, "labels": ["Bug"]}) + "\n")
     with pytest.raises(ConfigError):
         run_experiment(tiny_cls_config(data=str(path)))
+
+
+def test_misaligned_noise_mask_raises(monkeypatch, tiny_cls_config):
+    # the runner reads corruption flags by train position, so a mask whose
+    # ids are out of train order must stop the run, not mislabel rows
+    inject = runner._inject
+
+    def shuffled(config, train):
+        out, mask = inject(config, train)
+        mask.ids = mask.ids[::-1].copy()
+        return out, mask
+
+    monkeypatch.setattr(runner, "_inject", shuffled)
+    with pytest.raises(MantraError, match="aligned"):
+        run_experiment(tiny_cls_config())
 
 
 def test_compare_runs_contract(tiny_cls_config, tmp_path):

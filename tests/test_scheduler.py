@@ -1,11 +1,16 @@
 """Drop scheduler: warmup, persistence, cap, and reset behavior on scripted losses."""
 
+from collections import deque
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from mantra import scheduler
+from mantra import gmm, scheduler
 from mantra.errors import ConfigError, SequencingError, UsageError
-from mantra.scheduler import DropPolicy, DropState, drop_cap, evaluate_epoch
+from mantra.scheduler import (DropPolicy, DropState, EpochDecision, drop_cap,
+                              evaluate_epoch)
+from mantra.trajectory import TRANSFORMS
 
 
 def _policy(**overrides):
@@ -53,7 +58,8 @@ def test_warmup_epochs_never_flag():
         d = evaluate_epoch(state, policy, epoch, range(20), _bimodal_losses(20, noisy))
         assert d.in_warmup and d.selected_k == 0
         assert d.flagged == [] and d.dropped == [] and d.gmm_trace == []
-    assert state.counters == {} and state.dropped == {}
+    assert not state.counters.any() and not state.dropped_at.any()
+    assert state.dropped == {}
 
 
 def test_scripted_bimodal_run_drops_exactly_the_noisy_block():
@@ -93,11 +99,11 @@ def test_single_component_epoch_resets_persistence():
     evaluate_epoch(state, policy, 1, range(n), [0.4] * n)
 
     evaluate_epoch(state, policy, 2, range(n), _scripted_losses(n, noisy))
-    assert state.counters and max(state.counters.values()) == 1
+    assert state.counters.max() == 1
 
     d3 = evaluate_epoch(state, policy, 3, range(n), [0.4] * n)   # unimodal epoch
     assert d3.selected_k == 1
-    assert state.counters == {}                                  # reset
+    assert not state.counters.any()                              # reset
 
     evaluate_epoch(state, policy, 4, range(n), _scripted_losses(n, noisy))
     d5 = evaluate_epoch(state, policy, 5, range(n), _scripted_losses(n, noisy))
@@ -182,11 +188,144 @@ def test_sequencing_and_input_validation():
 
 
 def test_active_samples_preserves_order():
-    class S:
-        def __init__(self, sid):
-            self.id = sid
-
     state = DropState.for_ids([3, 1, 2])
-    state.dropped[1] = 5
-    kept = scheduler.active_samples(state, [S(3), S(1), S(2)])
-    assert [s.id for s in kept] == [3, 2]
+    state.dropped_at[1] = 5                       # id 1 dropped at epoch 5
+    kept = scheduler.active_samples(state, np.array([3, 1, 2]))
+    assert kept.tolist() == [3, 2]
+    assert state.active_ids() == [3, 2] and state.dropped == {1: 5}
+
+
+def test_duplicate_ids_are_rejected():
+    # same set as the active ids, but id 1 twice: one sample would get two
+    # window entries and the mixture would be fit on an extra point
+    state = DropState.for_ids(range(4))
+    policy = _policy(warmup=0)
+    with pytest.raises(UsageError):
+        evaluate_epoch(state, policy, 1, [0, 1, 1, 2, 3], [0.1] * 5)
+    assert state.last_epoch == 0
+    d = evaluate_epoch(state, policy, 1, [3, 1, 0, 2], [0.1] * 4)   # any order
+    assert d.n_active == 4
+
+
+@dataclass
+class _RefState:
+    initial_ids: tuple
+    counters: dict = field(default_factory=dict)     # id -> consecutive flags
+    windows: dict = field(default_factory=dict)      # id -> recent transformed losses
+    dropped: dict = field(default_factory=dict)      # id -> epoch dropped at
+    last_epoch: int = 0
+
+
+def _reference_evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
+    """The per-id dict/deque scheduler, kept as the oracle for the array state."""
+    ids = [int(i) for i in sample_ids]
+    state.last_epoch = epoch
+    transformed = TRANSFORMS[policy.transform](np.asarray(losses, dtype=np.float64))
+    for sid, x in zip(ids, transformed):
+        window = state.windows.get(sid)
+        if window is None:
+            window = state.windows[sid] = deque(maxlen=policy.window)
+        window.append(float(x))
+
+    cap = drop_cap(policy, state)
+    decision = EpochDecision(epoch=epoch, in_warmup=epoch <= policy.warmup,
+                             selected_k=0, flagged=[], dropped=[], gmm_trace=[],
+                             cap=cap, n_active=len(ids))
+    if decision.in_warmup or not ids:
+        return decision
+    features = np.array([float(np.mean(state.windows[sid])) for sid in ids])
+    model, trace = gmm.select_model(features, k_max=policy.k_max, seed=seed)
+    decision.gmm_trace = trace
+    decision.selected_k = model.k
+    if model.k == 1:
+        state.counters.clear()
+        return decision
+
+    post = gmm.posteriors(model, features)[:, -1]
+    posterior_by_id = {}
+    for sid, p in zip(ids, post):
+        posterior_by_id[sid] = float(p)
+        if p > policy.tau:
+            state.counters[sid] = state.counters.get(sid, 0) + 1
+            decision.flagged.append(sid)
+        else:
+            state.counters.pop(sid, None)
+    candidates = [sid for sid in ids
+                  if state.counters.get(sid, 0) >= policy.persistence]
+    budget = cap - len(state.dropped)
+    if budget < len(candidates):
+        candidates.sort(key=lambda sid: (-posterior_by_id[sid], sid))
+        candidates = candidates[:max(budget, 0)]
+    for sid in sorted(candidates):
+        state.dropped[sid] = epoch
+        state.counters.pop(sid, None)
+        state.windows.pop(sid, None)
+        decision.dropped.append((sid, posterior_by_id[sid]))
+    return decision
+
+
+def _loss_streams(kind, seed, window, n=80, epochs=12):
+    """Scattered ids and per-epoch losses aligned with them.
+
+    "mixed": a noisy quarter sits ~2 above gamma-distributed clean losses,
+    and some clean samples join it on odd epochs only, so their streaks
+    break; `window` epochs from epoch 6 on are one tight blob, so a fully
+    blob-averaged epoch resets every streak.  "ties": two exact
+    loss levels, so every flagged posterior saturates to the same value and
+    the id tiebreak decides the cap.
+    """
+    rng = np.random.default_rng([seed, 77])
+    ids = rng.choice(10 * n, size=n, replace=False)
+    noisy = rng.random(n) < 0.25
+    flicker = ~noisy & (rng.random(n) < 0.15)
+    streams = []
+    for epoch in range(1, epochs + 1):
+        if kind == "ties":
+            losses = np.where(noisy, 3.0, 0.2)
+        elif 6 <= epoch < 6 + window:
+            losses = rng.normal(0.5, 0.01, n)
+        else:
+            high = noisy | (flicker & (epoch % 2 == 1))
+            losses = rng.gamma(2.0, 0.1, n) + high * rng.normal(2.0, 0.4, n).clip(0.5)
+        streams.append(losses)
+    return ids, streams
+
+
+def _run_against_reference(policy, kind, seed):
+    ids, streams = _loss_streams(kind, seed, policy.window)
+    state = DropState.for_ids(ids)
+    ref = _RefState(tuple(int(i) for i in ids))
+    order_rng = np.random.default_rng([seed, 78])
+    decisions = []
+    for epoch, losses in enumerate(streams, start=1):
+        # any permutation of the active set is allowed; shuffle it
+        rows = order_rng.permutation(scheduler.active_samples(state, np.arange(len(ids))))
+        got = evaluate_epoch(state, policy, epoch, ids[rows], losses[rows], seed=seed)
+        want = _reference_evaluate_epoch(ref, policy, epoch, ids[rows], losses[rows],
+                                         seed=seed)
+        assert got == want, f"epoch {epoch}"
+        assert state.dropped == ref.dropped
+        decisions.append(got)
+    return decisions
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 5])
+@pytest.mark.parametrize("persistence", [1, 2, 3])
+def test_evaluate_epoch_matches_dict_reference(window, persistence):
+    policy = _policy(warmup=2, window=window, persistence=persistence)
+    decisions = _run_against_reference(policy, "mixed", seed=10 * window + persistence)
+    post_warmup = [d for d in decisions if not d.in_warmup]
+    assert any(prev.flagged and d.selected_k == 1                 # a streak reset
+               for prev, d in zip(post_warmup, post_warmup[1:]))
+    assert any(d.flagged for d in post_warmup)
+    assert any(d.dropped for d in post_warmup)
+
+
+def test_evaluate_epoch_matches_dict_reference_when_tied_cap_binds():
+    policy = _policy(warmup=1, max_drop_frac=0.1, persistence=1)
+    decisions = _run_against_reference(policy, "ties", seed=3)
+    dropped = [sid for d in decisions for sid, _ in d.dropped]
+    assert len(dropped) == decisions[0].cap
+    binding = decisions[[bool(d.dropped) for d in decisions].index(True)]
+    assert len(binding.flagged) > len(binding.dropped)           # the cap cut
+    assert len({p for d in decisions for _, p in d.dropped}) == 1     # tied

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mantra.errors import SequencingError, UsageError
+from mantra.noise import NoiseMask
 from mantra.trajectory import TRANSFORMS, TrajectoryStore
 
 
@@ -114,3 +115,40 @@ def test_csv_exports(tmp_path):
     widths = [float(r["bin_right"]) - float(r["bin_left"]) for r in rows]
     total = sum(float(r["density"]) * w for r, w in zip(rows, widths))
     assert total == pytest.approx(1.0)
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
+    # exponent-form reprs, every (noisy, active) pair, and a shrunken epoch
+    # after drops, against the per-row csv.writer loop the export replaced
+    store = TrajectoryStore()
+    store.record_epoch(1, [7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0],
+                       [False, True, False, True], active=[True, True, False, False])
+    store.record_epoch(2, [3, 12], [123456789.125, 1.0 / 3.0], [True, False])
+    store.record_epoch(3, [12], [5e-324], [False], active=[False])
+    store.save_csv(tmp_path / "fast.csv")
+    want = []
+    for epoch in store.epochs:
+        rows = store.epoch_rows(epoch)
+        for i in range(rows["ids"].shape[0]):
+            want.append([epoch, int(rows["ids"][i]), repr(float(rows["losses"][i])),
+                         int(rows["noisy"][i]), int(rows["active"][i])])
+    assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["epoch", "sample_id", "loss", "is_noisy", "active"], want)
+    assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
+
+
+def test_noise_mask_csv_matches_csv_writer_reference(tmp_path):
+    mask = NoiseMask(ids=np.array([4, 0, 9, 2], dtype=np.int64),
+                     corrupted=np.array([True, False, False, True]), rate=0.5, seed=1)
+    mask.save_csv(tmp_path / "fast.csv")
+    want = [[int(i), int(c)] for i, c in zip(mask.ids, mask.corrupted)]
+    assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["sample_id", "corrupted"], want)
