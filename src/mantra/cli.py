@@ -2,8 +2,7 @@
 
 Exit status: 0 on success, 2 for configuration problems (bad flags or an
 inconsistent experiment setup), 1 for runtime failures (unreadable files,
-failed fits).  The kernel backend is chosen by the MANTRA_BACKEND env var
-at import time; MANTRA_OUT, when set, overrides any --out flag.
+failed fits).  MANTRA_OUT, when set, overrides any --out flag.
 """
 
 import argparse

@@ -1,18 +1,29 @@
-"""Sequence-learner numeric kernels in two interchangeable backends.
+"""Sequence-learner numeric kernels: teacher-forced loss, its gradient, greedy decode.
 
-The teacher-forced loss, its gradient, and greedy decoding walk ragged
-token sequences sample by sample.  They are the largest cost of
-summarization runs only: classification runs call none of them, and treated
-runs add the per-epoch mixture fits of mantra.gmm (perfbench/ reports the
-time of each layer).  They are compiled with numba when it is available; a
-pure-numpy twin of each kernel covers environments without numba and serves
-for cross-checking.
+They are the largest cost of summarization runs only: classification runs
+call none of them, and treated runs add the per-epoch mixture fits of
+mantra.gmm (perfbench/ reports the time of each layer).
 
-Backend selection happens once at import from the MANTRA_BACKEND env var:
-"numba", "numpy", or "auto" (default: numba when importable).  Both
-backends compute the same quantities; summation order differs, so agreement
-is to float tolerance, not bit-for-bit.  Within one backend results are
-deterministic.
+Teacher forcing makes every target position independent of the model's own
+outputs, so the loss and its gradient are one pass over all valid
+(position, sample) tokens of a batch rather than a loop over positions.
+Tokens are listed position-major: every sample's position 0, in row order,
+then every sample's position 1, and so on.  Each token's logits are its
+sample's source term plus the transition column of the previous gold token
+(BOS at position 0), followed by a row softmax.
+
+Addition-order contract: every per-sample loss and every gradient entry is
+summed from 0 in position-major token order, the order of a per-position
+loop.  The sums are scatters done with ``np.bincount`` over flattened
+``key * V + column`` keys, because ``bincount`` adds each bin's terms in
+input order starting from 0.  ``np.add.at`` on 2-D rows is order-exact too
+but about 5x slower than ``bincount``, and ``np.add.reduceat`` along axis 0
+does not add rows in sequence; a sample-major token order would be off in
+the last bits.  Results are deterministic and do not depend on how a split
+is cut into blocks.
+
+Greedy decoding feeds each step its own previous output, so it stays a loop
+over positions.
 
 Array conventions shared by every kernel:
 
@@ -28,94 +39,90 @@ softmax cross-entropy, with the previous gold token (BOS at position 0)
 feeding the transition term.
 """
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:        # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
+# Samples per token pass in seq_losses, which scores whole splits.  A block's
+# (tokens, V_t) temporaries stay near 100 KB; larger ones come from fresh
+# pages on every call (128-sample blocks page-faulted ~400 times per call on a
+# 1000-sample split), and one pass over 4000 samples is slower than the
+# per-position loop.
+_LOSS_BLOCK = 64
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy twins
+def backend():
+    """Name of the kernel implementation, recorded in results.json."""
+    return "numpy"
+
 
 def _bow(v_src_size, src, src_len):
+    """(n, V_s) mean bag of source tokens; counts are exact small integers."""
     n = src.shape[0]
-    bow = np.zeros((n, v_src_size))
-    if n:
-        valid = np.arange(src.shape[1]) < src_len[:, None]
-        np.add.at(bow, (np.repeat(np.arange(n), src_len), src[valid]), 1.0)
-        bow /= src_len[:, None]
-    return bow
+    valid = np.arange(src.shape[1]) < src_len[:, None]
+    keys = np.repeat(np.arange(n) * v_src_size, src_len) + src[valid]
+    counts = np.bincount(keys, minlength=n * v_src_size).reshape(n, v_src_size)
+    return counts / src_len[:, None]
 
 
-def seq_losses_np(u, v, b, src, src_len, tgt, tgt_len, bos):
+def _tokens(tgt, tgt_len, bos):
+    """Position, row, previous gold and gold of every valid token, position-major."""
+    pos, rows = np.nonzero(np.arange(tgt.shape[1])[:, None] < tgt_len)
+    gold = tgt[rows, pos]
+    prev = np.where(pos > 0, tgt[rows, pos - 1], bos)
+    return pos, rows, prev, gold
+
+
+def _softmax_nll(base, u, rows, prev, gold):
+    """Per-token softmax numerators, their row sums and cross-entropies."""
+    logits = base[rows] + u[:, prev].T
+    mx = logits.max(axis=1)
+    ex = np.exp(logits - mx[:, None])
+    ssum = ex.sum(axis=1)
+    nll = np.log(ssum) + mx - logits[np.arange(rows.size), gold]
+    return ex, ssum, nll
+
+
+def _scatter_rows(keys, values, n_keys):
+    """(n_keys, V) sums of the rows of values by key, each bin in input order."""
+    width = values.shape[1]
+    flat = (keys * width)[:, None] + np.arange(width)
+    return np.bincount(flat.ravel(), weights=values.ravel(),
+                       minlength=n_keys * width).reshape(n_keys, width)
+
+
+def seq_losses(u, v, b, src, src_len, tgt, tgt_len, bos):
     n = src.shape[0]
-    losses = np.zeros(n)
-    if n == 0:
-        return losses
+    # One product over the whole split, so no row depends on the blocking.
     base = _bow(v.shape[1], src, src_len) @ v.T + b
-    prev = np.full(n, bos, dtype=np.int64)
-    for k in range(tgt.shape[1]):
-        active = k < tgt_len
-        if not active.any():
-            break
-        logits = base[active] + u[:, prev[active]].T
-        mx = logits.max(axis=1)
-        lse = mx + np.log(np.exp(logits - mx[:, None]).sum(axis=1))
-        gold = tgt[active, k]
-        losses[active] += lse - logits[np.arange(gold.size), gold]
-        prev[active] = gold
+    losses = np.zeros(n)
+    for lo in range(0, n, _LOSS_BLOCK):
+        hi = min(lo + _LOSS_BLOCK, n)
+        _, rows, prev, gold = _tokens(tgt[lo:hi], tgt_len[lo:hi], bos)
+        nll = _softmax_nll(base[lo:hi], u, rows, prev, gold)[2]
+        losses[lo:hi] = np.bincount(rows, weights=nll, minlength=hi - lo)
     return losses / tgt_len
 
 
-def seq_grad_sum_np(u, v, b, src, src_len, tgt, tgt_len, bos):
+def seq_grad_sum(u, v, b, src, src_len, tgt, tgt_len, bos):
     """Gradient of the sum over samples of the per-sample mean loss."""
-    n = src.shape[0]
-    du_t = np.zeros_like(u)     # indexed [prev, next], transposed at the end
-    dv = np.zeros_like(v)
-    db = np.zeros_like(b)
-    losses = np.zeros(n)
-    if n == 0:
-        return du_t.T, dv, db, losses
+    n, n_vocab = src.shape[0], b.shape[0]
+    if n == 0:      # bincount of no keys is int64 whatever the weights
+        return np.zeros_like(u), np.zeros_like(v), np.zeros_like(b), np.zeros(0)
     bow = _bow(v.shape[1], src, src_len)
     base = bow @ v.T + b
-    dbase = np.zeros_like(base)
-    prev = np.full(n, bos, dtype=np.int64)
+    pos, rows, prev, gold = _tokens(tgt, tgt_len, bos)
+    ex, ssum, nll = _softmax_nll(base, u, rows, prev, gold)
     inv_t = 1.0 / tgt_len
-    for k in range(tgt.shape[1]):
-        active = k < tgt_len
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        logits = base[idx] + u[:, prev[idx]].T
-        mx = logits.max(axis=1)
-        ex = np.exp(logits - mx[:, None])
-        ssum = ex.sum(axis=1)
-        gold = tgt[idx, k]
-        losses[idx] += np.log(ssum) + mx - logits[np.arange(idx.size), gold]
-        dl = ex / ssum[:, None]
-        dl[np.arange(idx.size), gold] -= 1.0
-        dl *= inv_t[idx, None]
-        db += dl.sum(axis=0)
-        np.add.at(du_t, prev[idx], dl)
-        dbase[idx] += dl
-        prev[idx] = gold
-    dv += dbase.T @ bow
-    return du_t.T.copy(), dv, db, losses * inv_t
+    dl = ex / ssum[:, None]
+    dl[np.arange(rows.size), gold] -= 1.0
+    dl *= inv_t[rows, None]
+    du = _scatter_rows(prev, dl, n_vocab).T.copy()     # scattered as [prev, next]
+    dv = _scatter_rows(rows, dl, n).T @ bow
+    db = _scatter_rows(pos, dl, tgt.shape[1]).sum(axis=0)
+    losses = np.bincount(rows, weights=nll, minlength=n) * inv_t
+    return du, dv, db, losses
 
 
-def greedy_decode_np(u, v, b, src, src_len, bos, eos, max_len):
+def greedy_decode(u, v, b, src, src_len, bos, eos, max_len):
     n = src.shape[0]
     out = np.zeros((n, max_len), dtype=np.int64)
     out_len = np.zeros(n, dtype=np.int64)
@@ -137,159 +144,3 @@ def greedy_decode_np(u, v, b, src, src_len, bos, eos, max_len):
         prev[idx] = nxt
         alive[idx[stop]] = False
     return out, out_len
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-@njit(cache=True)
-def seq_losses_nb(u, v, b, src, src_len, tgt, tgt_len, bos):
-    n = src.shape[0]
-    n_vocab = b.shape[0]
-    losses = np.zeros(n)
-    logits = np.empty(n_vocab)
-    for i in range(n):
-        length = src_len[i]
-        inv = 1.0 / length
-        base = b.copy()
-        for j in range(length):
-            s = src[i, j]
-            for t in range(n_vocab):
-                base[t] += v[t, s] * inv
-        total = 0.0
-        prev = bos
-        for k in range(tgt_len[i]):
-            mx = -1.0e300
-            for t in range(n_vocab):
-                logits[t] = base[t] + u[t, prev]
-                if logits[t] > mx:
-                    mx = logits[t]
-            ssum = 0.0
-            for t in range(n_vocab):
-                ssum += np.exp(logits[t] - mx)
-            gold = tgt[i, k]
-            total += np.log(ssum) + mx - logits[gold]
-            prev = gold
-        losses[i] = total / tgt_len[i]
-    return losses
-
-
-@njit(cache=True)
-def seq_grad_sum_nb(u, v, b, src, src_len, tgt, tgt_len, bos):
-    n = src.shape[0]
-    n_vocab = b.shape[0]
-    du = np.zeros_like(u)
-    dv = np.zeros_like(v)
-    db = np.zeros_like(b)
-    losses = np.zeros(n)
-    logits = np.empty(n_vocab)
-    p = np.empty(n_vocab)
-    for i in range(n):
-        length = src_len[i]
-        inv = 1.0 / length
-        base = b.copy()
-        for j in range(length):
-            s = src[i, j]
-            for t in range(n_vocab):
-                base[t] += v[t, s] * inv
-        dbase = np.zeros(n_vocab)
-        total = 0.0
-        prev = bos
-        w = 1.0 / tgt_len[i]
-        for k in range(tgt_len[i]):
-            mx = -1.0e300
-            for t in range(n_vocab):
-                logits[t] = base[t] + u[t, prev]
-                if logits[t] > mx:
-                    mx = logits[t]
-            ssum = 0.0
-            for t in range(n_vocab):
-                p[t] = np.exp(logits[t] - mx)
-                ssum += p[t]
-            gold = tgt[i, k]
-            total += np.log(ssum) + mx - logits[gold]
-            for t in range(n_vocab):
-                g = p[t] / ssum * w
-                if t == gold:
-                    g -= w
-                db[t] += g
-                du[t, prev] += g
-                dbase[t] += g
-            prev = gold
-        for j in range(length):
-            s = src[i, j]
-            for t in range(n_vocab):
-                dv[t, s] += dbase[t] * inv
-        losses[i] = total * w
-    return du, dv, db, losses
-
-
-@njit(cache=True)
-def greedy_decode_nb(u, v, b, src, src_len, bos, eos, max_len):
-    n = src.shape[0]
-    n_vocab = b.shape[0]
-    out = np.zeros((n, max_len), dtype=np.int64)
-    out_len = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        length = src_len[i]
-        inv = 1.0 / length
-        base = b.copy()
-        for j in range(length):
-            s = src[i, j]
-            for t in range(n_vocab):
-                base[t] += v[t, s] * inv
-        prev = bos
-        for k in range(max_len):
-            best = 0
-            best_val = base[0] + u[0, prev]
-            for t in range(1, n_vocab):
-                val = base[t] + u[t, prev]
-                if val > best_val:     # strict: ties keep the lowest id
-                    best_val = val
-                    best = t
-            if best == eos:
-                break
-            out[i, k] = best
-            out_len[i] += 1
-            prev = best
-    return out, out_len
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-_IMPLS = {
-    "numpy": (seq_losses_np, seq_grad_sum_np, greedy_decode_np),
-    "numba": (seq_losses_nb, seq_grad_sum_nb, greedy_decode_nb),
-}
-
-
-def _pick_backend():
-    choice = os.environ.get("MANTRA_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigError("MANTRA_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ConfigError(f"MANTRA_BACKEND must be auto/numba/numpy, got {choice!r}")
-
-
-_BACKEND = _pick_backend()
-seq_losses, seq_grad_sum, greedy_decode = _IMPLS[_BACKEND]
-
-
-def backend():
-    """Name of the active kernel backend."""
-    return _BACKEND
-
-
-def implementations(name):
-    """Kernel triple (losses, grad, decode) for an explicit backend name."""
-    if name == "numba" and not HAVE_NUMBA:
-        raise ConfigError("numba backend requested but numba is not importable")
-    if name not in _IMPLS:
-        raise ConfigError(f"unknown backend {name!r}")
-    return _IMPLS[name]

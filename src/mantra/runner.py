@@ -10,8 +10,7 @@ bypassed, so a baseline/treated pair differing only in the `mantra` flag
 shares its dataset, noise mask, initialization, and shuffle order.
 
 Reports serialize to results.json deterministically: reruns of the same
-config on the same backend are byte-identical except for the runtime
-field.
+config are byte-identical except for the runtime field.
 """
 
 import csv

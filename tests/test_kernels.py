@@ -1,12 +1,10 @@
-"""Kernel backends: brute-force oracles and numpy/numba equivalence."""
+"""Sequence kernels: brute-force oracles and bit-for-bit per-position loop references."""
 
 import math
 
 import numpy as np
-import pytest
 
 from mantra import kernels
-from mantra.errors import ConfigError
 
 
 def _random_problem(rng, n=6, v_t=9, v_s=5, scale=0.7):
@@ -99,14 +97,12 @@ def test_decode_ties_resolve_to_lowest_id():
     b[2] = b[4] = 1.0                       # exact tie between ids 2 and 4
     src = np.array([[0, 1]], dtype=np.int64)
     sl = np.array([2], dtype=np.int64)
-    for name in _available_backends():
-        _, _, decode = kernels.implementations(name)
-        out, out_len = decode(u, v, b, src, sl, v_t - 2, v_t - 1, 4)
-        assert out_len[0] == 4
-        np.testing.assert_array_equal(out[0], [2, 2, 2, 2])
+    out, out_len = kernels.greedy_decode(u, v, b, src, sl, v_t - 2, v_t - 1, 4)
+    assert out_len[0] == 4
+    np.testing.assert_array_equal(out[0], [2, 2, 2, 2])
 
 
-def test_empty_batch():
+def test_empty_batch(rng):
     u = np.zeros((4, 4))
     v = np.zeros((4, 2))
     b = np.zeros(4)
@@ -117,39 +113,126 @@ def test_empty_batch():
     assert losses.shape == (0,) and not du.any() and not dv.any() and not db.any()
     out, out_len = kernels.greedy_decode(u, v, b, src, sl, 2, 3, 5)
     assert out.shape == (0, 5) and out_len.shape == (0,)
+    _assert_matches_reference(_desk_batch(rng, 0))     # shapes and dtypes too
 
 
-def _available_backends():
-    names = ["numpy"]
-    if kernels.HAVE_NUMBA:
-        names.append("numba")
-    return names
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backend_equivalence(rng):
-    np_impl = kernels.implementations("numpy")
-    nb_impl = kernels.implementations("numba")
-    for _ in range(10):
-        u, v, b, src, sl, tgt, tl, bos, eos = _random_problem(rng, n=8, v_t=10, v_s=6)
-        np.testing.assert_allclose(
-            np_impl[0](u, v, b, src, sl, tgt, tl, bos),
-            nb_impl[0](u, v, b, src, sl, tgt, tl, bos),
-            rtol=1e-10, atol=1e-12)
-        grads_np = np_impl[1](u, v, b, src, sl, tgt, tl, bos)
-        grads_nb = nb_impl[1](u, v, b, src, sl, tgt, tl, bos)
-        for g_np, g_nb in zip(grads_np, grads_nb):
-            np.testing.assert_allclose(g_np, g_nb, rtol=1e-9, atol=1e-11)
-        out_np, len_np = np_impl[2](u, v, b, src, sl, bos, eos, 8)
-        out_nb, len_nb = nb_impl[2](u, v, b, src, sl, bos, eos, 8)
-        np.testing.assert_array_equal(out_np, out_nb)
-        np.testing.assert_array_equal(len_np, len_nb)
+# ---------------------------------------------------------------------------
+# per-position loop references: the kernels must reproduce them bit for bit
+
+def _reference_bow(v_src_size, src, src_len):
+    n = src.shape[0]
+    bow = np.zeros((n, v_src_size))
+    if n:
+        valid = np.arange(src.shape[1]) < src_len[:, None]
+        np.add.at(bow, (np.repeat(np.arange(n), src_len), src[valid]), 1.0)
+        bow /= src_len[:, None]
+    return bow
 
 
-def test_backend_dispatch_errors():
-    assert kernels.backend() in ("numpy", "numba")
-    with pytest.raises(ConfigError):
-        kernels.implementations("fortran")
-    triple = kernels.implementations("numpy")
-    assert triple == (kernels.seq_losses_np, kernels.seq_grad_sum_np,
-                      kernels.greedy_decode_np)
+def _reference_seq_losses(u, v, b, src, src_len, tgt, tgt_len, bos):
+    n = src.shape[0]
+    losses = np.zeros(n)
+    if n == 0:
+        return losses
+    base = _reference_bow(v.shape[1], src, src_len) @ v.T + b
+    prev = np.full(n, bos, dtype=np.int64)
+    for k in range(tgt.shape[1]):
+        active = k < tgt_len
+        if not active.any():
+            break
+        logits = base[active] + u[:, prev[active]].T
+        mx = logits.max(axis=1)
+        lse = mx + np.log(np.exp(logits - mx[:, None]).sum(axis=1))
+        gold = tgt[active, k]
+        losses[active] += lse - logits[np.arange(gold.size), gold]
+        prev[active] = gold
+    return losses / tgt_len
+
+
+def _reference_seq_grad_sum(u, v, b, src, src_len, tgt, tgt_len, bos):
+    n = src.shape[0]
+    du_t = np.zeros_like(u)     # indexed [prev, next], transposed at the end
+    dv = np.zeros_like(v)
+    db = np.zeros_like(b)
+    losses = np.zeros(n)
+    if n == 0:
+        return du_t.T, dv, db, losses
+    bow = _reference_bow(v.shape[1], src, src_len)
+    base = bow @ v.T + b
+    dbase = np.zeros_like(base)
+    prev = np.full(n, bos, dtype=np.int64)
+    inv_t = 1.0 / tgt_len
+    for k in range(tgt.shape[1]):
+        active = k < tgt_len
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        logits = base[idx] + u[:, prev[idx]].T
+        mx = logits.max(axis=1)
+        ex = np.exp(logits - mx[:, None])
+        ssum = ex.sum(axis=1)
+        gold = tgt[idx, k]
+        losses[idx] += np.log(ssum) + mx - logits[np.arange(idx.size), gold]
+        dl = ex / ssum[:, None]
+        dl[np.arange(idx.size), gold] -= 1.0
+        dl *= inv_t[idx, None]
+        db += dl.sum(axis=0)
+        np.add.at(du_t, prev[idx], dl)
+        dbase[idx] += dl
+        prev[idx] = gold
+    dv += dbase.T @ bow
+    return du_t.T.copy(), dv, db, losses * inv_t
+
+
+def _desk_batch(rng, n, tgt_len=None, pad=17, v_t=42, v_s=40):
+    """A batch at the summarization task's vocabulary sizes, target pad `pad`."""
+    u = rng.normal(0, 1.5, (v_t, v_t))
+    v = rng.normal(0, 1.5, (v_t, v_s))
+    b = rng.normal(0, 1.0, v_t)
+    src_len = rng.integers(4, 11, n)
+    if tgt_len is None:
+        tgt_len = rng.integers(1, pad + 1, n)
+    src = np.zeros((n, 10), dtype=np.int64)
+    tgt = np.zeros((n, pad), dtype=np.int64)
+    for i in range(n):
+        src[i, :src_len[i]] = rng.integers(0, v_s, src_len[i])
+        tgt[i, :tgt_len[i] - 1] = rng.integers(0, v_t - 2, tgt_len[i] - 1)
+        tgt[i, tgt_len[i] - 1] = v_t - 1
+    return u, v, b, src, src_len, tgt, np.asarray(tgt_len, dtype=np.int64), v_t - 2
+
+
+def _assert_matches_reference(problem):
+    got = kernels.seq_grad_sum(*problem)
+    want = _reference_seq_grad_sum(*problem)
+    for name, g, w in zip(("du", "dv", "db", "losses"), got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    losses = kernels.seq_losses(*problem)
+    ref = _reference_seq_losses(*problem)
+    assert losses.shape == ref.shape and losses.dtype == ref.dtype
+    assert np.array_equal(losses, ref)
+
+
+def test_bow_counts_match_add_at_reference(rng):
+    _, v, _, src, src_len, _, _, _ = _desk_batch(rng, 50)
+    assert np.array_equal(kernels._bow(v.shape[1], src, src_len),
+                          _reference_bow(v.shape[1], src, src_len))
+
+
+def test_kernels_equal_position_loop_on_seeded_batches(rng):
+    for n in range(1, 65):
+        _assert_matches_reference(_desk_batch(rng, n))
+    _assert_matches_reference(_desk_batch(rng, 1500))   # several scoring blocks
+
+
+def test_kernels_equal_position_loop_on_edge_lengths(rng):
+    _assert_matches_reference(_desk_batch(rng, 40, tgt_len=np.ones(40, dtype=np.int64)))
+    _assert_matches_reference(_desk_batch(rng, 40, tgt_len=np.full(40, 9)))
+    # one row at the split's max length, the others far shorter
+    lengths = rng.integers(1, 6, 40)
+    lengths[17] = 17
+    _assert_matches_reference(_desk_batch(rng, 40, tgt_len=lengths))
+    # a batch cut from a split whose pad is wider than any of its rows
+    _assert_matches_reference(_desk_batch(rng, 40, tgt_len=rng.integers(1, 6, 40)))

@@ -56,7 +56,7 @@ def test_run_report_bookkeeping(tiny_cls_config):
     assert report.dropped_ids == sorted(report.dropped_ids)
     assert report.label_repairs is not None
     assert set(report.prior_drift) == {"before", "after"}
-    assert report.backend in ("numpy", "numba")
+    assert report.backend == "numpy"
     # drops never precede warmup + persistence
     for event in report.drop_events:
         assert event["epoch"] > cfg["warmup"] + cfg["persistence"] - 1
