@@ -11,7 +11,7 @@ from .data import (DatasetSplit, generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl)
 from .errors import (ConfigError, FitError, MantraError, ParseError,
                      SchemaError, SequencingError, UsageError)
-from .gmm import GmmModel, bic, bic_value, fit_em, posteriors, select_model
+from .gmm import GmmModel, bic_value, fit_em, posteriors, select_model
 from .learner import (ClassifierModel, Seq2SeqModel, TrainConfig,
                       gradient_check, per_sample_losses, predict, train_epoch)
 from .metrics import bleu4, detection_report, micro_f1, micro_f1_from_counts
@@ -28,7 +28,7 @@ __all__ = [
     "generate_summarization_dataset", "load_jsonl",
     "MantraError", "ParseError", "SchemaError", "ConfigError", "FitError",
     "SequencingError", "UsageError",
-    "GmmModel", "fit_em", "bic", "bic_value", "select_model", "posteriors",
+    "GmmModel", "fit_em", "bic_value", "select_model", "posteriors",
     "ClassifierModel", "Seq2SeqModel", "TrainConfig", "per_sample_losses",
     "train_epoch", "gradient_check", "predict",
     "bleu4", "micro_f1", "micro_f1_from_counts", "detection_report",

@@ -69,11 +69,6 @@ class DatasetSplit:
     test: list
     meta: dict = field(default_factory=dict)
 
-    def split(self, name):
-        if name not in ("train", "validation", "test"):
-            raise UsageError(f"unknown split name {name!r}")
-        return getattr(self, name)
-
 
 def _freeze(a):
     a.setflags(write=False)

@@ -1,10 +1,9 @@
 """Univariate Gaussian mixtures fit by EM, with BIC order selection.
 
 The detector models an epoch's per-sample losses as a 1-D mixture.  Fits
-are deterministic: initialization places component means on the
-(j - 0.5)/K quantiles with equal weights and the overall variance, and the
-EM loop itself has no randomness.  An optional seeded multi-start adds a
-few jittered restarts and keeps the best final log-likelihood.
+are deterministic: one start places component means on the (j - 0.5)/K
+quantiles with equal weights and the overall variance, and the EM loop
+itself has no randomness.
 
 Model order is chosen by the Bayesian information criterion
 -2 ln L + k ln n with k = 3K - 1 free parameters in one dimension
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import FitError, UsageError
 
 VAR_FLOOR = 1e-6
-_TAG_RESTART = 51
 
 
 @dataclass
@@ -78,12 +76,10 @@ def _em(obs, weights, means, variances, max_iter, tol):
     return weights, means, variances, history[-1], len(history) - 1, converged, history
 
 
-def fit_em(obs, k, max_iter=200, tol=1e-6, restarts=0, seed=0):
+def fit_em(obs, k, max_iter=200, tol=1e-6):
     """Fit a K-component univariate mixture; components come back sorted by mean.
 
     Raises FitError when there are fewer observations than components.
-    restarts > 0 adds that many seeded jittered initializations on top of the
-    deterministic quantile start and keeps the best final log-likelihood.
     """
     obs = np.asarray(obs, dtype=np.float64).ravel()
     if k < 1:
@@ -95,23 +91,9 @@ def fit_em(obs, k, max_iter=200, tol=1e-6, restarts=0, seed=0):
 
     spread = float(obs.var())
     degenerate = bool(spread == 0.0 and k > 1)
-    base_means = np.quantile(obs, (np.arange(k) + 0.5) / k)
-    base_var = max(spread, VAR_FLOOR)
-
-    starts = [base_means]
-    if restarts > 0:
-        jitter_rng = np.random.default_rng([seed, _TAG_RESTART])
-        scale = math.sqrt(base_var) / 10.0
-        for _ in range(restarts):
-            starts.append(base_means + scale * jitter_rng.standard_normal(k))
-
-    best = None
-    for means0 in starts:
-        fit = _em(obs, np.full(k, 1.0 / k), means0.astype(np.float64),
-                  np.full(k, base_var), max_iter, tol)
-        if best is None or fit[3] > best[3]:
-            best = fit
-    weights, means, variances, ll, n_iter, converged, history = best
+    weights, means, variances, ll, n_iter, converged, history = _em(
+        obs, np.full(k, 1.0 / k), np.quantile(obs, (np.arange(k) + 0.5) / k),
+        np.full(k, max(spread, VAR_FLOOR)), max_iter, tol)
 
     order = np.argsort(means, kind="stable")
     return GmmModel(weights=weights[order], means=means[order],
@@ -127,11 +109,7 @@ def bic_value(log_likelihood, k, n):
     return -2.0 * log_likelihood + (3 * k - 1) * math.log(n)
 
 
-def bic(model, n):
-    return bic_value(model.log_likelihood, model.k, n)
-
-
-def select_model(obs, k_max=3, max_iter=200, tol=1e-6, restarts=0, seed=0):
+def select_model(obs, k_max=3, max_iter=200, tol=1e-6):
     """Fit K = 1..k_max and keep the lowest-BIC model (ties favor fewer).
 
     Returns (model, trace) where trace lists one dict per candidate K with
@@ -149,8 +127,8 @@ def select_model(obs, k_max=3, max_iter=200, tol=1e-6, restarts=0, seed=0):
     for k in range(1, k_max + 1):
         if obs.shape[0] < k:
             break
-        model = fit_em(obs, k, max_iter=max_iter, tol=tol, restarts=restarts, seed=seed)
-        score = bic(model, obs.shape[0])
+        model = fit_em(obs, k, max_iter=max_iter, tol=tol)
+        score = bic_value(model.log_likelihood, k, obs.shape[0])
         trace.append({
             "k": k,
             "log_likelihood": model.log_likelihood,

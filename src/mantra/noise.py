@@ -6,7 +6,6 @@ selection is a seeded shuffle, and the resulting mask records which train
 ids were corrupted so detection quality can be scored later.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .data import (EOS, INTENTS, N_INTENTS, N_TGT_CONTENT,
                    ClassificationSample, SummarizationSample)
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 _TAG_SELECT = 31
 _TAG_DRAW = 32
@@ -30,19 +29,11 @@ class NoiseMask:
     """Per-train-sample corruption record, aligned with train order."""
     ids: np.ndarray         # (n,) int64 sample ids in train order
     corrupted: np.ndarray   # (n,) bool
-    rate: float
-    seed: int
     prior_drift: dict = field(default_factory=dict)
 
     @property
     def corrupted_ids(self):
         return set(int(i) for i in self.ids[self.corrupted])
-
-    def is_corrupted(self, sample_id):
-        idx = np.flatnonzero(self.ids == sample_id)
-        if idx.size == 0:
-            raise UsageError(f"sample id {sample_id} is not in the mask")
-        return bool(self.corrupted[idx[0]])
 
     def save_csv(self, path):
         # Same bytes as csv.writer rows, built in one pass.
@@ -50,16 +41,6 @@ class NoiseMask:
             fh.write("sample_id,corrupted\r\n" + "".join([
                 f"{sid},{bad:d}\r\n"
                 for sid, bad in zip(self.ids.tolist(), self.corrupted.tolist())]))
-
-    @classmethod
-    def load_csv(cls, path, rate=float("nan"), seed=-1):
-        ids, corrupted = [], []
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                ids.append(int(row["sample_id"]))
-                corrupted.append(bool(int(row["corrupted"])))
-        return cls(np.asarray(ids, dtype=np.int64), np.asarray(corrupted, dtype=bool),
-                   rate, seed)
 
 
 def _check_rate(rate):
@@ -134,8 +115,6 @@ def inject_label_noise(train, rate, seed, mode="replace-set"):
     mask = NoiseMask(
         ids=np.asarray([s.id for s in train], dtype=np.int64),
         corrupted=corrupted,
-        rate=rate,
-        seed=seed,
         prior_drift={
             "before": label_priors(train),
             "after": label_priors(out),
@@ -168,10 +147,6 @@ def inject_summary_noise(train, rate, seed):
         out[pos] = SummarizationSample(s.id, s.source, _frozen(target))
         corrupted[pos] = True
 
-    mask = NoiseMask(
-        ids=np.asarray([s.id for s in train], dtype=np.int64),
-        corrupted=corrupted,
-        rate=rate,
-        seed=seed,
-    )
+    mask = NoiseMask(ids=np.asarray([s.id for s in train], dtype=np.int64),
+                     corrupted=corrupted)
     return out, mask

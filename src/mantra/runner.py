@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels, learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl)
-from .errors import ConfigError, MantraError, UsageError
+from .errors import ConfigError, MantraError, SchemaError, UsageError
 from .trajectory import TrajectoryStore
 
 TASK_ALIASES = {"cls": "classification", "sum": "summarization",
@@ -213,8 +213,7 @@ def run_experiment(config, out_dir=None):
         store.record_epoch(epoch, active.ids, losses, mask.corrupted[rows])
         n_dropped = 0
         if config.mantra:
-            decision = scheduler.evaluate_epoch(
-                state, policy, epoch, active.ids, losses, seed=config.seed)
+            decision = scheduler.evaluate_epoch(state, policy, epoch, active.ids, losses)
             n_dropped = len(decision.dropped)
             for sid, posterior in decision.dropped:
                 drop_events.append({
@@ -287,13 +286,28 @@ def _write_artifacts(out_dir, config, report, store, mask, model):
             ])
 
 
+_REPORT_FIELDS = ("metric_name", "test_metric", "dropped_total", "detection")
+_CONFIG_FIELDS = ("task", "seed", "noise_rate", "mantra")
+
+
 def _as_report_dict(report):
+    """A report as a dict; SchemaError names the first field compare_runs lacks."""
     if isinstance(report, RunReport):
         return report.as_dict()
-    if isinstance(report, dict):
-        return report
-    with open(report, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    where = "report"
+    if not isinstance(report, dict):
+        where = os.fspath(report)
+        with open(report, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    if not isinstance(report, dict):
+        raise SchemaError(f"{where}: a report must be a JSON object")
+    if not isinstance(report.get("config"), dict):
+        raise SchemaError(f"{where}: missing object field 'config'")
+    missing = [k for k in _REPORT_FIELDS if k not in report] + [
+        f"config.{k}" for k in _CONFIG_FIELDS if k not in report["config"]]
+    if missing:
+        raise SchemaError(f"{where}: missing field {missing[0]!r}")
+    return report
 
 
 def compare_runs(report_a, report_b, clean_a=None, clean_b=None):
@@ -347,6 +361,12 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     """
     if not rates or not seeds:
         raise UsageError("grid needs at least one rate and one seed")
+    # Each arm writes to a {rate:g} / seed directory, so repeats would collide.
+    labels = [f"{rate:g}" for rate in rates]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"grid rates must be distinct, got {', '.join(labels)}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"grid seeds must be distinct, got {seeds}")
     reports = []
     rows = []
     for rate, seed, mantra_on in itertools.product(rates, seeds, (False, True)):

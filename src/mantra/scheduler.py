@@ -25,7 +25,11 @@ import numpy as np
 
 from . import gmm
 from .errors import ConfigError, SequencingError, UsageError
-from .trajectory import TRANSFORMS
+
+TRANSFORMS = {
+    "identity": lambda x: np.asarray(x, dtype=np.float64),
+    "log1p": lambda x: np.log1p(np.asarray(x, dtype=np.float64)),
+}
 
 
 @dataclass
@@ -79,9 +83,6 @@ class DropState:
         hit = self.dropped_at > 0
         return dict(zip(self.initial_ids[hit].tolist(), self.dropped_at[hit].tolist()))
 
-    def active_ids(self):
-        return self.initial_ids[self.dropped_at == 0].tolist()
-
 
 @dataclass
 class EpochDecision:
@@ -99,13 +100,13 @@ def drop_cap(policy, state):
     return int(np.floor(policy.max_drop_frac * len(state.initial_ids)))
 
 
-def evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
+def evaluate_epoch(state, policy, epoch, sample_ids, losses):
     """Consume one epoch of losses and decide which samples to drop.
 
-    sample_ids must be a permutation of the currently active set; features,
-    flags and posteriors follow its order.  Epochs must arrive contiguously
-    (1, 2, ...); warmup epochs only feed the trailing windows.  Dropped ids
-    take effect from the next epoch's active set.
+    sample_ids must be the currently active ids in train order, as
+    active_samples returns them.  Epochs must arrive contiguously (1, 2, ...);
+    warmup epochs only feed the trailing windows.  Dropped ids take effect
+    from the next epoch's active set.
     """
     policy.validate()
     if epoch != state.last_epoch + 1:
@@ -114,13 +115,9 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
     vals = np.asarray(losses, dtype=np.float64)
     if len(ids) != vals.shape[0]:
         raise UsageError("sample_ids and losses must have matching lengths")
-    act = np.flatnonzero(state.dropped_at == 0)
-    by_id = np.argsort(ids)
-    act_by_id = act[np.argsort(state.initial_ids[act])]
-    if not np.array_equal(ids[by_id], state.initial_ids[act_by_id]):
-        raise UsageError("sample_ids must be a permutation of the active set")
-    pos = np.empty_like(act)          # train position of each given id
-    pos[by_id] = act_by_id
+    pos = np.flatnonzero(state.dropped_at == 0)      # train position of each id
+    if not np.array_equal(ids, state.initial_ids[pos]):
+        raise UsageError("sample_ids must be the active ids in train order")
     state.last_epoch = epoch     # a rejected call must not consume the epoch
 
     if state.buffer is None:
@@ -137,7 +134,7 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
         return decision
 
     features = buf[pos, buf.shape[1] - min(epoch, buf.shape[1]):].mean(axis=1)
-    model, trace = gmm.select_model(features, k_max=policy.k_max, seed=seed)
+    model, trace = gmm.select_model(features, k_max=policy.k_max)
     decision.gmm_trace = trace
     decision.selected_k = model.k
 
@@ -152,7 +149,7 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
     decision.flagged = ids[flag].tolist()
 
     cand = np.flatnonzero(state.counters[pos] >= policy.persistence)
-    budget = cap - (len(state.initial_ids) - len(act))
+    budget = cap - (len(state.initial_ids) - len(pos))
     if budget < len(cand):
         cand = cand[np.lexsort((ids[cand], -post[cand]))][:max(budget, 0)]
     cand = cand[np.argsort(ids[cand])]

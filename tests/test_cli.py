@@ -59,6 +59,35 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
 
 
+def test_repeated_grid_rate_or_seed_exits_2(tmp_path, capsys):
+    # 0.1 and 0.10 share the r0.1 directory label; nothing may run or be written
+    grid = ["grid", "--task", "cls", "--epochs", "3", "--warmup", "1",
+            "--n-train", "40", "--n-val", "8", "--n-test", "8",
+            "--out", str(tmp_path / "grid")]
+    for rates, seeds in (("0.1,0.10", "1"), ("0,0.1", "1,1")):
+        assert main(grid + ["--rates", rates, "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_malformed_compare_report_exits_1(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({
+        "config": {"task": "classification", "seed": 1, "noise_rate": 0.1,
+                   "mantra": False},
+        "metric_name": "micro_f1", "test_metric": 0.5, "dropped_total": 0,
+        "detection": {}}))
+    for text, field in (("{}", "'config'"), ("[1]", "JSON object"),
+                        ('{"config": {}, "metric_name": "", "test_metric": 0,'
+                         ' "dropped_total": 0, "detection": {}}', "'config.task'")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["compare", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
 def test_grid_and_compare_flow(tmp_path, capsys):
     grid_dir = tmp_path / "grid"
     code = main(["grid", "--task", "cls", "--epochs", "4", "--warmup", "1",

@@ -77,14 +77,6 @@ def test_summarization_dictionary_not_forced_bijective():
     assert collides
 
 
-def test_split_accessor():
-    ds = data.generate_classification_dataset(1, n_train=5, n_val=2, n_test=2, d=3)
-    assert ds.split("train") is ds.train
-    assert ds.split("validation") is ds.validation
-    with pytest.raises(UsageError):
-        ds.split("dev")
-
-
 def test_generator_rejects_empty_splits():
     with pytest.raises(UsageError):
         data.generate_classification_dataset(1, n_train=0, n_val=1, n_test=1)

@@ -123,16 +123,12 @@ def test_fit_errors():
         gmm.select_model(np.array([1.0, 2.0]), k_max=0)
 
 
-def test_determinism_and_restarts():
+def test_determinism():
     obs = _bimodal(np.random.default_rng(5), n=600)
     a = gmm.fit_em(obs, 2)
     b = gmm.fit_em(obs, 2)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.weights, b.weights)
-    c = gmm.fit_em(obs, 2, restarts=3, seed=7)
-    d = gmm.fit_em(obs, 2, restarts=3, seed=7)
-    np.testing.assert_array_equal(c.means, d.means)
-    assert c.log_likelihood >= a.log_likelihood - 1e-9   # restarts never worse
 
 
 def test_posteriors_are_responsibilities():

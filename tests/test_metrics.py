@@ -125,14 +125,9 @@ def test_bleu_matches_reference_on_random_corpora(rng):
             _bleu_reference(cands, refs), rel=1e-12)
 
 
-def _mask(ids, corrupted_ids, rate=0.2):
+def _mask(ids, corrupted_ids):
     ids = np.asarray(ids, dtype=np.int64)
-    return noise.NoiseMask(
-        ids=ids,
-        corrupted=np.isin(ids, list(corrupted_ids)),
-        rate=rate,
-        seed=0,
-    )
+    return noise.NoiseMask(ids=ids, corrupted=np.isin(ids, list(corrupted_ids)))
 
 
 def test_detection_report_counts_and_lift():

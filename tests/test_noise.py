@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mantra import data, noise
-from mantra.errors import ConfigError, UsageError
+from mantra.errors import ConfigError
 
 
 def test_corruption_count_rounds_half_up():
@@ -138,17 +138,3 @@ def test_unknown_mode():
         noise.inject_label_noise(train, 0.5, seed=0, mode="shuffle")
 
 
-def test_mask_queries_and_csv_round_trip(tmp_path, cls_train):
-    _, mask = noise.inject_label_noise(cls_train, 0.1, seed=3)
-    sid = sorted(mask.corrupted_ids)[0]
-    assert mask.is_corrupted(sid)
-    clean_id = next(int(i) for i in mask.ids if int(i) not in mask.corrupted_ids)
-    assert not mask.is_corrupted(clean_id)
-    with pytest.raises(UsageError):
-        mask.is_corrupted(10_000)
-
-    path = tmp_path / "mask.csv"
-    mask.save_csv(path)
-    back = noise.NoiseMask.load_csv(path)
-    np.testing.assert_array_equal(back.ids, mask.ids)
-    np.testing.assert_array_equal(back.corrupted, mask.corrupted)

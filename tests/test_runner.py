@@ -118,7 +118,7 @@ def test_rerun_is_byte_identical_except_runtime(tmp_path, tiny_cls_config):
 
 
 def test_artifact_set(tmp_path, tiny_cls_config):
-    cfg = tiny_cls_config()
+    cfg = tiny_cls_config(n_train=200)     # large enough to drop before epoch 4
     out = tmp_path / "run"
     report = run_experiment(cfg, out_dir=str(out))
     expected = {"results.json", "model.ckpt.json", "trajectory.csv",
@@ -131,7 +131,7 @@ def test_artifact_set(tmp_path, tiny_cls_config):
 
     mask_rows = list(csv.DictReader((out / "noise_mask.csv").open()))
     assert len(mask_rows) == cfg.n_train
-    assert sum(int(r["corrupted"]) for r in mask_rows) == 9    # round(0.15 * 60)
+    assert sum(int(r["corrupted"]) for r in mask_rows) == 30   # round(0.15 * 200)
 
     drop_rows = list(csv.DictReader((out / "drops.csv").open()))
     assert len(drop_rows) == report.dropped_total
@@ -149,6 +149,17 @@ def test_artifact_set(tmp_path, tiny_cls_config):
     for epoch in range(1, cfg.epochs + 1):
         assert active_per_epoch[epoch] == cfg.n_train - dropped_so_far
         dropped_so_far += report.dropped_per_epoch[epoch]
+
+    # only active samples are scored, the noisy flag is the mask's, and a
+    # dropped id has no row after the epoch it was dropped at
+    noisy = {int(r["sample_id"]): r["corrupted"] for r in mask_rows}
+    drop_epoch = {int(r["sample_id"]): int(r["epoch"]) for r in drop_rows}
+    assert drop_epoch and min(drop_epoch.values()) < cfg.epochs
+    for row in traj_rows:
+        sid = int(row["sample_id"])
+        assert row["active"] == "1"
+        assert row["is_noisy"] == noisy[sid]
+        assert int(row["epoch"]) <= drop_epoch.get(sid, cfg.epochs)
 
 
 def test_file_dataset_round_trip(tmp_path, tiny_cls_config):

@@ -8,9 +8,8 @@ import pytest
 
 from mantra import gmm, scheduler
 from mantra.errors import ConfigError, SequencingError, UsageError
-from mantra.scheduler import (DropPolicy, DropState, EpochDecision, drop_cap,
-                              evaluate_epoch)
-from mantra.trajectory import TRANSFORMS
+from mantra.scheduler import (TRANSFORMS, DropPolicy, DropState, EpochDecision,
+                              active_samples, drop_cap, evaluate_epoch)
 
 
 def _policy(**overrides):
@@ -22,6 +21,10 @@ def _policy(**overrides):
 
 def _bimodal_losses(n, noisy_ids, low=0.2, high=3.0):
     return [high if i in noisy_ids else low for i in range(n)]
+
+
+def _active_ids(state):
+    return active_samples(state, state.initial_ids).tolist()
 
 
 def _scripted_losses(n, noisy_ids, low=0.2, high=3.0):
@@ -45,7 +48,7 @@ def test_state_construction():
     with pytest.raises(UsageError):
         DropState.for_ids([1, 2, 2])
     state = DropState.for_ids(range(5))
-    assert state.active_ids() == [0, 1, 2, 3, 4]
+    assert _active_ids(state) == [0, 1, 2, 3, 4]
     assert drop_cap(_policy(), state) == 1            # floor(0.3 * 5)
     assert drop_cap(_policy(max_drop_frac=0.3), DropState.for_ids(range(7))) == 2
 
@@ -81,7 +84,7 @@ def test_scripted_bimodal_run_drops_exactly_the_noisy_block():
     assert [sid for sid, _ in d7.dropped] == sorted(noisy)
     for sid, post in d7.dropped:
         assert post > 1.0 - 1e-9    # well-separated modes: posterior saturates
-    assert state.active_ids() == list(range(90))
+    assert _active_ids(state) == list(range(90))
     assert state.dropped == {sid: 7 for sid in noisy}
 
     # next epoch must be called with the shrunken active set
@@ -123,7 +126,7 @@ def test_cap_binds_and_ties_fall_to_smaller_ids():
     assert len(state.dropped) == drop_cap(policy, state) == 10
 
     # budget exhausted: the still-flagged rest never drops
-    active = state.active_ids()
+    active = _active_ids(state)
     d3 = evaluate_epoch(state, policy, 3, active,
                         _bimodal_losses(n, noisy)[:80] + [3.0] * 10)
     assert d3.dropped == [] and len(state.dropped) == 10
@@ -142,7 +145,7 @@ def test_cap_prefers_higher_posterior_before_id(monkeypatch):
         k = 2
 
     monkeypatch.setattr(scheduler.gmm, "select_model",
-                        lambda features, k_max, seed: (_Fake(), []))
+                        lambda features, k_max: (_Fake(), []))
     monkeypatch.setattr(scheduler.gmm, "posteriors",
                         lambda model, features: np.column_stack(
                             [1.0 - scripted, scripted]))
@@ -190,9 +193,9 @@ def test_sequencing_and_input_validation():
 def test_active_samples_preserves_order():
     state = DropState.for_ids([3, 1, 2])
     state.dropped_at[1] = 5                       # id 1 dropped at epoch 5
-    kept = scheduler.active_samples(state, np.array([3, 1, 2]))
+    kept = active_samples(state, np.array([3, 1, 2]))
     assert kept.tolist() == [3, 2]
-    assert state.active_ids() == [3, 2] and state.dropped == {1: 5}
+    assert _active_ids(state) == [3, 2] and state.dropped == {1: 5}
 
 
 def test_duplicate_ids_are_rejected():
@@ -203,7 +206,10 @@ def test_duplicate_ids_are_rejected():
     with pytest.raises(UsageError):
         evaluate_epoch(state, policy, 1, [0, 1, 1, 2, 3], [0.1] * 5)
     assert state.last_epoch == 0
-    d = evaluate_epoch(state, policy, 1, [3, 1, 0, 2], [0.1] * 4)   # any order
+    with pytest.raises(UsageError):                # the active set, not in train order
+        evaluate_epoch(state, policy, 1, [3, 1, 0, 2], [0.1] * 4)
+    assert state.last_epoch == 0
+    d = evaluate_epoch(state, policy, 1, [0, 1, 2, 3], [0.1] * 4)
     assert d.n_active == 4
 
 
@@ -216,7 +222,7 @@ class _RefState:
     last_epoch: int = 0
 
 
-def _reference_evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
+def _reference_evaluate_epoch(state, policy, epoch, sample_ids, losses):
     """The per-id dict/deque scheduler, kept as the oracle for the array state."""
     ids = [int(i) for i in sample_ids]
     state.last_epoch = epoch
@@ -234,7 +240,7 @@ def _reference_evaluate_epoch(state, policy, epoch, sample_ids, losses, seed=0):
     if decision.in_warmup or not ids:
         return decision
     features = np.array([float(np.mean(state.windows[sid])) for sid in ids])
-    model, trace = gmm.select_model(features, k_max=policy.k_max, seed=seed)
+    model, trace = gmm.select_model(features, k_max=policy.k_max)
     decision.gmm_trace = trace
     decision.selected_k = model.k
     if model.k == 1:
@@ -295,14 +301,11 @@ def _run_against_reference(policy, kind, seed):
     ids, streams = _loss_streams(kind, seed, policy.window)
     state = DropState.for_ids(ids)
     ref = _RefState(tuple(int(i) for i in ids))
-    order_rng = np.random.default_rng([seed, 78])
     decisions = []
     for epoch, losses in enumerate(streams, start=1):
-        # any permutation of the active set is allowed; shuffle it
-        rows = order_rng.permutation(scheduler.active_samples(state, np.arange(len(ids))))
-        got = evaluate_epoch(state, policy, epoch, ids[rows], losses[rows], seed=seed)
-        want = _reference_evaluate_epoch(ref, policy, epoch, ids[rows], losses[rows],
-                                         seed=seed)
+        rows = active_samples(state, np.arange(len(ids)))      # train order
+        got = evaluate_epoch(state, policy, epoch, ids[rows], losses[rows])
+        want = _reference_evaluate_epoch(ref, policy, epoch, ids[rows], losses[rows])
         assert got == want, f"epoch {epoch}"
         assert state.dropped == ref.dropped
         decisions.append(got)

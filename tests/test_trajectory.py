@@ -7,7 +7,8 @@ import pytest
 
 from mantra.errors import SequencingError, UsageError
 from mantra.noise import NoiseMask
-from mantra.trajectory import TRANSFORMS, TrajectoryStore
+from mantra.scheduler import TRANSFORMS
+from mantra.trajectory import TrajectoryStore
 
 
 def _store_with(epochs):
@@ -42,13 +43,6 @@ def test_row_validation():
         store.epoch_rows(1)
 
 
-def test_losses_for_lookup():
-    store = _store_with([([10, 20, 30], [0.1, 0.2, 0.3], [False, True, False])])
-    np.testing.assert_allclose(store.losses_for(1, [30, 10]), [0.3, 0.1])
-    with pytest.raises(UsageError):
-        store.losses_for(1, [99])
-
-
 def test_group_means_and_none_semantics():
     store = _store_with([
         ([1, 2, 3, 4], [0.1, 0.3, 0.2, 0.8], [False, True, False, True]),
@@ -73,12 +67,9 @@ def test_recorded_arrays_are_copies():
 def test_histogram_is_a_density(rng):
     losses = rng.lognormal(0.0, 0.5, 500)
     store = _store_with([(np.arange(500), losses, np.zeros(500, dtype=bool))])
-    for transform in ("identity", "log1p"):
-        edges, density = store.loss_histogram(1, bins=25, transform=transform)
-        assert edges.shape == (26,) and density.shape == (25,)
-        assert float(np.sum(density * np.diff(edges))) == pytest.approx(1.0)
-    with pytest.raises(UsageError):
-        store.loss_histogram(1, transform="sqrt")
+    edges, density = store.loss_histogram(1, bins=25)
+    assert edges.shape == (26,) and density.shape == (25,)
+    assert float(np.sum(density * np.diff(edges))) == pytest.approx(1.0)
     with pytest.raises(UsageError):
         store.loss_histogram(1, bins=0)
 
@@ -126,20 +117,21 @@ def _csv_writer_bytes(path, header, rows):
 
 
 def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
-    # exponent-form reprs, every (noisy, active) pair, and a shrunken epoch
-    # after drops, against the per-row csv.writer loop the export replaced
+    # exponent-form reprs, both noisy flags, and a shrunken epoch after
+    # drops, against the per-row csv.writer loop the export replaced; only
+    # active samples are recorded, so `active` is always 1
     store = TrajectoryStore()
     store.record_epoch(1, [7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0],
-                       [False, True, False, True], active=[True, True, False, False])
+                       [False, True, False, True])
     store.record_epoch(2, [3, 12], [123456789.125, 1.0 / 3.0], [True, False])
-    store.record_epoch(3, [12], [5e-324], [False], active=[False])
+    store.record_epoch(3, [12], [5e-324], [False])
     store.save_csv(tmp_path / "fast.csv")
     want = []
     for epoch in store.epochs:
         rows = store.epoch_rows(epoch)
         for i in range(rows["ids"].shape[0]):
             want.append([epoch, int(rows["ids"][i]), repr(float(rows["losses"][i])),
-                         int(rows["noisy"][i]), int(rows["active"][i])])
+                         int(rows["noisy"][i]), 1])
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["epoch", "sample_id", "loss", "is_noisy", "active"], want)
     assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
@@ -147,7 +139,7 @@ def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
 
 def test_noise_mask_csv_matches_csv_writer_reference(tmp_path):
     mask = NoiseMask(ids=np.array([4, 0, 9, 2], dtype=np.int64),
-                     corrupted=np.array([True, False, False, True]), rate=0.5, seed=1)
+                     corrupted=np.array([True, False, False, True]))
     mask.save_csv(tmp_path / "fast.csv")
     want = [[int(i), int(c)] for i, c in zip(mask.ids, mask.corrupted)]
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
