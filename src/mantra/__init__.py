@@ -7,7 +7,7 @@ drops them adaptively mid-training, and quantifies the recovery against a
 baseline twin that trains straight through the noise.
 """
 
-from .data import (DatasetSplit, generate_classification_dataset,
+from .data import (DatasetSplit, PackedSplit, generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl)
 from .errors import (ConfigError, FitError, MantraError, ParseError,
                      SchemaError, SequencingError, UsageError)
@@ -24,7 +24,7 @@ from .trajectory import TrajectoryStore
 __version__ = "0.1.0"
 
 __all__ = [
-    "DatasetSplit", "generate_classification_dataset",
+    "DatasetSplit", "PackedSplit", "generate_classification_dataset",
     "generate_summarization_dataset", "load_jsonl",
     "MantraError", "ParseError", "SchemaError", "ConfigError", "FitError",
     "SequencingError", "UsageError",

@@ -178,9 +178,11 @@ def build_parser():
     p_cmp.add_argument("report_a", help="results.json of one run")
     p_cmp.add_argument("report_b", help="results.json of its twin")
     p_cmp.add_argument("--clean-a", default=None,
-                       help="noise-free reference results.json for arm A")
+                       help="noise-free reference results.json of the same task "
+                            "and seed; it serves the arm with its mantra flag")
     p_cmp.add_argument("--clean-b", default=None,
-                       help="noise-free reference results.json for arm B")
+                       help="a second reference, with the other mantra flag; "
+                            "one reference alone serves both arms")
     p_cmp.set_defaults(fn=_cmd_compare)
     return parser
 

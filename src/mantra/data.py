@@ -7,14 +7,16 @@ Two task kinds flow through the pipeline:
 * token-level code summarization with integer source/target sequences over
   small closed vocabularies, targets terminated by an explicit EOS id.
 
-Both synthetic generators are fully seeded: the same seed reproduces the
-same dataset byte for byte.  Sample ids are unique across splits so that
-downstream bookkeeping (noise masks, drop sets) can be checked against
-validation/test membership by id alone.
+Every split is a PackedSplit: read-only arrays with one row per sample,
+built once here and read unchanged by noise injection, training, scoring
+and evaluation.  Both synthetic generators are fully seeded: the same seed
+reproduces the same dataset byte for byte.  Sample ids are unique across
+splits so that downstream bookkeeping (noise masks, drop sets) can be
+checked against validation/test membership by id alone.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,34 +47,83 @@ _TAG_SUM_LENGTHS = 22
 _TAG_SUM_TOKENS = 23
 
 
-@dataclass(frozen=True)
-class ClassificationSample:
-    id: int
-    features: np.ndarray    # (d,) float64
-    labels: np.ndarray      # (N_INTENTS,) uint8 bit vector, at least one bit set
+@dataclass(frozen=True, eq=False)
+class PackedSplit:
+    """One split as read-only arrays, one row per sample; len() counts rows.
+
+    Classification fills x (features) and y (label bits), both float64.
+    Summarization fills src and tgt (int64, zero-padded to the split's own
+    longest row; each tgt row ends in EOS) and their true lengths.
+    """
+    task: str                   # "classification" | "summarization"
+    ids: np.ndarray             # (n,) int64
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    src: np.ndarray | None = None
+    src_len: np.ndarray | None = None
+    tgt: np.ndarray | None = None
+    tgt_len: np.ndarray | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+    def __len__(self):
+        return self.ids.shape[0]
+
+    def take(self, rows):
+        """The rows at the given positions (an index array or a slice).
+
+        Sequence pads are trimmed to the subset's own longest source and
+        target: a wider pad changes the kernels' reduction order.
+        """
+        if self.task != "summarization":
+            return replace(self, ids=self.ids[rows], x=self.x[rows], y=self.y[rows])
+        src_len, tgt_len = self.src_len[rows], self.tgt_len[rows]
+        return replace(self, ids=self.ids[rows], src_len=src_len, tgt_len=tgt_len,
+                       src=self.src[rows, :src_len.max(initial=0)],
+                       tgt=self.tgt[rows, :tgt_len.max(initial=0)])
 
 
-@dataclass(frozen=True)
-class SummarizationSample:
-    id: int
-    source: np.ndarray      # (L,) int64, 1 <= L <= MAX_SRC_LEN
-    target: np.ndarray      # (T,) int64 content tokens with EOS as final element
+def classification_split(ids, x, y):
+    """A classification split from ids, (n, d) features and (n, 7) label bits."""
+    return PackedSplit("classification", np.array(ids, dtype=np.int64),
+                       x=np.array(x, dtype=np.float64), y=np.array(y, dtype=np.float64))
+
+
+def summarization_split(ids, sources, targets):
+    """A summarization split from per-sample token arrays; targets end in EOS."""
+    src, src_len = _pad(sources)
+    tgt, tgt_len = _pad(targets)
+    return PackedSplit("summarization", np.array(ids, dtype=np.int64),
+                       src=src, src_len=src_len, tgt=tgt, tgt_len=tgt_len)
+
+
+def _pad(rows):
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    out = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, :lengths[i]] = row
+    return out, lengths
 
 
 @dataclass
 class DatasetSplit:
     """A train/validation/test partition plus provenance metadata."""
-    task: str               # "classification" | "summarization"
-    seed: int | None
-    train: list
-    validation: list
-    test: list
+    train: PackedSplit
+    validation: PackedSplit
+    test: PackedSplit
     meta: dict = field(default_factory=dict)
 
 
-def _freeze(a):
-    a.setflags(write=False)
-    return a
+def _partition(whole, n_train, n_val, meta):
+    """Cut one split of all samples into train, validation and test, in order."""
+    cut = n_train + n_val
+    return DatasetSplit(train=whole.take(slice(0, n_train)),
+                        validation=whole.take(slice(n_train, cut)),
+                        test=whole.take(slice(cut, None)), meta=meta)
 
 
 def intents_to_bits(names):
@@ -106,34 +157,25 @@ def generate_classification_dataset(seed, n_train=700, n_val=85, n_test=88, d=16
     w_star = np.random.default_rng([seed, _TAG_CLS_WEIGHTS]).uniform(-1.0, 1.0, (N_INTENTS, d))
 
     margins = feats @ w_star.T                      # (n, 7)
-    labels = (margins > 0.0).astype(np.uint8)
+    labels = (margins > 0.0).astype(np.float64)
     empty = labels.sum(axis=1) == 0
-    labels[empty, margins[empty].argmax(axis=1)] = 1
+    labels[empty, margins[empty].argmax(axis=1)] = 1.0
     repairs = int(empty.sum())
 
-    samples = [
-        ClassificationSample(i, _freeze(feats[i].copy()), _freeze(labels[i].copy()))
-        for i in range(n)
-    ]
-    return DatasetSplit(
-        task="classification",
-        seed=seed,
-        train=samples[:n_train],
-        validation=samples[n_train:n_train + n_val],
-        test=samples[n_train + n_val:],
-        meta={"n_features": d, "label_repairs": repairs, "hidden_weights": w_star},
-    )
+    whole = PackedSplit("classification", np.arange(n, dtype=np.int64), x=feats, y=labels)
+    return _partition(whole, n_train, n_val,
+                      {"n_features": d, "label_repairs": repairs, "hidden_weights": w_star})
 
 
 def generate_summarization_dataset(seed, n_train=1000, n_val=100, n_test=100):
     """Build a seeded synthetic summarization dataset.
 
     Sources are uniform token sequences of length 4..10 over the source
-    vocabulary.  A seeded random dictionary D (an arbitrary function, not
-    necessarily a bijection) maps each source id to a target content id; the
-    reference target is the tokenwise image of the source under D with EOS
-    appended.  D is kept in meta["mapping"] so the construction can be
-    audited sample by sample.
+    vocabulary, drawn sample after sample from one stream.  A seeded random
+    dictionary D (an arbitrary function, not necessarily a bijection) maps
+    each source id to a target content id; the reference target is the
+    tokenwise image of the source under D with EOS appended.  D is kept in
+    meta["mapping"] so the construction can be audited sample by sample.
     """
     if min(n_train, n_val, n_test) < 1:
         raise UsageError("split sizes must be positive")
@@ -142,27 +184,20 @@ def generate_summarization_dataset(seed, n_train=1000, n_val=100, n_test=100):
         0, N_TGT_CONTENT, size=N_SRC_VOCAB)
     lengths = np.random.default_rng([seed, _TAG_SUM_LENGTHS]).integers(
         SRC_LEN_MIN, SRC_LEN_MAX + 1, size=n)
-    tok_rng = np.random.default_rng([seed, _TAG_SUM_TOKENS])
 
-    samples = []
-    for i in range(n):
-        src = tok_rng.integers(0, N_SRC_VOCAB, size=int(lengths[i]), dtype=np.int64)
-        tgt = np.concatenate([mapping[src], [EOS]]).astype(np.int64)
-        samples.append(SummarizationSample(i, _freeze(src), _freeze(tgt)))
-    return DatasetSplit(
-        task="summarization",
-        seed=seed,
-        train=samples[:n_train],
-        validation=samples[n_train:n_train + n_val],
-        test=samples[n_train + n_val:],
-        meta={
-            "n_src_vocab": N_SRC_VOCAB,
-            "n_tgt_vocab": N_TGT_VOCAB,
-            "bos": BOS,
-            "eos": EOS,
-            "mapping": mapping,
-        },
-    )
+    valid = np.arange(SRC_LEN_MAX) < lengths[:, None]
+    src = np.zeros((n, SRC_LEN_MAX), dtype=np.int64)
+    src[valid] = np.random.default_rng([seed, _TAG_SUM_TOKENS]).integers(
+        0, N_SRC_VOCAB, size=int(lengths.sum()), dtype=np.int64)
+    tgt = np.zeros((n, SRC_LEN_MAX + 1), dtype=np.int64)
+    tgt[:, :-1] = np.where(valid, mapping[src], 0)
+    tgt[np.arange(n), lengths] = EOS
+
+    whole = PackedSplit("summarization", np.arange(n, dtype=np.int64), src=src,
+                        src_len=lengths, tgt=tgt, tgt_len=lengths + 1)
+    return _partition(whole, n_train, n_val, {
+        "n_src_vocab": N_SRC_VOCAB, "n_tgt_vocab": N_TGT_VOCAB, "bos": BOS, "eos": EOS,
+        "mapping": mapping})
 
 
 def load_vocab(path):
@@ -279,7 +314,8 @@ def load_jsonl(path, task, vocab_path=None):
         n_src = len(vocab) if vocab is not None else N_SRC_VOCAB
         n_content = len(vocab) if vocab is not None else N_TGT_CONTENT
         bos_id, eos_id = n_content, n_content + 1
-    buckets = {"train": [], "validation": [], "test": []}
+    # split name -> (ids, features or sources, label bits or targets)
+    buckets = {name: ([], [], []) for name in ("train", "validation", "test")}
     seen_ids = set()
     d_expected = None
     n_records = 0
@@ -308,27 +344,27 @@ def load_jsonl(path, task, vocab_path=None):
                 raise SchemaError(
                     f"line {line_no}: split must be train/val/test, got {split!r}")
             if task == "classification":
-                feats, bits = _parse_classification(record, line_no, d_expected, vocab)
-                d_expected = feats.shape[0]
-                sample = ClassificationSample(sample_id, _freeze(feats), _freeze(bits))
+                first, second = _parse_classification(record, line_no, d_expected, vocab)
+                d_expected = first.shape[0]
             else:
-                source, target = _parse_summarization(
+                first, second = _parse_summarization(
                     record, line_no, vocab, n_src, n_content, eos_id)
-                sample = SummarizationSample(sample_id, _freeze(source), _freeze(target))
-            buckets[_SPLIT_NAMES[split]].append(sample)
+            ids, firsts, seconds = buckets[_SPLIT_NAMES[split]]
+            ids.append(sample_id)
+            firsts.append(first)
+            seconds.append(second)
     if task == "classification":
         meta = {"n_features": d_expected}
+        splits = {name: classification_split(
+            ids, np.reshape(feats, (len(ids), d_expected or 0)),
+            np.reshape(bits, (len(ids), N_INTENTS)))
+            for name, (ids, feats, bits) in buckets.items()}
     else:
         meta = {"n_src_vocab": n_src, "n_tgt_vocab": n_content + 2,
                 "bos": bos_id, "eos": eos_id}
-    return DatasetSplit(
-        task=task,
-        seed=None,
-        train=buckets["train"],
-        validation=buckets["validation"],
-        test=buckets["test"],
-        meta=meta,
-    )
+        splits = {name: summarization_split(*columns)
+                  for name, columns in buckets.items()}
+    return DatasetSplit(meta=meta, **splits)
 
 
 def write_jsonl(path, dataset):
@@ -336,19 +372,13 @@ def write_jsonl(path, dataset):
     split_tags = (("train", "train"), ("validation", "val"), ("test", "test"))
     with open(path, "w", encoding="utf-8") as fh:
         for attr, tag in split_tags:
-            for s in getattr(dataset, attr):
-                if dataset.task == "classification":
-                    record = {
-                        "id": s.id,
-                        "split": tag,
-                        "features": [float(v) for v in s.features],
-                        "labels": bits_to_intents(s.labels),
-                    }
+            split = getattr(dataset, attr)
+            for i, sample_id in enumerate(split.ids.tolist()):
+                record = {"id": sample_id, "split": tag}
+                if split.task == "classification":
+                    record["features"] = split.x[i].tolist()
+                    record["labels"] = bits_to_intents(split.y[i])
                 else:
-                    record = {
-                        "id": s.id,
-                        "split": tag,
-                        "source": [int(t) for t in s.source],
-                        "target": [int(t) for t in s.target[:-1]],
-                    }
+                    record["source"] = split.src[i, :split.src_len[i]].tolist()
+                    record["target"] = split.tgt[i, :split.tgt_len[i] - 1].tolist()
                 fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -15,18 +15,16 @@ from a stream keyed on (shuffle_seed, epoch), initialization from its own
 stream, and the update rule is plain mini-batch SGD with closed-form
 gradients.  per_sample_losses never mutates the model, so the loss of every
 active sample can be recorded at epoch end under the same parameters.
-Every entry point takes a PackedSplit or a list of samples, which it packs
-on entry, so both run the same array code.
+Every entry point takes a data.PackedSplit of the model's task.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .data import (BOS, EOS, MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB,
-                   ClassificationSample, SummarizationSample)
+from .data import BOS, EOS, MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB
 from .errors import UsageError
 
 EPS = 1e-12                        # probability clamp for the BCE log
@@ -106,83 +104,19 @@ def _sigmoid(z):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PackedSplit:
-    """A split stacked into arrays once, one row per sample; len() counts rows.
-
-    Classification fills x and y (float64); summarization fills src and tgt
-    (int64, zero-padded to the longest row) and their lengths.
-    """
-    task: str | None            # None only for an empty split
-    ids: np.ndarray             # (n,) int64
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    src: np.ndarray | None = None
-    src_len: np.ndarray | None = None
-    tgt: np.ndarray | None = None
-    tgt_len: np.ndarray | None = None
-
-    def __len__(self):
-        return self.ids.shape[0]
-
-    def take(self, rows):
-        """The rows at the given positions, as packing them as a list would.
-
-        Sequence pads are trimmed to the subset's own longest source and
-        target: a wider pad changes the kernels' reduction order.
-        """
-        if self.task != "summarization":
-            return replace(self, ids=self.ids[rows], x=self.x[rows], y=self.y[rows])
-        src_len, tgt_len = self.src_len[rows], self.tgt_len[rows]
-        return replace(self, ids=self.ids[rows], src_len=src_len, tgt_len=tgt_len,
-                       src=self.src[rows, :src_len.max(initial=0)],
-                       tgt=self.tgt[rows, :tgt_len.max(initial=0)])
-
-
-def pack(samples):
-    """Stack a list of samples of one kind; a PackedSplit passes through."""
-    if isinstance(samples, PackedSplit):
-        return samples
-    ids = np.array([s.id for s in samples], dtype=np.int64)
-    if not samples:
-        return PackedSplit(None, ids)
-    kind = type(samples[0])
-    if kind not in (ClassificationSample, SummarizationSample) or \
-            not all(type(s) is kind for s in samples):
-        raise UsageError("a split must hold samples of one task kind")
-    if kind is ClassificationSample:
-        return PackedSplit("classification", ids,
-                           x=np.stack([s.features for s in samples]).astype(np.float64),
-                           y=np.stack([s.labels for s in samples]).astype(np.float64))
-    n = len(samples)
-    src_len = np.array([s.source.shape[0] for s in samples], dtype=np.int64)
-    tgt_len = np.array([s.target.shape[0] for s in samples], dtype=np.int64)
-    src = np.zeros((n, int(src_len.max())), dtype=np.int64)
-    tgt = np.zeros((n, int(tgt_len.max())), dtype=np.int64)
-    for i, s in enumerate(samples):
-        src[i, :src_len[i]] = s.source
-        tgt[i, :tgt_len[i]] = s.target
-    return PackedSplit("summarization", ids, src=src, src_len=src_len,
-                       tgt=tgt, tgt_len=tgt_len)
-
-
-def _packed(model, samples):
-    split = pack(samples)
-    if len(split) and split.task != model.task:
+def _check_task(model, split):
+    if split.task != model.task:
         raise UsageError(f"{type(model).__name__} cannot score {split.task} samples")
-    return split
 
 
 def per_sample_losses(model, samples):
     """Loss of each sample under the current parameters, without mutation."""
-    split = _packed(model, samples)
-    if not split:
-        return np.zeros(0)
+    _check_task(model, samples)
     if isinstance(model, ClassifierModel):
-        p = np.clip(_sigmoid(split.x @ model.w.T + model.b), EPS, 1.0 - EPS)
-        return -(split.y * np.log(p) + (1.0 - split.y) * np.log(1.0 - p)).mean(axis=1)
-    return kernels.seq_losses(model.u, model.v, model.b, split.src, split.src_len,
-                              split.tgt, split.tgt_len, model.bos)
+        p = np.clip(_sigmoid(samples.x @ model.w.T + model.b), EPS, 1.0 - EPS)
+        return -(samples.y * np.log(p) + (1.0 - samples.y) * np.log(1.0 - p)).mean(axis=1)
+    return kernels.seq_losses(model.u, model.v, model.b, samples.src, samples.src_len,
+                              samples.tgt, samples.tgt_len, model.bos)
 
 
 def _classifier_grads(model, x, y):
@@ -196,21 +130,19 @@ def _classifier_grads(model, x, y):
 
 def train_epoch(model, samples, config, epoch):
     """One seeded-shuffle pass of mini-batch SGD; parameters update in place."""
-    split = _packed(model, samples)
-    if not split:
-        return model
+    _check_task(model, samples)
     order = np.random.default_rng(
-        [config.shuffle_seed, _TAG_SHUFFLE, epoch]).permutation(len(split))
-    for i in range(0, len(split), config.batch_size):
+        [config.shuffle_seed, _TAG_SHUFFLE, epoch]).permutation(len(samples))
+    for i in range(0, len(samples), config.batch_size):
         idx = order[i:i + config.batch_size]
         if isinstance(model, ClassifierModel):
-            dw, db = _classifier_grads(model, split.x[idx], split.y[idx])
+            dw, db = _classifier_grads(model, samples.x[idx], samples.y[idx])
             model.w -= config.lr * dw
             model.b -= config.lr * db
         else:
             du, dv, db, _ = kernels.seq_grad_sum(
-                model.u, model.v, model.b, split.src[idx], split.src_len[idx],
-                split.tgt[idx], split.tgt_len[idx], model.bos)
+                model.u, model.v, model.b, samples.src[idx], samples.src_len[idx],
+                samples.tgt[idx], samples.tgt_len[idx], model.bos)
             scale = config.lr / idx.size
             model.u -= scale * du
             model.v -= scale * dv
@@ -220,18 +152,14 @@ def train_epoch(model, samples, config, epoch):
 
 def predict(model, samples):
     """Hard predictions: label bit vectors, or greedily decoded token arrays."""
-    split = _packed(model, samples)
+    _check_task(model, samples)
     if isinstance(model, ClassifierModel):
-        if not split:
-            return np.zeros((0, model.b.shape[0]), dtype=np.uint8)
-        p = _sigmoid(split.x @ model.w.T + model.b)
+        p = _sigmoid(samples.x @ model.w.T + model.b)
         return (p > 0.5).astype(np.uint8)
-    if not split:
-        return []
     out, out_len = kernels.greedy_decode(
-        model.u, model.v, model.b, split.src, split.src_len, model.bos, model.eos,
+        model.u, model.v, model.b, samples.src, samples.src_len, model.bos, model.eos,
         MAX_TGT_LEN)
-    return [out[i, :out_len[i]].copy() for i in range(len(split))]
+    return [out[i, :out_len[i]].copy() for i in range(len(samples))]
 
 
 def _param_arrays(model):
@@ -257,8 +185,8 @@ def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4)
     the numeric slope of the mean loss against the closed-form gradient.
     Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator.
     """
-    split = _packed(model, samples)
-    if not split:
+    _check_task(model, samples)
+    if not samples:
         raise UsageError("gradient_check needs at least one sample")
     arrays = _param_arrays(model)
     sizes = [a.size for a in arrays]
@@ -266,10 +194,10 @@ def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4)
     n_checked = min(n_params, total)
     coords = np.random.default_rng([seed, _TAG_GRADCHECK]).choice(
         total, size=n_checked, replace=False)
-    analytic = np.concatenate([g.ravel() for g in _mean_grads(model, split)])
+    analytic = np.concatenate([g.ravel() for g in _mean_grads(model, samples)])
 
     def mean_loss():
-        return float(per_sample_losses(model, split).mean())
+        return float(per_sample_losses(model, samples).mean())
 
     max_rel = 0.0
     offsets = np.cumsum([0] + sizes)

@@ -3,16 +3,18 @@
 Corruption only ever touches training samples; validation and test splits
 pass through untouched.  Sample count is round-half-up(rate * n) exactly,
 selection is a seeded shuffle, and the resulting mask records which train
-ids were corrupted so detection quality can be scored later.
+rows were corrupted so detection quality can be scored later.  Each
+injector returns a copy of the split in which only the labels (y) or the
+targets (tgt) are new arrays, plus a NoiseMask whose ids are the split's
+own ids array.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import (EOS, INTENTS, N_INTENTS, N_TGT_CONTENT,
-                   ClassificationSample, SummarizationSample)
+from .data import INTENTS, N_INTENTS, N_TGT_CONTENT
 from .errors import ConfigError
 
 _TAG_SELECT = 31
@@ -49,31 +51,23 @@ def _check_rate(rate):
 
 
 def _select(n_train, n_corrupt, seed, eligible):
-    """First n_corrupt eligible positions of a seeded shuffle of 0..n-1."""
+    """First n_corrupt eligible positions of a seeded shuffle of 0..n-1, sorted."""
     order = np.random.default_rng([seed, _TAG_SELECT]).permutation(n_train)
-    picked = [int(i) for i in order if eligible[i]][:n_corrupt]
-    if len(picked) < n_corrupt:
+    picked = order[eligible[order]][:n_corrupt]
+    if picked.size < n_corrupt:
         raise ConfigError(
-            f"cannot corrupt {n_corrupt} samples: only {len(picked)} eligible")
-    return sorted(picked)
+            f"cannot corrupt {n_corrupt} samples: only {picked.size} eligible")
+    return np.sort(picked)
 
 
-def _frozen(a):
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
-
-
-def label_priors(samples):
+def label_priors(split):
     """Fraction of samples carrying each intent, keyed by intent name."""
-    counts = np.zeros(N_INTENTS, dtype=np.int64)
-    for s in samples:
-        counts += s.labels
-    return {INTENTS[i]: counts[i] / len(samples) for i in range(N_INTENTS)}
+    counts = split.y.sum(axis=0)
+    return {INTENTS[i]: counts[i] / len(split) for i in range(N_INTENTS)}
 
 
 def inject_label_noise(train, rate, seed, mode="replace-set"):
-    """Corrupt classification labels on a copy of the train list.
+    """Corrupt the classification labels of a copy of the train split.
 
     mode "replace-set" (default): the whole label set of a selected sample is
     replaced by a single intent drawn uniformly from the intents the sample
@@ -87,66 +81,46 @@ def inject_label_noise(train, rate, seed, mode="replace-set"):
     if mode not in ("replace-set", "flip-one"):
         raise ConfigError(f"unknown classification noise mode {mode!r}")
     n = len(train)
-    k = corruption_count(rate, n)
     if mode == "replace-set":
         eligible = np.ones(n, dtype=bool)
     else:
-        eligible = np.array([s.labels.sum() < N_INTENTS for s in train], dtype=bool)
-    picked = _select(n, k, seed, eligible) if k else []
+        eligible = train.y.sum(axis=1) < N_INTENTS
+    picked = _select(n, corruption_count(rate, n), seed, eligible)
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])
 
-    corrupted = np.zeros(n, dtype=bool)
-    out = list(train)
+    y = train.y.copy()
     for pos in picked:
-        s = out[pos]
-        absent = np.flatnonzero(s.labels == 0)
+        absent = np.flatnonzero(y[pos] == 0)
         if mode == "replace-set":
             pool = absent if absent.size else np.arange(N_INTENTS)
-            bits = np.zeros(N_INTENTS, dtype=np.uint8)
-            bits[draw_rng.choice(pool)] = 1
+            y[pos] = 0.0
+            y[pos, draw_rng.choice(pool)] = 1.0
         else:
-            present = np.flatnonzero(s.labels == 1)
-            bits = s.labels.copy()
-            bits[draw_rng.choice(present)] = 0
-            bits[draw_rng.choice(absent)] = 1
-        out[pos] = ClassificationSample(s.id, s.features, _frozen(bits))
-        corrupted[pos] = True
-
-    mask = NoiseMask(
-        ids=np.asarray([s.id for s in train], dtype=np.int64),
-        corrupted=corrupted,
-        prior_drift={
-            "before": label_priors(train),
-            "after": label_priors(out),
-        },
-    )
+            y[pos, draw_rng.choice(np.flatnonzero(y[pos] == 1))] = 0.0
+            y[pos, draw_rng.choice(absent)] = 1.0
+    out = replace(train, y=y)
+    mask = NoiseMask(ids=train.ids, corrupted=np.isin(np.arange(n), picked),
+                     prior_drift={"before": label_priors(train),
+                                  "after": label_priors(out)})
     return out, mask
 
 
 def inject_summary_noise(train, rate, seed):
-    """Corrupt summarization targets on a copy of the train list.
+    """Corrupt the summarization targets of a copy of the train split.
 
     Every content token of a selected target is replaced by an independent
-    uniform draw from the target content range; length and the trailing EOS
-    are preserved.  Returns (new_train, NoiseMask).
+    uniform draw from the target content range, sample after sample from one
+    stream; length and the trailing EOS are preserved.  Returns
+    (new_train, NoiseMask).
     """
     _check_rate(rate)
     n = len(train)
-    k = corruption_count(rate, n)
-    eligible = np.ones(n, dtype=bool)
-    picked = _select(n, k, seed, eligible) if k else []
+    picked = _select(n, corruption_count(rate, n), seed, np.ones(n, dtype=bool))
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])
 
-    corrupted = np.zeros(n, dtype=bool)
-    out = list(train)
-    for pos in picked:
-        s = out[pos]
-        n_content = s.target.shape[0] - 1
-        fresh = draw_rng.integers(0, N_TGT_CONTENT, size=n_content, dtype=np.int64)
-        target = np.concatenate([fresh, [EOS]])
-        out[pos] = SummarizationSample(s.id, s.source, _frozen(target))
-        corrupted[pos] = True
-
-    mask = NoiseMask(ids=np.asarray([s.id for s in train], dtype=np.int64),
-                     corrupted=corrupted)
-    return out, mask
+    tgt = train.tgt.copy()
+    rows, cols = np.nonzero(np.arange(tgt.shape[1]) < train.tgt_len[picked, None] - 1)
+    tgt[picked[rows], cols] = draw_rng.integers(0, N_TGT_CONTENT, size=rows.size,
+                                                dtype=np.int64)
+    mask = NoiseMask(ids=train.ids, corrupted=np.isin(np.arange(n), picked))
+    return replace(train, tgt=tgt), mask

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels, learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl)
-from .errors import ConfigError, MantraError, SchemaError, UsageError
+from .errors import ConfigError, SchemaError, UsageError
 from .trajectory import TrajectoryStore
 
 TASK_ALIASES = {"cls": "classification", "sum": "summarization",
@@ -159,9 +159,8 @@ def _inject(config, train):
 
 def _new_model(config, dataset):
     if config.task == "classification":
-        d = dataset.meta.get("n_features") or dataset.train[0].features.shape[0]
-        return learner.new_classifier(d, init_scale=config.init_scale,
-                                      seed=config.seed)
+        return learner.new_classifier(dataset.meta["n_features"],
+                                      init_scale=config.init_scale, seed=config.seed)
     meta = dataset.meta
     return learner.new_seq2seq(
         n_tgt=meta["n_tgt_vocab"], n_src=meta["n_src_vocab"],
@@ -186,10 +185,6 @@ def run_experiment(config, out_dir=None):
     if not (dataset.validation and dataset.test):
         raise ConfigError("cannot evaluate on an empty split")
     train, mask = _inject(config, dataset.train)
-    train = learner.pack(train)
-    if not np.array_equal(mask.ids, train.ids):
-        raise MantraError("noise mask ids are not aligned with the train split")
-    val, test = learner.pack(dataset.validation), learner.pack(dataset.test)
     corrupted = mask.corrupted_ids
 
     model = _new_model(config, dataset)
@@ -223,9 +218,9 @@ def run_experiment(config, out_dir=None):
             for row in decision.gmm_trace:
                 gmm_trace.append({"epoch": epoch, **row})
         dropped_per_epoch[epoch] = n_dropped
-        val_metrics.append(_eval_metric(config, model, val))
+        val_metrics.append(_eval_metric(config, model, dataset.validation))
 
-    test_metric = _eval_metric(config, model, test)
+    test_metric = _eval_metric(config, model, dataset.test)
     dropped_ids = sorted(state.dropped)
     detection = metrics.detection_report(dropped_ids, mask)
 
@@ -286,12 +281,20 @@ def _write_artifacts(out_dir, config, report, store, mask, model):
             ])
 
 
-_REPORT_FIELDS = ("metric_name", "test_metric", "dropped_total", "detection")
-_CONFIG_FIELDS = ("task", "seed", "noise_rate", "mantra")
+# Every field compare_runs reads, with its JSON type.
+_REPORT_FIELDS = {"metric_name": str, "test_metric": (int, float),
+                  "dropped_total": int, "detection": dict}
+_CONFIG_FIELDS = {"task": str, "seed": int, "noise_rate": (int, float),
+                  "mantra": bool}
+
+
+def _has_type(value, types):
+    # bool subclasses int, but a flag is never a count or a metric
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
 
 
 def _as_report_dict(report):
-    """A report as a dict; SchemaError names the first field compare_runs lacks."""
+    """A report as a dict; SchemaError names the first field missing or mistyped."""
     if isinstance(report, RunReport):
         return report.as_dict()
     where = "report"
@@ -303,20 +306,41 @@ def _as_report_dict(report):
         raise SchemaError(f"{where}: a report must be a JSON object")
     if not isinstance(report.get("config"), dict):
         raise SchemaError(f"{where}: missing object field 'config'")
-    missing = [k for k in _REPORT_FIELDS if k not in report] + [
-        f"config.{k}" for k in _CONFIG_FIELDS if k not in report["config"]]
-    if missing:
-        raise SchemaError(f"{where}: missing field {missing[0]!r}")
+    for prefix, obj, fields in (("", report, _REPORT_FIELDS),
+                                ("config.", report["config"], _CONFIG_FIELDS)):
+        for key, types in fields.items():
+            if key not in obj:
+                raise SchemaError(f"{where}: missing field {prefix + key!r}")
+            if not _has_type(obj[key], types):
+                raise SchemaError(
+                    f"{where}: field {prefix + key!r} has the wrong type: {obj[key]!r}")
     return report
+
+
+def _clean_references(pair, clean_a, clean_b):
+    """(baseline's, treated arm's) clean report, each matched by its mantra flag."""
+    by_flag = {}
+    for clean in (_as_report_dict(c) for c in (clean_a, clean_b) if c is not None):
+        cfg = clean["config"]
+        for key, want in (("task", pair["task"]), ("seed", pair["seed"]), ("noise_rate", 0)):
+            if cfg[key] != want:
+                raise ConfigError(f"clean reference has {key} {cfg[key]!r}, need {want!r}")
+        if cfg["mantra"] in by_flag:
+            raise ConfigError("need one baseline and one treated clean reference, "
+                              f"got two with mantra={cfg['mantra']}")
+        by_flag[cfg["mantra"]] = clean
+    either = next(iter(by_flag.values()))
+    return by_flag.get(False, either), by_flag.get(True, either)
 
 
 def compare_runs(report_a, report_b, clean_a=None, clean_b=None):
     """Pair a baseline run with its treated twin and summarize the contrast.
 
     The two reports must share task, seed, and noise rate and differ only in
-    the mantra flag.  When clean (noise-free) reference reports are supplied,
-    per-arm degradation-from-clean is included; clean_a serves both arms if
-    clean_b is omitted.
+    the mantra flag; their order does not matter.  When clean (noise-free)
+    reports of the same task and seed are supplied, per-arm
+    degradation-from-clean is included: each serves the arm with its own
+    mantra flag, whatever its position, and a single one serves both arms.
     """
     a = _as_report_dict(report_a)
     b = _as_report_dict(report_b)
@@ -343,9 +367,8 @@ def compare_runs(report_a, report_b, clean_a=None, clean_b=None):
         "mantra_degradation": None,
         "recovered": None,
     }
-    if clean_a is not None:
-        clean_base = _as_report_dict(clean_a)
-        clean_treat = _as_report_dict(clean_b) if clean_b is not None else clean_base
+    if clean_a is not None or clean_b is not None:
+        clean_base, clean_treat = _clean_references(a["config"], clean_a, clean_b)
         out["baseline_degradation"] = clean_base["test_metric"] - baseline["test_metric"]
         out["mantra_degradation"] = clean_treat["test_metric"] - treated["test_metric"]
         out["recovered"] = out["mantra_degradation"] < out["baseline_degradation"]

@@ -4,8 +4,8 @@ The store accumulates one row per scored sample per epoch.  Epochs must be
 recorded contiguously starting at 1 so that downstream consumers (group
 curves, histograms, the drop scheduler) can trust the sequence.  Rows keep
 the ground-truth corruption flag alongside the loss, which makes the CSV
-exports self-describing.  Only active samples are scored, so the `active`
-column of trajectory.csv is always 1.
+exports self-describing.  Only active samples are scored, so a sample's
+rows stop at the epoch it was dropped at.
 """
 
 import csv
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SequencingError, UsageError
 
-_FLAG_SUFFIX = ("0,1\r\n", "1,1\r\n")   # is_noisy,active by noisy
+_FLAG_SUFFIX = ("0\r\n", "1\r\n")   # is_noisy column by noisy
 
 
 class TrajectoryStore:
@@ -89,7 +89,7 @@ class TrajectoryStore:
         # calls and numpy scalar indexing dominated the write.  No field can
         # need quoting (ints, finite float reprs), so the bytes are the same.
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("epoch,sample_id,loss,is_noisy,active\r\n")
+            fh.write("epoch,sample_id,loss,is_noisy\r\n")
             for epoch in self.epochs:
                 rows = self._epochs[epoch]
                 fh.write("".join([

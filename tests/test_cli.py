@@ -88,6 +88,21 @@ def test_malformed_compare_report_exits_1(tmp_path, capsys):
         assert err.startswith("error:") and field in err
 
 
+def test_wrongly_typed_compare_field_exits_1(tmp_path, capsys):
+    report = {"config": {"task": "classification", "seed": 1, "noise_rate": 0.1,
+                         "mantra": False},
+              "metric_name": "micro_f1", "test_metric": 0.5, "dropped_total": 0,
+              "detection": {}}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(report))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**report, "test_metric": "0.7"}))
+    assert main(["compare", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'test_metric'" in err
+    assert "Traceback" not in err
+
+
 def test_grid_and_compare_flow(tmp_path, capsys):
     grid_dir = tmp_path / "grid"
     code = main(["grid", "--task", "cls", "--epochs", "4", "--warmup", "1",
@@ -103,12 +118,36 @@ def test_grid_and_compare_flow(tmp_path, capsys):
     noisy_treat = grid_dir / "classification_r0.15_s3_mantra" / "results.json"
     clean_base = grid_dir / "classification_r0_s3_baseline" / "results.json"
     clean_treat = grid_dir / "classification_r0_s3_mantra" / "results.json"
+    # give the treated reference its own metric, so a swapped pairing shows
+    treated_ref = json.loads(clean_treat.read_text())
+    treated_ref["test_metric"] = 0.25
+    clean_treat.write_text(json.dumps(treated_ref))
     code = main(["compare", str(noisy_base), str(noisy_treat),
                  "--clean-a", str(clean_base), "--clean-b", str(clean_treat)])
     assert code == 0
-    result = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    result = json.loads(text)
     assert result["noise_rate"] == 0.15
     assert result["recovered"] in (True, False)
+    assert result["mantra_degradation"] == 0.25 - result["mantra_test_metric"]
+
+    # each clean reference is matched to its arm by its mantra flag, so
+    # swapping both pairs of arguments prints the same report
+    code = main(["compare", str(noisy_treat), str(noisy_base),
+                 "--clean-a", str(clean_treat), "--clean-b", str(clean_base)])
+    assert code == 0
+    assert capsys.readouterr().out == text
+
+    # a noisy or foreign clean reference is a configuration error
+    foreign = json.loads(clean_base.read_text())
+    foreign["config"]["task"] = "summarization"
+    other = tmp_path / "other_task.json"
+    other.write_text(json.dumps(foreign))
+    for reference in (noisy_base, other):
+        assert main(["compare", str(noisy_base), str(noisy_treat),
+                     "--clean-a", str(reference)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     # same-arm comparison is a usage failure
     assert main(["compare", str(noisy_base), str(clean_base)]) == 2

@@ -1,11 +1,12 @@
 """Dataset generators, vocabulary loading, and JSONL round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mantra import data
+from mantra import data, noise
 from mantra.errors import ParseError, SchemaError, UsageError
 
 
@@ -25,32 +26,36 @@ def test_intent_bit_round_trip():
         data.intents_to_bits(["NotAnIntent"])
 
 
+def _splits(ds):
+    return (ds.train, ds.validation, ds.test)
+
+
 def test_classification_generator_shapes_and_determinism():
     a = data.generate_classification_dataset(7, n_train=50, n_val=10, n_test=12, d=9)
     b = data.generate_classification_dataset(7, n_train=50, n_val=10, n_test=12, d=9)
     assert len(a.train) == 50 and len(a.validation) == 10 and len(a.test) == 12
-    ids = [s.id for split in (a.train, a.validation, a.test) for s in split]
-    assert ids == list(range(72))    # unique, contiguous across splits
-    for sa, sb in zip(a.train, b.train):
-        assert sa.features.shape == (9,)
-        np.testing.assert_array_equal(sa.features, sb.features)
-        np.testing.assert_array_equal(sa.labels, sb.labels)
+    ids = np.concatenate([split.ids for split in _splits(a)])
+    assert ids.tolist() == list(range(72))    # unique, contiguous across splits
+    assert a.train.x.shape == (50, 9) and a.train.y.shape == (50, data.N_INTENTS)
+    np.testing.assert_array_equal(a.train.x, b.train.x)
+    np.testing.assert_array_equal(a.train.y, b.train.y)
     c = data.generate_classification_dataset(8, n_train=50, n_val=10, n_test=12, d=9)
-    assert not np.array_equal(a.train[0].features, c.train[0].features)
+    assert not np.array_equal(a.train.x[0], c.train.x[0])
 
 
 def test_classification_labels_follow_hidden_weights():
     ds = data.generate_classification_dataset(11, n_train=80, n_val=10, n_test=10, d=6)
     w = ds.meta["hidden_weights"]
     repairs_seen = 0
-    for s in ds.train + ds.validation + ds.test:
-        margins = w @ s.features
-        expected = (margins > 0.0).astype(np.uint8)
-        if expected.sum() == 0:
-            repairs_seen += 1
-            expected[margins.argmax()] = 1
-        np.testing.assert_array_equal(s.labels, expected)
-        assert s.labels.sum() >= 1
+    for split in _splits(ds):
+        for features, labels in zip(split.x, split.y):
+            margins = w @ features
+            expected = (margins > 0.0).astype(np.float64)
+            if expected.sum() == 0:
+                repairs_seen += 1
+                expected[margins.argmax()] = 1
+            np.testing.assert_array_equal(labels, expected)
+            assert labels.sum() >= 1
     assert repairs_seen == ds.meta["label_repairs"]
 
 
@@ -58,10 +63,15 @@ def test_summarization_generator_is_tokenwise_dictionary():
     ds = data.generate_summarization_dataset(5, n_train=60, n_val=8, n_test=8)
     mapping = ds.meta["mapping"]
     assert mapping.shape == (data.N_SRC_VOCAB,)
-    for s in ds.train + ds.validation + ds.test:
-        assert data.SRC_LEN_MIN <= s.source.size <= data.SRC_LEN_MAX
-        assert s.target[-1] == data.EOS
-        np.testing.assert_array_equal(s.target[:-1], mapping[s.source])
+    for split in _splits(ds):
+        assert split.src.shape[1] == split.src_len.max()    # padded to its own longest
+        assert split.tgt.shape[1] == split.tgt_len.max()
+        for src, n_src, tgt, n_tgt in zip(split.src, split.src_len, split.tgt,
+                                          split.tgt_len):
+            assert data.SRC_LEN_MIN <= n_src <= data.SRC_LEN_MAX and n_tgt == n_src + 1
+            assert tgt[n_src] == data.EOS
+            np.testing.assert_array_equal(tgt[:n_src], mapping[src[:n_src]])
+            assert not src[n_src:].any() and not tgt[n_tgt:].any()    # zero pads
     again = data.generate_summarization_dataset(5, n_train=60, n_val=8, n_test=8)
     np.testing.assert_array_equal(again.meta["mapping"], mapping)
 
@@ -84,10 +94,21 @@ def test_generator_rejects_empty_splits():
         data.generate_summarization_dataset(1, n_train=5, n_val=0, n_test=1)
 
 
-def test_samples_are_read_only():
-    ds = data.generate_classification_dataset(2, n_train=4, n_val=1, n_test=1, d=3)
-    with pytest.raises(ValueError):
-        ds.train[0].features[0] = 99.0
+def test_split_arrays_are_read_only():
+    cls = data.generate_classification_dataset(2, n_train=6, n_val=2, n_test=2, d=3)
+    summ = data.generate_summarization_dataset(2, n_train=6, n_val=2, n_test=2)
+    splits = [*_splits(cls), *_splits(summ), cls.train.take(np.array([4, 1])),
+              noise.inject_label_noise(cls.train, 0.5, seed=1)[0],
+              noise.inject_summary_noise(summ.train, 0.5, seed=1)[0],
+              data.classification_split([7], [[1.0]], [[0] * 6 + [1]]),
+              data.summarization_split([7], [[1, 2]], [[3, data.EOS]])]
+    for split in splits:
+        arrays = [getattr(split, f.name) for f in dataclasses.fields(split)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == (3 if split.task == "classification" else 5)
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def test_load_vocab(tmp_path):
@@ -117,14 +138,10 @@ def test_jsonl_round_trip_classification(tmp_path):
     data.write_jsonl(path, src)
     back = data.load_jsonl(path, "classification")
     assert back.meta["n_features"] == 5
-    for orig_split, back_split in (
-        (src.train, back.train), (src.validation, back.validation), (src.test, back.test)
-    ):
-        assert len(orig_split) == len(back_split)
-        for a, b in zip(orig_split, back_split):
-            assert a.id == b.id
-            np.testing.assert_allclose(a.features, b.features)
-            np.testing.assert_array_equal(a.labels, b.labels)
+    for a, b in zip(_splits(src), _splits(back)):
+        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a.x, b.x)    # float reprs round-trip exactly
+        np.testing.assert_array_equal(a.y, b.y)
 
 
 def test_jsonl_round_trip_summarization(tmp_path):
@@ -133,10 +150,9 @@ def test_jsonl_round_trip_summarization(tmp_path):
     data.write_jsonl(path, src)
     back = data.load_jsonl(path, "summarization")
     assert back.meta["eos"] == data.EOS
-    for a, b in zip(src.train, back.train):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.source, b.source)
-        np.testing.assert_array_equal(a.target, b.target)    # EOS re-appended
+    for a, b in zip(_splits(src), _splits(back)):    # EOS re-appended on load
+        for name in ("ids", "src", "src_len", "tgt", "tgt_len"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_jsonl_ids_optional_and_split_aliases(tmp_path):
@@ -149,9 +165,9 @@ def test_jsonl_ids_optional_and_split_aliases(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     ds = data.load_jsonl(path, "classification")
-    assert [s.id for s in ds.train] == [0]
-    assert [s.id for s in ds.validation] == [1, 2]    # both spellings accepted
-    assert [s.id for s in ds.test] == [3]
+    assert ds.train.ids.tolist() == [0]
+    assert ds.validation.ids.tolist() == [1, 2]    # both spellings accepted
+    assert ds.test.ids.tolist() == [3]
 
 
 def test_jsonl_text_through_vocab(tmp_path):
@@ -164,8 +180,9 @@ def test_jsonl_text_through_vocab(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     ds = data.load_jsonl(path, "classification", vocab_path=vocab_path)
-    np.testing.assert_allclose(ds.train[0].features, [2.0, 1.0, 0.0])   # bag of counts
-    np.testing.assert_allclose(ds.test[0].features, [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(ds.train.x, [[2.0, 1.0, 0.0]])   # bag of counts
+    np.testing.assert_allclose(ds.test.x, [[0.0, 0.0, 1.0]])
+    assert ds.validation.x.shape == (0, 3)    # an empty split keeps its width
 
 
 def test_jsonl_summarization_strings_through_vocab(tmp_path):
@@ -175,8 +192,9 @@ def test_jsonl_summarization_strings_through_vocab(tmp_path):
     rows = [{"split": "train", "source": "a b c", "target": "c a"}]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     ds = data.load_jsonl(path, "summarization", vocab_path=vocab_path)
-    np.testing.assert_array_equal(ds.train[0].source, [0, 1, 2])
-    np.testing.assert_array_equal(ds.train[0].target, [2, 0, 4])    # EOS = len(vocab)+1
+    np.testing.assert_array_equal(ds.train.src, [[0, 1, 2]])
+    np.testing.assert_array_equal(ds.train.tgt, [[2, 0, 4]])    # EOS = len(vocab)+1
+    assert ds.test.src.shape == (0, 0) and ds.test.task == "summarization"
 
 
 def test_jsonl_error_lines(tmp_path):

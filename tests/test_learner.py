@@ -17,6 +17,13 @@ def _sum_samples(seed, n):
     return data.generate_summarization_dataset(seed, n, 1, 1).train
 
 
+def _empty_split(task, d=4):
+    if task == "classification":
+        return data.classification_split([], np.zeros((0, d)),
+                                         np.zeros((0, data.N_INTENTS)))
+    return data.summarization_split([], [], [])
+
+
 def test_zero_init_loss_oracles():
     cls = learner.new_classifier(n_features=8)
     losses = learner.per_sample_losses(cls, _cls_samples(1, 20))
@@ -39,23 +46,27 @@ def _assert_same_split(got, want):
 
 @pytest.mark.parametrize("task", ["classification", "summarization"])
 def test_packed_subset_equals_packing_the_subset(task):
+    # take() must equal building the subset's split directly
     if task == "classification":
-        samples = _cls_samples(4, 60, d=6)
+        full = _cls_samples(4, 60, d=6)
         model_a, model_b = (learner.new_classifier(6, init_scale=0.5, seed=1)
                             for _ in range(2))
     else:
-        samples = _sum_samples(4, 60)
+        full = _sum_samples(4, 60)
         model_a, model_b = (learner.new_seq2seq(init_scale=0.2, seed=1)
                             for _ in range(2))
-    full = learner.pack(samples)
-    rows = np.random.default_rng(5).permutation(len(samples))[:35]
-    if task == "summarization":
+    rows = np.random.default_rng(5).permutation(len(full))[:35]
+    if task == "classification":
+        subset = data.classification_split(full.ids[rows], full.x[rows], full.y[rows])
+    else:
         # leave out the longest sources and targets so the pads must shrink
         rows = rows[(full.src_len[rows] < full.src_len.max())
                     & (full.tgt_len[rows] < full.tgt_len.max())]
-    subset = [samples[i] for i in rows]
+        subset = data.summarization_split(
+            full.ids[rows], [full.src[i, :full.src_len[i]] for i in rows],
+            [full.tgt[i, :full.tgt_len[i]] for i in rows])
     sub = full.take(rows)
-    _assert_same_split(sub, learner.pack(subset))
+    _assert_same_split(sub, subset)
     if task == "summarization":
         assert sub.src.shape[1] < full.src.shape[1]
         assert sub.tgt.shape[1] < full.tgt.shape[1]
@@ -67,18 +78,17 @@ def test_packed_subset_equals_packing_the_subset(task):
     learner.train_epoch(model_b, subset, cfg, 3)
     for a, b in zip(learner._param_arrays(model_a), learner._param_arrays(model_b)):
         np.testing.assert_array_equal(a, b)
-    assert learner.pack(sub) is sub
 
 
 def test_classifier_loss_matches_direct_bce(rng):
     samples = _cls_samples(5, 12, d=6)
     model = learner.new_classifier(6, init_scale=0.8, seed=2)
     got = learner.per_sample_losses(model, samples)
-    for s, loss in zip(samples, got):
-        z = model.w @ s.features + model.b
+    for features, labels, loss in zip(samples.x, samples.y, got):
+        z = model.w @ features + model.b
         p = 1.0 / (1.0 + np.exp(-z))
         p = np.clip(p, learner.EPS, 1.0 - learner.EPS)
-        want = -(s.labels * np.log(p) + (1 - s.labels) * np.log(1 - p)).mean()
+        want = -(labels * np.log(p) + (1 - labels) * np.log(1 - p)).mean()
         assert abs(loss - want) < 1e-12
 
 
@@ -86,15 +96,15 @@ def test_seq_loss_uses_mean_over_positions_including_eos():
     # hand-checkable single sample: uniform logits except a bias on the gold ids
     model = learner.new_seq2seq(n_tgt=5, n_src=3, bos=3, eos=4)
     model.b[:] = 0.0
-    sample = data.SummarizationSample(0, np.array([0, 1]), np.array([2, 4]))
+    sample = data.summarization_split([0], [[0, 1]], [[2, 4]])
     # zero params: -ln softmax = ln 5 at both positions (content and EOS)
-    loss = learner.per_sample_losses(model, [sample])[0]
+    loss = learner.per_sample_losses(model, sample)[0]
     assert abs(loss - math.log(5.0)) < 1e-12
     # lift the EOS logit only: position 2 cheapens, position 1 pays more
     model.b[4] = 1.0
     lse = math.log(4 * math.exp(0.0) + math.exp(1.0))
     want = ((lse - 0.0) + (lse - 1.0)) / 2.0
-    loss = learner.per_sample_losses(model, [sample])[0]
+    loss = learner.per_sample_losses(model, sample)[0]
     assert abs(loss - want) < 1e-12
 
 
@@ -105,17 +115,21 @@ def test_sample_kind_mismatch():
     seq = learner.new_seq2seq()
     with pytest.raises(UsageError):
         learner.train_epoch(seq, _cls_samples(1, 3), learner.TrainConfig(lr=0.1), 0)
-    with pytest.raises(UsageError):
-        learner.pack(_cls_samples(1, 2) + _sum_samples(1, 2))
+    with pytest.raises(UsageError):    # an empty split still carries its task
+        learner.predict(seq, _empty_split("classification"))
 
 
 def test_empty_inputs():
     cls = learner.new_classifier(4)
-    assert learner.per_sample_losses(cls, []).shape == (0,)
-    assert learner.predict(cls, []).shape == (0, 7)
+    empty = _empty_split("classification")
+    assert learner.per_sample_losses(cls, empty).shape == (0,)
+    assert learner.predict(cls, empty).shape == (0, 7)
+    learner.train_epoch(cls, empty, learner.TrainConfig(lr=0.1), 0)   # no-op, no crash
     seq = learner.new_seq2seq()
-    assert learner.predict(seq, []) == []
-    learner.train_epoch(seq, [], learner.TrainConfig(lr=0.1), 0)   # no-op, no crash
+    empty = _empty_split("summarization")
+    assert learner.per_sample_losses(seq, empty).shape == (0,)
+    assert learner.predict(seq, empty) == []
+    learner.train_epoch(seq, empty, learner.TrainConfig(lr=0.1), 0)
 
 
 def test_train_epoch_deterministic_and_epoch_sensitive():
@@ -231,7 +245,7 @@ def test_gradient_check_catches_injected_defects(monkeypatch):
 
 def test_gradient_check_needs_samples():
     with pytest.raises(UsageError):
-        learner.gradient_check(learner.new_classifier(3), [])
+        learner.gradient_check(learner.new_classifier(3), _empty_split("classification", 3))
 
 
 def test_overfit_tiny_summarization_set_decodes_exactly():
@@ -239,22 +253,16 @@ def test_overfit_tiny_summarization_set_decodes_exactly():
     # only all be exact when next-token-after-prev is a single function over
     # the whole set.  Build 10 chains over disjoint token ranges (sample i
     # owns 4i..4i+3) with distinct source bags to pin BOS -> first token.
-    chosen = [
-        data.SummarizationSample(
-            i,
-            np.array([i, i], dtype=np.int64),
-            np.array([4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3, data.EOS],
-                     dtype=np.int64),
-        )
-        for i in range(10)
-    ]
+    chosen = data.summarization_split(
+        range(10), [[i, i] for i in range(10)],
+        [[4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3, data.EOS] for i in range(10)])
     model = learner.new_seq2seq()
     cfg = learner.TrainConfig(lr=16.0, batch_size=len(chosen))
     for epoch in range(300):
         learner.train_epoch(model, chosen, cfg, epoch)
     decoded = learner.predict(model, chosen)
-    for s, out in zip(chosen, decoded):
-        np.testing.assert_array_equal(out, s.target[:-1])
+    for target, out in zip(chosen.tgt, decoded):
+        np.testing.assert_array_equal(out, target[:-1])
 
 
 def test_checkpoint_round_trip(tmp_path):

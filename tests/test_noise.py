@@ -38,49 +38,43 @@ def test_replace_set_semantics(cls_train):
     out, mask = noise.inject_label_noise(cls_train, 0.2, seed=4)
     assert len(out) == len(cls_train)
     assert mask.corrupted.sum() == noise.corruption_count(0.2, 100) == 20
-    np.testing.assert_array_equal(mask.ids, [s.id for s in cls_train])
-    for orig, new, bad in zip(cls_train, out, mask.corrupted):
-        assert new.id == orig.id
-        assert new.features is orig.features
+    assert mask.ids is cls_train.ids and out.ids is cls_train.ids
+    assert out.x is cls_train.x                              # only the labels are copied
+    assert out.y is not cls_train.y
+    for orig, new, bad in zip(cls_train.y, out.y, mask.corrupted):
         if bad:
-            assert new.labels.sum() == 1                     # singleton replacement
-            assert not np.array_equal(new.labels, orig.labels)
-            label = int(new.labels.argmax())
-            if orig.labels.sum() < data.N_INTENTS:
-                assert orig.labels[label] == 0               # drawn from absent intents
+            assert new.sum() == 1                            # singleton replacement
+            assert not np.array_equal(new, orig)
+            label = int(new.argmax())
+            if orig.sum() < data.N_INTENTS:
+                assert orig[label] == 0                      # drawn from absent intents
         else:
-            assert new.labels is orig.labels                 # untouched object
+            np.testing.assert_array_equal(new, orig)         # untouched row
 
 
 def test_replace_set_all_seven_fallback():
-    full = data.intents_to_bits(list(data.INTENTS))
-    full.setflags(write=False)
-    train = [data.ClassificationSample(i, np.zeros(3), full) for i in range(4)]
+    train = data.classification_split(range(4), np.zeros((4, 3)),
+                                      np.ones((4, data.N_INTENTS)))
     out, mask = noise.inject_label_noise(train, 1.0, seed=0)
     assert mask.corrupted.all()
-    for s in out:
-        assert s.labels.sum() == 1    # still corrupted: 7-set becomes a singleton
+    assert (out.y.sum(axis=1) == 1).all()    # still corrupted: 7-set becomes a singleton
 
 
 def test_flip_one_semantics(cls_train):
     out, mask = noise.inject_label_noise(cls_train, 0.15, seed=4, mode="flip-one")
-    for orig, new, bad in zip(cls_train, out, mask.corrupted):
+    for orig, new, bad in zip(cls_train.y, out.y, mask.corrupted):
         if not bad:
             continue
-        assert new.labels.sum() == orig.labels.sum()         # cardinality preserved
-        gained = (new.labels == 1) & (orig.labels == 0)
-        lost = (new.labels == 0) & (orig.labels == 1)
+        assert new.sum() == orig.sum()                       # cardinality preserved
+        gained = (new == 1) & (orig == 0)
+        lost = (new == 0) & (orig == 1)
         assert gained.sum() == 1 and lost.sum() == 1
 
 
 def test_flip_one_skips_saturated_samples():
     full = data.intents_to_bits(list(data.INTENTS))
-    full.setflags(write=False)
     one = data.intents_to_bits(["Bug"])
-    one.setflags(write=False)
-    train = [data.ClassificationSample(0, np.zeros(2), full),
-             data.ClassificationSample(1, np.zeros(2), one),
-             data.ClassificationSample(2, np.zeros(2), full)]
+    train = data.classification_split([0, 1, 2], np.zeros((3, 2)), [full, one, full])
     out, mask = noise.inject_label_noise(train, 1 / 3, seed=9, mode="flip-one")
     assert mask.corrupted_ids == {1}
     with pytest.raises(ConfigError):
@@ -91,8 +85,7 @@ def test_injection_determinism_and_seed_sensitivity(cls_train):
     out_a, mask_a = noise.inject_label_noise(cls_train, 0.1, seed=21)
     out_b, mask_b = noise.inject_label_noise(cls_train, 0.1, seed=21)
     np.testing.assert_array_equal(mask_a.corrupted, mask_b.corrupted)
-    for a, b in zip(out_a, out_b):
-        np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(out_a.y, out_b.y)
     _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22)
     assert mask_a.corrupted_ids != mask_c.corrupted_ids
 
@@ -108,17 +101,19 @@ def test_prior_drift_recorded(cls_train):
 def test_summary_noise_preserves_shape(sum_train):
     out, mask = noise.inject_summary_noise(sum_train, 0.25, seed=6)
     assert mask.corrupted.sum() == noise.corruption_count(0.25, 80) == 20
+    assert mask.ids is sum_train.ids
+    for name in ("ids", "src", "src_len", "tgt_len"):        # only the targets are copied
+        assert getattr(out, name) is getattr(sum_train, name)
+    assert out.tgt.shape == sum_train.tgt.shape              # lengths and pad preserved
     changed = 0
-    for orig, new, bad in zip(sum_train, out, mask.corrupted):
-        assert new.source is orig.source
-        assert new.target.shape == orig.target.shape        # length preserved
-        assert new.target[-1] == data.EOS
+    for orig, new, n_tgt, bad in zip(sum_train.tgt, out.tgt, sum_train.tgt_len,
+                                     mask.corrupted):
+        assert new[n_tgt - 1] == data.EOS and not new[n_tgt:].any()
         if bad:
-            assert (new.target[:-1] < data.N_TGT_CONTENT).all()
-            if not np.array_equal(new.target, orig.target):
-                changed += 1
+            assert (new[:n_tgt - 1] < data.N_TGT_CONTENT).all()
+            changed += not np.array_equal(new, orig)
         else:
-            assert new.target is orig.target
+            np.testing.assert_array_equal(new, orig)
     assert changed >= 18    # uniform redraws collide with the original very rarely
 
 
@@ -129,12 +124,10 @@ def test_rate_bounds():
             noise.inject_label_noise(train, bad, seed=0)
     out, mask = noise.inject_label_noise(train, 0.0, seed=0)
     assert mask.corrupted.sum() == 0
-    assert [s.labels is t.labels for s, t in zip(out, train)] == [True] * 4
+    np.testing.assert_array_equal(out.y, train.y)
 
 
 def test_unknown_mode():
     train = data.generate_classification_dataset(1, 4, 1, 1, d=2).train
     with pytest.raises(ConfigError):
         noise.inject_label_noise(train, 0.5, seed=0, mode="shuffle")
-
-

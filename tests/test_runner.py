@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mantra import data, runner
-from mantra.errors import ConfigError, MantraError, UsageError
+from mantra.errors import ConfigError, SchemaError, UsageError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
 
 
@@ -44,7 +44,7 @@ def test_config_validation():
 
 
 def test_run_report_bookkeeping(tiny_cls_config):
-    report = run_experiment(tiny_cls_config())
+    report = run_experiment(tiny_cls_config(n_train=200))   # drops 16 at epoch 3
     cfg = report.config
     assert cfg["task"] == "classification" and cfg["mantra"] is True
     assert report.metric_name == "micro_f1"
@@ -58,6 +58,7 @@ def test_run_report_bookkeeping(tiny_cls_config):
     assert set(report.prior_drift) == {"before", "after"}
     assert report.backend == "numpy"
     # drops never precede warmup + persistence
+    assert report.drop_events
     for event in report.drop_events:
         assert event["epoch"] > cfg["warmup"] + cfg["persistence"] - 1
         assert event["epoch"] > cfg["warmup"]
@@ -78,25 +79,26 @@ def test_baseline_arm_never_drops(tiny_cls_config):
 
 
 def test_arms_share_everything_until_first_drop(tiny_cls_config):
-    base = run_experiment(tiny_cls_config(mantra=False))
-    treat = run_experiment(tiny_cls_config(mantra=True))
+    base = run_experiment(tiny_cls_config(n_train=200, mantra=False))
+    treat = run_experiment(tiny_cls_config(n_train=200, mantra=True))
     # same dataset, mask, init, and shuffle: identical losses while the
     # active sets agree (first drop cannot land before warmup+persistence)
-    first_drop = min((e["epoch"] for e in treat.drop_events), default=None)
-    horizon = first_drop if first_drop is not None else treat.config["epochs"]
-    for epoch in range(1, horizon + 1):
+    first_drop = min(e["epoch"] for e in treat.drop_events)
+    assert first_drop < treat.config["epochs"]
+    for epoch in range(1, first_drop + 1):
         assert base.group_means[epoch] == treat.group_means[epoch]
         assert base.val_metrics[epoch - 1] == treat.val_metrics[epoch - 1]
+    assert base.group_means[first_drop + 1] != treat.group_means[first_drop + 1]
 
 
 def test_mask_and_drops_stay_inside_train_split(tiny_cls_config):
-    cfg = tiny_cls_config()
+    cfg = tiny_cls_config(n_train=200)
     report = run_experiment(cfg)
     train_ids = set(range(cfg.n_train))
     other_ids = set(range(cfg.n_train, cfg.n_train + cfg.n_val + cfg.n_test))
-    corrupted = {e["sample_id"] for e in report.drop_events}
+    event_ids = {e["sample_id"] for e in report.drop_events}
+    assert event_ids and event_ids == set(report.dropped_ids)
     assert set(report.dropped_ids) <= train_ids
-    assert corrupted <= train_ids
     assert not set(report.dropped_ids) & other_ids
 
 
@@ -141,6 +143,8 @@ def test_artifact_set(tmp_path, tiny_cls_config):
     assert gmm_rows and [int(r["n_iter"]) for r in gmm_rows] == iters
     assert all(1 <= n <= 200 for n in iters)
 
+    with (out / "trajectory.csv").open() as fh:
+        assert fh.readline() == "epoch,sample_id,loss,is_noisy\n"
     traj_rows = list(csv.DictReader((out / "trajectory.csv").open()))
     active_per_epoch = {e: 0 for e in range(1, cfg.epochs + 1)}
     for row in traj_rows:
@@ -157,7 +161,6 @@ def test_artifact_set(tmp_path, tiny_cls_config):
     assert drop_epoch and min(drop_epoch.values()) < cfg.epochs
     for row in traj_rows:
         sid = int(row["sample_id"])
-        assert row["active"] == "1"
         assert row["is_noisy"] == noisy[sid]
         assert int(row["epoch"]) <= drop_epoch.get(sid, cfg.epochs)
 
@@ -183,21 +186,6 @@ def test_empty_train_file_is_a_config_error(tmp_path, tiny_cls_config):
         run_experiment(tiny_cls_config(data=str(path)))
 
 
-def test_misaligned_noise_mask_raises(monkeypatch, tiny_cls_config):
-    # the runner reads corruption flags by train position, so a mask whose
-    # ids are out of train order must stop the run, not mislabel rows
-    inject = runner._inject
-
-    def shuffled(config, train):
-        out, mask = inject(config, train)
-        mask.ids = mask.ids[::-1].copy()
-        return out, mask
-
-    monkeypatch.setattr(runner, "_inject", shuffled)
-    with pytest.raises(MantraError, match="aligned"):
-        run_experiment(tiny_cls_config())
-
-
 def test_compare_runs_contract(tiny_cls_config, tmp_path):
     base = run_experiment(tiny_cls_config(mantra=False))
     treat = run_experiment(tiny_cls_config(mantra=True))
@@ -210,8 +198,7 @@ def test_compare_runs_contract(tiny_cls_config, tmp_path):
     assert out["baseline_degradation"] is None and out["recovered"] is None
 
     # argument order must not matter
-    flipped = compare_runs(treat, base)
-    assert flipped["baseline_test_metric"] == base.test_metric
+    assert compare_runs(treat, base) == out
 
     with pytest.raises(ConfigError):
         compare_runs(base, run_experiment(tiny_cls_config(mantra=False, seed=4)))
@@ -230,16 +217,57 @@ def test_compare_runs_with_clean_references(tiny_cls_config):
     treat = run_experiment(tiny_cls_config(mantra=True))
     clean_base = run_experiment(tiny_cls_config(mantra=False, noise_rate=0.0))
     clean_treat = run_experiment(tiny_cls_config(mantra=True, noise_rate=0.0))
+    # clean arms of this config score alike; a distinct treated reference
+    # makes a swapped pairing visible
+    assert clean_treat.dropped_total == 0
+    clean_treat = {**clean_treat.as_dict(), "test_metric": 0.25}
     out = compare_runs(base, treat, clean_a=clean_base, clean_b=clean_treat)
     assert out["baseline_degradation"] == pytest.approx(
         clean_base.test_metric - base.test_metric)
-    assert out["mantra_degradation"] == pytest.approx(
-        clean_treat.test_metric - treat.test_metric)
+    assert out["mantra_degradation"] == pytest.approx(0.25 - treat.test_metric)
     assert out["recovered"] == (out["mantra_degradation"] < out["baseline_degradation"])
-    # one clean reference serves both arms when the second is omitted
+    # each clean reference serves the arm with its own mantra flag, so every
+    # argument order gives the same output
+    for pair in ((base, treat), (treat, base)):
+        for cleans in ((clean_base, clean_treat), (clean_treat, clean_base)):
+            assert compare_runs(*pair, *cleans) == out
+    # one clean reference serves both arms, in either position
     shared = compare_runs(base, treat, clean_a=clean_base)
     assert shared["mantra_degradation"] == pytest.approx(
         clean_base.test_metric - treat.test_metric)
+    assert compare_runs(base, treat, clean_b=clean_base) == shared
+
+
+def test_compare_runs_rejects_mismatched_clean_references(tiny_cls_config,
+                                                          tiny_sum_config):
+    base = run_experiment(tiny_cls_config(mantra=False))
+    treat = run_experiment(tiny_cls_config(mantra=True))
+    clean = run_experiment(tiny_cls_config(mantra=False, noise_rate=0.0))
+    wrong = [
+        (run_experiment(tiny_sum_config(mantra=False, noise_rate=0.0)), "task"),
+        (run_experiment(tiny_cls_config(mantra=False, noise_rate=0.0, seed=4)), "seed"),
+        (base, "noise_rate"),
+    ]
+    for reference, needle in wrong:
+        for kwargs in ({"clean_a": reference}, {"clean_a": clean, "clean_b": reference}):
+            with pytest.raises(ConfigError, match=needle):
+                compare_runs(base, treat, **kwargs)
+    with pytest.raises(ConfigError, match="mantra=False"):
+        compare_runs(base, treat, clean_a=clean, clean_b=clean)
+
+
+def test_compare_runs_checks_field_types(tiny_cls_config):
+    base = run_experiment(tiny_cls_config(mantra=False)).as_dict()
+    treat = run_experiment(tiny_cls_config(mantra=True)).as_dict()
+    bad_values = [("test_metric", "0.7"), ("test_metric", True),
+                  ("dropped_total", 1.0), ("metric_name", 3), ("detection", [])]
+    for key, value in bad_values:
+        with pytest.raises(SchemaError, match=key):
+            compare_runs(base, {**treat, key: value})
+    for key, value in (("mantra", 1), ("seed", "3"), ("noise_rate", None)):
+        bad = {**treat, "config": {**treat["config"], key: value}}
+        with pytest.raises(SchemaError, match=f"config.{key}"):
+            compare_runs(base, bad)
 
 
 def test_run_grid(tmp_path, tiny_cls_config):

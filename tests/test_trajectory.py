@@ -90,7 +90,7 @@ def test_csv_exports(tmp_path):
     rows = list(csv.DictReader(traj.open()))
     assert len(rows) == 3
     assert rows[0] == {"epoch": "1", "sample_id": "1", "loss": "0.5",
-                       "is_noisy": "0", "active": "1"}
+                       "is_noisy": "0"}
     # full float repr survives the round trip
     assert float(rows[1]["loss"]) == 1.5
 
@@ -118,8 +118,7 @@ def _csv_writer_bytes(path, header, rows):
 
 def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
     # exponent-form reprs, both noisy flags, and a shrunken epoch after
-    # drops, against the per-row csv.writer loop the export replaced; only
-    # active samples are recorded, so `active` is always 1
+    # drops, against the per-row csv.writer loop the export replaced
     store = TrajectoryStore()
     store.record_epoch(1, [7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0],
                        [False, True, False, True])
@@ -131,9 +130,9 @@ def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
         rows = store.epoch_rows(epoch)
         for i in range(rows["ids"].shape[0]):
             want.append([epoch, int(rows["ids"][i]), repr(float(rows["losses"][i])),
-                         int(rows["noisy"][i]), 1])
+                         int(rows["noisy"][i])])
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "ref.csv", ["epoch", "sample_id", "loss", "is_noisy", "active"], want)
+        tmp_path / "ref.csv", ["epoch", "sample_id", "loss", "is_noisy"], want)
     assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
 
 
