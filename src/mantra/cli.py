@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from . import learner, runner
+from . import runner
 from .errors import ConfigError, MantraError, UsageError
 
 
@@ -48,10 +48,7 @@ def _add_common_options(p):
     p.add_argument("--window", type=int, default=1,
                    help="trailing epochs averaged into the mixture feature")
     p.add_argument("--lr", type=float, default=None,
-                   help="learning rate (default: desk preset for the task)")
-    p.add_argument("--lr-preset", choices=("desk", "paper"), default="desk",
-                   help="desk: benchmark-calibrated per-task rate; paper: 5e-5 "
-                        "(mirrors large-model fine-tuning)")
+                   help="learning rate (default: the task's desk rate)")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--init-scale", type=float, default=0.0,
                    help="stddev of the seeded parameter init (0 = zeros)")
@@ -73,14 +70,6 @@ def _add_common_options(p):
                    "(MANTRA_OUT env var takes precedence)")
 
 
-def _resolve_lr(args):
-    if args.lr is not None:
-        return args.lr
-    if args.lr_preset == "paper":
-        return learner.PAPER_LR
-    return None      # task-specific desk default
-
-
 def _resolve_out(args):
     return os.environ.get("MANTRA_OUT") or args.out
 
@@ -91,7 +80,7 @@ def _config_from_args(args, **overrides):
         tau=args.tau, persistence=args.persistence,
         max_drop_frac=args.max_drop_frac, k_max=args.kmax,
         transform=args.transform, window=args.window,
-        lr=_resolve_lr(args), batch_size=args.batch_size,
+        lr=args.lr, batch_size=args.batch_size,
         init_scale=args.init_scale, noise_mode=args.noise_mode,
         data=args.data, vocab=args.vocab, n_train=args.n_train,
         n_val=args.n_val, n_test=args.n_test, n_features=args.dim,

@@ -77,7 +77,8 @@ class PackedSplit:
         """The rows at the given positions (an index array or a slice).
 
         Sequence pads are trimmed to the subset's own longest source and
-        target: a wider pad changes the kernels' reduction order.
+        target, keeping the invariant that every split pads to its own
+        longest row (the kernels then scan no all-pad column).
         """
         if self.task != "summarization":
             return replace(self, ids=self.ids[rows], x=self.x[rows], y=self.y[rows])

@@ -106,11 +106,11 @@ def seq_grad_sum(u, v, b, src, src_len, tgt, tgt_len, bos):
     """Gradient of the sum over samples of the per-sample mean loss."""
     n, n_vocab = src.shape[0], b.shape[0]
     if n == 0:      # bincount of no keys is int64 whatever the weights
-        return np.zeros_like(u), np.zeros_like(v), np.zeros_like(b), np.zeros(0)
+        return np.zeros_like(u), np.zeros_like(v), np.zeros_like(b)
     bow = _bow(v.shape[1], src, src_len)
     base = bow @ v.T + b
     pos, rows, prev, gold = _tokens(tgt, tgt_len, bos)
-    ex, ssum, nll = _softmax_nll(base, u, rows, prev, gold)
+    ex, ssum, _ = _softmax_nll(base, u, rows, prev, gold)
     inv_t = 1.0 / tgt_len
     dl = ex / ssum[:, None]
     dl[np.arange(rows.size), gold] -= 1.0
@@ -118,8 +118,7 @@ def seq_grad_sum(u, v, b, src, src_len, tgt, tgt_len, bos):
     du = _scatter_rows(prev, dl, n_vocab).T.copy()     # scattered as [prev, next]
     dv = _scatter_rows(rows, dl, n).T @ bow
     db = _scatter_rows(pos, dl, tgt.shape[1]).sum(axis=0)
-    losses = np.bincount(rows, weights=nll, minlength=n) * inv_t
-    return du, dv, db, losses
+    return du, dv, db
 
 
 def greedy_decode(u, v, b, src, src_len, bos, eos, max_len):

@@ -35,7 +35,6 @@ EPS = 1e-12                        # probability clamp for the BCE log
 # within 10 epochs.  The objectives are convex, so the large sequence rate
 # is stable (loss descent is checked in the tests).
 DESK_LR = {"classification": 0.5, "summarization": 16.0}
-PAPER_LR = 5e-5                    # mirrors the fine-tuning rate of the large models
 
 _TAG_INIT = 41
 _TAG_SHUFFLE = 42
@@ -140,7 +139,7 @@ def train_epoch(model, samples, config, epoch):
             model.w -= config.lr * dw
             model.b -= config.lr * db
         else:
-            du, dv, db, _ = kernels.seq_grad_sum(
+            du, dv, db = kernels.seq_grad_sum(
                 model.u, model.v, model.b, samples.src[idx], samples.src_len[idx],
                 samples.tgt[idx], samples.tgt_len[idx], model.bos)
             scale = config.lr / idx.size
@@ -171,9 +170,9 @@ def _param_arrays(model):
 def _mean_grads(model, split):
     if isinstance(model, ClassifierModel):
         return list(_classifier_grads(model, split.x, split.y))
-    du, dv, db, _ = kernels.seq_grad_sum(model.u, model.v, model.b, split.src,
-                                         split.src_len, split.tgt, split.tgt_len,
-                                         model.bos)
+    du, dv, db = kernels.seq_grad_sum(model.u, model.v, model.b, split.src,
+                                      split.src_len, split.tgt, split.tgt_len,
+                                      model.bos)
     return [du / len(split), dv / len(split), db / len(split)]
 
 

@@ -7,7 +7,7 @@ than silently coerced to a number.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,40 +99,35 @@ class DetectionReport:
     lift: float | None         # precision / noise_rate; None when undefined
 
     def as_dict(self):
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "n_corrupted": self.n_corrupted, "n_dropped": self.n_dropped,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "noise_rate": self.noise_rate, "lift": self.lift,
-        }
+        return asdict(self)
 
 
-def detection_report(dropped_ids, mask):
-    """Score a drop set against the ground-truth corruption mask.
+def detection_report(dropped, corrupted):
+    """Score the dropped samples against the ground-truth corruption.
 
-    mask is a NoiseMask (or anything exposing ids and corrupted arrays);
-    dropped ids must be a subset of the mask's train ids.
+    dropped and corrupted are boolean arrays over the same train positions.
     """
-    universe = set(int(i) for i in mask.ids)
-    corrupted = set(int(i) for i in mask.ids[mask.corrupted])
-    dropped = set(int(i) for i in dropped_ids)
-    if not dropped <= universe:
-        raise UsageError("dropped ids must be a subset of the train ids")
+    dropped = np.asarray(dropped, dtype=bool)
+    corrupted = np.asarray(corrupted, dtype=bool)
+    if dropped.shape != corrupted.shape:
+        raise UsageError(f"shape mismatch: {dropped.shape} vs {corrupted.shape}")
+    n = dropped.size
+    n_dropped = int(np.count_nonzero(dropped))
+    n_corrupted = int(np.count_nonzero(corrupted))
+    tp = int(np.count_nonzero(dropped & corrupted))
+    fp = n_dropped - tp
+    fn = n_corrupted - tp
+    tn = n - tp - fp - fn
 
-    tp = len(dropped & corrupted)
-    fp = len(dropped - corrupted)
-    fn = len(corrupted - dropped)
-    tn = len(universe) - tp - fp - fn
-
-    precision = tp / len(dropped) if dropped else None
-    recall = tp / len(corrupted) if corrupted else None
+    precision = tp / n_dropped if n_dropped else None
+    recall = tp / n_corrupted if n_corrupted else None
     if precision is None or recall is None or precision + recall == 0.0:
         f1 = None if (precision is None or recall is None) else 0.0
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    noise_rate = len(corrupted) / len(universe) if universe else 0.0
+    noise_rate = n_corrupted / n if n else 0.0
     lift = precision / noise_rate if (precision is not None and noise_rate > 0) else None
     return DetectionReport(tp=tp, fp=fp, fn=fn, tn=tn,
-                           n_corrupted=len(corrupted), n_dropped=len(dropped),
+                           n_corrupted=n_corrupted, n_dropped=n_dropped,
                            precision=precision, recall=recall, f1=f1,
                            noise_rate=noise_rate, lift=lift)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import INTENTS, N_INTENTS, N_TGT_CONTENT
+from .data import INTENTS, N_INTENTS
 from .errors import ConfigError
 
 _TAG_SELECT = 31
@@ -32,10 +32,6 @@ class NoiseMask:
     ids: np.ndarray         # (n,) int64 sample ids in train order
     corrupted: np.ndarray   # (n,) bool
     prior_drift: dict = field(default_factory=dict)
-
-    @property
-    def corrupted_ids(self):
-        return set(int(i) for i in self.ids[self.corrupted])
 
     def save_csv(self, path):
         # Same bytes as csv.writer rows, built in one pass.
@@ -105,13 +101,13 @@ def inject_label_noise(train, rate, seed, mode="replace-set"):
     return out, mask
 
 
-def inject_summary_noise(train, rate, seed):
+def inject_summary_noise(train, rate, seed, n_content):
     """Corrupt the summarization targets of a copy of the train split.
 
     Every content token of a selected target is replaced by an independent
-    uniform draw from the target content range, sample after sample from one
-    stream; length and the trailing EOS are preserved.  Returns
-    (new_train, NoiseMask).
+    uniform draw from the dataset's target content ids [0, n_content), sample
+    after sample from one stream; length and the trailing EOS are preserved.
+    Returns (new_train, NoiseMask).
     """
     _check_rate(rate)
     n = len(train)
@@ -120,7 +116,7 @@ def inject_summary_noise(train, rate, seed):
 
     tgt = train.tgt.copy()
     rows, cols = np.nonzero(np.arange(tgt.shape[1]) < train.tgt_len[picked, None] - 1)
-    tgt[picked[rows], cols] = draw_rng.integers(0, N_TGT_CONTENT, size=rows.size,
+    tgt[picked[rows], cols] = draw_rng.integers(0, n_content, size=rows.size,
                                                 dtype=np.int64)
     mask = NoiseMask(ids=train.ids, corrupted=np.isin(np.arange(n), picked))
     return replace(train, tgt=tgt), mask

@@ -7,7 +7,10 @@ trajectory, then (treated arm only) let the scheduler decide drops that
 take effect from the next epoch, and finally compute the validation
 metric.  The baseline arm runs the identical loop with the scheduler
 bypassed, so a baseline/treated pair differing only in the `mantra` flag
-shares its dataset, noise mask, initialization, and shuffle order.
+shares its dataset, noise mask, initialization, and shuffle order.  The
+scheduler's DropState is the run's one drop record: the report's drop
+events, per-epoch counts, dropped ids and detection scores are all read
+off it by train position once the loop is over.
 
 Reports serialize to results.json deterministically: reruns of the same
 config are byte-identical except for the runtime field.
@@ -150,11 +153,12 @@ def _load_dataset(config):
     return load_jsonl(config.data, config.task, vocab_path=config.vocab)
 
 
-def _inject(config, train):
+def _inject(config, dataset):
     if config.task == "classification":
-        return noise.inject_label_noise(train, config.noise_rate, config.seed,
+        return noise.inject_label_noise(dataset.train, config.noise_rate, config.seed,
                                         mode=config.noise_mode)
-    return noise.inject_summary_noise(train, config.noise_rate, config.seed)
+    return noise.inject_summary_noise(dataset.train, config.noise_rate, config.seed,
+                                      dataset.meta["n_tgt_vocab"] - 2)
 
 
 def _new_model(config, dataset):
@@ -184,8 +188,7 @@ def run_experiment(config, out_dir=None):
         raise ConfigError("training split is empty")
     if not (dataset.validation and dataset.test):
         raise ConfigError("cannot evaluate on an empty split")
-    train, mask = _inject(config, dataset.train)
-    corrupted = mask.corrupted_ids
+    train, mask = _inject(config, dataset)
 
     model = _new_model(config, dataset)
     train_cfg = learner.TrainConfig(lr=config.lr, batch_size=config.batch_size,
@@ -195,8 +198,6 @@ def run_experiment(config, out_dir=None):
     store = TrajectoryStore()
 
     val_metrics = []
-    dropped_per_epoch = {}
-    drop_events = []
     gmm_trace = []
     positions = np.arange(len(train))
     for epoch in range(1, config.epochs + 1):
@@ -206,23 +207,24 @@ def run_experiment(config, out_dir=None):
         learner.train_epoch(model, active, train_cfg, epoch)
         losses = learner.per_sample_losses(model, active)
         store.record_epoch(epoch, active.ids, losses, mask.corrupted[rows])
-        n_dropped = 0
         if config.mantra:
             decision = scheduler.evaluate_epoch(state, policy, epoch, active.ids, losses)
-            n_dropped = len(decision.dropped)
-            for sid, posterior in decision.dropped:
-                drop_events.append({
-                    "epoch": epoch, "sample_id": sid, "posterior": posterior,
-                    "was_noisy": sid in corrupted,
-                })
             for row in decision.gmm_trace:
                 gmm_trace.append({"epoch": epoch, **row})
-        dropped_per_epoch[epoch] = n_dropped
         val_metrics.append(_eval_metric(config, model, dataset.validation))
 
     test_metric = _eval_metric(config, model, dataset.test)
-    dropped_ids = sorted(state.dropped)
-    detection = metrics.detection_report(dropped_ids, mask)
+    # The baseline arm never drops, so its drop fields come out empty.
+    hit = np.flatnonzero(state.dropped_at)
+    hit = hit[np.lexsort((train.ids[hit], state.dropped_at[hit]))]
+    drop_events = [
+        {"epoch": epoch, "sample_id": sid, "posterior": posterior, "was_noisy": noisy}
+        for epoch, sid, posterior, noisy in zip(
+            state.dropped_at[hit].tolist(), train.ids[hit].tolist(),
+            state.posterior[hit].tolist(), mask.corrupted[hit].tolist())]
+    per_epoch = np.bincount(state.dropped_at, minlength=config.epochs + 1)
+    dropped_ids = np.sort(train.ids[hit]).tolist()
+    detection = metrics.detection_report(state.dropped_at > 0, mask.corrupted)
 
     report = RunReport(
         config=config.as_dict(),
@@ -233,7 +235,7 @@ def run_experiment(config, out_dir=None):
         detection=detection.as_dict(),
         dropped_total=len(dropped_ids),
         dropped_ids=dropped_ids,
-        dropped_per_epoch=dropped_per_epoch,
+        dropped_per_epoch=dict(enumerate(per_epoch[1:].tolist(), start=1)),
         drop_events=drop_events,
         gmm_trace=gmm_trace,
         label_repairs=dataset.meta.get("label_repairs"),

@@ -13,10 +13,11 @@ the remaining budget, higher posterior wins and ties fall to the smaller id.
 
 The state is a set of arrays indexed by train position: the consecutive-flag
 counters, the epoch each sample was dropped at (0 while it is active, so
-`dropped_at == 0` is the active mask), and an (n, window) buffer of trailing
-transformed losses, oldest first.  A dropped sample never returns, so every
-active sample has been scored in each epoch so far and all windows hold the
-last min(epoch, window) values.
+`dropped_at == 0` is the active mask), its noisy-component posterior at that
+drop (0 while active), and an (n, window) buffer of trailing transformed
+losses, oldest first.  It is the run's only drop record.  A dropped sample
+never returns, so every active sample has been scored in each epoch so far
+and all windows hold the last min(epoch, window) values.
 """
 
 from dataclasses import dataclass
@@ -66,6 +67,7 @@ class DropState:
     initial_ids: np.ndarray            # (n,) int64 train ids in train order
     counters: np.ndarray               # (n,) consecutive flags
     dropped_at: np.ndarray             # (n,) epoch dropped at, 0 = active
+    posterior: np.ndarray              # (n,) noisy posterior at the drop, 0 = active
     buffer: np.ndarray | None = None   # (n, window) trailing losses, oldest first
     last_epoch: int = 0
 
@@ -75,13 +77,8 @@ class DropState:
         if np.unique(ids).shape[0] != ids.shape[0]:
             raise UsageError("train sample ids must be unique")
         zeros = np.zeros(ids.shape[0], dtype=np.int64)
-        return cls(initial_ids=ids, counters=zeros, dropped_at=zeros.copy())
-
-    @property
-    def dropped(self):
-        """A fresh {id: epoch dropped at} dict; editing it leaves the state alone."""
-        hit = self.dropped_at > 0
-        return dict(zip(self.initial_ids[hit].tolist(), self.dropped_at[hit].tolist()))
+        return cls(initial_ids=ids, counters=zeros, dropped_at=zeros.copy(),
+                   posterior=np.zeros(ids.shape[0]))
 
 
 @dataclass
@@ -154,6 +151,7 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses):
         cand = cand[np.lexsort((ids[cand], -post[cand]))][:max(budget, 0)]
     cand = cand[np.argsort(ids[cand])]
     state.dropped_at[pos[cand]] = epoch
+    state.posterior[pos[cand]] = post[cand]
     state.counters[pos[cand]] = 0
     decision.dropped = list(zip(ids[cand].tolist(), post[cand].tolist()))
     return decision

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output routing, env overrides."""
 
 import json
+import random
 
 import pytest
 
@@ -153,6 +154,28 @@ def test_grid_and_compare_flow(tmp_path, capsys):
     assert main(["compare", str(noisy_base), str(clean_base)]) == 2
 
 
-def test_paper_lr_preset(tmp_path, capsys):
-    args = _tiny_run_args(tmp_path) + ["--lr-preset", "paper", "--mantra", "off"]
+def test_lr_is_echoed_in_results(tmp_path, capsys):
+    out = tmp_path / "lr_out"
+    assert main(_tiny_run_args(tmp_path, lr="5e-5", out=out) + ["--mantra", "off"]) == 0
+    assert json.loads((out / "results.json").read_text())["config"]["lr"] == 5e-5
+
+
+def test_noisy_summarization_run_on_a_vocab_file(tmp_path, capsys):
+    # 12 tokens: the noise must draw targets from this vocabulary, not the
+    # 40-token synthetic one
+    words = [f"w{i}" for i in range(12)]
+    (tmp_path / "v.txt").write_text("\n".join(words) + "\n")
+    rng = random.Random(4)
+    lines = []
+    for i in range(80):
+        source = rng.choices(words, k=rng.randint(3, 6))
+        record = {"split": "train" if i < 60 else ("val" if i < 70 else "test"),
+                  "source": " ".join(source),
+                  "target": " ".join(words[(words.index(w) * 5) % 12] for w in source)}
+        lines.append(json.dumps(record))
+    (tmp_path / "d.jsonl").write_text("\n".join(lines) + "\n")
+    args = ["run", "--task", "sum", "--noise-rate", "0.15", "--epochs", "4",
+            "--warmup", "1", "--data", str(tmp_path / "d.jsonl"),
+            "--vocab", str(tmp_path / "v.txt"), "--out", str(tmp_path / "out")]
     assert main(args) == 0
+    assert "test bleu4 =" in capsys.readouterr().out

@@ -99,7 +99,7 @@ def test_split_arrays_are_read_only():
     summ = data.generate_summarization_dataset(2, n_train=6, n_val=2, n_test=2)
     splits = [*_splits(cls), *_splits(summ), cls.train.take(np.array([4, 1])),
               noise.inject_label_noise(cls.train, 0.5, seed=1)[0],
-              noise.inject_summary_noise(summ.train, 0.5, seed=1)[0],
+              noise.inject_summary_noise(summ.train, 0.5, seed=1, n_content=data.BOS)[0],
               data.classification_split([7], [[1.0]], [[0] * 6 + [1]]),
               data.summarization_split([7], [[1, 2]], [[3, data.EOS]])]
     for split in splits:

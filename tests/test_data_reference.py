@@ -168,7 +168,7 @@ def test_noisy_train_split_equals_reference(task, mode, rate, seed):
         assert mask.prior_drift == {"before": _reference_priors(train),
                                     "after": _reference_priors(want)}
     else:
-        out, mask = noise.inject_summary_noise(ds.train, rate, seed)
+        out, mask = noise.inject_summary_noise(ds.train, rate, seed, ds.meta["bos"])
         want, corrupted = _reference_summary_noise(train, rate, seed)
     _assert_equals_reference(out, task, want)
     assert mask.ids is ds.train.ids

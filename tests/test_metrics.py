@@ -125,34 +125,73 @@ def test_bleu_matches_reference_on_random_corpora(rng):
             _bleu_reference(cands, refs), rel=1e-12)
 
 
-def _mask(ids, corrupted_ids):
-    ids = np.asarray(ids, dtype=np.int64)
-    return noise.NoiseMask(ids=ids, corrupted=np.isin(ids, list(corrupted_ids)))
+def _reference_detection_report(dropped_ids, mask):
+    """The id-set form of detection_report, kept as its reference."""
+    universe = set(int(i) for i in mask.ids)
+    corrupted = set(int(i) for i in mask.ids[mask.corrupted])
+    dropped = set(int(i) for i in dropped_ids)
+    assert dropped <= universe
+
+    tp = len(dropped & corrupted)
+    fp = len(dropped - corrupted)
+    fn = len(corrupted - dropped)
+    tn = len(universe) - tp - fp - fn
+
+    precision = tp / len(dropped) if dropped else None
+    recall = tp / len(corrupted) if corrupted else None
+    if precision is None or recall is None or precision + recall == 0.0:
+        f1 = None if (precision is None or recall is None) else 0.0
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    noise_rate = len(corrupted) / len(universe) if universe else 0.0
+    lift = precision / noise_rate if (precision is not None and noise_rate > 0) else None
+    return metrics.DetectionReport(tp=tp, fp=fp, fn=fn, tn=tn,
+                                   n_corrupted=len(corrupted), n_dropped=len(dropped),
+                                   precision=precision, recall=recall, f1=f1,
+                                   noise_rate=noise_rate, lift=lift)
+
+
+def _at(n, positions):
+    return np.isin(np.arange(n), list(positions))
 
 
 def test_detection_report_counts_and_lift():
-    mask = _mask(range(10), {0, 1, 2, 3})          # noise_rate 0.4
-    rep = metrics.detection_report([0, 1, 5], mask)
+    rep = metrics.detection_report(_at(10, {0, 1, 5}), _at(10, {0, 1, 2, 3}))
     assert (rep.tp, rep.fp, rep.fn, rep.tn) == (2, 1, 2, 5)
     assert rep.precision == pytest.approx(2 / 3)
     assert rep.recall == pytest.approx(0.5)
     assert rep.f1 == pytest.approx(2 * (2 / 3) * 0.5 / ((2 / 3) + 0.5))
-    assert rep.lift == pytest.approx((2 / 3) / 0.4)
-    assert rep.as_dict()["n_dropped"] == 3
+    assert rep.lift == pytest.approx((2 / 3) / 0.4)   # noise_rate 0.4
+    assert rep.as_dict() == {
+        "tp": 2, "fp": 1, "fn": 2, "tn": 5, "n_corrupted": 4, "n_dropped": 3,
+        "precision": rep.precision, "recall": rep.recall, "f1": rep.f1,
+        "noise_rate": 0.4, "lift": rep.lift}
 
 
 def test_detection_report_none_semantics():
-    rep = metrics.detection_report([], _mask(range(6), {1, 2}))
+    rep = metrics.detection_report(_at(6, set()), _at(6, {1, 2}))
     assert rep.precision is None and rep.f1 is None and rep.lift is None
     assert rep.recall == 0.0
 
-    rep = metrics.detection_report([3], _mask(range(6), set()))
+    rep = metrics.detection_report(_at(6, {3}), _at(6, set()))
     assert rep.recall is None and rep.f1 is None
     assert rep.precision == 0.0
     assert rep.lift is None                         # noise_rate 0
 
-    rep = metrics.detection_report([4, 5], _mask(range(6), {1, 2}))
+    rep = metrics.detection_report(_at(6, {4, 5}), _at(6, {1, 2}))
     assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
 
     with pytest.raises(UsageError):
-        metrics.detection_report([99], _mask(range(6), {1}))
+        metrics.detection_report(_at(7, {6}), _at(6, {1}))
+
+
+def test_detection_report_matches_id_set_reference():
+    rng = np.random.default_rng(5)
+    cases = [(0, 0.0, 0.0), (9, 0.0, 0.3), (9, 1.0, 0.3), (9, 0.4, 0.0), (9, 1.0, 1.0)]
+    cases += [(int(rng.integers(1, 60)), rng.random(), rng.random()) for _ in range(40)]
+    for n, p_drop, p_bad in cases:
+        ids = rng.choice(10 * n + 1, size=n, replace=False)    # scattered train ids
+        dropped = rng.random(n) < p_drop
+        mask = noise.NoiseMask(ids=ids, corrupted=rng.random(n) < p_bad)
+        got = metrics.detection_report(dropped, mask.corrupted)
+        assert got == _reference_detection_report(ids[dropped], mask), (n, p_drop, p_bad)

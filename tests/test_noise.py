@@ -76,7 +76,7 @@ def test_flip_one_skips_saturated_samples():
     one = data.intents_to_bits(["Bug"])
     train = data.classification_split([0, 1, 2], np.zeros((3, 2)), [full, one, full])
     out, mask = noise.inject_label_noise(train, 1 / 3, seed=9, mode="flip-one")
-    assert mask.corrupted_ids == {1}
+    assert mask.corrupted.tolist() == [False, True, False]
     with pytest.raises(ConfigError):
         noise.inject_label_noise(train, 1.0, seed=9, mode="flip-one")
 
@@ -87,7 +87,7 @@ def test_injection_determinism_and_seed_sensitivity(cls_train):
     np.testing.assert_array_equal(mask_a.corrupted, mask_b.corrupted)
     np.testing.assert_array_equal(out_a.y, out_b.y)
     _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22)
-    assert mask_a.corrupted_ids != mask_c.corrupted_ids
+    assert not np.array_equal(mask_a.corrupted, mask_c.corrupted)
 
 
 def test_prior_drift_recorded(cls_train):
@@ -99,7 +99,8 @@ def test_prior_drift_recorded(cls_train):
 
 
 def test_summary_noise_preserves_shape(sum_train):
-    out, mask = noise.inject_summary_noise(sum_train, 0.25, seed=6)
+    out, mask = noise.inject_summary_noise(sum_train, 0.25, seed=6,
+                                           n_content=data.N_TGT_CONTENT)
     assert mask.corrupted.sum() == noise.corruption_count(0.25, 80) == 20
     assert mask.ids is sum_train.ids
     for name in ("ids", "src", "src_len", "tgt_len"):        # only the targets are copied
@@ -115,6 +116,14 @@ def test_summary_noise_preserves_shape(sum_train):
         else:
             np.testing.assert_array_equal(new, orig)
     assert changed >= 18    # uniform redraws collide with the original very rarely
+
+
+def test_summary_noise_draws_from_the_given_content_range(sum_train):
+    # a file vocabulary can be far smaller than the synthetic one
+    out, mask = noise.inject_summary_noise(sum_train, 1.0, seed=6, n_content=3)
+    content = np.arange(out.tgt.shape[1]) < out.tgt_len[:, None] - 1
+    assert mask.corrupted.all()
+    assert np.unique(out.tgt[content]).tolist() == [0, 1, 2]
 
 
 def test_rate_bounds():

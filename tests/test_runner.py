@@ -102,6 +102,32 @@ def test_mask_and_drops_stay_inside_train_split(tiny_cls_config):
     assert not set(report.dropped_ids) & other_ids
 
 
+@pytest.mark.parametrize("config, drops", [
+    (dict(task="cls", seed=3, noise_rate=0.15, epochs=4, warmup=1, n_train=200,
+          n_val=16, n_test=16, n_features=8), {3: 16}),
+    (dict(task="sum", seed=1, noise_rate=0.15), {5: 114, 8: 30}),
+])
+def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, config, drops):
+    decisions = []
+    evaluate = runner.scheduler.evaluate_epoch
+
+    def recording(*args):
+        decisions.append(evaluate(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(runner.scheduler, "evaluate_epoch", recording)
+    report = run_experiment(ExperimentConfig(**config), out_dir=str(tmp_path))
+    with open(tmp_path / "noise_mask.csv", newline="", encoding="utf-8") as fh:
+        noisy = {int(row["sample_id"]): row["corrupted"] == "1"
+                 for row in csv.DictReader(fh)}
+    assert report.drop_events == [
+        {"epoch": d.epoch, "sample_id": sid, "posterior": post, "was_noisy": noisy[sid]}
+        for d in decisions for sid, post in d.dropped]
+    assert report.dropped_per_epoch == {d.epoch: len(d.dropped) for d in decisions}
+    assert {e: n for e, n in report.dropped_per_epoch.items() if n} == drops
+    assert report.detection["tp"] == sum(e["was_noisy"] for e in report.drop_events)
+
+
 def test_rerun_is_byte_identical_except_runtime(tmp_path, tiny_cls_config):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

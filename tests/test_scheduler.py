@@ -27,6 +27,12 @@ def _active_ids(state):
     return active_samples(state, state.initial_ids).tolist()
 
 
+def _dropped(state):
+    """{id: epoch dropped at} of the dropped samples."""
+    hit = state.dropped_at > 0
+    return dict(zip(state.initial_ids[hit].tolist(), state.dropped_at[hit].tolist()))
+
+
 def _scripted_losses(n, noisy_ids, low=0.2, high=3.0):
     # deterministic jitter keeps each mode tight but avoids exactly constant
     # blobs, whose coincident loss quantiles leave EM stuck at one component
@@ -62,7 +68,7 @@ def test_warmup_epochs_never_flag():
         assert d.in_warmup and d.selected_k == 0
         assert d.flagged == [] and d.dropped == [] and d.gmm_trace == []
     assert not state.counters.any() and not state.dropped_at.any()
-    assert state.dropped == {}
+    assert _dropped(state) == {}
 
 
 def test_scripted_bimodal_run_drops_exactly_the_noisy_block():
@@ -85,7 +91,7 @@ def test_scripted_bimodal_run_drops_exactly_the_noisy_block():
     for sid, post in d7.dropped:
         assert post > 1.0 - 1e-9    # well-separated modes: posterior saturates
     assert _active_ids(state) == list(range(90))
-    assert state.dropped == {sid: 7 for sid in noisy}
+    assert _dropped(state) == {sid: 7 for sid in noisy}
 
     # next epoch must be called with the shrunken active set
     with pytest.raises(UsageError):
@@ -123,13 +129,13 @@ def test_cap_binds_and_ties_fall_to_smaller_ids():
     evaluate_epoch(state, policy, 1, range(n), _bimodal_losses(n, noisy))
     d2 = evaluate_epoch(state, policy, 2, range(n), _bimodal_losses(n, noisy))
     assert [sid for sid, _ in d2.dropped] == list(range(80, 90))
-    assert len(state.dropped) == drop_cap(policy, state) == 10
+    assert len(_dropped(state)) == drop_cap(policy, state) == 10
 
     # budget exhausted: the still-flagged rest never drops
     active = _active_ids(state)
     d3 = evaluate_epoch(state, policy, 3, active,
                         _bimodal_losses(n, noisy)[:80] + [3.0] * 10)
-    assert d3.dropped == [] and len(state.dropped) == 10
+    assert d3.dropped == [] and len(_dropped(state)) == 10
 
 
 def test_cap_prefers_higher_posterior_before_id(monkeypatch):
@@ -155,7 +161,8 @@ def test_cap_prefers_higher_posterior_before_id(monkeypatch):
     d = evaluate_epoch(state, policy, 1, range(n), [0.2] * n)
     assert d.flagged == [10, 20]
     assert d.dropped == [(20, 0.95)]
-    assert list(state.dropped) == [20]
+    assert _dropped(state) == {20: 1}
+    assert state.posterior[20] == 0.95 and not np.delete(state.posterior, 20).any()
 
 
 def test_zero_cap_disables_dropping():
@@ -166,7 +173,7 @@ def test_zero_cap_disables_dropping():
     for epoch in (1, 2, 3):
         d = evaluate_epoch(state, policy, epoch, range(n), _bimodal_losses(n, noisy))
         assert d.cap == 0 and d.dropped == []
-    assert state.dropped == {}
+    assert _dropped(state) == {}
 
 
 def test_window_averages_recent_transformed_losses():
@@ -195,7 +202,7 @@ def test_active_samples_preserves_order():
     state.dropped_at[1] = 5                       # id 1 dropped at epoch 5
     kept = active_samples(state, np.array([3, 1, 2]))
     assert kept.tolist() == [3, 2]
-    assert _active_ids(state) == [3, 2] and state.dropped == {1: 5}
+    assert _active_ids(state) == [3, 2] and _dropped(state) == {1: 5}
 
 
 def test_duplicate_ids_are_rejected():
@@ -307,8 +314,12 @@ def _run_against_reference(policy, kind, seed):
         got = evaluate_epoch(state, policy, epoch, ids[rows], losses[rows])
         want = _reference_evaluate_epoch(ref, policy, epoch, ids[rows], losses[rows])
         assert got == want, f"epoch {epoch}"
-        assert state.dropped == ref.dropped
+        assert _dropped(state) == ref.dropped
         decisions.append(got)
+    hit = state.dropped_at > 0
+    assert not state.posterior[~hit].any()
+    assert dict(zip(state.initial_ids[hit].tolist(), state.posterior[hit].tolist())) \
+        == {sid: post for d in decisions for sid, post in d.dropped}
     return decisions
 
 
