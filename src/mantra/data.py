@@ -35,7 +35,7 @@ N_TGT_VOCAB = N_TGT_CONTENT + 2
 
 SRC_LEN_MIN = 4
 SRC_LEN_MAX = 10
-MAX_SRC_LEN = 64    # ingestion cap; generated sources stay well below
+MAX_SRC_LEN = 64    # split cap, so counts fit uint8; generated sources stay well below
 MAX_TGT_LEN = 16    # content tokens, excluding EOS; also the decode cap
 
 # Substream tags for seeded generators.  Each consumer of a user seed draws
@@ -53,7 +53,10 @@ class PackedSplit:
 
     Classification fills x (features) and y (label bits), both float64.
     Summarization fills src and tgt (int64, zero-padded to the split's own
-    longest row; each tgt row ends in EOS) and their true lengths.
+    longest row; each tgt row ends in EOS), their true lengths, and
+    src_counts: each sample's source-token counts over the source vocabulary,
+    counted once here because sources never change during a run (uint8, an
+    eighth of int64's memory; MAX_SRC_LEN bounds every count).
     """
     task: str                   # "classification" | "summarization"
     ids: np.ndarray             # (n,) int64
@@ -63,6 +66,7 @@ class PackedSplit:
     src_len: np.ndarray | None = None
     tgt: np.ndarray | None = None
     tgt_len: np.ndarray | None = None
+    src_counts: np.ndarray | None = None    # (n, V_s) uint8
 
     def __post_init__(self):
         for f in fields(self):
@@ -85,7 +89,8 @@ class PackedSplit:
         src_len, tgt_len = self.src_len[rows], self.tgt_len[rows]
         return replace(self, ids=self.ids[rows], src_len=src_len, tgt_len=tgt_len,
                        src=self.src[rows, :src_len.max(initial=0)],
-                       tgt=self.tgt[rows, :tgt_len.max(initial=0)])
+                       tgt=self.tgt[rows, :tgt_len.max(initial=0)],
+                       src_counts=self.src_counts[rows])
 
 
 def classification_split(ids, x, y):
@@ -94,12 +99,25 @@ def classification_split(ids, x, y):
                        x=np.array(x, dtype=np.float64), y=np.array(y, dtype=np.float64))
 
 
-def summarization_split(ids, sources, targets):
-    """A summarization split from per-sample token arrays; targets end in EOS."""
+def summarization_split(ids, sources, targets, n_src):
+    """A split from per-sample token arrays over n_src source ids; targets end in EOS."""
     src, src_len = _pad(sources)
     tgt, tgt_len = _pad(targets)
+    if (src.shape[1] > MAX_SRC_LEN or src.min(initial=0) < 0
+            or src.max(initial=0) >= n_src):
+        raise UsageError(f"sources must be at most {MAX_SRC_LEN} token ids "
+                         f"in [0, {n_src})")
     return PackedSplit("summarization", np.array(ids, dtype=np.int64),
-                       src=src, src_len=src_len, tgt=tgt, tgt_len=tgt_len)
+                       src=src, src_len=src_len, tgt=tgt, tgt_len=tgt_len,
+                       src_counts=_count_tokens(src, src_len, n_src))
+
+
+def _count_tokens(src, src_len, n_src):
+    """(n, n_src) uint8 count of each source token in each row's valid prefix."""
+    n = src.shape[0]
+    valid = np.arange(src.shape[1]) < src_len[:, None]
+    keys = np.repeat(np.arange(n) * n_src, src_len) + src[valid]
+    return np.bincount(keys, minlength=n * n_src).reshape(n, n_src).astype(np.uint8)
 
 
 def _pad(rows):
@@ -195,7 +213,8 @@ def generate_summarization_dataset(seed, n_train=1000, n_val=100, n_test=100):
     tgt[np.arange(n), lengths] = EOS
 
     whole = PackedSplit("summarization", np.arange(n, dtype=np.int64), src=src,
-                        src_len=lengths, tgt=tgt, tgt_len=lengths + 1)
+                        src_len=lengths, tgt=tgt, tgt_len=lengths + 1,
+                        src_counts=_count_tokens(src, lengths, N_SRC_VOCAB))
     return _partition(whole, n_train, n_val, {
         "n_src_vocab": N_SRC_VOCAB, "n_tgt_vocab": N_TGT_VOCAB, "bos": BOS, "eos": EOS,
         "mapping": mapping})
@@ -363,7 +382,7 @@ def load_jsonl(path, task, vocab_path=None):
     else:
         meta = {"n_src_vocab": n_src, "n_tgt_vocab": n_content + 2,
                 "bos": bos_id, "eos": eos_id}
-        splits = {name: summarization_split(*columns)
+        splits = {name: summarization_split(*columns, n_src)
                   for name, columns in buckets.items()}
     return DatasetSplit(meta=meta, **splits)
 

@@ -106,6 +106,9 @@ def _sigmoid(z):
 def _check_task(model, split):
     if split.task != model.task:
         raise UsageError(f"{type(model).__name__} cannot score {split.task} samples")
+    if split.task == "summarization" and split.src_counts.shape[1] != model.v.shape[1]:
+        raise UsageError(f"split has a {split.src_counts.shape[1]}-token source "
+                         f"vocabulary, the model {model.v.shape[1]}")
 
 
 def per_sample_losses(model, samples):
@@ -114,8 +117,8 @@ def per_sample_losses(model, samples):
     if isinstance(model, ClassifierModel):
         p = np.clip(_sigmoid(samples.x @ model.w.T + model.b), EPS, 1.0 - EPS)
         return -(samples.y * np.log(p) + (1.0 - samples.y) * np.log(1.0 - p)).mean(axis=1)
-    return kernels.seq_losses(model.u, model.v, model.b, samples.src, samples.src_len,
-                              samples.tgt, samples.tgt_len, model.bos)
+    return kernels.seq_losses(model.u, model.v, model.b, samples.src_counts,
+                              samples.src_len, samples.tgt, samples.tgt_len, model.bos)
 
 
 def _classifier_grads(model, x, y):
@@ -140,7 +143,7 @@ def train_epoch(model, samples, config, epoch):
             model.b -= config.lr * db
         else:
             du, dv, db = kernels.seq_grad_sum(
-                model.u, model.v, model.b, samples.src[idx], samples.src_len[idx],
+                model.u, model.v, model.b, samples.src_counts[idx], samples.src_len[idx],
                 samples.tgt[idx], samples.tgt_len[idx], model.bos)
             scale = config.lr / idx.size
             model.u -= scale * du
@@ -156,8 +159,8 @@ def predict(model, samples):
         p = _sigmoid(samples.x @ model.w.T + model.b)
         return (p > 0.5).astype(np.uint8)
     out, out_len = kernels.greedy_decode(
-        model.u, model.v, model.b, samples.src, samples.src_len, model.bos, model.eos,
-        MAX_TGT_LEN)
+        model.u, model.v, model.b, samples.src_counts, samples.src_len, model.bos,
+        model.eos, MAX_TGT_LEN)
     return [out[i, :out_len[i]].copy() for i in range(len(samples))]
 
 
@@ -170,7 +173,7 @@ def _param_arrays(model):
 def _mean_grads(model, split):
     if isinstance(model, ClassifierModel):
         return list(_classifier_grads(model, split.x, split.y))
-    du, dv, db = kernels.seq_grad_sum(model.u, model.v, model.b, split.src,
+    du, dv, db = kernels.seq_grad_sum(model.u, model.v, model.b, split.src_counts,
                                       split.src_len, split.tgt, split.tgt_len,
                                       model.bos)
     return [du / len(split), dv / len(split), db / len(split)]

@@ -6,7 +6,6 @@ than silently coerced to a number.
 """
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,8 +36,13 @@ def micro_f1(y_true, y_pred):
     return micro_f1_from_counts(tp, fp, fn)
 
 
-def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_matches(cand_keys, ref_keys):
+    """Sum over distinct candidate keys of min(candidate count, reference count)."""
+    keys, counts = np.unique(cand_keys, return_counts=True)
+    ref_keys, ref_counts = np.unique(ref_keys, return_counts=True)
+    at = np.searchsorted(ref_keys, keys)
+    hit = np.append(ref_keys, -1)[at] == keys           # keys are non-negative
+    return int(np.minimum(counts, np.where(hit, np.append(ref_counts, 0)[at], 0)).sum())
 
 
 def bleu4(candidates, references):
@@ -50,29 +54,44 @@ def bleu4(candidates, references):
     penalty is 1 when the candidate corpus is longer than the reference
     corpus, else exp(1 - r/c).  An empty candidate contributes length 0 and
     no matches.  Returns a value in [0, 1].
+
+    The counts are exact integers from array code.  Each n-gram of the
+    corpus (N tokens, S sentence pairs) gets a dense id below N: the
+    (n-1)-gram id times the number of distinct tokens plus the next token,
+    ranked by np.unique.  The key pair * N + id names an n-gram within one
+    sentence pair.  Every product stays below N * max(N, S), so no key
+    collides or overflows int64 on a corpus that fits in memory, whatever
+    the token ids.
     """
     if len(references) != len(candidates):
         raise UsageError("references and candidates must pair up one to one")
     if not references:
         raise UsageError("BLEU needs at least one sentence pair")
-    refs = [tuple(int(t) for t in r) for r in references]
-    cands = [tuple(int(t) for t in c) for c in candidates]
-    c_len = sum(len(c) for c in cands)
-    r_len = sum(len(r) for r in refs)
+    n_pairs = len(references)
+    sentences = [np.asarray(s, dtype=np.int64) for s in (*candidates, *references)]
+    lengths = np.array([s.size for s in sentences], dtype=np.int64)
+    c_len = int(lengths[:n_pairs].sum())
+    r_len = int(lengths[n_pairs:].sum())
     if c_len == 0:
         return 0.0
 
+    # candidate tokens first, then reference tokens
+    distinct, tok = np.unique(np.concatenate(sentences), return_inverse=True)
+    n_tokens = tok.size
+    pair = np.repeat(np.arange(2 * n_pairs) % n_pairs, lengths)
+    # tokens from each one to the end of its sentence, itself included
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)
+    gram = tok
     log_precisions = []
     for n in range(1, 5):
-        matched = 0
-        total = 0
-        for ref, cand in zip(refs, cands):
-            cand_counts = _ngrams(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngrams(ref, n)
-            total += sum(cand_counts.values())
-            matched += sum(min(cnt, ref_counts[g]) for g, cnt in cand_counts.items())
+        if n > 1:
+            gram = np.unique(gram[:-1] * distinct.size + tok[n - 1:],
+                             return_inverse=True)[1]
+        key = pair[:gram.size] * n_tokens + gram
+        fits = room[:gram.size] >= n            # the n-gram ends inside its sentence
+        cand = key[:c_len][fits[:c_len]]
+        matched = _clipped_matches(cand, key[c_len:][fits[c_len:]])
+        total = cand.size
         if matched == 0:
             precision = (matched + 1) / (total + 1)
         else:

@@ -101,14 +101,69 @@ def test_split_arrays_are_read_only():
               noise.inject_label_noise(cls.train, 0.5, seed=1)[0],
               noise.inject_summary_noise(summ.train, 0.5, seed=1, n_content=data.BOS)[0],
               data.classification_split([7], [[1.0]], [[0] * 6 + [1]]),
-              data.summarization_split([7], [[1, 2]], [[3, data.EOS]])]
+              data.summarization_split([7], [[1, 2]], [[3, data.EOS]], 4)]
     for split in splits:
         arrays = [getattr(split, f.name) for f in dataclasses.fields(split)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        assert len(arrays) == (3 if split.task == "classification" else 5)
+        assert len(arrays) == (3 if split.task == "classification" else 6)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+def _reference_counts(n_src, src, src_len):
+    """Per-row source-token counts, scattered one token at a time."""
+    counts = np.zeros((src.shape[0], n_src), dtype=np.int64)
+    valid = np.arange(src.shape[1]) < src_len[:, None]
+    np.add.at(counts, (np.repeat(np.arange(src.shape[0]), src_len), src[valid]), 1)
+    return counts
+
+
+def _assert_counts_match_reference(split, n_src):
+    assert split.src_counts.dtype == np.uint8
+    assert split.src_counts.shape == (len(split), n_src)
+    np.testing.assert_array_equal(split.src_counts,
+                                  _reference_counts(n_src, split.src, split.src_len))
+
+
+def test_src_counts_match_add_at_reference(tmp_path):
+    for sizes in ((1000, 100, 100), (20, 2, 1)):
+        ds = data.generate_summarization_dataset(6, *sizes)
+        for split in _splits(ds):
+            _assert_counts_match_reference(split, data.N_SRC_VOCAB)
+    path = tmp_path / "sum.jsonl"
+    data.write_jsonl(path, ds)
+    for split in _splits(data.load_jsonl(path, "summarization")):
+        _assert_counts_match_reference(split, data.N_SRC_VOCAB)
+
+    vocab_path = tmp_path / "v.txt"
+    vocab_path.write_text("a\nb\nc\n")
+    rows = [{"split": "train", "source": "a b a c a", "target": "c"},
+            {"split": "train", "source": [2], "target": "b"},
+            {"split": "test", "source": "b b", "target": "a"}]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    ds = data.load_jsonl(path, "summarization", vocab_path=vocab_path)
+    np.testing.assert_array_equal(ds.train.src_counts, [[3, 1, 1], [0, 0, 1]])
+    for split in _splits(ds):
+        _assert_counts_match_reference(split, 3)    # the empty validation split too
+
+
+def test_summarization_split_rejects_sources_it_cannot_count():
+    # a token id past the vocabulary would be counted in the next row, and
+    # a longer source could overflow a uint8 count
+    too_long = [0] * (data.MAX_SRC_LEN + 1)
+    for bad in ([[0, 3], [1]], [[0], [-1]], [too_long, [1]]):
+        with pytest.raises(UsageError):
+            data.summarization_split([0, 1], bad, [[2, 4], [2, 4]], 3)
+
+
+def test_take_keeps_counts_aligned():
+    full = data.generate_summarization_dataset(2, n_train=50, n_val=1, n_test=1).train
+    rows = np.random.default_rng(3).permutation(len(full))[:20]
+    sub = full.take(rows)
+    np.testing.assert_array_equal(sub.src_counts, full.src_counts[rows])
+    _assert_counts_match_reference(sub, data.N_SRC_VOCAB)
+    _assert_counts_match_reference(full.take(slice(10, 30)), data.N_SRC_VOCAB)
 
 
 def test_load_vocab(tmp_path):
@@ -151,7 +206,7 @@ def test_jsonl_round_trip_summarization(tmp_path):
     back = data.load_jsonl(path, "summarization")
     assert back.meta["eos"] == data.EOS
     for a, b in zip(_splits(src), _splits(back)):    # EOS re-appended on load
-        for name in ("ids", "src", "src_len", "tgt", "tgt_len"):
+        for name in ("ids", "src", "src_len", "tgt", "tgt_len", "src_counts"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 

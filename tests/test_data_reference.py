@@ -111,7 +111,7 @@ def _reference_priors(samples):
 
 def _reference_pack(task, samples):
     """The arrays of a split, stacked and padded as the packing step did."""
-    packed = dict.fromkeys(("x", "y", "src", "src_len", "tgt", "tgt_len"))
+    packed = dict.fromkeys(("x", "y", "src", "src_len", "tgt", "tgt_len", "src_counts"))
     packed["ids"] = np.array([s[0] for s in samples], dtype=np.int64)
     if task == "classification":
         packed["x"] = np.stack([s[1] for s in samples]).astype(np.float64)
@@ -123,6 +123,8 @@ def _reference_pack(task, samples):
         for i, s in enumerate(samples):
             padded[i, :lengths[i]] = s[col]
         packed[name], packed[name + "_len"] = padded, lengths
+    packed["src_counts"] = np.stack([np.bincount(s[1], minlength=data.N_SRC_VOCAB)
+                                     for s in samples]).astype(np.uint8)
     return packed
 
 

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 
-from mantra import kernels
+from mantra import data, kernels
+
+
+def _counts(v, src, src_len):
+    """The kernels take each row's source-token counts in place of src."""
+    return data._count_tokens(src, src_len, v.shape[1])
 
 
 def _random_problem(rng, n=6, v_t=9, v_s=5, scale=0.7):
@@ -44,23 +49,24 @@ def _loss_reference(u, v, b, src, src_len, tgt, tgt_len, bos):
 def test_losses_match_scalar_reference(rng):
     for _ in range(8):
         u, v, b, src, sl, tgt, tl, bos, _ = _random_problem(rng)
-        got = kernels.seq_losses(u, v, b, src, sl, tgt, tl, bos)
+        got = kernels.seq_losses(u, v, b, _counts(v, src, sl), sl, tgt, tl, bos)
         np.testing.assert_allclose(got, _loss_reference(u, v, b, src, sl, tgt, tl, bos),
                                    rtol=1e-10, atol=1e-12)
 
 
 def test_grad_matches_central_differences(rng):
     u, v, b, src, sl, tgt, tl, bos, _ = _random_problem(rng, n=4, v_t=7, v_s=4)
-    du, dv, db = kernels.seq_grad_sum(u, v, b, src, sl, tgt, tl, bos)
+    counts = _counts(v, src, sl)
+    du, dv, db = kernels.seq_grad_sum(u, v, b, counts, sl, tgt, tl, bos)
     h = 1e-6
     for arr, grad in ((u, du), (v, dv), (b, db)):
         flat = arr.ravel()
         for pos in rng.choice(flat.size, size=min(12, flat.size), replace=False):
             orig = flat[pos]
             flat[pos] = orig + h
-            up = kernels.seq_losses(u, v, b, src, sl, tgt, tl, bos).sum()
+            up = kernels.seq_losses(u, v, b, counts, sl, tgt, tl, bos).sum()
             flat[pos] = orig - h
-            dn = kernels.seq_losses(u, v, b, src, sl, tgt, tl, bos).sum()
+            dn = kernels.seq_losses(u, v, b, counts, sl, tgt, tl, bos).sum()
             flat[pos] = orig
             numeric = (up - dn) / (2 * h)
             assert abs(grad.ravel()[pos] - numeric) < 5e-6
@@ -69,7 +75,8 @@ def test_grad_matches_central_differences(rng):
 def test_decode_steps_follow_argmax_chain(rng):
     for _ in range(6):
         u, v, b, src, sl, _, _, bos, eos = _random_problem(rng, n=5)
-        out, out_len = kernels.greedy_decode(u, v, b, src, sl, bos, eos, max_len=8)
+        out, out_len = kernels.greedy_decode(u, v, b, _counts(v, src, sl), sl, bos, eos,
+                                             max_len=8)
         for i in range(src.shape[0]):
             bag = np.zeros(v.shape[1])
             for j in range(sl[i]):
@@ -95,7 +102,8 @@ def test_decode_ties_resolve_to_lowest_id():
     b[2] = b[4] = 1.0                       # exact tie between ids 2 and 4
     src = np.array([[0, 1]], dtype=np.int64)
     sl = np.array([2], dtype=np.int64)
-    out, out_len = kernels.greedy_decode(u, v, b, src, sl, v_t - 2, v_t - 1, 4)
+    out, out_len = kernels.greedy_decode(u, v, b, _counts(v, src, sl), sl, v_t - 2,
+                                         v_t - 1, 4)
     assert out_len[0] == 4
     np.testing.assert_array_equal(out[0], [2, 2, 2, 2])
 
@@ -104,12 +112,13 @@ def test_empty_batch(rng):
     u = np.zeros((4, 4))
     v = np.zeros((4, 2))
     b = np.zeros(4)
-    src = np.zeros((0, 1), dtype=np.int64)
+    counts = np.zeros((0, 2), dtype=np.uint8)
+    tgt = np.zeros((0, 1), dtype=np.int64)
     sl = np.zeros(0, dtype=np.int64)
-    assert kernels.seq_losses(u, v, b, src, sl, src, sl, 2).shape == (0,)
-    du, dv, db = kernels.seq_grad_sum(u, v, b, src, sl, src, sl, 2)
+    assert kernels.seq_losses(u, v, b, counts, sl, tgt, sl, 2).shape == (0,)
+    du, dv, db = kernels.seq_grad_sum(u, v, b, counts, sl, tgt, sl, 2)
     assert not du.any() and not dv.any() and not db.any()
-    out, out_len = kernels.greedy_decode(u, v, b, src, sl, 2, 3, 5)
+    out, out_len = kernels.greedy_decode(u, v, b, counts, sl, 2, 3, 5)
     assert out.shape == (0, 5) and out_len.shape == (0,)
     _assert_matches_reference(_desk_batch(rng, 0))     # shapes and dtypes too
 
@@ -117,7 +126,8 @@ def test_empty_batch(rng):
 
 
 # ---------------------------------------------------------------------------
-# per-position loop references: the kernels must reproduce them bit for bit
+# per-position loop references: the kernels must reproduce them bit for bit,
+# given the counts of the sources from which the references build their bags
 
 def _reference_bow(v_src_size, src, src_len):
     n = src.shape[0]
@@ -200,22 +210,18 @@ def _desk_batch(rng, n, tgt_len=None, pad=17, v_t=42, v_s=40):
 
 
 def _assert_matches_reference(problem):
-    got = kernels.seq_grad_sum(*problem)
+    u, v, b, src, src_len, tgt, tgt_len, bos = problem
+    args = (u, v, b, _counts(v, src, src_len), src_len, tgt, tgt_len, bos)
+    got = kernels.seq_grad_sum(*args)
     want = _reference_seq_grad_sum(*problem)
     assert len(got) == len(want) == 3
     for name, g, w in zip(("du", "dv", "db"), got, want):
         assert g.shape == w.shape and g.dtype == w.dtype, name
         assert np.array_equal(g, w), name
-    losses = kernels.seq_losses(*problem)
+    losses = kernels.seq_losses(*args)
     ref = _reference_seq_losses(*problem)
     assert losses.shape == ref.shape and losses.dtype == ref.dtype
     assert np.array_equal(losses, ref)
-
-
-def test_bow_counts_match_add_at_reference(rng):
-    _, v, _, src, src_len, _, _, _ = _desk_batch(rng, 50)
-    assert np.array_equal(kernels._bow(v.shape[1], src, src_len),
-                          _reference_bow(v.shape[1], src, src_len))
 
 
 def test_kernels_equal_position_loop_on_seeded_batches(rng):

@@ -21,7 +21,7 @@ def _empty_split(task, d=4):
     if task == "classification":
         return data.classification_split([], np.zeros((0, d)),
                                          np.zeros((0, data.N_INTENTS)))
-    return data.summarization_split([], [], [])
+    return data.summarization_split([], [], [], data.N_SRC_VOCAB)
 
 
 def test_zero_init_loss_oracles():
@@ -36,7 +36,7 @@ def test_zero_init_loss_oracles():
 
 def _assert_same_split(got, want):
     assert got.task == want.task and len(got) == len(want)
-    for name in ("ids", "x", "y", "src", "src_len", "tgt", "tgt_len"):
+    for name in ("ids", "x", "y", "src", "src_len", "tgt", "tgt_len", "src_counts"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
@@ -64,7 +64,7 @@ def test_packed_subset_equals_packing_the_subset(task):
                     & (full.tgt_len[rows] < full.tgt_len.max())]
         subset = data.summarization_split(
             full.ids[rows], [full.src[i, :full.src_len[i]] for i in rows],
-            [full.tgt[i, :full.tgt_len[i]] for i in rows])
+            [full.tgt[i, :full.tgt_len[i]] for i in rows], data.N_SRC_VOCAB)
     sub = full.take(rows)
     _assert_same_split(sub, subset)
     if task == "summarization":
@@ -96,7 +96,7 @@ def test_seq_loss_uses_mean_over_positions_including_eos():
     # hand-checkable single sample: uniform logits except a bias on the gold ids
     model = learner.new_seq2seq(n_tgt=5, n_src=3, bos=3, eos=4)
     model.b[:] = 0.0
-    sample = data.summarization_split([0], [[0, 1]], [[2, 4]])
+    sample = data.summarization_split([0], [[0, 1]], [[2, 4]], 3)
     # zero params: -ln softmax = ln 5 at both positions (content and EOS)
     loss = learner.per_sample_losses(model, sample)[0]
     assert abs(loss - math.log(5.0)) < 1e-12
@@ -117,6 +117,19 @@ def test_sample_kind_mismatch():
         learner.train_epoch(seq, _cls_samples(1, 3), learner.TrainConfig(lr=0.1), 0)
     with pytest.raises(UsageError):    # an empty split still carries its task
         learner.predict(seq, _empty_split("classification"))
+
+
+def test_source_vocabulary_mismatch():
+    seq = learner.new_seq2seq(n_src=data.N_SRC_VOCAB - 1)
+    samples = _sum_samples(1, 3)
+    with pytest.raises(UsageError):
+        learner.per_sample_losses(seq, samples)
+    with pytest.raises(UsageError):
+        learner.train_epoch(seq, samples, learner.TrainConfig(lr=0.1), 0)
+    with pytest.raises(UsageError):
+        learner.predict(seq, samples)
+    with pytest.raises(UsageError):     # an empty split still carries its width
+        learner.predict(seq, _empty_split("summarization"))
 
 
 def test_empty_inputs():
@@ -255,7 +268,8 @@ def test_overfit_tiny_summarization_set_decodes_exactly():
     # owns 4i..4i+3) with distinct source bags to pin BOS -> first token.
     chosen = data.summarization_split(
         range(10), [[i, i] for i in range(10)],
-        [[4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3, data.EOS] for i in range(10)])
+        [[4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3, data.EOS] for i in range(10)],
+        data.N_SRC_VOCAB)
     model = learner.new_seq2seq()
     cfg = learner.TrainConfig(lr=16.0, batch_size=len(chosen))
     for epoch in range(300):

@@ -125,6 +125,90 @@ def test_bleu_matches_reference_on_random_corpora(rng):
             _bleu_reference(cands, refs), rel=1e-12)
 
 
+def _reference_bleu4(candidates, references):
+    """The Counter-based bleu4 the array code replaced, kept verbatim."""
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    refs = [tuple(int(t) for t in r) for r in references]
+    cands = [tuple(int(t) for t in c) for c in candidates]
+    c_len = sum(len(c) for c in cands)
+    r_len = sum(len(r) for r in refs)
+    if c_len == 0:
+        return 0.0
+
+    log_precisions = []
+    for n in range(1, 5):
+        matched = 0
+        total = 0
+        for ref, cand in zip(refs, cands):
+            cand_counts = ngrams(cand, n)
+            if not cand_counts:
+                continue
+            ref_counts = ngrams(ref, n)
+            total += sum(cand_counts.values())
+            matched += sum(min(cnt, ref_counts[g]) for g, cnt in cand_counts.items())
+        if matched == 0:
+            precision = (matched + 1) / (total + 1)
+        else:
+            precision = matched / total
+        log_precisions.append(0.25 * math.log(precision))
+
+    brevity = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
+    return brevity * math.exp(math.fsum(log_precisions))
+
+
+def _corpus(rng, n_pairs, vocab, max_len, p_copy=0.3, p_empty=0.1, p_repeat=0.1):
+    """Random pairs with exact copies, empty sides and one-token repeats."""
+    def sentence():
+        if rng.random() < p_empty:
+            return []
+        if rng.random() < p_repeat:         # repeated n-grams exercise clipping
+            return [int(rng.integers(0, vocab))] * int(rng.integers(2, max_len + 1))
+        return rng.integers(0, vocab, int(rng.integers(1, max_len + 1))).tolist()
+
+    refs = [sentence() for _ in range(n_pairs)]
+    cands = [list(r) if rng.random() < p_copy else sentence() for r in refs]
+    return cands, refs
+
+
+def _assert_exact_bleu(cands, refs):
+    got = metrics.bleu4(cands, refs)
+    assert got == _reference_bleu4(cands, refs), (cands, refs)
+    # numpy arrays, as decoded predictions and sliced targets arrive
+    assert metrics.bleu4([np.array(c, dtype=np.int64) for c in cands],
+                         [np.array(r, dtype=np.int64) for r in refs]) == got
+
+
+def test_bleu_equals_counter_reference_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        _assert_exact_bleu(*_corpus(rng, int(rng.integers(1, 12)),
+                                    int(rng.choice([2, 5, 42])), 12))
+    # token ids at and far beyond 2**16, over 100+ sentence pairs
+    for vocab in (2**16 + 3, 2**40, 2**62):
+        for _ in range(5):
+            cands, refs = _corpus(rng, 150, 8, 16)
+            offset = vocab - 8
+            _assert_exact_bleu([[t + offset for t in c] for c in cands],
+                               [[t + offset for t in r] for r in refs])
+        _assert_exact_bleu(*_corpus(rng, 120, vocab, 16))
+
+
+def test_bleu_exact_on_degenerate_corpora():
+    cases = [
+        ([[], [], []], [[1, 2], [3], []]),              # every candidate empty
+        ([[1, 2, 3], []], [[], []]),                    # every reference empty
+        ([[5], [6], [5]], [[5, 6, 7, 8], [6], [1]]),     # no bigram or longer
+        ([[1, 2], [3, 4, 5]], [[1, 2], [3, 4, 5]]),     # no 4-gram
+        ([[7] * 9], [[7] * 4]),                         # clipped at every order
+        ([[1, 2, 1, 2, 1, 2]], [[1, 2, 1, 2]]),
+        ([[0, 0, 0], [0, 0]], [[0, 0], [0, 0, 0, 0]]),   # same n-gram in two pairs
+    ]
+    for cands, refs in cases:
+        _assert_exact_bleu(cands, refs)
+
+
 def _reference_detection_report(dropped_ids, mask):
     """The id-set form of detection_report, kept as its reference."""
     universe = set(int(i) for i in mask.ids)

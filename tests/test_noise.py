@@ -103,7 +103,7 @@ def test_summary_noise_preserves_shape(sum_train):
                                            n_content=data.N_TGT_CONTENT)
     assert mask.corrupted.sum() == noise.corruption_count(0.25, 80) == 20
     assert mask.ids is sum_train.ids
-    for name in ("ids", "src", "src_len", "tgt_len"):        # only the targets are copied
+    for name in ("ids", "src", "src_len", "tgt_len", "src_counts"):   # only tgt is new
         assert getattr(out, name) is getattr(sum_train, name)
     assert out.tgt.shape == sum_train.tgt.shape              # lengths and pad preserved
     changed = 0
