@@ -95,12 +95,9 @@ def new_seq2seq(n_tgt=N_TGT_VOCAB, n_src=N_SRC_VOCAB, bos=BOS, eos=EOS,
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_task(model, split):

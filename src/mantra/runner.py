@@ -136,9 +136,10 @@ class RunReport:
         return dataclasses.asdict(self)
 
     def save_json(self, path):
+        # The fields hold only JSON values, so no deep copy is needed to dump them.
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(fields, sort_keys=True, indent=2) + "\n")
 
 
 def _load_dataset(config):

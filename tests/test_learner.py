@@ -213,6 +213,27 @@ def test_full_batch_small_step_never_increases_loss():
         assert learner.per_sample_losses(model, seq_samples).mean() <= before + 1e-12
 
 
+def _masked_sigmoid(z):
+    """The boolean-mask form _sigmoid replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_equals_masked_branch_reference(rng):
+    edges = np.array([[0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -745.2]])
+    inputs = [edges, rng.normal(0.0, 3.0, (700, 7)), rng.normal(0.0, 30.0, (32, 7)),
+              rng.uniform(-800.0, 800.0, (5, 9))]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for z in inputs:
+            got, want = learner._sigmoid(z), _masked_sigmoid(z)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_predict_threshold_is_strict():
     model = learner.new_classifier(4)     # zero weights: p = 0.5 exactly
     preds = learner.predict(model, _cls_samples(2, 5, d=4))

@@ -43,6 +43,22 @@ def test_config_validation():
             ExperimentConfig(**kwargs)
 
 
+def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
+    report = run_experiment(tiny_cls_config(n_train=200), out_dir=tmp_path)
+    assert report.drop_events and report.gmm_trace
+    want = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "results.json").read_bytes() == want.encode("utf-8")
+
+    # as_dict() is a deep copy: changing it leaves the report alone
+    out = report.as_dict()
+    out["config"]["seed"] = -1
+    out["gmm_trace"][0]["k"] = -1
+    out["drop_events"].clear()
+    out["dropped_per_epoch"][1] = -1
+    out["detection"].clear()
+    assert json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n" == want
+
+
 def test_run_report_bookkeeping(tiny_cls_config):
     report = run_experiment(tiny_cls_config(n_train=200))   # drops 16 at epoch 3
     cfg = report.config
