@@ -10,19 +10,11 @@ Model order is chosen by the Bayesian information criterion
 (K weights minus the simplex constraint, K means, K variances); the lowest
 BIC wins and ties break toward fewer components.
 
-All candidate orders run in one EM loop (`_em`), so each pass pays numpy's
-per-call overhead once for every order instead of once per order: at a few
-hundred observations and K <= 3 that overhead, not arithmetic, is the cost.
-The F live fits share a flat (F*C, n) buffer, C the largest order, and fit
-f owns rows f*C .. f*C+C-1.  A fit of order K < C pads its block with
-components whose log-weight is -inf, so their responsibility is exactly 0
-and the per-fit max and sum over an (F, C, n) view add the same rows in the
-same order as a lone (K, n) fit.  A fit that converges is copied out and
-its rows are removed, so the others keep their own iteration count,
-tolerance check and final scoring.  The weighted sum of observations is
-one (K, n) @ (n,) product per fit, never one product over the padded
-block: BLAS rounds a product of 4 or more rows, or a padded 1-row one,
-differently, and every fit is bit-identical to fitting its order alone.
+At a few hundred observations and K <= 3 an EM pass costs little
+arithmetic, so numpy's per-call overhead is a large share of it.  The loop
+calls the ufunc reductions directly instead of through the ndarray methods'
+Python wrappers, and it skips the starved-component guards in any pass
+where every component keeps responsibility; both give the same bits.
 """
 
 import math
@@ -51,110 +43,49 @@ class GmmModel:
         return self.weights.shape[0]
 
 
-def _e_step(sq, weights, variances, pad, resp):
-    """Turn squared deviations sq (F*C, n) from each mean into responsibilities,
-    written to resp (which may be sq); return each fit's log-likelihood (F,).
-
-    Rows f*C .. f*C+C-1 belong to fit f; components flagged in pad (F, C)
-    get a log-weight of -inf and so a responsibility of exactly 0.
-    """
+def _e_step(sq, weights, variances, resp):
+    """Turn squared deviations sq (K, n) from each mean into responsibilities,
+    written to resp (which may be sq); return the data log-likelihood."""
     np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
-    term = np.log(np.maximum(weights, 1e-300)) - 0.5 * np.log(2.0 * np.pi * variances)
-    term.reshape(pad.shape)[pad] = -np.inf
-    resp += term[:, None]
-    fits = resp.reshape(*pad.shape, resp.shape[1])
-    mx = fits.max(axis=1)
-    fits -= mx[:, None, :]
+    resp += (np.log(np.maximum(weights, 1e-300))
+             - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
+    mx = np.maximum.reduce(resp, axis=0)
+    resp -= mx
     np.exp(resp, out=resp)
-    s = fits.sum(axis=1)
-    fits /= s[:, None, :]
-    return mx.sum(axis=1) + np.log(s).sum(axis=1)
+    s = np.add.reduce(resp, axis=0)
+    resp /= s
+    return float(np.add.reduce(mx) + np.add.reduce(np.log(s, out=s)))
 
 
-def _em(obs, starts, max_iter, tol):
-    """Run EM from every (weights, means, variances) start in one loop.
-
-    Returns one (weights, means, variances, ll, n_iter, converged, history)
-    tuple per start.  A fit leaves the loop when it converges; the others
-    go on with the arithmetic they would see alone.
-    """
-    orders = [w.shape[0] for w, _, _ in starts]
-    c = max(orders)
-    weights = np.zeros(len(starts) * c)
-    means = np.zeros(len(starts) * c)
-    variances = np.ones(len(starts) * c)
-    for f, (w, m, v) in enumerate(starts):
-        rows = slice(f * c, f * c + orders[f])
-        weights[rows], means[rows], variances[rows] = w, m, v
-    pad = np.arange(c)[None, :] >= np.asarray(orders)[:, None]      # (F, C)
+def _em(obs, weights, means, variances, max_iter, tol):
     sq = (obs - means[:, None]) ** 2
     resp = np.empty_like(sq)
-    prod = np.zeros(len(starts) * c)     # padded rows stay 0
-    live = list(range(len(starts)))      # the fit each row block belongs to
-    histories = [[] for _ in starts]
-    results = [None] * len(starts)
-
-    def finish(i, f, converged):
-        rows = slice(i * c, i * c + orders[f])
-        history = histories[f]
-        results[f] = (weights[rows], means[rows], variances[rows], history[-1],
-                      len(history) - 1, converged)
-
+    history = []
+    converged = False
     for _ in range(max_iter):
-        lls = _e_step(sq, weights, variances, pad, resp).tolist()
-        done = []
-        for i, f in enumerate(live):
-            history = histories[f]
-            history.append(lls[i])
-            if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
-                finish(i, f, True)
-                done.append(i)
-        if done:
-            keep = [i for i in range(len(live)) if i not in done]
-            if not keep:
-                break
-            rows = (np.asarray(keep)[:, None] * c + np.arange(c)).ravel()
-            weights, means, variances = weights[rows], means[rows], variances[rows]
-            sq, resp, prod, pad = sq[rows], resp[rows], prod[rows], pad[keep]
-            live = [live[i] for i in keep]
-        totals = resp.sum(axis=1)
+        history.append(_e_step(sq, weights, variances, resp))
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+            converged = True
+            break
+        totals = np.add.reduce(resp, axis=1)
+        weights = totals / obs.shape[0]
+        if np.minimum.reduce(totals) > 1e-12:
+            # No starved component: the guarded update below reduces to this.
+            means = (resp @ obs) / totals
+            np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
+            variances = np.maximum(np.einsum("kn,kn->k", resp, sq) / totals, VAR_FLOOR)
+            continue
         # A starved component keeps its parameters; its weight decays to ~0.
         safe = totals > 1e-12
         denom = np.maximum(totals, 1e-12)   # quotients of starved ones are unused
-        weights = totals / obs.shape[0]
-        # One (k, n) product per fit: a product over padded rows rounds differently.
-        for i, f in enumerate(live):
-            rows = slice(i * c, i * c + orders[f])
-            np.matmul(resp[rows], obs, out=prod[rows])
-        means = np.where(safe, prod / denom, means)
+        means = np.where(safe, (resp @ obs) / denom, means)
         np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
         spread = np.einsum("kn,kn->k", resp, sq)
         variances = np.maximum(np.where(safe, spread / denom, variances), VAR_FLOOR)
     else:
         # Ran out of iterations right after an M-step; score the final state.
-        lls = _e_step(sq, weights, variances, pad, resp).tolist()
-        for i, f in enumerate(live):
-            histories[f].append(lls[i])
-            finish(i, f, False)
-    return [result + (history,) for result, history in zip(results, histories)]
-
-
-def _fit(obs, orders, max_iter, tol):
-    """Fit one mixture per order to obs; components come back sorted by mean."""
-    if not np.all(np.isfinite(obs)):
-        raise FitError("observations must be finite")
-    spread = float(obs.var())
-    starts = [(np.full(k, 1.0 / k), np.quantile(obs, (np.arange(k) + 0.5) / k),
-               np.full(k, max(spread, VAR_FLOOR))) for k in orders]
-    models = []
-    for weights, means, variances, ll, n_iter, converged, history in _em(
-            obs, starts, max_iter, tol):
-        order = np.argsort(means, kind="stable")
-        models.append(GmmModel(
-            weights=weights[order], means=means[order], variances=variances[order],
-            log_likelihood=ll, n_iter=n_iter, converged=converged,
-            degenerate=bool(spread == 0.0 and order.shape[0] > 1), ll_trace=history))
-    return models
+        history.append(_e_step(sq, weights, variances, resp))
+    return weights, means, variances, history[-1], len(history) - 1, converged, history
 
 
 def fit_em(obs, k, max_iter=200, tol=1e-6):
@@ -167,7 +98,20 @@ def fit_em(obs, k, max_iter=200, tol=1e-6):
         raise UsageError(f"component count must be >= 1, got {k}")
     if obs.shape[0] < k:
         raise FitError(f"cannot fit {k} components to {obs.shape[0]} observations")
-    return _fit(obs, [k], max_iter, tol)[0]
+    if not np.all(np.isfinite(obs)):
+        raise FitError("observations must be finite")
+
+    spread = float(obs.var())
+    degenerate = bool(spread == 0.0 and k > 1)
+    weights, means, variances, ll, n_iter, converged, history = _em(
+        obs, np.full(k, 1.0 / k), np.quantile(obs, (np.arange(k) + 0.5) / k),
+        np.full(k, max(spread, VAR_FLOOR)), max_iter, tol)
+
+    order = np.argsort(means, kind="stable")
+    return GmmModel(weights=weights[order], means=means[order],
+                    variances=variances[order], log_likelihood=ll,
+                    n_iter=n_iter, converged=converged, degenerate=degenerate,
+                    ll_trace=history)
 
 
 def bic_value(log_likelihood, k, n):
@@ -178,8 +122,7 @@ def bic_value(log_likelihood, k, n):
 
 
 def select_model(obs, k_max=3, max_iter=200, tol=1e-6):
-    """Fit K = 1..k_max in one EM loop and keep the lowest-BIC model (ties
-    favor fewer).
+    """Fit K = 1..k_max and keep the lowest-BIC model (ties favor fewer).
 
     Returns (model, trace) where trace lists one dict per candidate K with
     its log-likelihood, BIC, EM iteration count and convergence flags.
@@ -193,10 +136,13 @@ def select_model(obs, k_max=3, max_iter=200, tol=1e-6):
     best_model = None
     best_bic = math.inf
     trace = []
-    for model in _fit(obs, range(1, min(k_max, obs.shape[0]) + 1), max_iter, tol):
-        score = bic_value(model.log_likelihood, model.k, obs.shape[0])
+    for k in range(1, k_max + 1):
+        if obs.shape[0] < k:
+            break
+        model = fit_em(obs, k, max_iter=max_iter, tol=tol)
+        score = bic_value(model.log_likelihood, k, obs.shape[0])
         trace.append({
-            "k": model.k,
+            "k": k,
             "log_likelihood": model.log_likelihood,
             "bic": score,
             "n_iter": model.n_iter,
@@ -218,5 +164,5 @@ def posteriors(model, x):
     """Responsibility of each component for each point, shape (n, K)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     resp = (x - model.means[:, None]) ** 2
-    _e_step(resp, model.weights, model.variances, np.zeros((1, model.k), bool), resp)
+    _e_step(resp, model.weights, model.variances, resp)
     return resp.T

@@ -97,7 +97,8 @@ def new_seq2seq(n_tgt=N_TGT_VOCAB, n_src=N_SRC_VOCAB, bos=BOS, eos=EOS,
 def _sigmoid(z):
     # exp(-|z|) never overflows; each branch is the stable form for its sign
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _check_task(model, split):
@@ -123,7 +124,7 @@ def _classifier_grads(model, x, y):
     p = _sigmoid(x @ model.w.T + model.b)
     g = (p - y) / y.shape[1]
     dw = g.T @ x / x.shape[0]
-    db = g.mean(axis=0)
+    db = np.add.reduce(g, axis=0) / g.shape[0]   # g.mean(axis=0) without its wrapper
     return dw, db
 
 

@@ -109,10 +109,10 @@ class TrajectoryStore:
                 ])
 
     def save_histogram_csv(self, path, epoch, bins=30):
+        # One string from .tolist() columns, as in save_csv.
         edges, density = self.loss_histogram(epoch, bins=bins)
+        edges = edges.tolist()
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "density"])
-            for i in range(density.shape[0]):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                                 repr(float(density[i]))])
+            fh.write("bin_left,bin_right,density\r\n" + "".join([
+                f"{left!r},{right!r},{d!r}\r\n"
+                for left, right, d in zip(edges, edges[1:], density.tolist())]))

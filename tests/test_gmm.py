@@ -142,43 +142,7 @@ def test_posteriors_are_responsibilities():
     assert gmm.posteriors(model, np.array([2.0]))[0, 1] > 0.99
 
 
-# -- oracles: the single-order EM loops the stacked one replaced -------------
-
-def _kmajor_e_step(sq, weights, variances, resp):
-    np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
-    resp += (np.log(np.maximum(weights, 1e-300))
-             - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
-    mx = resp.max(axis=0)
-    resp -= mx
-    np.exp(resp, out=resp)
-    s = resp.sum(axis=0)
-    resp /= s
-    return float(mx.sum() + np.log(s).sum())
-
-
-def _kmajor_em(obs, weights, means, variances, max_iter, tol):
-    """One order at a time on a (K, n) layout, the loop before stacking."""
-    sq = (obs - means[:, None]) ** 2
-    resp = np.empty_like(sq)
-    history = []
-    converged = False
-    for _ in range(max_iter):
-        history.append(_kmajor_e_step(sq, weights, variances, resp))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
-            converged = True
-            break
-        totals = resp.sum(axis=1)
-        safe = totals > 1e-12
-        denom = np.maximum(totals, 1e-12)
-        weights = totals / obs.shape[0]
-        means = np.where(safe, (resp @ obs) / denom, means)
-        np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
-        spread = np.einsum("kn,kn->k", resp, sq)
-        variances = np.maximum(np.where(safe, spread / denom, variances), gmm.VAR_FLOOR)
-    else:
-        history.append(_kmajor_e_step(sq, weights, variances, resp))
-    return weights, means, variances, history[-1], len(history) - 1, converged, history
-
+# -- oracle: the row-major EM loop the K-major one replaced ------------------
 
 def _reference_rows(obs, weights, means, variances):
     """Per-point log-likelihoods and the (n, K) log(weight * density) matrix."""
@@ -216,45 +180,55 @@ def _reference_em(obs, weights, means, variances, max_iter, tol):
     return weights, means, variances, history[-1], len(history) - 1, converged, history
 
 
-def _start(obs, k):
-    spread = max(float(obs.var()), gmm.VAR_FLOOR)
-    return (np.full(k, 1.0 / k), np.quantile(obs, (np.arange(k) + 0.5) / k),
-            np.full(k, spread))
+# -- oracle: the K-major loop as it was before its per-call overhead was cut --
+
+def _kmajor_e_step(sq, weights, variances, resp):
+    np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
+    resp += (np.log(np.maximum(weights, 1e-300))
+             - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
+    mx = resp.max(axis=0)
+    resp -= mx
+    np.exp(resp, out=resp)
+    s = resp.sum(axis=0)
+    resp /= s
+    return float(mx.sum() + np.log(s).sum())
 
 
-def _fit_with(em, obs, k, max_iter=200, tol=1e-6):
-    """fit_em as it was before stacking, running the single-order loop em."""
-    obs = np.asarray(obs, dtype=np.float64).ravel()
-    weights, means, variances, ll, n_iter, converged, history = em(
-        obs, *_start(obs, k), max_iter, tol)
-    order = np.argsort(means, kind="stable")
-    return gmm.GmmModel(weights=weights[order], means=means[order],
-                        variances=variances[order], log_likelihood=ll,
-                        n_iter=n_iter, converged=converged,
-                        degenerate=bool(obs.var() == 0.0 and k > 1), ll_trace=history)
+def _kmajor_em(obs, weights, means, variances, max_iter, tol):
+    """ndarray-method reductions and the starved-component guards every pass."""
+    sq = (obs - means[:, None]) ** 2
+    resp = np.empty_like(sq)
+    history = []
+    converged = False
+    for _ in range(max_iter):
+        history.append(_kmajor_e_step(sq, weights, variances, resp))
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+            converged = True
+            break
+        totals = resp.sum(axis=1)
+        safe = totals > 1e-12
+        denom = np.maximum(totals, 1e-12)
+        weights = totals / obs.shape[0]
+        means = np.where(safe, (resp @ obs) / denom, means)
+        np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
+        spread = np.einsum("kn,kn->k", resp, sq)
+        variances = np.maximum(np.where(safe, spread / denom, variances), gmm.VAR_FLOOR)
+    else:
+        history.append(_kmajor_e_step(sq, weights, variances, resp))
+    return weights, means, variances, history[-1], len(history) - 1, converged, history
 
 
-def _select_from(models, n):
-    """select_model's (model, trace) over the fits of K = 1, 2, ..."""
-    trace = [{"k": m.k, "log_likelihood": m.log_likelihood,
-              "bic": gmm.bic_value(m.log_likelihood, m.k, n),
-              "n_iter": m.n_iter, "converged": m.converged, "degenerate": m.degenerate,
-              "weights": m.weights.tolist(), "means": m.means.tolist(),
-              "variances": m.variances.tolist()} for m in models]
-    best = min(range(len(trace)), key=lambda i: trace[i]["bic"])   # first of ties
-    for i, row in enumerate(trace):
-        row["selected"] = i == best
-    return models[best], trace
+_RAISE = dict(divide="raise", over="raise", invalid="raise")
 
 
-def _select_with(em, obs, k_max=3, max_iter=200, tol=1e-6):
-    """select_model as it was before stacking: one fit per K, in order."""
-    models = [_fit_with(em, obs, k, max_iter, tol)
-              for k in range(1, min(k_max, obs.shape[0]) + 1)]
-    return _select_from(models, obs.shape[0])
+def _with_em(monkeypatch, em, fn, *args):
+    """fn(*args) with gmm._em replaced by em."""
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "_em", em)
+        return fn(*args)
 
 
-def _assert_same_model(model, ref):
+def _assert_same_fit(model, ref):
     for name in ("weights", "means", "variances"):
         assert getattr(model, name).tolist() == getattr(ref, name).tolist(), name
     assert model.ll_trace == ref.ll_trace
@@ -262,90 +236,59 @@ def _assert_same_model(model, ref):
         (ref.log_likelihood, ref.n_iter, ref.converged, ref.degenerate)
 
 
-@pytest.fixture
-def fits_seen(monkeypatch):
-    """Every model list gmm._fit hands back, so each order's ll_trace is checked."""
-    seen = []
-    fit = gmm._fit
-
-    def recording(*args):
-        seen.append(fit(*args))
-        return seen[-1]
-    monkeypatch.setattr(gmm, "_fit", recording)
-    return seen
-
-
-def _assert_stacked_equals_kmajor(seen, obs, k_max, ref_models):
-    """select_model's trace and every order's fit equal the K-major loop's."""
-    seen.clear()
-    model, trace = gmm.select_model(obs, k_max=k_max)
-    refs = ref_models[:k_max]
-    ref_model, ref_trace = _select_from(refs, obs.shape[0])
+def _assert_select_equals_kmajor(monkeypatch, obs, k_max):
+    model, trace = gmm.select_model(obs, k_max)
+    ref_model, ref_trace = _with_em(monkeypatch, _kmajor_em, gmm.select_model, obs, k_max)
     assert trace == ref_trace
-    _assert_same_model(model, ref_model)
-    (models,) = seen
-    assert len(models) == len(refs)
-    for fit, ref in zip(models, refs):
-        _assert_same_model(fit, ref)
+    _assert_same_fit(model, ref_model)
     return trace
 
 
-_RAISE = dict(divide="raise", over="raise", invalid="raise")
-
-
-def _kmajor_fits(obs, k_max=5):
-    return [_fit_with(_kmajor_em, obs, k) for k in range(1, min(k_max, obs.shape[0]) + 1)]
-
-
-def test_stacked_em_equals_kmajor_loop(fits_seen):
+def test_em_equals_kmajor_loop(monkeypatch):
     from test_acceptance import _seeded_em_input
     with np.errstate(**_RAISE):
         for i in range(100):
             obs = _seeded_em_input(i)
-            refs = _kmajor_fits(obs)
-            for k_max in range(1, 6):
-                _assert_stacked_equals_kmajor(fits_seen, obs, k_max, refs)
-            for k in range(1, 5):
-                _assert_same_model(gmm.fit_em(obs, k), refs[k - 1])
+            # every order is fit on its own, so k_max only decides which run
+            _assert_select_equals_kmajor(monkeypatch, obs, 5)
+            for k in range(1, 6):
+                _assert_same_fit(gmm.fit_em(obs, k),
+                                 _with_em(monkeypatch, _kmajor_em, gmm.fit_em, obs, k))
 
 
-def test_stacked_em_edge_cases(fits_seen):
-    from test_acceptance import _seeded_em_input
-
-    def check(obs, k_max):
-        return _assert_stacked_equals_kmajor(fits_seen, obs, k_max, _kmajor_fits(obs))
+def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
     with np.errstate(**_RAISE):
         # all observations identical: every order past K=1 is degenerate
-        trace = check(np.full(40, 0.7), 5)
+        trace = _assert_select_equals_kmajor(monkeypatch, np.full(40, 0.7), 5)
         assert [row["degenerate"] for row in trace] == [False, True, True, True, True]
         # fewer observations than k_max: only K <= n is fit
         for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0])):
-            trace = check(obs, 5)
+            trace = _assert_select_equals_kmajor(monkeypatch, obs, 5)
             assert [row["k"] for row in trace] == list(range(1, obs.shape[0] + 1))
-        # K=1 and K=2 converge and leave the loop while K=3 runs to max_iter
-        trace = check(_seeded_em_input(5), 3)
-        assert [(row["n_iter"], row["converged"]) for row in trace] == \
-            [(2, True), (6, True), (200, False)]
-        # K=3 leaves before K=2, so a block below the last live one goes first
-        trace = check(_seeded_em_input(3), 3)
-        assert [row["n_iter"] for row in trace] == [2, 125, 64]
-        # a point ~1000 sd from both components of the padded K=2 fit: a
-        # finite padded log-weight (log 1e-300) would outweigh its density
-        obs = np.append(np.random.default_rng(9).normal(0.0, 1e-3, 100), 1.0)
-        tight = (np.array([0.5, 0.5]), np.array([-1e-3, 1e-3]), np.full(2, gmm.VAR_FLOOR))
-        wide = (np.full(3, 1 / 3), np.array([-1e-3, 0.0, 1.0]), np.full(3, 0.1))
-        for got, start in zip(gmm._em(obs, [tight, wide], 200, 1e-6), (tight, wide)):
-            want = _kmajor_em(obs, *start, 200, 1e-6)
-            for a, b in zip(got, want):
-                assert np.asarray(a).tolist() == np.asarray(b).tolist()
+        # a starved component takes the guarded M-step in every pass, beside
+        # two live ones whose sums run over 700 points
+        rng = np.random.default_rng(4)
+        obs = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(3.0, 0.5, 200)])
+        start = (np.full(3, 1 / 3), np.array([0.0, 3.0, 60.0]), np.ones(3))
+        for got, want in zip(gmm._em(obs, *start, 200, 1e-6),
+                             _kmajor_em(obs, *start, 200, 1e-6)):
+            assert np.asarray(got).tolist() == np.asarray(want).tolist()
 
 
-def test_em_matches_row_major_reference():
+def _select_both(monkeypatch, obs):
+    """select_model with the K-major loop, then with the reference loop."""
+    new = gmm.select_model(obs, k_max=3)
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "_em", _reference_em)
+        ref = gmm.select_model(obs, k_max=3)
+    return new, ref
+
+
+def test_em_matches_row_major_reference(monkeypatch):
     from test_acceptance import _seeded_em_input
     for i in range(100):
         obs = _seeded_em_input(i)
-        model, trace = gmm.select_model(obs, k_max=3)
-        ref_model, ref_trace = _select_with(_reference_em, obs, k_max=3)
+        (model, trace), (ref_model, ref_trace) = _select_both(monkeypatch, obs)
         assert [row["k"] for row in trace] == [row["k"] for row in ref_trace] == [1, 2, 3]
         for row, ref in zip(trace, ref_trace):
             assert row["n_iter"] == ref["n_iter"], (i, row["k"])
@@ -363,8 +306,8 @@ def test_starved_component_keeps_its_parameters():
     start = (np.array([0.5, 0.5]), np.array([0.0, 50.0]), np.array([1.0, 1.0]))
     # the far component gets exactly zero responsibility from the first E-step
     with np.errstate(divide="raise", invalid="raise"):
-        (weights, means, variances, ll, n_iter, converged, _), = gmm._em(
-            obs, [start], max_iter=200, tol=1e-6)
+        weights, means, variances, ll, n_iter, converged, _ = gmm._em(
+            obs, *start, max_iter=200, tol=1e-6)
     assert means[1] == 50.0 and variances[1] == 1.0
     assert weights[1] <= 1e-12
     assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
@@ -375,12 +318,14 @@ def test_starved_component_keeps_its_parameters():
     np.testing.assert_allclose(variances, ref[2], rtol=1e-9)
 
 
-def test_variances_survive_a_large_offset():
+def test_variances_survive_a_large_offset(monkeypatch):
     # spread ~1e-2 around 1e4: E[x^2] - mu^2 would keep only about 4 digits here
     rng = np.random.default_rng(6)
     obs = 1e4 + np.concatenate([rng.normal(0.0, 1e-2, 300), rng.normal(0.06, 1e-2, 200)])
     for k in (1, 2):
         model = gmm.fit_em(obs, k)
-        ref = _fit_with(_reference_em, obs, k)
+        with monkeypatch.context() as m:
+            m.setattr(gmm, "_em", _reference_em)
+            ref = gmm.fit_em(obs, k)
         assert model.converged and model.n_iter == ref.n_iter
         np.testing.assert_allclose(model.variances, ref.variances, rtol=1e-9)

@@ -234,6 +234,17 @@ def test_sigmoid_bit_equals_masked_branch_reference(rng):
             assert got.tobytes() == want.tobytes()
 
 
+def test_classifier_grads_bias_is_the_batch_mean(rng):
+    model = learner.new_classifier(7)
+    model.w[:] = rng.normal(0.0, 1.0, model.w.shape)
+    for n in (1, 32, 700):
+        x = rng.normal(0.0, 1.0, (n, 7))
+        y = (rng.random((n, model.w.shape[0])) < 0.3).astype(np.float64)
+        _, db = learner._classifier_grads(model, x, y)
+        g = (learner._sigmoid(x @ model.w.T + model.b) - y) / y.shape[1]
+        assert db.tobytes() == g.mean(axis=0).tobytes()
+
+
 def test_predict_threshold_is_strict():
     model = learner.new_classifier(4)     # zero weights: p = 0.5 exactly
     preds = learner.predict(model, _cls_samples(2, 5, d=4))

@@ -136,6 +136,20 @@ def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
     assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
 
 
+def test_histogram_csv_matches_csv_writer_reference(tmp_path):
+    # exponent-form edges, a single-valued epoch, and bins past the sample count
+    store = TrajectoryStore()
+    store.record_epoch(1, [1, 2, 3, 4], [1e-07, 2.5e-06, 0.1 + 0.2, 3e-05], [False] * 4)
+    store.record_epoch(2, [1, 2], [0.7, 0.7], [False, True])
+    for epoch, bins in ((1, 3), (1, 30), (2, 4)):
+        store.save_histogram_csv(tmp_path / "fast.csv", epoch, bins=bins)
+        edges, density = store.loss_histogram(epoch, bins=bins)
+        want = [[repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(density[i]))]
+                for i in range(bins)]
+        assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "ref.csv", ["bin_left", "bin_right", "density"], want)
+
+
 def test_noise_mask_csv_matches_csv_writer_reference(tmp_path):
     mask = NoiseMask(ids=np.array([4, 0, 9, 2], dtype=np.int64),
                      corrupted=np.array([True, False, False, True]))
