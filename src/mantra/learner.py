@@ -162,7 +162,8 @@ def predict(model, samples):
     return [out[i, :out_len[i]].copy() for i in range(len(samples))]
 
 
-def _param_arrays(model):
+def param_arrays(model):
+    """The model's parameter arrays, in a fixed order; training updates them in place."""
     if isinstance(model, ClassifierModel):
         return [model.w, model.b]
     return [model.u, model.v, model.b]
@@ -188,7 +189,7 @@ def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4)
     _check_task(model, samples)
     if not samples:
         raise UsageError("gradient_check needs at least one sample")
-    arrays = _param_arrays(model)
+    arrays = param_arrays(model)
     sizes = [a.size for a in arrays]
     total = sum(sizes)
     n_checked = min(n_params, total)

@@ -76,7 +76,7 @@ def test_packed_subset_equals_packing_the_subset(task):
     cfg = learner.TrainConfig(lr=0.5, batch_size=8, shuffle_seed=2)
     learner.train_epoch(model_a, sub, cfg, 3)
     learner.train_epoch(model_b, subset, cfg, 3)
-    for a, b in zip(learner._param_arrays(model_a), learner._param_arrays(model_b)):
+    for a, b in zip(learner.param_arrays(model_a), learner.param_arrays(model_b)):
         np.testing.assert_array_equal(a, b)
 
 

@@ -144,21 +144,26 @@ def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, confi
     assert report.detection["tp"] == sum(e["was_noisy"] for e in report.drop_events)
 
 
+def _artifacts(run_dir):
+    """File name -> bytes of a run directory; results.json without runtime_sec."""
+    out = {}
+    for path in run_dir.iterdir():
+        out[path.name] = path.read_bytes()
+        if path.name == "results.json":
+            doc = json.loads(out[path.name])
+            doc.pop("runtime_sec")
+            out[path.name] = json.dumps(doc, sort_keys=True).encode()
+    return out
+
+
+def _without_runtime(report):
+    return {k: v for k, v in report.as_dict().items() if k != "runtime_sec"}
+
+
 def test_rerun_is_byte_identical_except_runtime(tmp_path, tiny_cls_config):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    run_experiment(tiny_cls_config(), out_dir=str(out_a))
-    run_experiment(tiny_cls_config(), out_dir=str(out_b))
-    names = sorted(p.name for p in out_a.iterdir())
-    assert names == sorted(p.name for p in out_b.iterdir())
-    for name in names:
-        if name == "results.json":
-            da = json.loads((out_a / name).read_text())
-            db = json.loads((out_b / name).read_text())
-            da.pop("runtime_sec"), db.pop("runtime_sec")
-            assert da == db
-        else:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "a"))
+    run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "b"))
+    assert _artifacts(tmp_path / "a") == _artifacts(tmp_path / "b")
 
 
 def test_artifact_set(tmp_path, tiny_cls_config):
@@ -278,6 +283,9 @@ def test_compare_runs_with_clean_references(tiny_cls_config):
     assert shared["mantra_degradation"] == pytest.approx(
         clean_base.test_metric - treat.test_metric)
     assert compare_runs(base, treat, clean_b=clean_base) == shared
+    # a RunReport is read like its as_dict() form
+    assert compare_runs(base.as_dict(), treat.as_dict(), clean_base.as_dict(),
+                        clean_treat) == out
 
 
 def test_compare_runs_rejects_mismatched_clean_references(tiny_cls_config,
@@ -335,3 +343,55 @@ def test_run_grid(tmp_path, tiny_cls_config):
     for d in out.iterdir():
         if d.is_dir():
             assert (d / "results.json").exists()
+
+
+@pytest.mark.parametrize("task, overrides, first_drop", [
+    ("cls", dict(noise_rate=0.0), None),        # never drops: the whole run is replayed
+    ("cls", dict(n_train=200, epochs=6), 3),    # takes effect two epochs before the last
+    ("sum", dict(n_train=80, epochs=6), 4),
+])
+def test_grid_arms_equal_their_standalone_runs(tmp_path, monkeypatch, tiny_cls_config,
+                                               tiny_sum_config, task, overrides,
+                                               first_drop):
+    cfg = (tiny_cls_config if task == "cls" else tiny_sum_config)(**overrides)
+    trained = []
+    train_epoch = runner.learner.train_epoch
+
+    def counting(model, samples, config, epoch):
+        trained.append(epoch)
+        return train_epoch(model, samples, config, epoch)
+
+    monkeypatch.setattr(runner.learner, "train_epoch", counting)
+    reports = run_grid(cfg, [cfg.noise_rate], [cfg.seed], out_dir=str(tmp_path / "grid"))
+    drops = [e for e, n in reports[1].dropped_per_epoch.items() if n]
+    assert min(drops, default=None) == first_drop
+    # the treated arm trains only once its first drop has taken effect
+    epochs = list(range(1, cfg.epochs + 1))
+    assert trained == epochs + (epochs[first_drop:] if first_drop else [])
+
+    for report, arm in zip(reports, ("baseline", "mantra")):
+        alone = run_experiment(ExperimentConfig(**report.config),
+                               out_dir=str(tmp_path / arm))
+        assert _without_runtime(report) == _without_runtime(alone)
+        grid_dir = tmp_path / "grid" / f"{cfg.task}_r{cfg.noise_rate:g}_s{cfg.seed}_{arm}"
+        assert _artifacts(grid_dir) == _artifacts(tmp_path / arm)
+
+
+def test_grid_clears_the_pair_slot(monkeypatch, tiny_cls_config):
+    cfg = tiny_cls_config(n_train=200, epochs=6)
+    treated = ExperimentConfig(**{**cfg.as_dict(), "seed": 4})
+    fresh = _without_runtime(run_experiment(treated))
+
+    run_grid(cfg, [0.15], [3, 4])
+    assert runner._pair_prefix is None
+    assert _without_runtime(run_experiment(treated)) == fresh
+
+    def failing(*args):
+        raise RuntimeError("evaluate_epoch failed")
+
+    monkeypatch.setattr(runner.scheduler, "evaluate_epoch", failing)
+    with pytest.raises(RuntimeError, match="evaluate_epoch failed"):
+        run_grid(cfg, [0.15], [3, 4])     # the first treated arm raises
+    assert runner._pair_prefix is None
+    monkeypatch.undo()
+    assert _without_runtime(run_experiment(treated)) == fresh
