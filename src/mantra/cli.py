@@ -3,14 +3,19 @@
 Exit status: 0 on success, 2 for configuration problems (bad flags or an
 inconsistent experiment setup), 1 for runtime failures (unreadable files,
 failed fits).  MANTRA_OUT, when set, overrides any --out flag.
+
+Every run setting, with its default and its checks, is declared once, in
+runner.ExperimentConfig: `run` and `grid` pass on only the flags given, each
+under its field's name, and choice lists come from the modules that own them.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from . import runner
+from . import noise, runner, scheduler
 from .errors import ConfigError, MantraError, UsageError
 
 
@@ -31,63 +36,56 @@ def _parse_ints(text):
 def _add_common_options(p):
     p.add_argument("--task", required=True, choices=sorted(runner.TASK_ALIASES),
                    help="task kind (cls/classification or sum/summarization)")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=None,
+    p.add_argument("--epochs", type=int)
+    warmups = runner.DEFAULT_WARMUP
+    p.add_argument("--warmup", type=int,
                    help="untouched epochs before dropping may start "
-                        "(default: 5 classification, 3 summarization)")
-    p.add_argument("--tau", type=float, default=0.7,
+                        f"(default: {warmups['classification']} classification, "
+                        f"{warmups['summarization']} summarization)")
+    p.add_argument("--tau", type=float,
                    help="posterior threshold for flagging a sample")
-    p.add_argument("--persistence", type=int, default=2,
+    p.add_argument("--persistence", type=int,
                    help="consecutive flagged epochs required before a drop")
-    p.add_argument("--max-drop-frac", type=float, default=0.3,
+    p.add_argument("--max-drop-frac", type=float,
                    help="cap on the dropped fraction of the train split")
-    p.add_argument("--kmax", type=int, default=3,
+    p.add_argument("--kmax", type=int, dest="k_max", metavar="KMAX",
                    help="largest mixture order offered to BIC selection")
-    p.add_argument("--transform", choices=("identity", "log1p"), default="log1p",
+    p.add_argument("--transform", choices=sorted(scheduler.TRANSFORMS),
                    help="loss transform fed to the mixture fit")
-    p.add_argument("--window", type=int, default=1,
+    p.add_argument("--window", type=int,
                    help="trailing epochs averaged into the mixture feature")
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--lr", type=float,
                    help="learning rate (default: the task's desk rate)")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--init-scale", type=float, default=0.0,
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--init-scale", type=float,
                    help="stddev of the seeded parameter init (0 = zeros)")
-    p.add_argument("--noise-mode", choices=("replace-set", "flip-one"),
-                   default="replace-set",
+    p.add_argument("--noise-mode", choices=noise.LABEL_NOISE_MODES,
                    help="classification corruption style")
-    p.add_argument("--data", default="synthetic",
+    p.add_argument("--data",
                    help="'synthetic' or a path to a JSON-lines dataset")
-    p.add_argument("--vocab", default=None,
+    p.add_argument("--vocab",
                    help="token-per-line vocabulary file for string datasets")
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-val", type=int, default=None)
-    p.add_argument("--n-test", type=int, default=None)
-    p.add_argument("--dim", type=int, default=runner.DEFAULT_DIM,
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-val", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--dim", type=int, dest="n_features", metavar="DIM",
                    help="synthetic classification feature dimension")
-    p.add_argument("--bins", type=int, default=30,
+    p.add_argument("--bins", type=int, dest="hist_bins", metavar="BINS",
                    help="histogram bins for the density exports")
-    p.add_argument("--out", default=None, help="artifact directory "
+    p.add_argument("--out", help="artifact directory "
                    "(MANTRA_OUT env var takes precedence)")
 
 
 def _resolve_out(args):
-    return os.environ.get("MANTRA_OUT") or args.out
+    return os.environ.get("MANTRA_OUT") or getattr(args, "out", None)
+
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(runner.ExperimentConfig)}
 
 
 def _config_from_args(args, **overrides):
-    kwargs = dict(
-        task=args.task, epochs=args.epochs, warmup=args.warmup,
-        tau=args.tau, persistence=args.persistence,
-        max_drop_frac=args.max_drop_frac, k_max=args.kmax,
-        transform=args.transform, window=args.window,
-        lr=args.lr, batch_size=args.batch_size,
-        init_scale=args.init_scale, noise_mode=args.noise_mode,
-        data=args.data, vocab=args.vocab, n_train=args.n_train,
-        n_val=args.n_val, n_test=args.n_test, n_features=args.dim,
-        hist_bins=args.bins,
-    )
-    kwargs.update(overrides)
-    return runner.ExperimentConfig(**kwargs)
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    return runner.ExperimentConfig(**{**given, **overrides})
 
 
 def _detection_note(report):
@@ -103,9 +101,8 @@ def _detection_note(report):
 
 
 def _cmd_run(args):
-    config = _config_from_args(
-        args, seed=args.seed, noise_rate=args.noise_rate,
-        mantra=args.mantra == "on")
+    overrides = {"mantra": args.mantra == "on"} if "mantra" in args else {}
+    config = _config_from_args(args, **overrides)
     out_dir = _resolve_out(args)
     report = runner.run_experiment(config, out_dir=out_dir)
     print(f"task={config.task} rate={config.noise_rate:g} seed={config.seed} "
@@ -147,15 +144,17 @@ def build_parser():
                     "loss-trajectory noise detection and adaptive dropout.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a single run")
+    p_run = sub.add_parser("run", help="execute a single run",
+                           argument_default=argparse.SUPPRESS)
     _add_common_options(p_run)
-    p_run.add_argument("--noise-rate", type=float, default=0.0)
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--mantra", choices=("on", "off"), default="on",
+    p_run.add_argument("--noise-rate", type=float)
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--mantra", choices=("on", "off"),
                        help="on: adaptive dropping; off: plain baseline")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_grid = sub.add_parser("grid", help="sweep rates x seeds x both arms")
+    p_grid = sub.add_parser("grid", help="sweep rates x seeds x both arms",
+                            argument_default=argparse.SUPPRESS)
     _add_common_options(p_grid)
     p_grid.add_argument("--rates", default="0,0.05,0.10,0.15",
                         help="comma-separated noise rates")

@@ -19,6 +19,7 @@ from .errors import ConfigError
 
 _TAG_SELECT = 31
 _TAG_DRAW = 32
+LABEL_NOISE_MODES = ("replace-set", "flip-one")
 
 
 def corruption_count(rate, n):
@@ -74,7 +75,7 @@ def inject_label_noise(train, rate, seed, mode="replace-set"):
     and are skipped in shuffle order.  Returns (new_train, NoiseMask).
     """
     _check_rate(rate)
-    if mode not in ("replace-set", "flip-one"):
+    if mode not in LABEL_NOISE_MODES:
         raise ConfigError(f"unknown classification noise mode {mode!r}")
     n = len(train)
     if mode == "replace-set":

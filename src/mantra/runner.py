@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,8 @@ TASK_ALIASES = {"cls": "classification", "sum": "summarization",
 DEFAULT_WARMUP = {"classification": 5, "summarization": 3}
 DEFAULT_SIZES = {"classification": (700, 85, 88), "summarization": (1000, 100, 100)}
 DEFAULT_DIM = 16
+# Settings of synthetic data only: a file run leaves them None, echoed as null.
+SYNTHETIC_SIZES = ("n_train", "n_val", "n_test", "n_features")
 
 
 @dataclass
@@ -52,12 +55,12 @@ class ExperimentConfig:
     epochs: int = 10
     mantra: bool = True
     warmup: int | None = None
-    tau: float = 0.7
-    persistence: int = 2
-    max_drop_frac: float = 0.3
-    k_max: int = 3
-    transform: str = "log1p"
-    window: int = 1
+    tau: float = scheduler.DropPolicy.tau
+    persistence: int = scheduler.DropPolicy.persistence
+    max_drop_frac: float = scheduler.DropPolicy.max_drop_frac
+    k_max: int = scheduler.DropPolicy.k_max
+    transform: str = scheduler.DropPolicy.transform
+    window: int = scheduler.DropPolicy.window
     lr: float | None = None
     batch_size: int = 32
     init_scale: float = 0.0
@@ -67,7 +70,7 @@ class ExperimentConfig:
     n_train: int | None = None
     n_val: int | None = None
     n_test: int | None = None
-    n_features: int = DEFAULT_DIM
+    n_features: int | None = None
     hist_bins: int = 30
 
     def __post_init__(self):
@@ -78,13 +81,11 @@ class ExperimentConfig:
             self.warmup = DEFAULT_WARMUP[self.task]
         if self.lr is None:
             self.lr = learner.DESK_LR[self.task]
-        sizes = DEFAULT_SIZES[self.task]
-        if self.n_train is None:
-            self.n_train = sizes[0]
-        if self.n_val is None:
-            self.n_val = sizes[1]
-        if self.n_test is None:
-            self.n_test = sizes[2]
+        if self.data == "synthetic":
+            # a dataset file sets its own sizes, so a file run leaves them None
+            for name, size in zip(SYNTHETIC_SIZES, (*DEFAULT_SIZES[self.task], DEFAULT_DIM)):
+                if getattr(self, name) is None:
+                    setattr(self, name, size)
         self.validate()
 
     def validate(self):
@@ -94,14 +95,32 @@ class ExperimentConfig:
             raise ConfigError(
                 f"warmup must satisfy 0 <= warmup < epochs, got {self.warmup} "
                 f"with {self.epochs} epochs")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.noise_rate <= 1.0):
             raise ConfigError(f"noise rate must lie in [0, 1], got {self.noise_rate}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not math.isfinite(self.init_scale):
+            raise ConfigError(f"init_scale must be finite, got {self.init_scale}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ConfigError("split sizes must be positive")
+        if self.noise_mode not in noise.LABEL_NOISE_MODES:
+            raise ConfigError(f"noise_mode must be one of {list(noise.LABEL_NOISE_MODES)}")
+        if self.task == "summarization" and (
+                self.noise_mode != ExperimentConfig.noise_mode
+                or self.n_features not in (None, DEFAULT_DIM)):
+            raise ConfigError("noise_mode and n_features apply to classification "
+                              "only; a summarization run keeps their defaults")
+        if self.data != "synthetic":
+            given = [name for name in SYNTHETIC_SIZES if getattr(self, name) is not None]
+            if given:
+                raise ConfigError(f"{', '.join(given)}: set by the dataset file "
+                                  f"{self.data}, not by the config")
+        elif self.vocab is not None:
+            raise ConfigError("vocab applies to a dataset file, not to synthetic data")
+        elif min(getattr(self, name) for name in SYNTHETIC_SIZES) < 1:
+            raise ConfigError("split sizes and n_features must be positive")
         if self.hist_bins < 1:
             raise ConfigError("hist_bins must be >= 1")
         # Policy knobs get the same scrutiny even when the scheduler is off,
@@ -110,10 +129,8 @@ class ExperimentConfig:
         return self
 
     def drop_policy(self):
-        return scheduler.DropPolicy(
-            warmup=self.warmup, tau=self.tau, persistence=self.persistence,
-            max_drop_frac=self.max_drop_frac, k_max=self.k_max,
-            transform=self.transform, window=self.window)
+        return scheduler.DropPolicy(**{f.name: getattr(self, f.name)
+                                       for f in dataclasses.fields(scheduler.DropPolicy)})
 
     def as_dict(self):
         return dataclasses.asdict(self)
@@ -454,13 +471,16 @@ def run_grid(base_config, rates, seeds, out_dir=None):
         raise ConfigError(f"grid rates must be distinct, got {', '.join(labels)}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"grid seeds must be distinct, got {seeds}")
+    # every arm's config is checked before the first arm runs
+    base = base_config.as_dict()
+    configs = [ExperimentConfig(**{**base, "noise_rate": rate, "seed": seed,
+                                   "mantra": mantra_on})
+               for rate, seed, mantra_on in itertools.product(rates, seeds, (False, True))]
     reports = []
     rows = []
     try:
-        for rate, seed, mantra_on in itertools.product(rates, seeds, (False, True)):
-            cfg_kwargs = base_config.as_dict()
-            cfg_kwargs.update(noise_rate=rate, seed=seed, mantra=mantra_on)
-            config = ExperimentConfig(**cfg_kwargs)
+        for config in configs:
+            rate, seed, mantra_on = config.noise_rate, config.seed, config.mantra
             run_dir = None
             if out_dir is not None:
                 arm = "mantra" if mantra_on else "baseline"

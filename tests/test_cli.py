@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output routing, env overrides."""
 
+import argparse
+import dataclasses
 import json
 import random
 
 import pytest
 
-from mantra.cli import main
+from mantra import runner
+from mantra.cli import build_parser, main
 
 
 def _tiny_run_args(tmp_path, **extra):
@@ -61,11 +64,13 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_repeated_grid_rate_or_seed_exits_2(tmp_path, capsys):
-    # 0.1 and 0.10 share the r0.1 directory label; nothing may run or be written
+    # 0.1 and 0.10 share the r0.1 directory label, and a bad rate or seed
+    # fails its arm's config check; nothing may run or be written
     grid = ["grid", "--task", "cls", "--epochs", "3", "--warmup", "1",
             "--n-train", "40", "--n-val", "8", "--n-test", "8",
             "--out", str(tmp_path / "grid")]
-    for rates, seeds in (("0.1,0.10", "1"), ("0,0.1", "1,1")):
+    for rates, seeds in (("0.1,0.10", "1"), ("0,0.1", "1,1"), ("0,1.5", "1"),
+                         ("0", "1,-1")):
         assert main(grid + ["--rates", rates, "--seeds", seeds]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -179,3 +184,31 @@ def test_noisy_summarization_run_on_a_vocab_file(tmp_path, capsys):
             "--vocab", str(tmp_path / "v.txt"), "--out", str(tmp_path / "out")]
     assert main(args) == 0
     assert "test bleu4 =" in capsys.readouterr().out
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_flags_left_off_keep_the_config_defaults(monkeypatch):
+    seen = []
+
+    def capture(config, *args, **kwargs):
+        seen.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(runner, "run_experiment", capture)
+    monkeypatch.setattr(runner, "run_grid", capture)
+    for argv, task in ((["run", "--task", "cls"], "cls"),
+                       (["grid", "--task", "sum"], "sum")):
+        with pytest.raises(_Captured):
+            main(argv)
+        assert seen.pop().as_dict() == runner.ExperimentConfig(task=task).as_dict()
+
+
+def test_every_config_field_has_a_run_flag():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in sub.choices["run"]._actions}
+    fields = {f.name for f in dataclasses.fields(runner.ExperimentConfig)}
+    assert fields - dests == set()

@@ -221,13 +221,6 @@ def _kmajor_em(obs, weights, means, variances, max_iter, tol):
 _RAISE = dict(divide="raise", over="raise", invalid="raise")
 
 
-def _with_em(monkeypatch, em, fn, *args):
-    """fn(*args) with gmm._em replaced by em."""
-    with monkeypatch.context() as m:
-        m.setattr(gmm, "_em", em)
-        return fn(*args)
-
-
 def _assert_same_fit(model, ref):
     for name in ("weights", "means", "variances"):
         assert getattr(model, name).tolist() == getattr(ref, name).tolist(), name
@@ -236,11 +229,31 @@ def _assert_same_fit(model, ref):
         (ref.log_likelihood, ref.n_iter, ref.converged, ref.degenerate)
 
 
+def _select_recording_fits(monkeypatch, em, obs, k_max):
+    """select_model(obs, k_max) with gmm._em replaced by em, and every fit it made."""
+    fits = []
+    fit_em = gmm.fit_em
+
+    def recorder(*args, **kwargs):
+        fits.append(fit_em(*args, **kwargs))
+        return fits[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "_em", em)
+        m.setattr(gmm, "fit_em", recorder)
+        return gmm.select_model(obs, k_max), fits
+
+
 def _assert_select_equals_kmajor(monkeypatch, obs, k_max):
-    model, trace = gmm.select_model(obs, k_max)
-    ref_model, ref_trace = _with_em(monkeypatch, _kmajor_em, gmm.select_model, obs, k_max)
+    (model, trace), fits = _select_recording_fits(monkeypatch, gmm._em, obs, k_max)
+    (ref_model, ref_trace), ref_fits = _select_recording_fits(
+        monkeypatch, _kmajor_em, obs, k_max)
     assert trace == ref_trace
     _assert_same_fit(model, ref_model)
+    # every order select_model fit, not only the selected one
+    assert [f.k for f in fits] == [f.k for f in ref_fits] == [row["k"] for row in trace]
+    for fit, ref in zip(fits, ref_fits):
+        _assert_same_fit(fit, ref)
     return trace
 
 
@@ -250,10 +263,8 @@ def test_em_equals_kmajor_loop(monkeypatch):
         for i in range(100):
             obs = _seeded_em_input(i)
             # every order is fit on its own, so k_max only decides which run
-            _assert_select_equals_kmajor(monkeypatch, obs, 5)
-            for k in range(1, 6):
-                _assert_same_fit(gmm.fit_em(obs, k),
-                                 _with_em(monkeypatch, _kmajor_em, gmm.fit_em, obs, k))
+            trace = _assert_select_equals_kmajor(monkeypatch, obs, 5)
+            assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
 
 
 def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):

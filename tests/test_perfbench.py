@@ -3,6 +3,9 @@
 perfbench/tracer.py wraps pipeline functions by owner and attribute name and
 reads some of their arguments by position.  A rename or deletion here would
 leave the benchmark with missing targets, so tier-1 checks the list.
+perfbench/bench.py times and checks every run by wrapping
+`runner.run_experiment(config, out_dir=None)`, so tier-1 also checks that
+call shape and that `run_grid` makes one such call per arm.
 """
 
 import inspect
@@ -38,3 +41,25 @@ def test_counted_arguments_keep_their_positions():
                           (kernels.seq_losses, 6, "tgt_len"),
                           (kernels.greedy_decode, 7, "max_len")]:
         assert list(inspect.signature(fn).parameters)[pos] == name, fn.__name__
+
+
+def test_run_experiment_keeps_the_timed_call_shape():
+    from mantra import runner
+    params = inspect.signature(runner.run_experiment).parameters
+    assert [(p.name, p.default) for p in params.values()] == \
+        [("config", inspect.Parameter.empty), ("out_dir", None)]
+
+
+def test_grid_runs_each_arm_through_the_module_attribute(monkeypatch, tiny_cls_config):
+    from mantra import runner
+    calls = []
+    real = runner.run_experiment
+
+    def timed(config, out_dir=None):
+        calls.append((config.seed, config.mantra))
+        return real(config, out_dir=out_dir)
+
+    monkeypatch.setattr(runner, "run_experiment", timed)
+    runner.run_grid(tiny_cls_config(), [0.15], [3, 4])
+    # baseline before treated, per seed, in sweep order
+    assert calls == [(3, False), (3, True), (4, False), (4, True)]

@@ -37,6 +37,21 @@ def test_config_validation():
         dict(task="cls", tau=0.4),           # policy knobs checked up front
         dict(task="cls", mantra=False, tau=0.4),   # even with the scheduler off
         dict(task="cls", hist_bins=0),
+        # every setting is checked before any work starts
+        dict(task="cls", seed=-1),
+        dict(task="cls", noise_mode="bogus"),
+        dict(task="sum", noise_mode="flip-one"),     # classification-only
+        dict(task="sum", n_features=8),
+        dict(task="cls", n_features=0),
+        dict(task="cls", lr=float("nan")),
+        dict(task="cls", lr=float("inf")),
+        dict(task="cls", init_scale=float("nan")),
+        dict(task="cls", init_scale=float("inf")),
+        # a dataset file sets its own sizes; vocab applies to files only
+        dict(task="cls", data="data.jsonl", n_train=5),
+        dict(task="cls", data="data.jsonl", n_features=99),
+        dict(task="sum", data="data.jsonl", n_test=10),
+        dict(task="sum", vocab="vocab.txt"),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -216,8 +231,12 @@ def test_file_dataset_round_trip(tmp_path, tiny_cls_config):
     ds = data.generate_classification_dataset(3, n_train=60, n_val=16, n_test=16, d=8)
     path = tmp_path / "data.jsonl"
     data.write_jsonl(path, ds)
-    from_file = run_experiment(tiny_cls_config(data=str(path)))
+    # a file run takes its sizes from the file and echoes them as null
+    from_file = run_experiment(ExperimentConfig(
+        task="cls", seed=3, noise_rate=0.15, epochs=4, warmup=1, data=str(path)))
     synthetic = run_experiment(tiny_cls_config())
+    sizes = ("n_train", "n_val", "n_test", "n_features")
+    assert [from_file.config[name] for name in sizes] == [None] * 4
     # same samples, same seed: identical trajectories and metrics
     assert from_file.test_metric == synthetic.test_metric
     assert from_file.val_metrics == synthetic.val_metrics
@@ -225,12 +244,13 @@ def test_file_dataset_round_trip(tmp_path, tiny_cls_config):
     assert from_file.label_repairs is None      # provenance lost in the file
 
 
-def test_empty_train_file_is_a_config_error(tmp_path, tiny_cls_config):
+def test_empty_train_file_is_a_config_error(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text(json.dumps(
         {"split": "test", "features": [0.1] * 8, "labels": ["Bug"]}) + "\n")
+    config = ExperimentConfig(task="cls", epochs=4, warmup=1, data=str(path))
     with pytest.raises(ConfigError):
-        run_experiment(tiny_cls_config(data=str(path)))
+        run_experiment(config)
 
 
 def test_compare_runs_contract(tiny_cls_config, tmp_path):
