@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, UsageError
+from .errors import ConfigError, ParseError, SchemaError, UsageError
 
 INTENTS = ("Bug", "Refactor", "Deprecation", "Feature", "Merge", "Resource", "Test")
 N_INTENTS = len(INTENTS)
@@ -325,7 +325,11 @@ def load_jsonl(path, task, vocab_path=None):
     names).  Summarization records carry "source" and "target" as token-id
     lists or as strings through the vocabulary; the trailing EOS is implied
     and appended on load.  Malformed JSON raises ParseError with the line
-    number; structurally invalid records raise SchemaError.
+    number; structurally invalid records raise SchemaError.  A vocabulary
+    that no classification record reads (none carries "text" alone) raises
+    ConfigError, since the run would silently ignore it; for summarization
+    the vocabulary also sets the id range and the vocabulary sizes, so it
+    always applies.
     """
     if task not in ("classification", "summarization"):
         raise UsageError(f"unknown task {task!r}")
@@ -339,6 +343,7 @@ def load_jsonl(path, task, vocab_path=None):
     seen_ids = set()
     d_expected = None
     n_records = 0
+    read_text = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -366,6 +371,7 @@ def load_jsonl(path, task, vocab_path=None):
             if task == "classification":
                 first, second = _parse_classification(record, line_no, d_expected, vocab)
                 d_expected = first.shape[0]
+                read_text = read_text or "features" not in record    # parsed its text
             else:
                 first, second = _parse_summarization(
                     record, line_no, vocab, n_src, n_content, eos_id)
@@ -373,6 +379,9 @@ def load_jsonl(path, task, vocab_path=None):
             ids.append(sample_id)
             firsts.append(first)
             seconds.append(second)
+    if task == "classification" and vocab is not None and not read_text:
+        raise ConfigError(f"vocabulary file {vocab_path} is unused: no "
+                          "classification record reads 'text' through it")
     if task == "classification":
         meta = {"n_features": d_expected}
         splits = {name: classification_split(

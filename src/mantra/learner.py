@@ -16,10 +16,15 @@ stream, and the update rule is plain mini-batch SGD with closed-form
 gradients.  per_sample_losses never mutates the model, so the loss of every
 active sample can be recorded at epoch end under the same parameters.
 Every entry point takes a data.PackedSplit of the model's task.
+
+A model's parameters are its dataclass's np.ndarray fields, in declaration
+order (param_arrays), which is also the order its gradients come back in;
+a checkpoint stores every field.  The annotations are read at run time, so
+they must stay real types, not strings.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,6 +67,10 @@ class Seq2SeqModel:
     @property
     def task(self):
         return "summarization"
+
+
+# The "kind" a checkpoint names its model by.
+_CHECKPOINT_KINDS = {ClassifierModel: "classifier", Seq2SeqModel: "seq2seq"}
 
 
 @dataclass
@@ -133,20 +142,19 @@ def train_epoch(model, samples, config, epoch):
     _check_task(model, samples)
     order = np.random.default_rng(
         [config.shuffle_seed, _TAG_SHUFFLE, epoch]).permutation(len(samples))
+    params = param_arrays(model)
     for i in range(0, len(samples), config.batch_size):
         idx = order[i:i + config.batch_size]
         if isinstance(model, ClassifierModel):
-            dw, db = _classifier_grads(model, samples.x[idx], samples.y[idx])
-            model.w -= config.lr * dw
-            model.b -= config.lr * db
+            grads = _classifier_grads(model, samples.x[idx], samples.y[idx])
+            scale = config.lr
         else:
-            du, dv, db = kernels.seq_grad_sum(
+            grads = kernels.seq_grad_sum(
                 model.u, model.v, model.b, samples.src_counts[idx], samples.src_len[idx],
                 samples.tgt[idx], samples.tgt_len[idx], model.bos)
             scale = config.lr / idx.size
-            model.u -= scale * du
-            model.v -= scale * dv
-            model.b -= scale * db
+        for param, grad in zip(params, grads):
+            param -= scale * grad
     return model
 
 
@@ -163,19 +171,17 @@ def predict(model, samples):
 
 
 def param_arrays(model):
-    """The model's parameter arrays, in a fixed order; training updates them in place."""
-    if isinstance(model, ClassifierModel):
-        return [model.w, model.b]
-    return [model.u, model.v, model.b]
+    """The model's np.ndarray fields in declaration order, the order of its gradients."""
+    return [getattr(model, f.name) for f in fields(model)
+            if f.type is np.ndarray]
 
 
 def _mean_grads(model, split):
     if isinstance(model, ClassifierModel):
         return list(_classifier_grads(model, split.x, split.y))
-    du, dv, db = kernels.seq_grad_sum(model.u, model.v, model.b, split.src_counts,
-                                      split.src_len, split.tgt, split.tgt_len,
-                                      model.bos)
-    return [du / len(split), dv / len(split), db / len(split)]
+    grads = kernels.seq_grad_sum(model.u, model.v, model.b, split.src_counts,
+                                 split.src_len, split.tgt, split.tgt_len, model.bos)
+    return [g / len(split) for g in grads]
 
 
 def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4):
@@ -221,24 +227,14 @@ def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4)
 
 
 def save_model(model, path):
-    """Write a JSON checkpoint that load_model restores exactly."""
-    if isinstance(model, ClassifierModel):
-        payload = {
-            "kind": "classifier",
-            "w": model.w.tolist(),
-            "b": model.b.tolist(),
-        }
-    elif isinstance(model, Seq2SeqModel):
-        payload = {
-            "kind": "seq2seq",
-            "u": model.u.tolist(),
-            "v": model.v.tolist(),
-            "b": model.b.tolist(),
-            "bos": model.bos,
-            "eos": model.eos,
-        }
-    else:
+    """Write a JSON checkpoint that load_model restores exactly: the kind, then every field."""
+    kind = _CHECKPOINT_KINDS.get(type(model))
+    if kind is None:
         raise UsageError(f"cannot checkpoint {type(model).__name__}")
+    payload = {"kind": kind}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        payload[f.name] = value.tolist() if f.type is np.ndarray else value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
@@ -248,12 +244,10 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     kind = payload.get("kind")
-    if kind == "classifier":
-        return ClassifierModel(w=np.asarray(payload["w"], dtype=np.float64),
-                               b=np.asarray(payload["b"], dtype=np.float64))
-    if kind == "seq2seq":
-        return Seq2SeqModel(u=np.asarray(payload["u"], dtype=np.float64),
-                            v=np.asarray(payload["v"], dtype=np.float64),
-                            b=np.asarray(payload["b"], dtype=np.float64),
-                            bos=int(payload["bos"]), eos=int(payload["eos"]))
+    for model_type, name in _CHECKPOINT_KINDS.items():
+        if name == kind:
+            return model_type(**{
+                f.name: (np.asarray(payload[f.name], dtype=np.float64)
+                         if f.type is np.ndarray else f.type(payload[f.name]))
+                for f in fields(model_type)})
     raise UsageError(f"unknown checkpoint kind {kind!r}")

@@ -2,20 +2,23 @@
 
 One run = dataset (synthetic or file) -> noise injection on train ->
 epoch loop.  Within an epoch the order is fixed and matters: train on the
-active set, score per-sample losses on that same active set, record the
-trajectory, then (treated arm only) let the scheduler decide drops that
-take effect from the next epoch, and finally compute the validation
-metric.  The baseline arm runs the identical loop with the scheduler
-bypassed, so a baseline/treated pair differing only in the `mantra` flag
-shares its dataset, noise mask, initialization, and shuffle order, and
-trains the same model until the treated arm's first drop takes effect.
-run_grid computes that shared prefix once: the baseline arm records its
-per-epoch losses, validation metrics and parameter copies, and the treated
-arm replays them instead of training, restoring the parameters at its first
-reduced epoch (or at the end, if it never drops).  The
-scheduler's DropState is the run's one drop record: the report's drop
-events, per-epoch counts, dropped ids and detection scores are all read
-off it by train position once the loop is over.
+active set, score per-sample losses on that same active set and the
+validation metric, record the trajectory, then (treated arm only) let the
+scheduler decide drops that take effect from the next epoch.  The baseline
+arm runs the identical loop with the scheduler bypassed, so a
+baseline/treated pair differing only in the `mantra` flag shares its
+dataset, noise mask, initialization, and shuffle order, and trains the same
+model until the treated arm's first drop takes effect.
+
+run_grid computes that shared prefix once.  The baseline arm records its
+per-epoch losses, validation metric and parameter copies.  At each epoch
+the treated arm starts with nothing dropped, it takes that epoch's record
+and restores its parameters instead of training.  So the model it holds is
+the baseline's at every replayed epoch, and what it does next (train on a
+reduced set, or compute its test metric) it does exactly as a run alone
+would.  The scheduler's DropState is the run's one drop record: the
+report's drop events, per-epoch counts, dropped ids and detection scores
+are all read off it by train position once the loop is over.
 
 Reports serialize to results.json deterministically: reruns of the same
 config are byte-identical except for the runtime field.
@@ -168,10 +171,8 @@ class RunReport:
 class _PairPrefix:
     """A grid baseline arm's per-epoch results, for its treated twin to replay."""
     config: dict                     # the treated twin's config
-    losses: list = field(default_factory=list)
-    val_metrics: list = field(default_factory=list)
-    params: list = field(default_factory=list)     # copies of the parameter arrays
-    test_metric: float | None = None
+    # per epoch: (losses, validation metric, copies of the parameter arrays)
+    epochs: list = field(default_factory=list)
 
 
 # The pair run_grid is running.  A slot, not an argument, because
@@ -250,35 +251,27 @@ def run_experiment(config, out_dir=None):
         rows = scheduler.active_samples(state, positions) if config.mantra else positions
         # no copy while nothing is dropped: it would only raise peak memory
         active = train if len(rows) == len(train) else train.take(rows)
-        if replay is not None and active is not train:
-            # the first drop takes effect: go on from the baseline's last epoch
-            _restore(model, replay.params[epoch - 2])
-            replay = None
-        if replay is None:
+        if replay is not None and active is train:
+            # nothing dropped yet: this epoch is the baseline's, so take it whole
+            losses, val_metric, params = replay.epochs[epoch - 1]
+            for dst, src in zip(learner.param_arrays(model), params):
+                dst[...] = src
+        else:
             learner.train_epoch(model, active, train_cfg, epoch)
             losses = learner.per_sample_losses(model, active)
-        else:
-            losses = replay.losses[epoch - 1]
+            val_metric = _eval_metric(config, model, dataset.validation)
+        val_metrics.append(val_metric)
         store.record_epoch(epoch, active.ids, losses, mask.corrupted[rows])
         if config.mantra:
             decision = scheduler.evaluate_epoch(state, policy, epoch, active.ids, losses)
             for row in decision.gmm_trace:
                 gmm_trace.append({"epoch": epoch, **row})
-        val_metrics.append(_eval_metric(config, model, dataset.validation)
-                           if replay is None else replay.val_metrics[epoch - 1])
         if record is not None:
             # plain copies: copy.deepcopy of the model costs several times more
-            record.losses.append(losses)
-            record.val_metrics.append(val_metrics[-1])
-            record.params.append([a.copy() for a in learner.param_arrays(model)])
+            record.epochs.append(
+                (losses, val_metric, [a.copy() for a in learner.param_arrays(model)]))
 
-    if replay is None:
-        test_metric = _eval_metric(config, model, dataset.test)
-    else:       # never dropped: the baseline's final model is this arm's
-        _restore(model, replay.params[-1])
-        test_metric = replay.test_metric
-    if record is not None:
-        record.test_metric = test_metric
+    test_metric = _eval_metric(config, model, dataset.test)
     # The baseline arm never drops, so its drop fields come out empty.
     hit = np.flatnonzero(state.dropped_at)
     hit = hit[np.lexsort((train.ids[hit], state.dropped_at[hit]))]
@@ -311,11 +304,6 @@ def run_experiment(config, out_dir=None):
     if out_dir is not None:
         _write_artifacts(out_dir, config, report, store, mask, model)
     return report
-
-
-def _restore(model, params):
-    for dst, src in zip(learner.param_arrays(model), params):
-        dst[...] = src
 
 
 def _write_artifacts(out_dir, config, report, store, mask, model):
@@ -457,10 +445,13 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     lands at the grid root.
 
     Each (rate, seed) runs its baseline arm first, which records its
-    per-epoch losses, validation metrics and parameters.  The treated arm
-    replays that record while nothing is dropped, so the shared prefix of
-    the pair is computed once; every report and artifact equals that of
-    the same config run alone through run_experiment.
+    per-epoch losses, validation metric and parameters.  Each epoch the
+    treated arm starts with nothing dropped, it takes that epoch's record
+    and restores its parameters instead of training, so the shared prefix
+    of the pair is computed once.  From its first reduced epoch on, and for
+    its test metric, it computes on the model it holds; every report and
+    artifact equals that of the same config run alone through
+    run_experiment.
     """
     global _pair_prefix
     if not rates or not seeds:

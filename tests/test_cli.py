@@ -186,6 +186,18 @@ def test_noisy_summarization_run_on_a_vocab_file(tmp_path, capsys):
     assert "test bleu4 =" in capsys.readouterr().out
 
 
+def test_vocab_a_classification_file_never_reads_exits_2(tmp_path, capsys):
+    (tmp_path / "v.txt").write_text("fix\nbug\n")
+    rows = [{"split": split, "features": [1.0, float(i)], "labels": ["Bug"]}
+            for i, split in enumerate(("train", "train", "val", "test"))]
+    (tmp_path / "d.jsonl").write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    args = ["run", "--task", "cls", "--epochs", "2", "--warmup", "1",
+            "--data", str(tmp_path / "d.jsonl"), "--vocab", str(tmp_path / "v.txt")]
+    assert main(args) == 2
+    assert "v.txt" in capsys.readouterr().err
+    assert main(args[:-2]) == 0          # the same file runs without the vocabulary
+
+
 class _Captured(Exception):
     pass
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mantra import data, noise
-from mantra.errors import ParseError, SchemaError, UsageError
+from mantra.errors import ConfigError, ParseError, SchemaError, UsageError
 
 
 def test_vocab_layout_constants():
@@ -238,6 +238,24 @@ def test_jsonl_text_through_vocab(tmp_path):
     np.testing.assert_allclose(ds.train.x, [[2.0, 1.0, 0.0]])   # bag of counts
     np.testing.assert_allclose(ds.test.x, [[0.0, 0.0, 1.0]])
     assert ds.validation.x.shape == (0, 3)    # an empty split keeps its width
+
+
+def test_jsonl_classification_vocab_must_be_read(tmp_path):
+    vocab_path = tmp_path / "v.txt"
+    vocab_path.write_text("fix\nbug\nadd\n")
+    path = tmp_path / "d.jsonl"
+    rows = [{"split": "train", "features": [1.0, 0.0, 2.0], "labels": ["Bug"]},
+            {"split": "test", "features": [0.0, 1.0, 0.0], "labels": ["Test"],
+             "text": "fix"}]           # features win, so the text is never read
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    with pytest.raises(ConfigError, match="v.txt"):
+        data.load_jsonl(path, "classification", vocab_path=vocab_path)
+    # one record read through the vocabulary is enough
+    rows.append({"split": "val", "text": "add bug", "labels": ["Feature"]})
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    ds = data.load_jsonl(path, "classification", vocab_path=vocab_path)
+    np.testing.assert_allclose(ds.validation.x, [[0.0, 1.0, 1.0]])
+    np.testing.assert_allclose(ds.train.x, [[1.0, 0.0, 2.0]])
 
 
 def test_jsonl_summarization_strings_through_vocab(tmp_path):

@@ -1,5 +1,6 @@
 """Learners: loss oracles, SGD behavior, gradient audits, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -335,6 +336,28 @@ def test_checkpoint_round_trip(tmp_path):
     (tmp_path / "bad.json").write_text('{"kind": "transformer"}')
     with pytest.raises(UsageError):
         learner.load_model(tmp_path / "bad.json")
+
+
+def test_checkpoint_bytes_and_parameter_order(tmp_path):
+    cls = learner.new_classifier(5, init_scale=0.4, seed=8)
+    seq = learner.new_seq2seq(n_tgt=12, n_src=9, bos=10, eos=11, init_scale=0.1, seed=8)
+    assert [id(a) for a in learner.param_arrays(cls)] == [id(cls.w), id(cls.b)]
+    assert [id(a) for a in learner.param_arrays(seq)] == [id(seq.u), id(seq.v), id(seq.b)]
+    expected = [
+        (cls, {"kind": "classifier", "w": cls.w.tolist(), "b": cls.b.tolist()}),
+        (seq, {"kind": "seq2seq", "u": seq.u.tolist(), "v": seq.v.tolist(),
+               "b": seq.b.tolist(), "bos": 10, "eos": 11}),
+    ]
+    for model, payload in expected:
+        path = tmp_path / f"{payload['kind']}.json"
+        learner.save_model(model, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+    back = learner.load_model(tmp_path / "seq2seq.json")
+    assert (type(back.bos), type(back.eos)) == (int, int)
+    assert all(a.dtype == np.float64 for a in learner.param_arrays(back))
+
+    with pytest.raises(UsageError):
+        learner.save_model(learner.TrainConfig(lr=1.0), tmp_path / "not_a_model.json")
 
 
 def test_desk_lr_table():

@@ -369,6 +369,7 @@ def test_run_grid(tmp_path, tiny_cls_config):
     ("cls", dict(noise_rate=0.0), None),        # never drops: the whole run is replayed
     ("cls", dict(n_train=200, epochs=6), 3),    # takes effect two epochs before the last
     ("sum", dict(n_train=80, epochs=6), 4),
+    ("cls", dict(n_train=200, epochs=3), 3),    # drops only in its last epoch: all replayed
 ])
 def test_grid_arms_equal_their_standalone_runs(tmp_path, monkeypatch, tiny_cls_config,
                                                tiny_sum_config, task, overrides,
