@@ -16,6 +16,7 @@ checked against validation/test membership by id alone.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -250,13 +251,26 @@ def _tokens_to_ids(text, vocab, line_no, field):
     return ids
 
 
+def _is_finite_number(value):
+    """Whether a JSON value is a number that float64 holds as a finite value."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int past the float64 range
+        return False
+
+
 def _parse_classification(record, line_no, d_expected, vocab):
+    if "features" in record and "text" in record:
+        raise SchemaError(
+            f"line {line_no}: a record carries 'features' or 'text', not both")
     if "features" in record:
         feats = record["features"]
         if not isinstance(feats, list) or not feats or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats):
+                map(_is_finite_number, feats)):
             raise SchemaError(
-                f"line {line_no}: features must be a non-empty list of numbers")
+                f"line {line_no}: features must be a non-empty list of finite numbers")
         feats = np.asarray(feats, dtype=np.float64)
     elif "text" in record:
         if vocab is None:
@@ -319,17 +333,17 @@ def load_jsonl(path, task, vocab_path=None):
     """Load a dataset from a JSON-lines file.
 
     One record per line.  Every record carries a "split" of train/val/test
-    and optionally an integer "id" (records without one get their file-order
-    index).  Classification records carry "features" (number list) or "text"
-    (whitespace-tokenized through the vocabulary file) plus "labels" (intent
-    names).  Summarization records carry "source" and "target" as token-id
-    lists or as strings through the vocabulary; the trailing EOS is implied
-    and appended on load.  Malformed JSON raises ParseError with the line
-    number; structurally invalid records raise SchemaError.  A vocabulary
-    that no classification record reads (none carries "text" alone) raises
-    ConfigError, since the run would silently ignore it; for summarization
-    the vocabulary also sets the id range and the vocabulary sizes, so it
-    always applies.
+    and optionally an int64 "id" (records without one get their file-order
+    index).  Classification records carry one of "features" (a list of
+    finite numbers) or "text" (whitespace-tokenized through the vocabulary
+    file), plus "labels" (intent names).  Summarization records carry
+    "source" and "target" as token-id lists or as strings through the
+    vocabulary; the trailing EOS is implied and appended on load.  Malformed
+    JSON raises ParseError with the line number; structurally invalid records
+    raise SchemaError.  A vocabulary that no classification record reads
+    (none carries "text") raises ConfigError, since the run would silently
+    ignore it; for summarization the vocabulary also sets the id range and
+    the vocabulary sizes, so it always applies.
     """
     if task not in ("classification", "summarization"):
         raise UsageError(f"unknown task {task!r}")
@@ -357,6 +371,8 @@ def load_jsonl(path, task, vocab_path=None):
             if "id" in record:
                 if not isinstance(record["id"], int) or isinstance(record["id"], bool):
                     raise SchemaError(f"line {line_no}: id must be an integer")
+                if not -2**63 <= record["id"] < 2**63:
+                    raise SchemaError(f"line {line_no}: id {record['id']} does not fit int64")
                 sample_id = record["id"]
             else:
                 sample_id = n_records
@@ -371,7 +387,7 @@ def load_jsonl(path, task, vocab_path=None):
             if task == "classification":
                 first, second = _parse_classification(record, line_no, d_expected, vocab)
                 d_expected = first.shape[0]
-                read_text = read_text or "features" not in record    # parsed its text
+                read_text = read_text or "text" in record
             else:
                 first, second = _parse_summarization(
                     record, line_no, vocab, n_src, n_content, eos_id)

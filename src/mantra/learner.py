@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .data import BOS, EOS, MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB
-from .errors import UsageError
+from .errors import SchemaError, UsageError
 
 EPS = 1e-12                        # probability clamp for the BCE log
 # Desk-scale defaults, calibrated on the seeded benchmark configs: the
@@ -241,13 +241,23 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Rebuild the model save_model wrote; SchemaError names a field the file lacks or garbles."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: a checkpoint must be a JSON object with field 'kind'")
     kind = payload.get("kind")
-    for model_type, name in _CHECKPOINT_KINDS.items():
-        if name == kind:
-            return model_type(**{
-                f.name: (np.asarray(payload[f.name], dtype=np.float64)
-                         if f.type is np.ndarray else f.type(payload[f.name]))
-                for f in fields(model_type)})
-    raise UsageError(f"unknown checkpoint kind {kind!r}")
+    model_type = next((t for t, name in _CHECKPOINT_KINDS.items() if name == kind), None)
+    if model_type is None:
+        raise UsageError(f"unknown checkpoint kind {kind!r}")
+    values = {}
+    for f in fields(model_type):
+        if f.name not in payload:
+            raise SchemaError(f"{path}: missing field {f.name!r}")
+        try:
+            values[f.name] = (np.asarray(payload[f.name], dtype=np.float64)
+                              if f.type is np.ndarray else f.type(payload[f.name]))
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"{path}: field {f.name!r} cannot be read as {f.type.__name__}") from None
+    return model_type(**values)

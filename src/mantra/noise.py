@@ -34,13 +34,6 @@ class NoiseMask:
     corrupted: np.ndarray   # (n,) bool
     prior_drift: dict = field(default_factory=dict)
 
-    def save_csv(self, path):
-        # Same bytes as csv.writer rows, built in one pass.
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("sample_id,corrupted\r\n" + "".join([
-                f"{sid},{bad:d}\r\n"
-                for sid, bad in zip(self.ids.tolist(), self.corrupted.tolist())]))
-
 
 def _check_rate(rate):
     if not (0.0 <= rate <= 1.0):

@@ -24,7 +24,6 @@ Reports serialize to results.json deterministically: reruns of the same
 config are byte-identical except for the runtime field.
 """
 
-import csv
 import dataclasses
 import itertools
 import json
@@ -39,7 +38,7 @@ from . import kernels, learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl)
 from .errors import ConfigError, SchemaError, UsageError
-from .trajectory import TrajectoryStore
+from .trajectory import TrajectoryStore, float_cell, write_csv
 
 TASK_ALIASES = {"cls": "classification", "sum": "summarization",
                 "classification": "classification", "summarization": "summarization"}
@@ -306,6 +305,22 @@ def run_experiment(config, out_dir=None):
     return report
 
 
+def _flag_cell(value):
+    return "1" if value else "0"
+
+
+def _floats_cell(values):
+    return ";".join(map(repr, values))
+
+
+# CSV column -> cell of that key in a drop_events / gmm_trace row, in file order.
+_DROP_COLUMNS = {"epoch": str, "sample_id": str, "posterior": repr, "was_noisy": _flag_cell}
+_GMM_TRACE_COLUMNS = {
+    "epoch": str, "k": str, "log_likelihood": repr, "bic": repr, "n_iter": str,
+    "converged": _flag_cell, "degenerate": _flag_cell, "selected": _flag_cell,
+    "weights": _floats_cell, "means": _floats_cell, "variances": _floats_cell}
+
+
 def _write_artifacts(out_dir, config, report, store, mask, model):
     os.makedirs(out_dir, exist_ok=True)
     report.save_json(os.path.join(out_dir, "results.json"))
@@ -316,29 +331,12 @@ def _write_artifacts(out_dir, config, report, store, mask, model):
         store.save_histogram_csv(
             os.path.join(out_dir, f"density_e{epoch}.csv"), epoch,
             bins=config.hist_bins)
-    mask.save_csv(os.path.join(out_dir, "noise_mask.csv"))
-    with open(os.path.join(out_dir, "drops.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "sample_id", "posterior", "was_noisy"])
-        for row in report.drop_events:
-            writer.writerow([row["epoch"], row["sample_id"],
-                             repr(row["posterior"]), int(row["was_noisy"])])
-    with open(os.path.join(out_dir, "gmm_trace.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "k", "log_likelihood", "bic", "n_iter",
-                         "converged", "degenerate", "selected", "weights", "means",
-                         "variances"])
-        for row in report.gmm_trace:
-            writer.writerow([
-                row["epoch"], row["k"], repr(row["log_likelihood"]),
-                repr(row["bic"]), row["n_iter"], int(row["converged"]),
-                int(row["degenerate"]), int(row["selected"]),
-                ";".join(repr(x) for x in row["weights"]),
-                ";".join(repr(x) for x in row["means"]),
-                ";".join(repr(x) for x in row["variances"]),
-            ])
+    write_csv(os.path.join(out_dir, "noise_mask.csv"), ("sample_id", "corrupted"), (
+        map(str, mask.ids.tolist()), map(_flag_cell, mask.corrupted.tolist())))
+    for name, rows, columns in (("drops.csv", report.drop_events, _DROP_COLUMNS),
+                                ("gmm_trace.csv", report.gmm_trace, _GMM_TRACE_COLUMNS)):
+        write_csv(os.path.join(out_dir, name), columns,
+                  [[cell(row[key]) for row in rows] for key, cell in columns.items()])
 
 
 # Every field compare_runs reads, with its JSON type.
@@ -482,23 +480,16 @@ def run_grid(base_config, rates, seeds, out_dir=None):
             report = run_experiment(config, out_dir=run_dir)
             reports.append(report)
             rows.append([
-                config.task, f"{rate:g}", seed, "on" if mantra_on else "off",
-                repr(report.test_metric), report.dropped_total,
-                _fmt_optional(report.detection["precision"]),
-                _fmt_optional(report.detection["recall"]),
+                config.task, f"{rate:g}", str(seed), "on" if mantra_on else "off",
+                repr(report.test_metric), str(report.dropped_total),
+                float_cell(report.detection["precision"]),
+                float_cell(report.detection["recall"]),
             ])
     finally:
         _pair_prefix = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "summary.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task", "rate", "seed", "mantra", "test_metric",
-                             "dropped", "det_precision", "det_recall"])
-            writer.writerows(rows)
+        write_csv(os.path.join(out_dir, "summary.csv"),
+                  ("task", "rate", "seed", "mantra", "test_metric", "dropped",
+                   "det_precision", "det_recall"), zip(*rows))
     return reports
-
-
-def _fmt_optional(value):
-    return "" if value is None else repr(value)

@@ -8,13 +8,35 @@ exports self-describing.  Only active samples are scored, so a sample's
 rows stop at the epoch it was dropped at.
 """
 
-import csv
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import SequencingError, UsageError
 
-_FLAG_SUFFIX = ("0\r\n", "1\r\n")   # is_noisy column by noisy
+
+def write_csv(path, header, columns):
+    """Write the header row, then row i from cell i of each column.
+
+    Every CSV artifact of the package is written here.  columns are
+    equal-length iterables of cell strings (ValueError if not).  The cells
+    are words, ints, float reprs, 0/1 flags, ';'-joined float reprs and
+    empty cells (float_cell): none holds a comma, a quote or a line break,
+    and no table has one column, so no row is a lone empty cell.  Nothing
+    needs quoting, and the bytes equal the csv module's default dialect,
+    CRLF row ends included.
+    """
+    rows = map(",".join, zip(*columns, strict=True))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        # a bounded block per write: a lazy column's cells are never all alive at once
+        while block := list(islice(rows, 256)):
+            fh.write("\r\n".join(block) + "\r\n")
+
+
+def float_cell(value):
+    """A float's repr, or the empty cell for None (a mean over no samples, say)."""
+    return "" if value is None else repr(value)
 
 
 class TrajectoryStore:
@@ -85,34 +107,24 @@ class TrajectoryStore:
         return edges, density
 
     def save_csv(self, path):
-        # One string per epoch from .tolist() columns: csv.writer's per-row
-        # calls and numpy scalar indexing dominated the write.  No field can
-        # need quoting (ints, finite float reprs), so the bytes are the same.
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("epoch,sample_id,loss,is_noisy\r\n")
-            for epoch in self.epochs:
-                rows = self._epochs[epoch]
-                fh.write("".join([
-                    f"{epoch},{sid},{loss!r},{_FLAG_SUFFIX[f]}" for sid, loss, f in
-                    zip(rows["ids"].tolist(), rows["losses"].tolist(),
-                        rows["noisy"].tolist())]))
+        # Each column is built an epoch at a time as write_csv consumes it.
+        epochs = [(str(epoch), self._epochs[epoch]) for epoch in self.epochs]
+        write_csv(path, ("epoch", "sample_id", "loss", "is_noisy"), (
+            chain.from_iterable([e] * r["ids"].size for e, r in epochs),
+            chain.from_iterable([str(i) for i in r["ids"].tolist()] for _, r in epochs),
+            chain.from_iterable([repr(x) for x in r["losses"].tolist()] for _, r in epochs),
+            chain.from_iterable(["1" if f else "0" for f in r["noisy"].tolist()]
+                                for _, r in epochs)))
 
     def save_group_means_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "clean_mean", "noisy_mean"])
-            for epoch, entry in self.group_means().items():
-                writer.writerow([
-                    epoch,
-                    "" if entry["clean"] is None else repr(entry["clean"]),
-                    "" if entry["noisy"] is None else repr(entry["noisy"]),
-                ])
+        means = self.group_means()
+        write_csv(path, ("epoch", "clean_mean", "noisy_mean"), (
+            map(str, means),
+            [float_cell(entry["clean"]) for entry in means.values()],
+            [float_cell(entry["noisy"]) for entry in means.values()]))
 
     def save_histogram_csv(self, path, epoch, bins=30):
-        # One string from .tolist() columns, as in save_csv.
         edges, density = self.loss_histogram(epoch, bins=bins)
-        edges = edges.tolist()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("bin_left,bin_right,density\r\n" + "".join([
-                f"{left!r},{right!r},{d!r}\r\n"
-                for left, right, d in zip(edges, edges[1:], density.tolist())]))
+        edges = list(map(repr, edges.tolist()))
+        write_csv(path, ("bin_left", "bin_right", "density"),
+                  (edges[:-1], edges[1:], map(repr, density.tolist())))

@@ -245,8 +245,7 @@ def test_jsonl_classification_vocab_must_be_read(tmp_path):
     vocab_path.write_text("fix\nbug\nadd\n")
     path = tmp_path / "d.jsonl"
     rows = [{"split": "train", "features": [1.0, 0.0, 2.0], "labels": ["Bug"]},
-            {"split": "test", "features": [0.0, 1.0, 0.0], "labels": ["Test"],
-             "text": "fix"}]           # features win, so the text is never read
+            {"split": "test", "features": [0.0, 1.0, 0.0], "labels": ["Test"]}]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     with pytest.raises(ConfigError, match="v.txt"):
         data.load_jsonl(path, "classification", vocab_path=vocab_path)
@@ -284,12 +283,17 @@ def test_jsonl_error_lines(tmp_path):
         ({"split": "train", "features": [1.0], "labels": []}, "label"),
         ({"split": "train", "features": [1.0], "labels": ["Zap"]}, "Zap"),
         ({"split": "train", "features": [1.0], "labels": ["Bug"], "id": True}, "id"),
+        ({"split": "train", "features": [1.0], "text": "fix", "labels": ["Bug"]}, "not both"),
+        # values numpy cannot hold
+        ({"split": "train", "features": [float("nan")], "labels": ["Bug"]}, "finite"),
+        ({"split": "train", "features": [1.0, 10**400], "labels": ["Bug"]}, "finite"),
+        ({"split": "train", "features": [1.0], "labels": ["Bug"], "id": 2**70}, "int64"),
     ]
     for record, needle in cases:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(SchemaError) as exc:
             data.load_jsonl(path, "classification")
-        assert needle in str(exc.value)
+        assert "line 1" in str(exc.value) and needle in str(exc.value)
 
     # duplicate ids across lines
     rows = [

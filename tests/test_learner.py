@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mantra import data, kernels, learner
-from mantra.errors import UsageError
+from mantra.errors import SchemaError, UsageError
 
 
 def _cls_samples(seed, n, d=8):
@@ -358,6 +358,17 @@ def test_checkpoint_bytes_and_parameter_order(tmp_path):
 
     with pytest.raises(UsageError):
         learner.save_model(learner.TrainConfig(lr=1.0), tmp_path / "not_a_model.json")
+
+
+def test_load_model_names_the_malformed_field(tmp_path):
+    path = tmp_path / "bad.json"
+    for payload, field in (([1], "'kind'"),
+                           ({"kind": "classifier", "w": [[0.5]]}, "'b'"),
+                           ({"kind": "classifier", "w": "x", "b": [0.0]}, "'w'")):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as exc:
+            learner.load_model(path)
+        assert str(path) in str(exc.value) and field in str(exc.value)
 
 
 def test_desk_lr_table():

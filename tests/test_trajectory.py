@@ -5,10 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+from mantra import runner
 from mantra.errors import SequencingError, UsageError
-from mantra.noise import NoiseMask
 from mantra.scheduler import TRANSFORMS
-from mantra.trajectory import TrajectoryStore
+from mantra.trajectory import TrajectoryStore, write_csv
 
 
 def _store_with(epochs):
@@ -150,10 +150,83 @@ def test_histogram_csv_matches_csv_writer_reference(tmp_path):
             tmp_path / "ref.csv", ["bin_left", "bin_right", "density"], want)
 
 
-def test_noise_mask_csv_matches_csv_writer_reference(tmp_path):
-    mask = NoiseMask(ids=np.array([4, 0, 9, 2], dtype=np.int64),
-                     corrupted=np.array([True, False, False, True]))
-    mask.save_csv(tmp_path / "fast.csv")
-    want = [[int(i), int(c)] for i, c in zip(mask.ids, mask.corrupted)]
+def test_write_csv_rows_and_lengths(tmp_path):
+    write_csv(tmp_path / "a.csv", ("x", "y"), ([], []))
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n"
+    write_csv(tmp_path / "a.csv", ("x", "y"), (["1", "2"], ["", "1e-05"]))
+    assert (tmp_path / "a.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["x", "y"], [[1, ""], [2, "1e-05"]])
+    # more rows than one write block, from lazy columns
+    write_csv(tmp_path / "a.csv", ("x", "y"), (map(str, range(600)), map(repr, range(600))))
+    assert (tmp_path / "a.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["x", "y"], [[i, i] for i in range(600)])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ("x", "y"), (["1", "2"], ["3"]))
+
+
+def test_group_means_csv_matches_csv_writer_reference(tmp_path):
+    # a group with no samples (None -> empty cell) and an exponent-form mean
+    store = _store_with([
+        ([1, 2, 3], [2e-06, 4e-06, 0.1 + 0.2], [False, False, True]),
+        ([1, 2], [0.5, 1.0 / 3.0], [False, False]),
+        ([3], [7.0], [True]),
+    ])
+    store.save_group_means_csv(tmp_path / "fast.csv")
+    want = [[epoch, "" if e["clean"] is None else repr(e["clean"]),
+             "" if e["noisy"] is None else repr(e["noisy"])]
+            for epoch, e in store.group_means().items()]
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["epoch", "clean_mean", "noisy_mean"], want)
+    assert b",\r\n" in (tmp_path / "fast.csv").read_bytes()
+    assert b"3,,7.0\r\n" in (tmp_path / "fast.csv").read_bytes()
+
+
+def _run_with_drops(tmp_path, tiny_cls_config):
+    cfg = tiny_cls_config(n_train=200)     # large enough to drop before epoch 4
+    report = runner.run_experiment(cfg, out_dir=str(tmp_path / "run"))
+    assert report.drop_events and report.gmm_trace
+    return cfg, report, tmp_path / "run"
+
+
+def test_noise_mask_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
+    cfg, _, out = _run_with_drops(tmp_path, tiny_cls_config)
+    _, mask = runner._inject(cfg, runner._load_dataset(cfg))
+    assert mask.corrupted.any() and not mask.corrupted.all()
+    want = [[int(i), int(c)] for i, c in zip(mask.ids, mask.corrupted)]
+    assert (out / "noise_mask.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["sample_id", "corrupted"], want)
+
+
+def test_drops_and_gmm_trace_csv_match_csv_writer_reference(tmp_path, tiny_cls_config):
+    # against the per-row csv.writer loops the runner wrote them with
+    _, report, out = _run_with_drops(tmp_path, tiny_cls_config)
+    want = [[row["epoch"], row["sample_id"], repr(row["posterior"]), int(row["was_noisy"])]
+            for row in report.drop_events]
+    assert (out / "drops.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["epoch", "sample_id", "posterior", "was_noisy"], want)
+    want = [[row["epoch"], row["k"], repr(row["log_likelihood"]), repr(row["bic"]),
+             row["n_iter"], int(row["converged"]), int(row["degenerate"]),
+             int(row["selected"]), ";".join(repr(x) for x in row["weights"]),
+             ";".join(repr(x) for x in row["means"]),
+             ";".join(repr(x) for x in row["variances"])]
+            for row in report.gmm_trace]
+    assert {row[7] for row in want} == {0, 1}
+    assert (out / "gmm_trace.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["epoch", "k", "log_likelihood", "bic", "n_iter",
+                               "converged", "degenerate", "selected", "weights",
+                               "means", "variances"], want)
+
+
+def test_summary_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
+    # baseline arms drop nothing and the clean rate has no noisy sample, so
+    # precision and recall cells come out empty
+    reports = runner.run_grid(tiny_cls_config(), [0.0, 0.15], [3], out_dir=str(tmp_path))
+    want = [[r.config["task"], f"{r.config['noise_rate']:g}", r.config["seed"],
+             "on" if r.config["mantra"] else "off", repr(r.test_metric), r.dropped_total,
+             "" if r.detection["precision"] is None else repr(r.detection["precision"]),
+             "" if r.detection["recall"] is None else repr(r.detection["recall"])]
+            for r in reports]
+    assert "" in {row[6] for row in want} and "" in {row[7] for row in want}
+    assert (tmp_path / "summary.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["task", "rate", "seed", "mantra", "test_metric",
+                               "dropped", "det_precision", "det_recall"], want)
