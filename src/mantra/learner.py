@@ -19,12 +19,13 @@ Every entry point takes a data.PackedSplit of the model's task.
 
 A model's parameters are its dataclass's np.ndarray fields, in declaration
 order (param_arrays), which is also the order its gradients come back in;
-a checkpoint stores every field.  The annotations are read at run time, so
-they must stay real types, not strings.
+a checkpoint stores every field.  Each parameter names its axes (_axes), and
+load_model checks a checkpoint's shapes against those names.  The
+annotations are read at run time, so they must stay real types, not strings.
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,10 +47,15 @@ _TAG_SHUFFLE = 42
 _TAG_GRADCHECK = 43
 
 
+def _axes(*names):
+    """A parameter field, with its axes named so load_model can check its shape."""
+    return field(metadata={"axes": names})
+
+
 @dataclass
 class ClassifierModel:
-    w: np.ndarray              # (n_labels, n_features)
-    b: np.ndarray              # (n_labels,)
+    w: np.ndarray = _axes("label", "feature")
+    b: np.ndarray = _axes("label")
 
     @property
     def task(self):
@@ -58,9 +64,9 @@ class ClassifierModel:
 
 @dataclass
 class Seq2SeqModel:
-    u: np.ndarray              # (n_tgt, n_tgt) transition scores, u[next, prev]
-    v: np.ndarray              # (n_tgt, n_src) source-bag scores
-    b: np.ndarray              # (n_tgt,)
+    u: np.ndarray = _axes("tgt", "tgt")     # transition scores, u[next, prev]
+    v: np.ndarray = _axes("tgt", "src")     # source-bag scores
+    b: np.ndarray = _axes("tgt")
     bos: int = BOS
     eos: int = EOS
 
@@ -110,6 +116,11 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
+def _classifier_probs(model, x):
+    """(n, n_labels) sigmoid outputs of the classifier."""
+    return _sigmoid(x @ model.w.T + model.b)
+
+
 def _check_task(model, split):
     if split.task != model.task:
         raise UsageError(f"{type(model).__name__} cannot score {split.task} samples")
@@ -122,7 +133,7 @@ def per_sample_losses(model, samples):
     """Loss of each sample under the current parameters, without mutation."""
     _check_task(model, samples)
     if isinstance(model, ClassifierModel):
-        p = np.clip(_sigmoid(samples.x @ model.w.T + model.b), EPS, 1.0 - EPS)
+        p = np.clip(_classifier_probs(model, samples.x), EPS, 1.0 - EPS)
         return -(samples.y * np.log(p) + (1.0 - samples.y) * np.log(1.0 - p)).mean(axis=1)
     return kernels.seq_losses(model.u, model.v, model.b, samples.src_counts,
                               samples.src_len, samples.tgt, samples.tgt_len, model.bos)
@@ -130,8 +141,7 @@ def per_sample_losses(model, samples):
 
 def _classifier_grads(model, x, y):
     """Mean-over-batch gradients of the mean BCE."""
-    p = _sigmoid(x @ model.w.T + model.b)
-    g = (p - y) / y.shape[1]
+    g = (_classifier_probs(model, x) - y) / y.shape[1]
     dw = g.T @ x / x.shape[0]
     db = np.add.reduce(g, axis=0) / g.shape[0]   # g.mean(axis=0) without its wrapper
     return dw, db
@@ -162,8 +172,7 @@ def predict(model, samples):
     """Hard predictions: label bit vectors, or greedily decoded token arrays."""
     _check_task(model, samples)
     if isinstance(model, ClassifierModel):
-        p = _sigmoid(samples.x @ model.w.T + model.b)
-        return (p > 0.5).astype(np.uint8)
+        return (_classifier_probs(model, samples.x) > 0.5).astype(np.uint8)
     out, out_len = kernels.greedy_decode(
         model.u, model.v, model.b, samples.src_counts, samples.src_len, model.bos,
         model.eos, MAX_TGT_LEN)
@@ -235,13 +244,17 @@ def save_model(model, path):
     for f in fields(model):
         value = getattr(model, f.name)
         payload[f.name] = value.tolist() if f.type is np.ndarray else value
+    # one write: json.dump takes the pure-Python encoder and writes it in pieces
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model(path):
-    """Rebuild the model save_model wrote; SchemaError names a field the file lacks or garbles."""
+    """Rebuild the model save_model wrote; SchemaError names a field the file lacks or garbles.
+
+    A parameter must be finite, have one dimension per named axis, and agree
+    in size with every other parameter along an axis of the same name.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -251,13 +264,27 @@ def load_model(path):
     if model_type is None:
         raise UsageError(f"unknown checkpoint kind {kind!r}")
     values = {}
+    sizes = {}          # axis name -> (size, the first field with that axis)
     for f in fields(model_type):
         if f.name not in payload:
             raise SchemaError(f"{path}: missing field {f.name!r}")
         try:
-            values[f.name] = (np.asarray(payload[f.name], dtype=np.float64)
-                              if f.type is np.ndarray else f.type(payload[f.name]))
+            value = (np.asarray(payload[f.name], dtype=np.float64)
+                     if f.type is np.ndarray else f.type(payload[f.name]))
         except (TypeError, ValueError):
             raise SchemaError(
                 f"{path}: field {f.name!r} cannot be read as {f.type.__name__}") from None
+        if f.type is np.ndarray:
+            axes = f.metadata["axes"]
+            if value.ndim != len(axes):
+                raise SchemaError(f"{path}: field {f.name!r} has {value.ndim} dimensions, "
+                                  f"not {len(axes)} ({', '.join(axes)})")
+            if not np.isfinite(value).all():
+                raise SchemaError(f"{path}: field {f.name!r} holds a non-finite value")
+            for axis, size in zip(axes, value.shape):
+                first_size, first = sizes.setdefault(axis, (size, f.name))
+                if size != first_size:
+                    raise SchemaError(f"{path}: field {f.name!r} has {size} {axis} entries "
+                                      f"where field {first!r} has {first_size}")
+        values[f.name] = value
     return model_type(**values)

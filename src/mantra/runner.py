@@ -460,36 +460,41 @@ def run_grid(base_config, rates, seeds, out_dir=None):
         raise ConfigError(f"grid rates must be distinct, got {', '.join(labels)}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"grid seeds must be distinct, got {seeds}")
-    # every arm's config is checked before the first arm runs
-    base = base_config.as_dict()
-    configs = [ExperimentConfig(**{**base, "noise_rate": rate, "seed": seed,
-                                   "mantra": mantra_on})
-               for rate, seed, mantra_on in itertools.product(rates, seeds, (False, True))]
+    configs = grid_configs(base_config, rates, seeds)
     reports = []
-    rows = []
     try:
         for config in configs:
-            rate, seed, mantra_on = config.noise_rate, config.seed, config.mantra
             run_dir = None
             if out_dir is not None:
-                arm = "mantra" if mantra_on else "baseline"
+                arm = "mantra" if config.mantra else "baseline"
                 run_dir = os.path.join(
-                    out_dir, f"{config.task}_r{rate:g}_s{seed}_{arm}")
-            if not mantra_on:
+                    out_dir, f"{config.task}_r{config.noise_rate:g}_s{config.seed}_{arm}")
+            if not config.mantra:
                 _pair_prefix = _PairPrefix({**config.as_dict(), "mantra": True})
-            report = run_experiment(config, out_dir=run_dir)
-            reports.append(report)
-            rows.append([
-                config.task, f"{rate:g}", str(seed), "on" if mantra_on else "off",
-                repr(report.test_metric), str(report.dropped_total),
-                float_cell(report.detection["precision"]),
-                float_cell(report.detection["recall"]),
-            ])
+            reports.append(run_experiment(config, out_dir=run_dir))
     finally:
         _pair_prefix = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "summary.csv"),
-                  ("task", "rate", "seed", "mantra", "test_metric", "dropped",
-                   "det_precision", "det_recall"), zip(*rows))
+        write_summary(os.path.join(out_dir, "summary.csv"), reports)
     return reports
+
+
+def grid_configs(base_config, rates, seeds):
+    """Every arm's config of a grid, in sweep order, each checked before any runs."""
+    base = base_config.as_dict()
+    return [ExperimentConfig(**{**base, "noise_rate": rate, "seed": seed, "mantra": mantra_on})
+            for rate, seed, mantra_on in itertools.product(rates, seeds, (False, True))]
+
+
+def write_summary(path, reports):
+    """A grid's summary.csv: one row per run, in the order given."""
+    rows = []
+    for report in reports:
+        cfg = report.config
+        rows.append([cfg["task"], f"{cfg['noise_rate']:g}", str(cfg["seed"]),
+                     "on" if cfg["mantra"] else "off", repr(report.test_metric),
+                     str(report.dropped_total), float_cell(report.detection["precision"]),
+                     float_cell(report.detection["recall"])])
+    write_csv(path, ("task", "rate", "seed", "mantra", "test_metric", "dropped",
+                     "det_precision", "det_recall"), zip(*rows))

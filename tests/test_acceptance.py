@@ -2,9 +2,10 @@
 
 One test per criterion, each printing a single verdict line (visible with
 pytest -v via the test outcome, and in captured output with details).  The
-benchmark runs are deterministic and shared across criteria through the
-session run cache in conftest, so the whole suite stays in CPU-minutes
-territory.
+benchmark runs are deterministic and shared across criteria (and with the
+artifact manifest test) through the session run cache in conftest, which
+also keeps each run's artifact directory, so the whole suite stays in
+CPU-minutes territory.
 
 Criterion 8 (validation-curve smoothness) is known to fail at this scale:
 the baseline learner is convex and descends smoothly even under label
@@ -60,15 +61,12 @@ def test_criterion_1_loss_separation(bench_run):
 
 # -- criterion 2: bimodality of the loss distribution ------------------------
 
-def test_criterion_2_loss_bimodality(tmp_path):
+def test_criterion_2_loss_bimodality(run_cache):
     hits = 0
     per_seed = []
     for seed in SEEDS:
-        out = tmp_path / f"s{seed}"
-        run_experiment(
-            ExperimentConfig(task="classification", seed=seed, noise_rate=0.15,
-                             mantra=False),
-            out_dir=str(out))
+        _, out = run_cache.get(task="classification", seed=seed, noise_rate=0.15,
+                               mantra=False)
         losses_by_epoch = {}
         with (out / "trajectory.csv").open() as fh:
             for row in csv.DictReader(fh):

@@ -244,8 +244,23 @@ def _select_recording_fits(monkeypatch, em, obs, k_max):
         return gmm.select_model(obs, k_max), fits
 
 
-def _assert_select_equals_kmajor(monkeypatch, obs, k_max):
-    (model, trace), fits = _select_recording_fits(monkeypatch, gmm._em, obs, k_max)
+# select_model(k_max=5) of each seeded input with the shipped loop, and every
+# fit it made: the K-major and row-major oracle tests both read them
+_SEEDED_FITS = {}
+
+
+def _seeded_fits(monkeypatch, i):
+    if i not in _SEEDED_FITS:
+        from test_acceptance import _seeded_em_input
+        with np.errstate(**_RAISE):
+            _SEEDED_FITS[i] = _select_recording_fits(
+                monkeypatch, gmm._em, _seeded_em_input(i), 5)
+    return _SEEDED_FITS[i]
+
+
+def _assert_select_equals_kmajor(monkeypatch, obs, k_max, shipped=None):
+    """The shipped select_model (or its recorded result) equals the K-major loop's."""
+    (model, trace), fits = shipped or _select_recording_fits(monkeypatch, gmm._em, obs, k_max)
     (ref_model, ref_trace), ref_fits = _select_recording_fits(
         monkeypatch, _kmajor_em, obs, k_max)
     assert trace == ref_trace
@@ -263,7 +278,8 @@ def test_em_equals_kmajor_loop(monkeypatch):
         for i in range(100):
             obs = _seeded_em_input(i)
             # every order is fit on its own, so k_max only decides which run
-            trace = _assert_select_equals_kmajor(monkeypatch, obs, 5)
+            trace = _assert_select_equals_kmajor(monkeypatch, obs, 5,
+                                                 _seeded_fits(monkeypatch, i))
             assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
 
 
@@ -286,20 +302,27 @@ def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
             assert np.asarray(got).tolist() == np.asarray(want).tolist()
 
 
-def _select_both(monkeypatch, obs):
-    """select_model with the K-major loop, then with the reference loop."""
-    new = gmm.select_model(obs, k_max=3)
+def _select_both(monkeypatch, i):
+    """select_model(k_max=3) with the K-major loop, then with the reference loop.
+
+    Each order is fit on its own, so the K-major side takes the fits that
+    select_model(k_max=5) recorded for the same input.
+    """
+    from test_acceptance import _seeded_em_input
+    obs = _seeded_em_input(i)
+    fits = _seeded_fits(monkeypatch, i)[1]
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "fit_em", lambda obs, k, **kwargs: fits[k - 1])
+        new = gmm.select_model(obs, k_max=3)
     with monkeypatch.context() as m:
         m.setattr(gmm, "_em", _reference_em)
         ref = gmm.select_model(obs, k_max=3)
-    return new, ref
+    return obs, new, ref
 
 
 def test_em_matches_row_major_reference(monkeypatch):
-    from test_acceptance import _seeded_em_input
     for i in range(100):
-        obs = _seeded_em_input(i)
-        (model, trace), (ref_model, ref_trace) = _select_both(monkeypatch, obs)
+        obs, (model, trace), (ref_model, ref_trace) = _select_both(monkeypatch, i)
         assert [row["k"] for row in trace] == [row["k"] for row in ref_trace] == [1, 2, 3]
         for row, ref in zip(trace, ref_trace):
             assert row["n_iter"] == ref["n_iter"], (i, row["k"])

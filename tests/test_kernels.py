@@ -239,3 +239,11 @@ def test_kernels_equal_position_loop_on_edge_lengths(rng):
     _assert_matches_reference(_desk_batch(rng, 40, tgt_len=lengths))
     # a batch cut from a split whose pad is wider than any of its rows
     _assert_matches_reference(_desk_batch(rng, 40, tgt_len=rng.integers(1, 6, 40)))
+    block = kernels._LOSS_BLOCK
+    # a split one sample past a whole loss block
+    _assert_matches_reference(_desk_batch(rng, block + 1))
+    # the split's only row at its pad lies in its last block, so every
+    # earlier block is trimmed far shorter than the split's pad
+    lengths = rng.integers(1, 6, 2 * block + 5)
+    lengths[-3] = 17
+    _assert_matches_reference(_desk_batch(rng, 2 * block + 5, tgt_len=lengths))

@@ -341,6 +341,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_bytes_and_parameter_order(tmp_path):
     cls = learner.new_classifier(5, init_scale=0.4, seed=8)
     seq = learner.new_seq2seq(n_tgt=12, n_src=9, bos=10, eos=11, init_scale=0.1, seed=8)
+    seq.b[:4] = [-0.0, 1e-300, 5e300, 0.1 + 0.2]
     assert [id(a) for a in learner.param_arrays(cls)] == [id(cls.w), id(cls.b)]
     assert [id(a) for a in learner.param_arrays(seq)] == [id(seq.u), id(seq.v), id(seq.b)]
     expected = [
@@ -352,6 +353,12 @@ def test_checkpoint_bytes_and_parameter_order(tmp_path):
         path = tmp_path / f"{payload['kind']}.json"
         learner.save_model(model, path)
         assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+        # the bytes json.dump writes, which checkpoints were first written with
+        ref = tmp_path / "json_dump.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
     back = learner.load_model(tmp_path / "seq2seq.json")
     assert (type(back.bos), type(back.eos)) == (int, int)
     assert all(a.dtype == np.float64 for a in learner.param_arrays(back))
@@ -369,6 +376,43 @@ def test_load_model_names_the_malformed_field(tmp_path):
         with pytest.raises(SchemaError) as exc:
             learner.load_model(path)
         assert str(path) in str(exc.value) and field in str(exc.value)
+
+
+def _load_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as exc:
+        learner.load_model(path)
+    assert str(path) in str(exc.value)
+    return str(exc.value)
+
+
+def test_load_model_rejects_a_parameter_with_the_wrong_dimensions(tmp_path):
+    for w in ("[1.0, 2.0]", "null", "[[[1.0]]]"):
+        msg = _load_error(tmp_path, f'{{"kind": "classifier", "w": {w}, "b": [0.0]}}')
+        assert "'w'" in msg and "dimensions" in msg
+    msg = _load_error(tmp_path, '{"kind": "seq2seq", "u": [[0.0]], "v": [[0.0]], "b": 0.0, '
+                                '"bos": 0, "eos": 0}')
+    assert "'b'" in msg and "dimensions" in msg
+
+
+def test_load_model_rejects_a_non_finite_parameter(tmp_path):
+    for b in ("NaN", "Infinity", "-Infinity", "1e400"):
+        msg = _load_error(tmp_path, f'{{"kind": "classifier", "w": [[1.0]], "b": [{b}]}}')
+        assert "'b'" in msg and "non-finite" in msg
+
+
+def test_load_model_rejects_parameter_shapes_that_disagree(tmp_path):
+    msg = _load_error(tmp_path, '{"kind": "classifier", "w": [[1.0, 2.0], [3.0, 4.0]], '
+                                '"b": [0.0, 0.0, 0.0]}')
+    assert "'b'" in msg and "'w'" in msg
+    u3, v3, b3 = [[0.0] * 3] * 3, [[0.0] * 2] * 3, [0.0] * 3
+    for u, v, b, field in (([[0.0] * 4] * 3, v3, b3, "'u'"),     # u not square
+                           (u3, [[0.0] * 2] * 4, b3, "'v'"),
+                           (u3, v3, [0.0] * 4, "'b'")):
+        msg = _load_error(tmp_path, json.dumps({"kind": "seq2seq", "u": u, "v": v, "b": b,
+                                                "bos": 0, "eos": 1}))
+        assert field in msg and "'u'" in msg
 
 
 def test_desk_lr_table():

@@ -12,7 +12,10 @@ first line names the numpy version, the BLAS build and the CPU model, since
 floating-point results may differ on another build or machine.
 
 Run it on two trees and diff the outputs: the same lines mean the same
-artifacts.
+artifacts.  Its output on the committed tree is the manifest
+tests/artifact_digests.txt, which tier-1 rebuilds and compares:
+
+    python3 tools/artifact_digests.py > tests/artifact_digests.txt
 """
 
 import contextlib
@@ -41,7 +44,7 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
-def _environment():
+def environment():
     import numpy
     config = getattr(numpy.__config__, "CONFIG", {})     # numpy >= 1.26
     blas = config.get("Build Dependencies", {}).get("blas", {})
@@ -68,27 +71,36 @@ def _digest(paths):
     return h.hexdigest()
 
 
+def manifest(tmp):
+    """Run both default grids into directory tmp and return the manifest's lines."""
+    from mantra import cli
+    lines = [environment()]
+    for task in TASKS:
+        out = os.path.join(tmp, task)
+        with contextlib.redirect_stdout(sys.stderr):      # the grid's own report lines
+            status = cli.main(["grid", "--task", task, "--out", out])
+        if status != 0:
+            raise RuntimeError(f"mantra grid --task {task} exited {status}")
+        for name in sorted(os.listdir(out)):
+            path = os.path.join(out, name)
+            files = ([os.path.join(path, f) for f in sorted(os.listdir(path))]
+                     if os.path.isdir(path) else [path])
+            lines.append(f"{task}/{name} {_digest(files)}")
+    return lines
+
+
 def main():
     for var in THREAD_VARS:
         os.environ[var] = "1"
     os.environ.pop("MANTRA_OUT", None)       # it would override --out
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from mantra import cli
-
-    print(_environment())
     with tempfile.TemporaryDirectory() as tmp:
-        for task in TASKS:
-            out = os.path.join(tmp, task)
-            with contextlib.redirect_stdout(sys.stderr):      # the grid's own report lines
-                status = cli.main(["grid", "--task", task, "--out", out])
-            if status != 0:
-                print(f"error: mantra grid --task {task} exited {status}", file=sys.stderr)
-                return 1
-            for name in sorted(os.listdir(out)):
-                path = os.path.join(out, name)
-                files = ([os.path.join(path, f) for f in sorted(os.listdir(path))]
-                         if os.path.isdir(path) else [path])
-                print(f"{task}/{name} {_digest(files)}")
+        try:
+            lines = manifest(tmp)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    print("\n".join(lines))
     return 0
 
 
