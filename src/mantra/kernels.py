@@ -7,27 +7,31 @@ One logit rule serves all three kernels (_logits): the previous token's row
 of u.T (BOS at position 0) plus the sample's source term, the mean source
 bag times v plus b.  Teacher forcing makes every target position
 independent of the model's own outputs, so the loss and its gradient share
-one dense softmax (_softmax) over every (position, sample) slot, laid out
-position-major: every sample's position 0 in row order, then position 1,
-and so on.
+one dense softmax (_softmax) over a batch's real slots (_slots): one slot
+per (position, sample) with position < tgt_len, laid out position-major
+(every sample's position 0 in row order, then position 1, and so on).  A
+pad is never computed on, nor read as a token.
 
 Addition-order contract: every per-sample loss and every gradient entry is
 summed from 0 in position-major order, the order of a per-position loop,
 because ``np.bincount`` adds each bin's terms in input order from 0.  The
-losses are a ``bincount`` by row over the valid slots.  du is a
-``bincount`` over every slot (flattened ``prev * V + column`` keys): a pad
-slot's gradient is weighted by 0.0, so it adds exactly +0.0 and leaves
-every sum unchanged.  dv's per-sample rows are ``dl.sum(axis=0)`` and db is
-``dl.sum(axis=1).sum(axis=0)``, because a reduction over an outer axis adds
-whole slices one after another.  A sample-major order would be off in the
-last bits.  Results do not depend on how a split is cut into blocks.
+losses are a ``bincount`` by row over the real slots, and du a
+``bincount`` over them with flattened ``prev * V + column`` keys.  dv and
+db come from the slots scattered into a zeroed (L_max, n, V) array, whose
+pads hold +0.0 and so leave every sum unchanged: dv's per-sample rows are
+its ``sum(axis=0)`` and db is its ``sum(axis=1).sum(axis=0)``, because a
+reduction over an outer axis adds whole slices one after another.  A
+sample-major order would be off in the last bits.  Results do not depend
+on how a split is cut into blocks.
 
-seq_losses scores whole splits in blocks of 64 samples, taken in order of
-target length (a stable argsort) and each trimmed to its own longest row, so
-few slots are pads; blocks in row order were 10-25% slower on 700- and
-1000-sample splits.  One block's logits, about 240 KB at the desk sizes, are
-alive at a time.  128-sample blocks were up to 10% faster on a 4000-sample
-split, but raised the peak RSS of a default summarization grid by 0.25 MB.
+seq_losses scores whole splits in blocks of 64 samples in row order.  Each
+block computes on its real slots only, so its samples need no sorting by
+target length to keep pads out.  One block's logits, at most about 240 KB
+at the desk sizes, are alive at a time.  128-sample blocks raised a
+``sum-sweep`` benchmark run's peak RSS by 0.29 MB (44.58 -> 44.87 MB,
+medians of 6 alternating pairs, higher in 6 of 6) and its wall time by 3%;
+alone they were 7% faster on a 4000-sample split but 20-30% slower on
+700- and 1000-sample splits.
 
 Greedy decoding feeds each step its own previous output: a loop over positions.
 
@@ -49,6 +53,7 @@ softmax cross-entropy.
 import numpy as np
 
 _LOSS_BLOCK = 64       # samples per dense pass in seq_losses
+_GATHER_SLOTS = 256    # slots whose base rows _logits adds at a time
 
 
 def backend():
@@ -65,24 +70,36 @@ def _source_term(v, b, src_counts, src_len):
     return bag, base
 
 
-def _logits(ut, base, prev):
-    """Logits of each slot: the previous token's row of u.T plus its sample's base."""
+def _logits(ut, base, rows, prev):
+    """Logits of each slot: the previous token's row of u.T plus its sample's row of base.
+
+    The base rows are added _GATHER_SLOTS slots at a time: one gather of a
+    whole loss block's rows doubled its logits in memory and raised a
+    ``sum-sweep`` benchmark run's peak RSS by about 0.2 MB.
+    """
     logits = np.take(ut, prev, axis=0)
-    logits += base      # in place: a second array this size comes from fresh pages
+    for lo in range(0, prev.size, _GATHER_SLOTS):
+        logits[lo:lo + _GATHER_SLOTS] += base[rows[lo:lo + _GATHER_SLOTS]]
     return logits
 
 
-def _prev_tokens(tgt, bos):
-    """(L, n) position-major previous gold tokens: BOS, then each row shifted right."""
-    return np.concatenate((np.full((1, tgt.shape[0]), bos, dtype=np.int64), tgt.T[:-1]))
+def _slots(tgt, tgt_len, bos):
+    """Position-major real slots of a batch: (position, row, previous token, gold token).
+
+    A pad is never read as a token: the previous token at position 0 is BOS.
+    """
+    valid = np.arange(tgt.shape[1])[:, None] < tgt_len
+    pos, rows = np.nonzero(valid)
+    prev = np.concatenate((np.full(np.count_nonzero(valid[0]), bos), tgt.T[:-1][valid[1:]]))
+    return pos, rows, prev, tgt.T[valid]
 
 
 def _softmax(logits):
-    """Turn (L, n, V_t) logits into exp(logits - max) in place; return the max and the sum."""
-    mx = logits.max(axis=2)
-    logits -= mx[:, :, None]
+    """Turn (S, V_t) logits into exp(logits - max) in place; return the max and the sum."""
+    mx = logits.max(axis=1)
+    logits -= mx[:, None]
     np.exp(logits, out=logits)
-    return mx, logits.sum(axis=2)
+    return mx, logits.sum(axis=1)
 
 
 def seq_losses(u, v, b, src_counts, src_len, tgt, tgt_len, bos):
@@ -90,19 +107,15 @@ def seq_losses(u, v, b, src_counts, src_len, tgt, tgt_len, bos):
     ut = np.ascontiguousarray(u.T)
     base = _source_term(v, b, src_counts, src_len)[1]   # one product for the whole split
     losses = np.zeros(n)
-    order = np.argsort(tgt_len, kind="stable")
     for lo in range(0, n, _LOSS_BLOCK):
-        rows = order[lo:lo + _LOSS_BLOCK]
-        lengths = tgt_len[rows]
-        block = tgt[rows, :lengths.max()]
-        logits = _logits(ut, base[rows], _prev_tokens(block, bos))
-        at_gold = np.take_along_axis(logits, block.T[:, :, None], axis=2)[:, :, 0]
+        hi = min(lo + _LOSS_BLOCK, n)
+        _, rows, prev, gold = _slots(tgt[lo:hi], tgt_len[lo:hi], bos)
+        logits = _logits(ut, base[lo:hi], rows, prev)
+        at_gold = logits[np.arange(rows.size), gold]
         mx, ssum = _softmax(logits)
         del logits          # so the next block's are not built beside them
-        valid = np.arange(block.shape[1])[:, None] < lengths
-        nll = np.log(ssum) + mx - at_gold
-        losses[rows] = np.bincount(np.nonzero(valid)[1], weights=nll[valid],
-                                   minlength=rows.size)
+        losses[lo:hi] = np.bincount(rows, weights=np.log(ssum) + mx - at_gold,
+                                    minlength=hi - lo)
     return losses / tgt_len
 
 
@@ -112,18 +125,18 @@ def seq_grad_sum(u, v, b, src_counts, src_len, tgt, tgt_len, bos):
     if n == 0:      # bincount of no keys is int64 whatever the weights
         return np.zeros_like(u), np.zeros_like(v), np.zeros_like(b)
     bag, base = _source_term(v, b, src_counts, src_len)
-    prev = _prev_tokens(tgt, bos)
-    dl = _logits(np.ascontiguousarray(u.T), base, prev)
-    dl /= _softmax(dl)[1][:, :, None]
-    valid = np.arange(tgt.shape[1])[:, None] < tgt_len
-    pos, rows = np.nonzero(valid)
-    dl[pos, rows, tgt[rows, pos]] -= 1.0
-    dl *= np.where(valid, 1.0 / tgt_len, 0.0)[:, :, None]     # pads become +0.0
-    keys = (prev * n_vocab)[:, :, None] + np.arange(n_vocab)
+    pos, rows, prev, gold = _slots(tgt, tgt_len, bos)
+    dl = _logits(np.ascontiguousarray(u.T), base, rows, prev)
+    dl /= _softmax(dl)[1][:, None]
+    dl[np.arange(rows.size), gold] -= 1.0
+    dl *= (1.0 / tgt_len)[rows, None]
+    keys = (prev * n_vocab)[:, None] + np.arange(n_vocab)
     du = np.bincount(keys.ravel(), weights=dl.ravel(), minlength=n_vocab * n_vocab)
     du = du.reshape(n_vocab, n_vocab).T.copy()                 # summed as [prev, next]
-    dv = dl.sum(axis=0).T @ bag
-    db = dl.sum(axis=1).sum(axis=0)
+    dense = np.zeros((tgt.shape[1], n, n_vocab))                # pads hold +0.0
+    dense[pos, rows] = dl
+    dv = dense.sum(axis=0).T @ bag
+    db = dense.sum(axis=1).sum(axis=0)
     return du, dv, db
 
 
@@ -141,7 +154,7 @@ def greedy_decode(u, v, b, src_counts, src_len, bos, eos, max_len):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        nxt = _logits(ut, base[idx], prev[idx]).argmax(axis=1)   # ties go to the lowest id
+        nxt = _logits(ut, base, idx, prev[idx]).argmax(axis=1)   # ties go to the lowest id
         stop = nxt == eos
         keep = idx[~stop]
         out[keep, k] = nxt[~stop]

@@ -1,10 +1,11 @@
-"""Shared fixtures: benchmark run cache and small dataset helpers."""
+"""Shared fixtures: benchmark run cache, seeded mixture fits and small dataset helpers."""
 
 import json
 
 import numpy as np
 import pytest
 
+from mantra import gmm
 from mantra.runner import ExperimentConfig, run_grid
 
 
@@ -45,6 +46,23 @@ def run_cache(tmp_path_factory):
 def bench_run(run_cache):
     """Callable returning a cached RunReport for a benchmark config."""
     return lambda **kwargs: run_cache.get(**kwargs)[0]
+
+
+@pytest.fixture(scope="session")
+def seeded_fits():
+    """select_model(obs, k_max=5) of each of the 100 seeded EM inputs, run once.
+
+    Entry i is (obs, (model, trace), fits) for obs = _seeded_em_input(i) of
+    test_acceptance.py, fits being every fit_em result in K order.  C3 and
+    the EM oracle tests of test_gmm.py read them, so the fits run under
+    errstate(raise): a floating-point error in the shipped loop fails them.
+    """
+    from test_acceptance import _seeded_em_input
+    from test_gmm import _select_recording_fits
+    with pytest.MonkeyPatch.context() as patch, \
+            np.errstate(divide="raise", over="raise", invalid="raise"):
+        return [(obs, *_select_recording_fits(patch, gmm._em, obs, 5))
+                for obs in map(_seeded_em_input, range(100))]
 
 
 @pytest.fixture()

@@ -243,7 +243,27 @@ def test_kernels_equal_position_loop_on_edge_lengths(rng):
     # a split one sample past a whole loss block
     _assert_matches_reference(_desk_batch(rng, block + 1))
     # the split's only row at its pad lies in its last block, so every
-    # earlier block is trimmed far shorter than the split's pad
+    # earlier block's rows are far shorter than the split's pad
     lengths = rng.integers(1, 6, 2 * block + 5)
     lengths[-3] = 17
     _assert_matches_reference(_desk_batch(rng, 2 * block + 5, tgt_len=lengths))
+
+
+def _assert_pads_unread(problem):
+    """Both passes return the same bits when every pad holds an id past the vocabulary."""
+    u, v, b, src, src_len, tgt, tgt_len, bos = problem
+    poisoned = tgt.copy()
+    poisoned[np.arange(tgt.shape[1]) >= tgt_len[:, None]] = b.shape[0] + 5
+    args = (u, v, b, _counts(v, src, src_len), src_len)
+    for got, want in zip(kernels.seq_grad_sum(*args, poisoned, tgt_len, bos),
+                         kernels.seq_grad_sum(*args, tgt, tgt_len, bos)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(kernels.seq_losses(*args, poisoned, tgt_len, bos),
+                          kernels.seq_losses(*args, tgt, tgt_len, bos))
+
+
+def test_kernels_never_read_a_pad(rng):
+    for n in (1, 7, 32, kernels._LOSS_BLOCK + 1, 300):
+        _assert_pads_unread(_desk_batch(rng, n))
+    # a batch cut from a split whose pad is wider than any of its rows
+    _assert_pads_unread(_desk_batch(rng, 40, tgt_len=rng.integers(1, 6, 40)))
