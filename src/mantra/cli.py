@@ -53,7 +53,8 @@ def _add_common_options(p):
     p.add_argument("--transform", choices=sorted(scheduler.TRANSFORMS),
                    help="loss transform fed to the mixture fit")
     p.add_argument("--window", type=int,
-                   help="trailing epochs averaged into the mixture feature")
+                   help="trailing epochs averaged into the mixture feature, "
+                        "at most --epochs")
     p.add_argument("--lr", type=float,
                    help="learning rate (default: the task's desk rate)")
     p.add_argument("--batch-size", type=int)

@@ -157,10 +157,6 @@ def intents_to_bits(names):
     return bits
 
 
-def bits_to_intents(bits):
-    return [INTENTS[i] for i in range(N_INTENTS) if bits[i]]
-
-
 def generate_classification_dataset(seed, n_train=700, n_val=85, n_test=88, d=16):
     """Build a seeded synthetic multi-label classification dataset.
 
@@ -411,19 +407,3 @@ def load_jsonl(path, task, vocab_path=None):
                   for name, columns in buckets.items()}
     return DatasetSplit(meta=meta, **splits)
 
-
-def write_jsonl(path, dataset):
-    """Serialize a DatasetSplit back to the JSON-lines layout load_jsonl reads."""
-    split_tags = (("train", "train"), ("validation", "val"), ("test", "test"))
-    with open(path, "w", encoding="utf-8") as fh:
-        for attr, tag in split_tags:
-            split = getattr(dataset, attr)
-            for i, sample_id in enumerate(split.ids.tolist()):
-                record = {"id": sample_id, "split": tag}
-                if split.task == "classification":
-                    record["features"] = split.x[i].tolist()
-                    record["labels"] = bits_to_intents(split.y[i])
-                else:
-                    record["source"] = split.src[i, :split.src_len[i]].tolist()
-                    record["target"] = split.tgt[i, :split.tgt_len[i] - 1].tolist()
-                fh.write(json.dumps(record, sort_keys=True) + "\n")

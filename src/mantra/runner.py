@@ -21,7 +21,10 @@ report's drop events, per-epoch counts, dropped ids and detection scores
 are all read off it by train position once the loop is over.
 
 Reports serialize to results.json deterministically: reruns of the same
-config are byte-identical except for the runtime field.
+config are byte-identical except for the runtime field.  Each fact of a run
+directory lives in one file: the report's per-row tables are written as
+CSVs only, and results.json keeps the config, the scalars, the per-epoch
+metrics and detection.
 """
 
 import dataclasses
@@ -97,6 +100,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"warmup must satisfy 0 <= warmup < epochs, got {self.warmup} "
                 f"with {self.epochs} epochs")
+        # a longer window never fills, and DropState holds (n_train, window) losses
+        if self.window > self.epochs:
+            raise ConfigError(f"window must be <= epochs, got {self.window} "
+                              f"with {self.epochs} epochs")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.noise_rate <= 1.0):
@@ -138,6 +145,12 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
+# RunReport fields whose rows are a CSV of the run directory, so results.json
+# leaves them out: drops.csv, gmm_trace.csv, group_means.csv, and drops.csv's
+# sample_id column.
+CSV_FIELDS = ("drop_events", "gmm_trace", "group_means", "dropped_ids")
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -161,7 +174,8 @@ class RunReport:
 
     def save_json(self, path):
         # The fields hold only JSON values, so no deep copy is needed to dump them.
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                  if f.name not in CSV_FIELDS}
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(fields, sort_keys=True, indent=2) + "\n")
 

@@ -3,9 +3,11 @@
 The store accumulates one row per scored sample per epoch.  Epochs must be
 recorded contiguously starting at 1 so that downstream consumers (group
 curves, histograms, the drop scheduler) can trust the sequence.  Rows keep
-the ground-truth corruption flag alongside the loss, which makes the CSV
-exports self-describing.  Only active samples are scored, so a sample's
-rows stop at the epoch it was dropped at.
+the ground-truth corruption flag alongside the loss, for the clean and
+noisy group means.  The trajectory CSV holds epoch, sample id and loss
+only: the flag is the run's noise_mask.csv, joined on sample id.  Only
+active samples are scored, so a sample's rows stop at the epoch it was
+dropped at.
 """
 
 from itertools import chain, islice
@@ -109,12 +111,10 @@ class TrajectoryStore:
     def save_csv(self, path):
         # Each column is built an epoch at a time as write_csv consumes it.
         epochs = [(str(epoch), self._epochs[epoch]) for epoch in self.epochs]
-        write_csv(path, ("epoch", "sample_id", "loss", "is_noisy"), (
+        write_csv(path, ("epoch", "sample_id", "loss"), (
             chain.from_iterable([e] * r["ids"].size for e, r in epochs),
             chain.from_iterable([str(i) for i in r["ids"].tolist()] for _, r in epochs),
-            chain.from_iterable([repr(x) for x in r["losses"].tolist()] for _, r in epochs),
-            chain.from_iterable(["1" if f else "0" for f in r["noisy"].tolist()]
-                                for _, r in epochs)))
+            chain.from_iterable([repr(x) for x in r["losses"].tolist()] for _, r in epochs)))
 
     def save_group_means_csv(self, path):
         means = self.group_means()

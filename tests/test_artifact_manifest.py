@@ -10,6 +10,8 @@ A change that means to alter an artifact regenerates the manifest.
 
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from mantra import runner
@@ -63,3 +65,13 @@ def test_default_grids_match_the_manifest(monkeypatch, tmp_path, run_cache):
     differ = [_difference(name, expected, have) for name in sorted(expected.keys() | have.keys())
               if expected.get(name) != have.get(name)]
     assert not differ, "artifacts differ from tests/artifact_digests.txt:\n" + "\n".join(differ)
+
+
+def test_environment_names_the_blas_core():
+    # OpenBLAS reads OPENBLAS_CORETYPE as it loads, so ask a fresh interpreter
+    script = "import runpy, sys; print(runpy.run_path(sys.argv[1])['environment']())"
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "tools" / "artifact_digests.py")],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+        capture_output=True, text=True, check=True).stdout
+    assert "; blas core Haswell; " in out

@@ -53,6 +53,10 @@ def test_bad_usage_exits_2(tmp_path, capsys):
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
 
+    # config error: a window longer than the run (--epochs 4)
+    assert main(_tiny_run_args(tmp_path, window=5)) == 2
+    assert "window must be <= epochs" in capsys.readouterr().err
+
     # malformed grid rate list
     assert main(["grid", "--task", "cls", "--epochs", "3", "--warmup", "1",
                  "--n-train", "40", "--n-val", "8", "--n-test", "8",

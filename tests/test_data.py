@@ -9,6 +9,8 @@ import pytest
 from mantra import data, noise
 from mantra.errors import ConfigError, ParseError, SchemaError, UsageError
 
+from jsonl_io import bits_to_intents, write_jsonl
+
 
 def test_vocab_layout_constants():
     assert data.N_INTENTS == 7
@@ -21,7 +23,7 @@ def test_intent_bit_round_trip():
         names = [data.INTENTS[i] for i in pattern]
         bits = data.intents_to_bits(names)
         assert bits.sum() == len(pattern)
-        assert data.bits_to_intents(bits) == names
+        assert bits_to_intents(bits) == names
     with pytest.raises(SchemaError):
         data.intents_to_bits(["NotAnIntent"])
 
@@ -132,7 +134,7 @@ def test_src_counts_match_add_at_reference(tmp_path):
         for split in _splits(ds):
             _assert_counts_match_reference(split, data.N_SRC_VOCAB)
     path = tmp_path / "sum.jsonl"
-    data.write_jsonl(path, ds)
+    write_jsonl(path, ds)
     for split in _splits(data.load_jsonl(path, "summarization")):
         _assert_counts_match_reference(split, data.N_SRC_VOCAB)
 
@@ -190,7 +192,7 @@ def test_load_vocab(tmp_path):
 def test_jsonl_round_trip_classification(tmp_path):
     src = data.generate_classification_dataset(9, n_train=12, n_val=4, n_test=4, d=5)
     path = tmp_path / "cls.jsonl"
-    data.write_jsonl(path, src)
+    write_jsonl(path, src)
     back = data.load_jsonl(path, "classification")
     assert back.meta["n_features"] == 5
     for a, b in zip(_splits(src), _splits(back)):
@@ -202,7 +204,7 @@ def test_jsonl_round_trip_classification(tmp_path):
 def test_jsonl_round_trip_summarization(tmp_path):
     src = data.generate_summarization_dataset(9, n_train=10, n_val=3, n_test=3)
     path = tmp_path / "sum.jsonl"
-    data.write_jsonl(path, src)
+    write_jsonl(path, src)
     back = data.load_jsonl(path, "summarization")
     assert back.meta["eos"] == data.EOS
     for a, b in zip(_splits(src), _splits(back)):    # EOS re-appended on load

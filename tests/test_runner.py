@@ -11,6 +11,8 @@ from mantra import data, runner
 from mantra.errors import ConfigError, SchemaError, UsageError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
 
+from jsonl_io import write_jsonl
+
 
 def test_config_defaults_resolve_per_task():
     cls = ExperimentConfig(task="cls")
@@ -37,6 +39,7 @@ def test_config_validation():
         dict(task="cls", tau=0.4),           # policy knobs checked up front
         dict(task="cls", mantra=False, tau=0.4),   # even with the scheduler off
         dict(task="cls", hist_bins=0),
+        dict(task="cls", epochs=10, window=11),     # a window that never fills
         # every setting is checked before any work starts
         dict(task="cls", seed=-1),
         dict(task="cls", noise_mode="bogus"),
@@ -56,13 +59,24 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+    # the longest window a run fills
+    assert ExperimentConfig(task="cls", epochs=10, window=10).window == 10
 
 
 def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
     report = run_experiment(tiny_cls_config(n_train=200), out_dir=tmp_path)
     assert report.drop_events and report.gmm_trace
+    # the per-row tables are left to their CSVs: drops.csv, gmm_trace.csv,
+    # group_means.csv, and drops.csv's sample_id column
+    saved = {key: value for key, value in report.as_dict().items()
+             if key not in {"drop_events", "gmm_trace", "group_means", "dropped_ids"}}
+    assert set(json.loads((tmp_path / "results.json").read_text())) == {
+        "config", "metric_name", "test_metric", "val_metrics", "detection",
+        "dropped_total", "dropped_per_epoch", "label_repairs", "prior_drift",
+        "backend", "runtime_sec"}
+    assert (tmp_path / "results.json").read_bytes() == (
+        json.dumps(saved, sort_keys=True, indent=2) + "\n").encode("utf-8")
     want = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-    assert (tmp_path / "results.json").read_bytes() == want.encode("utf-8")
 
     # as_dict() is a deep copy: changing it leaves the report alone
     out = report.as_dict()
@@ -199,14 +213,15 @@ def test_artifact_set(tmp_path, tiny_cls_config):
 
     drop_rows = list(csv.DictReader((out / "drops.csv").open()))
     assert len(drop_rows) == report.dropped_total
+    assert sorted(int(r["sample_id"]) for r in drop_rows) == report.dropped_ids
 
     gmm_rows = list(csv.DictReader((out / "gmm_trace.csv").open()))
-    iters = [row["n_iter"] for row in saved["gmm_trace"]]
+    iters = [row["n_iter"] for row in report.gmm_trace]
     assert gmm_rows and [int(r["n_iter"]) for r in gmm_rows] == iters
     assert all(1 <= n <= 200 for n in iters)
 
     with (out / "trajectory.csv").open() as fh:
-        assert fh.readline() == "epoch,sample_id,loss,is_noisy\n"
+        assert fh.readline() == "epoch,sample_id,loss\n"
     traj_rows = list(csv.DictReader((out / "trajectory.csv").open()))
     active_per_epoch = {e: 0 for e in range(1, cfg.epochs + 1)}
     for row in traj_rows:
@@ -216,21 +231,28 @@ def test_artifact_set(tmp_path, tiny_cls_config):
         assert active_per_epoch[epoch] == cfg.n_train - dropped_so_far
         dropped_so_far += report.dropped_per_epoch[epoch]
 
-    # only active samples are scored, the noisy flag is the mask's, and a
-    # dropped id has no row after the epoch it was dropped at
-    noisy = {int(r["sample_id"]): r["corrupted"] for r in mask_rows}
+    # only active samples are scored, and a dropped id has no row after the
+    # epoch it was dropped at
     drop_epoch = {int(r["sample_id"]): int(r["epoch"]) for r in drop_rows}
     assert drop_epoch and min(drop_epoch.values()) < cfg.epochs
     for row in traj_rows:
-        sid = int(row["sample_id"])
-        assert row["is_noisy"] == noisy[sid]
-        assert int(row["epoch"]) <= drop_epoch.get(sid, cfg.epochs)
+        assert int(row["epoch"]) <= drop_epoch.get(int(row["sample_id"]), cfg.epochs)
+
+    # the noisy flag is the mask's: joined on sample id, the trajectory gives
+    # back each epoch's clean and noisy group means
+    noisy = {int(r["sample_id"]): r["corrupted"] == "1" for r in mask_rows}
+    for epoch in range(1, cfg.epochs + 1):
+        rows = [r for r in traj_rows if int(r["epoch"]) == epoch]
+        for name, flag in (("clean", False), ("noisy", True)):
+            losses = [float(r["loss"]) for r in rows if noisy[int(r["sample_id"])] == flag]
+            mean = float(np.mean(losses)) if losses else None
+            assert mean == report.group_means[epoch][name]
 
 
 def test_file_dataset_round_trip(tmp_path, tiny_cls_config):
     ds = data.generate_classification_dataset(3, n_train=60, n_val=16, n_test=16, d=8)
     path = tmp_path / "data.jsonl"
-    data.write_jsonl(path, ds)
+    write_jsonl(path, ds)
     # a file run takes its sizes from the file and echoes them as null
     from_file = run_experiment(ExperimentConfig(
         task="cls", seed=3, noise_rate=0.15, epochs=4, warmup=1, data=str(path)))

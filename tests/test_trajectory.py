@@ -89,8 +89,7 @@ def test_csv_exports(tmp_path):
     store.save_csv(traj)
     rows = list(csv.DictReader(traj.open()))
     assert len(rows) == 3
-    assert rows[0] == {"epoch": "1", "sample_id": "1", "loss": "0.5",
-                       "is_noisy": "0"}
+    assert rows[0] == {"epoch": "1", "sample_id": "1", "loss": "0.5"}
     # full float repr survives the round trip
     assert float(rows[1]["loss"]) == 1.5
 
@@ -117,8 +116,8 @@ def _csv_writer_bytes(path, header, rows):
 
 
 def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
-    # exponent-form reprs, both noisy flags, and a shrunken epoch after
-    # drops, against the per-row csv.writer loop the export replaced
+    # exponent-form reprs and a shrunken epoch after drops, against the
+    # per-row csv.writer loop the export replaced; the noisy flag is left out
     store = TrajectoryStore()
     store.record_epoch(1, [7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0],
                        [False, True, False, True])
@@ -129,10 +128,9 @@ def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
     for epoch in store.epochs:
         rows = store.epoch_rows(epoch)
         for i in range(rows["ids"].shape[0]):
-            want.append([epoch, int(rows["ids"][i]), repr(float(rows["losses"][i])),
-                         int(rows["noisy"][i])])
+            want.append([epoch, int(rows["ids"][i]), repr(float(rows["losses"][i]))])
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "ref.csv", ["epoch", "sample_id", "loss", "is_noisy"], want)
+        tmp_path / "ref.csv", ["epoch", "sample_id", "loss"], want)
     assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
 
 

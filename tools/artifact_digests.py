@@ -8,8 +8,9 @@ BLAS/OpenMP pinned to one thread, runs `mantra grid --task cls` and
 directory, and prints to stdout one line per run directory and per summary.csv: the
 name and a SHA-256 over the files in name order.  results.json is hashed
 re-serialised without runtime_sec, the one field reruns may change.  The
-first line names the numpy version, the BLAS build and the CPU model, since
-floating-point results may differ on another build or machine.
+first line names the numpy version, the BLAS build, the core type whose
+kernels OpenBLAS dispatched to (OPENBLAS_CORETYPE overrides it) and the CPU
+model, since floating-point results may differ on another build or machine.
 
 Run it on two trees and diff the outputs: the same lines mean the same
 artifacts.  Its output on the committed tree is the manifest
@@ -19,6 +20,8 @@ tests/artifact_digests.txt, which tier-1 rebuilds and compares:
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -44,12 +47,26 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
+def _blas_core(numpy):
+    """The core name of numpy's bundled OpenBLAS, or 'unknown' without one."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"
+
+
 def environment():
     import numpy
     config = getattr(numpy.__config__, "CONFIG", {})     # numpy >= 1.26
     blas = config.get("Build Dependencies", {}).get("blas", {})
     build = " ".join(str(blas[key]) for key in ("name", "version") if key in blas)
-    return f"numpy {numpy.__version__}; blas {build or 'unknown'}; cpu {_cpu_model()}"
+    return (f"numpy {numpy.__version__}; blas {build or 'unknown'}; "
+            f"blas core {_blas_core(numpy)}; cpu {_cpu_model()}")
 
 
 def _file_bytes(path):
