@@ -5,8 +5,9 @@ inconsistent experiment setup), 1 for runtime failures (unreadable files,
 failed fits).  MANTRA_OUT, when set, overrides any --out flag.
 
 Every run setting, with its default and its checks, is declared once, in
-runner.ExperimentConfig: `run` and `grid` pass on only the flags given, each
-under its field's name, and choice lists come from the modules that own them.
+runner.ExperimentConfig or the scheduler.DropPolicy it extends: `run` and
+`grid` pass on only the flags given, each under its field's name, and choice
+lists come from the modules that own them.
 """
 
 import argparse
@@ -19,18 +20,11 @@ from . import noise, runner, scheduler
 from .errors import ConfigError, MantraError, UsageError
 
 
-def _parse_floats(text):
+def _parse_list(text, kind):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}")
-
-
-def _parse_ints(text):
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated int list, got {text!r}")
+        raise ConfigError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
 
 
 def _add_common_options(p):
@@ -118,8 +112,8 @@ def _cmd_run(args):
 def _cmd_grid(args):
     base = _config_from_args(args)
     out_dir = _resolve_out(args)
-    reports = runner.run_grid(base, _parse_floats(args.rates),
-                              _parse_ints(args.seeds), out_dir=out_dir)
+    reports = runner.run_grid(base, _parse_list(args.rates, float),
+                              _parse_list(args.seeds, int), out_dir=out_dir)
     for report in reports:
         cfg = report.config
         print(f"task={cfg['task']} rate={cfg['noise_rate']:g} seed={cfg['seed']} "

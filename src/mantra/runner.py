@@ -52,22 +52,22 @@ DEFAULT_DIM = 16
 SYNTHETIC_SIZES = ("n_train", "n_val", "n_test", "n_features")
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(scheduler.DropPolicy):
+    """One run's settings, keyword-only, each with its default and its checks.
+
+    It extends scheduler.DropPolicy, so a run config is its own drop policy:
+    the policy knobs are declared there, and as_dict() stays flat.  Only
+    warmup is redeclared, because its default depends on the task.
+    """
     task: str
     seed: int = 1
     noise_rate: float = 0.0
     epochs: int = 10
     mantra: bool = True
     warmup: int | None = None
-    tau: float = scheduler.DropPolicy.tau
-    persistence: int = scheduler.DropPolicy.persistence
-    max_drop_frac: float = scheduler.DropPolicy.max_drop_frac
-    k_max: int = scheduler.DropPolicy.k_max
-    transform: str = scheduler.DropPolicy.transform
-    window: int = scheduler.DropPolicy.window
     lr: float | None = None
-    batch_size: int = 32
+    batch_size: int = learner.TrainConfig.batch_size
     init_scale: float = 0.0
     noise_mode: str = "replace-set"
     data: str = "synthetic"
@@ -134,12 +134,7 @@ class ExperimentConfig:
             raise ConfigError("hist_bins must be >= 1")
         # Policy knobs get the same scrutiny even when the scheduler is off,
         # so a baseline config cannot hide a bad treated config.
-        self.drop_policy().validate()
-        return self
-
-    def drop_policy(self):
-        return scheduler.DropPolicy(**{f.name: getattr(self, f.name)
-                                       for f in dataclasses.fields(scheduler.DropPolicy)})
+        return super().validate()
 
     def as_dict(self):
         return dataclasses.asdict(self)
@@ -253,7 +248,6 @@ def run_experiment(config, out_dir=None):
     model = _new_model(config, dataset)
     train_cfg = learner.TrainConfig(lr=config.lr, batch_size=config.batch_size,
                                     shuffle_seed=config.seed)
-    policy = config.drop_policy()
     state = scheduler.DropState.for_ids(train.ids)
     store = TrajectoryStore()
 
@@ -276,7 +270,7 @@ def run_experiment(config, out_dir=None):
         val_metrics.append(val_metric)
         store.record_epoch(epoch, active.ids, losses, mask.corrupted[rows])
         if config.mantra:
-            decision = scheduler.evaluate_epoch(state, policy, epoch, active.ids, losses)
+            decision = scheduler.evaluate_epoch(state, config, epoch, active.ids, losses)
             for row in decision.gmm_trace:
                 gmm_trace.append({"epoch": epoch, **row})
         if record is not None:
@@ -367,12 +361,10 @@ def _has_type(value, types):
 
 def _as_report_dict(report):
     """A report as a dict; SchemaError names the first field missing or mistyped."""
-    if isinstance(report, RunReport):
-        # only the fields compare_runs reads: as_dict() deep-copies the whole report
-        return {"config": report.config,
-                **{key: getattr(report, key) for key in _REPORT_FIELDS}}
     where = "report"
-    if not isinstance(report, dict):
+    if isinstance(report, RunReport):
+        report = vars(report)
+    elif not isinstance(report, dict):
         where = os.fspath(report)
         with open(report, "r", encoding="utf-8") as fh:
             report = json.load(fh)

@@ -33,8 +33,14 @@ TRANSFORMS = {
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DropPolicy:
+    """The treatment's knobs, checked by validate().
+
+    Keyword-only, so a subclass may add fields in any order.  A run's
+    runner.ExperimentConfig extends it and is itself the policy the run's
+    scheduler reads.
+    """
     warmup: int
     tau: float = 0.7
     persistence: int = 2

@@ -35,10 +35,6 @@ def _verdict(tag, ok, detail):
     return f"[{tag}] {detail}", ok
 
 
-def _warmup(task):
-    return {"classification": 5, "summarization": 3}[task]
-
-
 # -- criterion 1: noisy/clean loss separation --------------------------------
 
 def test_criterion_1_loss_separation(bench_run):
@@ -65,15 +61,15 @@ def test_criterion_2_loss_bimodality(run_cache):
     hits = 0
     per_seed = []
     for seed in SEEDS:
-        _, out = run_cache.get(task="classification", seed=seed, noise_rate=0.15,
-                               mantra=False)
+        report, out = run_cache.get(task="classification", seed=seed,
+                                    noise_rate=0.15, mantra=False)
         losses_by_epoch = {}
         with (out / "trajectory.csv").open() as fh:
             for row in csv.DictReader(fh):
                 losses_by_epoch.setdefault(int(row["epoch"]), []).append(
                     float(row["loss"]))
         ks = []
-        for epoch in range(_warmup("classification"), EPOCHS + 1):
+        for epoch in range(report.config["warmup"], EPOCHS + 1):
             model, _ = gmm.select_model(np.log1p(losses_by_epoch[epoch]), k_max=3)
             ks.append(model.k)
         per_seed.append(min(ks))
@@ -244,18 +240,18 @@ def test_criterion_7_robustness_recovery(bench_run):
 # -- criterion 8: validation-curve smoothness (known failure) ----------------
 
 def test_criterion_8_curve_smoothness(bench_run):
-    warmup = _warmup("classification")
     wins = 0
     pairs = []
     for seed in SEEDS:
+        base, treat = (bench_run(task="classification", seed=seed, noise_rate=0.15,
+                                 mantra=mantra_on) for mantra_on in (False, True))
+        warmup = base.config["warmup"]          # the pair shares it
+
         def roughness(report):
             vals = report.val_metrics[warmup - 1:]       # epochs warmup..10
             return float(np.abs(np.diff(vals)).sum())
 
-        tv_base = roughness(bench_run(task="classification", seed=seed,
-                                      noise_rate=0.15, mantra=False))
-        tv_treat = roughness(bench_run(task="classification", seed=seed,
-                                       noise_rate=0.15, mantra=True))
+        tv_base, tv_treat = roughness(base), roughness(treat)
         pairs.append((tv_base, tv_treat))
         wins += tv_treat < tv_base
     line, ok = _verdict(

@@ -57,10 +57,14 @@ def test_bad_usage_exits_2(tmp_path, capsys):
     assert main(_tiny_run_args(tmp_path, window=5)) == 2
     assert "window must be <= epochs" in capsys.readouterr().err
 
-    # malformed grid rate list
-    assert main(["grid", "--task", "cls", "--epochs", "3", "--warmup", "1",
-                 "--n-train", "40", "--n-val", "8", "--n-test", "8",
-                 "--rates", "0.1;0.2", "--seeds", "1"]) == 2
+    # malformed grid rate and seed lists
+    grid = ["grid", "--task", "cls", "--epochs", "3", "--warmup", "1",
+            "--n-train", "40", "--n-val", "8", "--n-test", "8"]
+    for rates, seeds, message in (
+            ("0.1;0.2", "1", "expected a comma-separated float list, got '0.1;0.2'"),
+            ("0.1", "1;2", "expected a comma-separated int list, got '1;2'")):
+        assert main(grid + ["--rates", rates, "--seeds", seeds]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -5,7 +5,9 @@ reads some of their arguments by position.  A rename or deletion here would
 leave the benchmark with missing targets, so tier-1 checks the list.
 perfbench/bench.py times and checks every run by wrapping
 `runner.run_experiment(config, out_dir=None)`, so tier-1 also checks that
-call shape and that `run_grid` makes one such call per arm.
+call shape and that `run_grid` makes one such call per arm.  It builds its
+direct runs' configs by keyword and reads a few settings off every config it
+times, so tier-1 checks that construction and those reads too.
 """
 
 import inspect
@@ -63,3 +65,14 @@ def test_grid_runs_each_arm_through_the_module_attribute(monkeypatch, tiny_cls_c
     runner.run_grid(tiny_cls_config(), [0.15], [3, 4])
     # baseline before treated, per seed, in sweep order
     assert calls == [(3, False), (3, True), (4, False), (4, True)]
+
+
+def test_benchmark_config_construction_and_reads():
+    from mantra import runner
+    # as bench.py builds a direct run's config, n_train None or a size
+    for n_train, want in ((None, 1000), (4000, 4000)):
+        config = runner.ExperimentConfig(task="sum", seed=2, noise_rate=float("0.15"),
+                                         mantra=False, n_train=n_train)
+        # every setting bench.py reads off a timed config
+        assert (config.mantra, config.seed, config.noise_rate, config.max_drop_frac,
+                config.n_train, config.epochs) == (False, 2, 0.15, 0.3, want, 10)

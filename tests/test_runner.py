@@ -1,13 +1,14 @@
 """Run orchestration: pairing guarantees, artifacts, comparisons, grids."""
 
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mantra import data, runner
+from mantra import data, runner, scheduler
 from mantra.errors import ConfigError, SchemaError, UsageError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
 
@@ -24,6 +25,35 @@ def test_config_defaults_resolve_per_task():
     assert summ.task == "summarization"
     assert summ.warmup == 3 and summ.lr == 16.0
     assert (summ.n_train, summ.n_val, summ.n_test) == (1000, 100, 100)
+
+
+def test_config_is_its_own_drop_policy():
+    policy_fields = dataclasses.fields(scheduler.DropPolicy)
+    for task, warmup in (("cls", 5), ("sum", 3)):
+        config = ExperimentConfig(task=task)
+        assert isinstance(config, scheduler.DropPolicy)
+        assert config.warmup == warmup
+        for f in policy_fields:
+            if f.name != "warmup":
+                assert getattr(config, f.name) == f.default, f.name
+    with pytest.raises(TypeError):
+        ExperimentConfig("cls")
+    with pytest.raises(TypeError):
+        ExperimentConfig("cls", 1)
+
+
+def test_config_as_dict_is_flat_and_complete():
+    shared = {"seed": 1, "noise_rate": 0.0, "epochs": 10, "mantra": True,
+              "tau": 0.7, "persistence": 2, "max_drop_frac": 0.3, "k_max": 3,
+              "transform": "log1p", "window": 1, "batch_size": 32,
+              "init_scale": 0.0, "noise_mode": "replace-set", "data": "synthetic",
+              "vocab": None, "n_features": 16, "hist_bins": 30}
+    assert ExperimentConfig(task="cls").as_dict() == {
+        **shared, "task": "classification", "warmup": 5, "lr": 0.5,
+        "n_train": 700, "n_val": 85, "n_test": 88}
+    assert ExperimentConfig(task="sum").as_dict() == {
+        **shared, "task": "summarization", "warmup": 3, "lr": 16.0,
+        "n_train": 1000, "n_val": 100, "n_test": 100}
 
 
 def test_config_validation():
@@ -360,6 +390,19 @@ def test_compare_runs_checks_field_types(tiny_cls_config):
         bad = {**treat, "config": {**treat["config"], key: value}}
         with pytest.raises(SchemaError, match=f"config.{key}"):
             compare_runs(base, bad)
+
+
+def test_compare_runs_checks_a_run_report_like_its_dict(tiny_cls_config):
+    base = run_experiment(tiny_cls_config(mantra=False))
+    treat = run_experiment(tiny_cls_config(mantra=True))
+    for key, value in (("test_metric", "0.7"), ("dropped_total", 1.0)):
+        bad = dataclasses.replace(treat, **{key: value})
+        for form in (bad, bad.as_dict()):
+            with pytest.raises(SchemaError, match=f"field '{key}' has the wrong type"):
+                compare_runs(base, form)
+    bad = dataclasses.replace(treat, config={**treat.config, "seed": "3"})
+    with pytest.raises(SchemaError, match="config.seed"):
+        compare_runs(base, bad)
 
 
 def test_run_grid(tmp_path, tiny_cls_config):

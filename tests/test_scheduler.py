@@ -48,6 +48,10 @@ def test_policy_validation():
     for overrides in bad:
         with pytest.raises(ConfigError):
             _policy(**overrides).validate()
+    # keyword-only, so a subclass can add fields without reordering these
+    with pytest.raises(TypeError):
+        DropPolicy(5)
+    assert DropPolicy(warmup=5) == _policy()
 
 
 def test_state_construction():
