@@ -53,8 +53,8 @@ class PackedSplit:
     """One split as read-only arrays, one row per sample; len() counts rows.
 
     Classification fills x (features) and y (label bits), both float64.
-    Summarization fills src and tgt (int64, zero-padded to the split's own
-    longest row; each tgt row ends in EOS), their true lengths, and
+    Summarization fills src and tgt (int64, zero-padded past each row's
+    true length; each tgt row ends in EOS), their true lengths, and
     src_counts: each sample's source-token counts over the source vocabulary,
     counted once here because sources never change during a run (uint8, an
     eighth of int64's memory; MAX_SRC_LEN bounds every count).
@@ -81,17 +81,11 @@ class PackedSplit:
     def take(self, rows):
         """The rows at the given positions (an index array or a slice).
 
-        Sequence pads are trimmed to the subset's own longest source and
-        target, keeping the invariant that every split pads to its own
-        longest row (the kernels then scan no all-pad column).
+        One row selection over every array field: sequence arrays keep the
+        split's width, since no kernel reads a pad.
         """
-        if self.task != "summarization":
-            return replace(self, ids=self.ids[rows], x=self.x[rows], y=self.y[rows])
-        src_len, tgt_len = self.src_len[rows], self.tgt_len[rows]
-        return replace(self, ids=self.ids[rows], src_len=src_len, tgt_len=tgt_len,
-                       src=self.src[rows, :src_len.max(initial=0)],
-                       tgt=self.tgt[rows, :tgt_len.max(initial=0)],
-                       src_counts=self.src_counts[rows])
+        return replace(self, **{name: arr[rows] for name, arr in vars(self).items()
+                                if isinstance(arr, np.ndarray)})
 
 
 def classification_split(ids, x, y):
@@ -101,7 +95,7 @@ def classification_split(ids, x, y):
 
 
 def summarization_split(ids, sources, targets, n_src):
-    """A split from per-sample token arrays over n_src source ids; targets end in EOS."""
+    """A split from token arrays over n_src source ids, padded to the longest; EOS ends tgt."""
     src, src_len = _pad(sources)
     tgt, tgt_len = _pad(targets)
     if (src.shape[1] > MAX_SRC_LEN or src.min(initial=0) < 0
@@ -157,7 +151,7 @@ def intents_to_bits(names):
     return bits
 
 
-def generate_classification_dataset(seed, n_train=700, n_val=85, n_test=88, d=16):
+def generate_classification_dataset(seed, n_train, n_val, n_test, d):
     """Build a seeded synthetic multi-label classification dataset.
 
     Features are standard normal draws.  A hidden weight matrix W* with
@@ -183,7 +177,7 @@ def generate_classification_dataset(seed, n_train=700, n_val=85, n_test=88, d=16
                       {"n_features": d, "label_repairs": repairs, "hidden_weights": w_star})
 
 
-def generate_summarization_dataset(seed, n_train=1000, n_val=100, n_test=100):
+def generate_summarization_dataset(seed, n_train, n_val, n_test):
     """Build a seeded synthetic summarization dataset.
 
     Sources are uniform token sequences of length 4..10 over the source

@@ -5,6 +5,9 @@ are deterministic: one start places component means on the (j - 0.5)/K
 quantiles with equal weights and the overall variance, and the EM loop
 itself has no randomness.
 
+EM stops after MAX_ITER iterations or once the log-likelihood moves by less
+than TOL.  No run setting varies them; a reference fit assigns gmm.MAX_ITER.
+
 Model order is chosen by the Bayesian information criterion
 -2 ln L + k ln n with k = 3K - 1 free parameters in one dimension
 (K weights minus the simplex constraint, K means, K variances); the lowest
@@ -25,6 +28,8 @@ import numpy as np
 from .errors import FitError, UsageError
 
 VAR_FLOOR = 1e-6
+MAX_ITER = 200      # EM iterations per fit
+TOL = 1e-6          # log-likelihood change that counts as converged
 
 
 @dataclass
@@ -88,7 +93,7 @@ def _em(obs, weights, means, variances, max_iter, tol):
     return weights, means, variances, history[-1], len(history) - 1, converged, history
 
 
-def fit_em(obs, k, max_iter=200, tol=1e-6):
+def fit_em(obs, k):
     """Fit a K-component univariate mixture; components come back sorted by mean.
 
     Raises FitError when there are fewer observations than components.
@@ -105,7 +110,7 @@ def fit_em(obs, k, max_iter=200, tol=1e-6):
     degenerate = bool(spread == 0.0 and k > 1)
     weights, means, variances, ll, n_iter, converged, history = _em(
         obs, np.full(k, 1.0 / k), np.quantile(obs, (np.arange(k) + 0.5) / k),
-        np.full(k, max(spread, VAR_FLOOR)), max_iter, tol)
+        np.full(k, max(spread, VAR_FLOOR)), MAX_ITER, TOL)
 
     order = np.argsort(means, kind="stable")
     return GmmModel(weights=weights[order], means=means[order],
@@ -121,7 +126,7 @@ def bic_value(log_likelihood, k, n):
     return -2.0 * log_likelihood + (3 * k - 1) * math.log(n)
 
 
-def select_model(obs, k_max=3, max_iter=200, tol=1e-6):
+def select_model(obs, k_max):
     """Fit K = 1..k_max and keep the lowest-BIC model (ties favor fewer).
 
     Returns (model, trace) where trace lists one dict per candidate K with
@@ -139,7 +144,7 @@ def select_model(obs, k_max=3, max_iter=200, tol=1e-6):
     for k in range(1, k_max + 1):
         if obs.shape[0] < k:
             break
-        model = fit_em(obs, k, max_iter=max_iter, tol=tol)
+        model = fit_em(obs, k)
         score = bic_value(model.log_likelihood, k, obs.shape[0])
         trace.append({
             "k": k,

@@ -11,9 +11,11 @@ Two learner families, one per task:
   positions (EOS included).
 
 Everything here is deterministic given the seeds in play: shuffles draw
-from a stream keyed on (shuffle_seed, epoch), initialization from its own
-stream, and the update rule is plain mini-batch SGD with closed-form
-gradients.  per_sample_losses never mutates the model, so the loss of every
+from a stream keyed on (seed, epoch), initialization from its own stream,
+and the update rule is plain mini-batch SGD with closed-form gradients.
+train_epoch reads lr, batch_size and seed off the run's ExperimentConfig
+(or any object with those attributes); this module keeps no copy of them.
+per_sample_losses never mutates the model, so the loss of every
 active sample can be recorded at epoch end under the same parameters.
 Every entry point takes a data.PackedSplit of the model's task.
 
@@ -45,6 +47,10 @@ DESK_LR = {"classification": 0.5, "summarization": 16.0}
 _TAG_INIT = 41
 _TAG_SHUFFLE = 42
 _TAG_GRADCHECK = 43
+
+GRADCHECK_COORDS = 100             # coordinates gradient_check samples,
+GRADCHECK_SEED = 0                 # from this seed's stream,
+GRADCHECK_TOL = 1e-4               # passing below this relative error
 
 
 def _axes(*names):
@@ -80,23 +86,16 @@ _CHECKPOINT_KINDS = {ClassifierModel: "classifier", Seq2SeqModel: "seq2seq"}
 
 
 @dataclass
-class TrainConfig:
-    lr: float
-    batch_size: int = 32
-    shuffle_seed: int = 0
-
-
-@dataclass
 class GradCheckReport:
     max_rel_error: float
     n_checked: int
     passed: bool
 
 
-def new_classifier(n_features, n_labels=N_INTENTS, init_scale=0.0, seed=0):
+def new_classifier(n_features, init_scale=0.0, seed=0):
     rng = np.random.default_rng([seed, _TAG_INIT])
-    w = init_scale * rng.standard_normal((n_labels, n_features))
-    b = init_scale * rng.standard_normal(n_labels)
+    w = init_scale * rng.standard_normal((N_INTENTS, n_features))
+    b = init_scale * rng.standard_normal(N_INTENTS)
     return ClassifierModel(w=w, b=b)
 
 
@@ -117,7 +116,7 @@ def _sigmoid(z):
 
 
 def _classifier_probs(model, x):
-    """(n, n_labels) sigmoid outputs of the classifier."""
+    """(n, N_INTENTS) sigmoid outputs of the classifier."""
     return _sigmoid(x @ model.w.T + model.b)
 
 
@@ -148,10 +147,10 @@ def _classifier_grads(model, x, y):
 
 
 def train_epoch(model, samples, config, epoch):
-    """One seeded-shuffle pass of mini-batch SGD; parameters update in place."""
+    """One seeded-shuffle SGD pass with config's lr, batch_size and seed; updates in place."""
     _check_task(model, samples)
     order = np.random.default_rng(
-        [config.shuffle_seed, _TAG_SHUFFLE, epoch]).permutation(len(samples))
+        [config.seed, _TAG_SHUFFLE, epoch]).permutation(len(samples))
     params = param_arrays(model)
     for i in range(0, len(samples), config.batch_size):
         idx = order[i:i + config.batch_size]
@@ -193,13 +192,14 @@ def _mean_grads(model, split):
     return [g / len(split) for g in grads]
 
 
-def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4):
+def gradient_check(model, samples, h=1e-5):
     """Central-difference audit of the analytic gradients.
 
-    Samples at least n_params coordinates (all of them when the model is
+    Samples GRADCHECK_COORDS coordinates (all of them when the model is
     smaller), perturbs each by +/-h around the current value, and compares
     the numeric slope of the mean loss against the closed-form gradient.
-    Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator.
+    Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator and
+    passes below GRADCHECK_TOL.
     """
     _check_task(model, samples)
     if not samples:
@@ -207,8 +207,8 @@ def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4)
     arrays = param_arrays(model)
     sizes = [a.size for a in arrays]
     total = sum(sizes)
-    n_checked = min(n_params, total)
-    coords = np.random.default_rng([seed, _TAG_GRADCHECK]).choice(
+    n_checked = min(GRADCHECK_COORDS, total)
+    coords = np.random.default_rng([GRADCHECK_SEED, _TAG_GRADCHECK]).choice(
         total, size=n_checked, replace=False)
     analytic = np.concatenate([g.ravel() for g in _mean_grads(model, samples)])
 
@@ -232,7 +232,7 @@ def gradient_check(model, samples, h=1e-5, n_params=100, seed=0, tolerance=1e-4)
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         max_rel = max(max_rel, rel)
     return GradCheckReport(max_rel_error=max_rel, n_checked=n_checked,
-                           passed=max_rel < tolerance)
+                           passed=max_rel < GRADCHECK_TOL)
 
 
 def save_model(model, path):

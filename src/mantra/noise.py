@@ -5,8 +5,8 @@ pass through untouched.  Sample count is round-half-up(rate * n) exactly,
 selection is a seeded shuffle, and the resulting mask records which train
 rows were corrupted so detection quality can be scored later.  Each
 injector returns a copy of the split in which only the labels (y) or the
-targets (tgt) are new arrays, plus a NoiseMask whose ids are the split's
-own ids array.
+targets (tgt) are new arrays, plus a NoiseMask of what the injection
+created; the split's own ids name its train positions.
 """
 
 import math
@@ -29,10 +29,9 @@ def corruption_count(rate, n):
 
 @dataclass
 class NoiseMask:
-    """Per-train-sample corruption record, aligned with train order."""
-    ids: np.ndarray         # (n,) int64 sample ids in train order
+    """What an injection created, by train position (the split's ids name them)."""
     corrupted: np.ndarray   # (n,) bool
-    prior_drift: dict = field(default_factory=dict)
+    prior_drift: dict = field(default_factory=dict)   # label priors; labels only
 
 
 def _check_rate(rate):
@@ -56,10 +55,10 @@ def label_priors(split):
     return {INTENTS[i]: counts[i] / len(split) for i in range(N_INTENTS)}
 
 
-def inject_label_noise(train, rate, seed, mode="replace-set"):
+def inject_label_noise(train, rate, seed, mode):
     """Corrupt the classification labels of a copy of the train split.
 
-    mode "replace-set" (default): the whole label set of a selected sample is
+    mode "replace-set": the whole label set of a selected sample is
     replaced by a single intent drawn uniformly from the intents the sample
     did not carry (a sample already carrying all 7 intents draws uniformly
     from all of them; its singleton set still differs from the original).
@@ -89,7 +88,7 @@ def inject_label_noise(train, rate, seed, mode="replace-set"):
             y[pos, draw_rng.choice(np.flatnonzero(y[pos] == 1))] = 0.0
             y[pos, draw_rng.choice(absent)] = 1.0
     out = replace(train, y=y)
-    mask = NoiseMask(ids=train.ids, corrupted=np.isin(np.arange(n), picked),
+    mask = NoiseMask(corrupted=np.isin(np.arange(n), picked),
                      prior_drift={"before": label_priors(train),
                                   "after": label_priors(out)})
     return out, mask
@@ -112,5 +111,5 @@ def inject_summary_noise(train, rate, seed, n_content):
     rows, cols = np.nonzero(np.arange(tgt.shape[1]) < train.tgt_len[picked, None] - 1)
     tgt[picked[rows], cols] = draw_rng.integers(0, n_content, size=rows.size,
                                                 dtype=np.int64)
-    mask = NoiseMask(ids=train.ids, corrupted=np.isin(np.arange(n), picked))
+    mask = NoiseMask(corrupted=np.isin(np.arange(n), picked))
     return replace(train, tgt=tgt), mask

@@ -58,7 +58,9 @@ class ExperimentConfig(scheduler.DropPolicy):
 
     It extends scheduler.DropPolicy, so a run config is its own drop policy:
     the policy knobs are declared there, and as_dict() stays flat.  Only
-    warmup is redeclared, because its default depends on the task.
+    warmup is redeclared, because its default depends on the task.  It is
+    also the training schedule: learner.train_epoch reads lr, batch_size and
+    seed off it.
     """
     task: str
     seed: int = 1
@@ -67,7 +69,7 @@ class ExperimentConfig(scheduler.DropPolicy):
     mantra: bool = True
     warmup: int | None = None
     lr: float | None = None
-    batch_size: int = learner.TrainConfig.batch_size
+    batch_size: int = 32
     init_scale: float = 0.0
     noise_mode: str = "replace-set"
     data: str = "synthetic"
@@ -246,8 +248,6 @@ def run_experiment(config, out_dir=None):
     replay = pair if pair is not None and config.mantra else None
 
     model = _new_model(config, dataset)
-    train_cfg = learner.TrainConfig(lr=config.lr, batch_size=config.batch_size,
-                                    shuffle_seed=config.seed)
     state = scheduler.DropState.for_ids(train.ids)
     store = TrajectoryStore()
 
@@ -264,7 +264,7 @@ def run_experiment(config, out_dir=None):
             for dst, src in zip(learner.param_arrays(model), params):
                 dst[...] = src
         else:
-            learner.train_epoch(model, active, train_cfg, epoch)
+            learner.train_epoch(model, active, config, epoch)
             losses = learner.per_sample_losses(model, active)
             val_metric = _eval_metric(config, model, dataset.validation)
         val_metrics.append(val_metric)
@@ -309,7 +309,7 @@ def run_experiment(config, out_dir=None):
         runtime_sec=time.perf_counter() - t0,
     )
     if out_dir is not None:
-        _write_artifacts(out_dir, config, report, store, mask, model)
+        _write_artifacts(out_dir, config, report, store, train, mask, model)
     return report
 
 
@@ -329,7 +329,7 @@ _GMM_TRACE_COLUMNS = {
     "weights": _floats_cell, "means": _floats_cell, "variances": _floats_cell}
 
 
-def _write_artifacts(out_dir, config, report, store, mask, model):
+def _write_artifacts(out_dir, config, report, store, train, mask, model):
     os.makedirs(out_dir, exist_ok=True)
     report.save_json(os.path.join(out_dir, "results.json"))
     learner.save_model(model, os.path.join(out_dir, "model.ckpt.json"))
@@ -337,10 +337,9 @@ def _write_artifacts(out_dir, config, report, store, mask, model):
     store.save_group_means_csv(os.path.join(out_dir, "group_means.csv"))
     for epoch in store.epochs:
         store.save_histogram_csv(
-            os.path.join(out_dir, f"density_e{epoch}.csv"), epoch,
-            bins=config.hist_bins)
+            os.path.join(out_dir, f"density_e{epoch}.csv"), epoch, config.hist_bins)
     write_csv(os.path.join(out_dir, "noise_mask.csv"), ("sample_id", "corrupted"), (
-        map(str, mask.ids.tolist()), map(_flag_cell, mask.corrupted.tolist())))
+        map(str, train.ids.tolist()), map(_flag_cell, mask.corrupted.tolist())))
     for name, rows, columns in (("drops.csv", report.drop_events, _DROP_COLUMNS),
                                 ("gmm_trace.csv", report.gmm_trace, _GMM_TRACE_COLUMNS)):
         write_csv(os.path.join(out_dir, name), columns,
@@ -460,10 +459,12 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     global _pair_prefix
     if not rates or not seeds:
         raise UsageError("grid needs at least one rate and one seed")
-    # Each arm writes to a {rate:g} / seed directory, so repeats would collide.
+    # Each arm writes to a {rate:g} / seed directory, so rates sharing a label would collide.
     labels = [f"{rate:g}" for rate in rates]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"grid rates must be distinct, got {', '.join(labels)}")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"grid rates {rates[labels.index(label)]!r} and {rates[i]!r} "
+                              f"share the run directory label {label}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"grid seeds must be distinct, got {seeds}")
     configs = grid_configs(base_config, rates, seeds)

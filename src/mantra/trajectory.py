@@ -96,7 +96,7 @@ class TrajectoryStore:
             out[epoch] = entry
         return out
 
-    def loss_histogram(self, epoch, bins=30):
+    def loss_histogram(self, epoch, bins):
         """Equal-width density histogram of one epoch's losses.
 
         Returns (edges, density) with len(edges) == bins + 1 and
@@ -123,8 +123,8 @@ class TrajectoryStore:
             [float_cell(entry["clean"]) for entry in means.values()],
             [float_cell(entry["noisy"]) for entry in means.values()]))
 
-    def save_histogram_csv(self, path, epoch, bins=30):
-        edges, density = self.loss_histogram(epoch, bins=bins)
+    def save_histogram_csv(self, path, epoch, bins):
+        edges, density = self.loss_histogram(epoch, bins)
         edges = list(map(repr, edges.tolist()))
         write_csv(path, ("bin_left", "bin_right", "density"),
                   (edges[:-1], edges[1:], map(repr, density.tolist())))

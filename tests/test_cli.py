@@ -62,7 +62,10 @@ def test_bad_usage_exits_2(tmp_path, capsys):
             "--n-train", "40", "--n-val", "8", "--n-test", "8"]
     for rates, seeds, message in (
             ("0.1;0.2", "1", "expected a comma-separated float list, got '0.1;0.2'"),
-            ("0.1", "1;2", "expected a comma-separated int list, got '1;2'")):
+            ("0.1", "1;2", "expected a comma-separated int list, got '1;2'"),
+            # distinct rates whose run directories would share one label
+            ("0.1234567,0.1234568", "1", "grid rates 0.1234567 and 0.1234568 share "
+                                         "the run directory label 0.123457")):
         assert main(grid + ["--rates", rates, "--seeds", seeds]) == 2
         assert message in capsys.readouterr().err
 

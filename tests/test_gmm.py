@@ -66,6 +66,18 @@ def test_known_mixture_recovery():
     assert np.all(np.diff(model.means) > 0)    # ascending component order
 
 
+def test_fit_limits_are_module_constants(monkeypatch):
+    # a reference fit sets a longer limit the same way, by assigning gmm.MAX_ITER
+    assert (gmm.MAX_ITER, gmm.TOL) == (200, 1e-6)
+    obs = _bimodal(np.random.default_rng(0))
+    assert gmm.fit_em(obs, 2).n_iter > 3
+    monkeypatch.setattr(gmm, "MAX_ITER", 3)
+    model = gmm.fit_em(obs, 2)
+    assert model.n_iter <= 3 and not model.converged
+    _, trace = gmm.select_model(obs, k_max=2)
+    assert all(row["n_iter"] <= 3 for row in trace)
+
+
 def test_select_model_orders():
     rng = np.random.default_rng(1)
     uni = rng.normal(1.0, 0.4, 1500)

@@ -1,13 +1,21 @@
 """Learners: loss oracles, SGD behavior, gradient audits, checkpoints."""
 
+import inspect
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mantra import data, kernels, learner
 from mantra.errors import SchemaError, UsageError
+
+
+def _cfg(lr, batch_size=32, seed=0):
+    """What train_epoch reads off a run's config.  Not a runner.ExperimentConfig:
+    lr=0 is a valid learner input but not a valid run setting."""
+    return SimpleNamespace(lr=lr, batch_size=batch_size, seed=seed)
 
 
 def _cls_samples(seed, n, d=8):
@@ -36,18 +44,23 @@ def test_zero_init_loss_oracles():
 
 
 def _assert_same_split(got, want):
+    """Equal fields, except that got's sequence pads may be wider than want's."""
     assert got.task == want.task and len(got) == len(want)
     for name in ("ids", "x", "y", "src", "src_len", "tgt", "tgt_len", "src_counts"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
+            if name in ("src", "tgt"):
+                assert not a[:, b.shape[1]:].any(), name    # zero pads
+                a = a[:, :b.shape[1]]
             assert a.dtype == b.dtype and a.shape == b.shape, name
             np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("task", ["classification", "summarization"])
 def test_packed_subset_equals_packing_the_subset(task):
-    # take() must equal building the subset's split directly
+    # take() must equal building the subset's split directly, and score and
+    # train alike although it keeps the full split's pad width
     if task == "classification":
         full = _cls_samples(4, 60, d=6)
         model_a, model_b = (learner.new_classifier(6, init_scale=0.5, seed=1)
@@ -60,7 +73,7 @@ def test_packed_subset_equals_packing_the_subset(task):
     if task == "classification":
         subset = data.classification_split(full.ids[rows], full.x[rows], full.y[rows])
     else:
-        # leave out the longest sources and targets so the pads must shrink
+        # leave out the longest sources and targets, so only take() pads that far
         rows = rows[(full.src_len[rows] < full.src_len.max())
                     & (full.tgt_len[rows] < full.tgt_len.max())]
         subset = data.summarization_split(
@@ -69,12 +82,12 @@ def test_packed_subset_equals_packing_the_subset(task):
     sub = full.take(rows)
     _assert_same_split(sub, subset)
     if task == "summarization":
-        assert sub.src.shape[1] < full.src.shape[1]
-        assert sub.tgt.shape[1] < full.tgt.shape[1]
+        assert sub.src.shape[1] == full.src.shape[1] > subset.src.shape[1]
+        assert sub.tgt.shape[1] == full.tgt.shape[1] > subset.tgt.shape[1]
 
     np.testing.assert_array_equal(learner.per_sample_losses(model_a, sub),
                                   learner.per_sample_losses(model_b, subset))
-    cfg = learner.TrainConfig(lr=0.5, batch_size=8, shuffle_seed=2)
+    cfg = _cfg(lr=0.5, batch_size=8, seed=2)
     learner.train_epoch(model_a, sub, cfg, 3)
     learner.train_epoch(model_b, subset, cfg, 3)
     for a, b in zip(learner.param_arrays(model_a), learner.param_arrays(model_b)):
@@ -115,7 +128,7 @@ def test_sample_kind_mismatch():
         learner.per_sample_losses(cls, _sum_samples(1, 3))
     seq = learner.new_seq2seq()
     with pytest.raises(UsageError):
-        learner.train_epoch(seq, _cls_samples(1, 3), learner.TrainConfig(lr=0.1), 0)
+        learner.train_epoch(seq, _cls_samples(1, 3), _cfg(lr=0.1), 0)
     with pytest.raises(UsageError):    # an empty split still carries its task
         learner.predict(seq, _empty_split("classification"))
 
@@ -126,7 +139,7 @@ def test_source_vocabulary_mismatch():
     with pytest.raises(UsageError):
         learner.per_sample_losses(seq, samples)
     with pytest.raises(UsageError):
-        learner.train_epoch(seq, samples, learner.TrainConfig(lr=0.1), 0)
+        learner.train_epoch(seq, samples, _cfg(lr=0.1), 0)
     with pytest.raises(UsageError):
         learner.predict(seq, samples)
     with pytest.raises(UsageError):     # an empty split still carries its width
@@ -138,17 +151,17 @@ def test_empty_inputs():
     empty = _empty_split("classification")
     assert learner.per_sample_losses(cls, empty).shape == (0,)
     assert learner.predict(cls, empty).shape == (0, 7)
-    learner.train_epoch(cls, empty, learner.TrainConfig(lr=0.1), 0)   # no-op, no crash
+    learner.train_epoch(cls, empty, _cfg(lr=0.1), 0)   # no-op, no crash
     seq = learner.new_seq2seq()
     empty = _empty_split("summarization")
     assert learner.per_sample_losses(seq, empty).shape == (0,)
     assert learner.predict(seq, empty) == []
-    learner.train_epoch(seq, empty, learner.TrainConfig(lr=0.1), 0)
+    learner.train_epoch(seq, empty, _cfg(lr=0.1), 0)
 
 
 def test_train_epoch_deterministic_and_epoch_sensitive():
     samples = _cls_samples(7, 50, d=6)
-    cfg = learner.TrainConfig(lr=0.3, batch_size=16, shuffle_seed=9)
+    cfg = _cfg(lr=0.3, batch_size=16, seed=9)
     a = learner.new_classifier(6)
     b = learner.new_classifier(6)
     learner.train_epoch(a, samples, cfg, epoch=0)
@@ -160,11 +173,26 @@ def test_train_epoch_deterministic_and_epoch_sensitive():
     assert not np.array_equal(a.w, c.w)
 
 
+def test_train_epoch_reads_lr_batch_size_and_seed_off_any_config():
+    # the runner passes its ExperimentConfig; any object with the three attributes does
+    samples = _cls_samples(7, 50, d=6)
+    trained = []
+    for seed in (5, 5, 6):
+        model = learner.new_classifier(6)
+        config = SimpleNamespace(lr=0.3, batch_size=7, seed=seed)
+        learner.train_epoch(model, samples, config, 1)
+        trained.append(model)
+    a, b, c = trained
+    np.testing.assert_array_equal(a.w, b.w)
+    np.testing.assert_array_equal(a.b, b.b)
+    assert not np.array_equal(a.w, c.w)     # the seed keys the shuffle stream
+
+
 def test_lr_zero_is_identity():
     samples = _sum_samples(3, 10)
     model = learner.new_seq2seq(init_scale=0.1, seed=4)
     u0, v0, b0 = model.u.copy(), model.v.copy(), model.b.copy()
-    learner.train_epoch(model, samples, learner.TrainConfig(lr=0.0, batch_size=4), 0)
+    learner.train_epoch(model, samples, _cfg(lr=0.0, batch_size=4), 0)
     np.testing.assert_array_equal(model.u, u0)
     np.testing.assert_array_equal(model.v, v0)
     np.testing.assert_array_equal(model.b, b0)
@@ -175,7 +203,7 @@ def test_classifier_loss_strictly_decreases_early():
     # the first 5 epochs
     samples = _cls_samples(1, 200, d=16)
     model = learner.new_classifier(16)
-    cfg = learner.TrainConfig(lr=learner.DESK_LR["classification"])
+    cfg = _cfg(lr=learner.DESK_LR["classification"])
     prev = learner.per_sample_losses(model, samples).mean()
     for epoch in range(5):
         learner.train_epoch(model, samples, cfg, epoch)
@@ -187,7 +215,7 @@ def test_classifier_loss_strictly_decreases_early():
 def test_seq_loss_strictly_decreases_early():
     samples = _sum_samples(1, 200)
     model = learner.new_seq2seq()
-    cfg = learner.TrainConfig(lr=learner.DESK_LR["summarization"])
+    cfg = _cfg(lr=learner.DESK_LR["summarization"])
     prev = learner.per_sample_losses(model, samples).mean()
     for epoch in range(5):
         learner.train_epoch(model, samples, cfg, epoch)
@@ -201,14 +229,14 @@ def test_full_batch_small_step_never_increases_loss():
     for seed in range(6):
         cls_samples = _cls_samples(seed, 20, d=5)
         model = learner.new_classifier(5, init_scale=0.5, seed=seed)
-        cfg = learner.TrainConfig(lr=1e-3, batch_size=len(cls_samples))
+        cfg = _cfg(lr=1e-3, batch_size=len(cls_samples))
         before = learner.per_sample_losses(model, cls_samples).mean()
         learner.train_epoch(model, cls_samples, cfg, 0)
         assert learner.per_sample_losses(model, cls_samples).mean() <= before + 1e-12
 
         seq_samples = _sum_samples(seed, 12)
         model = learner.new_seq2seq(init_scale=0.3, seed=seed)
-        cfg = learner.TrainConfig(lr=1e-3, batch_size=len(seq_samples))
+        cfg = _cfg(lr=1e-3, batch_size=len(seq_samples))
         before = learner.per_sample_losses(model, seq_samples).mean()
         learner.train_epoch(model, seq_samples, cfg, 0)
         assert learner.per_sample_losses(model, seq_samples).mean() <= before + 1e-12
@@ -304,7 +332,7 @@ def test_overfit_tiny_summarization_set_decodes_exactly():
         [[4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3, data.EOS] for i in range(10)],
         data.N_SRC_VOCAB)
     model = learner.new_seq2seq()
-    cfg = learner.TrainConfig(lr=16.0, batch_size=len(chosen))
+    cfg = _cfg(lr=16.0, batch_size=len(chosen))
     for epoch in range(300):
         learner.train_epoch(model, chosen, cfg, epoch)
     decoded = learner.predict(model, chosen)
@@ -321,7 +349,7 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back.b, cls.b)
 
     seq = learner.new_seq2seq(init_scale=0.1, seed=8)
-    learner.train_epoch(seq, _sum_samples(8, 6), learner.TrainConfig(lr=2.0), 0)
+    learner.train_epoch(seq, _sum_samples(8, 6), _cfg(lr=2.0), 0)
     path = tmp_path / "seq.json"
     learner.save_model(seq, path)
     back = learner.load_model(path)
@@ -364,7 +392,7 @@ def test_checkpoint_bytes_and_parameter_order(tmp_path):
     assert all(a.dtype == np.float64 for a in learner.param_arrays(back))
 
     with pytest.raises(UsageError):
-        learner.save_model(learner.TrainConfig(lr=1.0), tmp_path / "not_a_model.json")
+        learner.save_model(_cfg(lr=1.0), tmp_path / "not_a_model.json")
 
 
 def test_load_model_names_the_malformed_field(tmp_path):

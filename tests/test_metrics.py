@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mantra import metrics, noise
+from mantra import metrics
 from mantra.errors import UsageError
 
 
@@ -209,10 +209,10 @@ def test_bleu_exact_on_degenerate_corpora():
         _assert_exact_bleu(cands, refs)
 
 
-def _reference_detection_report(dropped_ids, mask):
+def _reference_detection_report(dropped_ids, ids, corrupted):
     """The id-set form of detection_report, kept as its reference."""
-    universe = set(int(i) for i in mask.ids)
-    corrupted = set(int(i) for i in mask.ids[mask.corrupted])
+    universe = set(int(i) for i in ids)
+    corrupted = set(int(i) for i in ids[corrupted])
     dropped = set(int(i) for i in dropped_ids)
     assert dropped <= universe
 
@@ -276,6 +276,7 @@ def test_detection_report_matches_id_set_reference():
     for n, p_drop, p_bad in cases:
         ids = rng.choice(10 * n + 1, size=n, replace=False)    # scattered train ids
         dropped = rng.random(n) < p_drop
-        mask = noise.NoiseMask(ids=ids, corrupted=rng.random(n) < p_bad)
-        got = metrics.detection_report(dropped, mask.corrupted)
-        assert got == _reference_detection_report(ids[dropped], mask), (n, p_drop, p_bad)
+        corrupted = rng.random(n) < p_bad
+        got = metrics.detection_report(dropped, corrupted)
+        assert got == _reference_detection_report(ids[dropped], ids, corrupted), (
+            n, p_drop, p_bad)

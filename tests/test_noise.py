@@ -35,10 +35,10 @@ def sum_train():
 
 
 def test_replace_set_semantics(cls_train):
-    out, mask = noise.inject_label_noise(cls_train, 0.2, seed=4)
+    out, mask = noise.inject_label_noise(cls_train, 0.2, seed=4, mode="replace-set")
     assert len(out) == len(cls_train)
     assert mask.corrupted.sum() == noise.corruption_count(0.2, 100) == 20
-    assert mask.ids is cls_train.ids and out.ids is cls_train.ids
+    assert out.ids is cls_train.ids
     assert out.x is cls_train.x                              # only the labels are copied
     assert out.y is not cls_train.y
     for orig, new, bad in zip(cls_train.y, out.y, mask.corrupted):
@@ -55,7 +55,7 @@ def test_replace_set_semantics(cls_train):
 def test_replace_set_all_seven_fallback():
     train = data.classification_split(range(4), np.zeros((4, 3)),
                                       np.ones((4, data.N_INTENTS)))
-    out, mask = noise.inject_label_noise(train, 1.0, seed=0)
+    out, mask = noise.inject_label_noise(train, 1.0, seed=0, mode="replace-set")
     assert mask.corrupted.all()
     assert (out.y.sum(axis=1) == 1).all()    # still corrupted: 7-set becomes a singleton
 
@@ -82,16 +82,16 @@ def test_flip_one_skips_saturated_samples():
 
 
 def test_injection_determinism_and_seed_sensitivity(cls_train):
-    out_a, mask_a = noise.inject_label_noise(cls_train, 0.1, seed=21)
-    out_b, mask_b = noise.inject_label_noise(cls_train, 0.1, seed=21)
+    out_a, mask_a = noise.inject_label_noise(cls_train, 0.1, seed=21, mode="replace-set")
+    out_b, mask_b = noise.inject_label_noise(cls_train, 0.1, seed=21, mode="replace-set")
     np.testing.assert_array_equal(mask_a.corrupted, mask_b.corrupted)
     np.testing.assert_array_equal(out_a.y, out_b.y)
-    _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22)
+    _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22, mode="replace-set")
     assert not np.array_equal(mask_a.corrupted, mask_c.corrupted)
 
 
 def test_prior_drift_recorded(cls_train):
-    _, mask = noise.inject_label_noise(cls_train, 0.3, seed=2)
+    _, mask = noise.inject_label_noise(cls_train, 0.3, seed=2, mode="replace-set")
     before, after = mask.prior_drift["before"], mask.prior_drift["after"]
     assert set(before) == set(data.INTENTS)
     # replace-set strictly shrinks average label cardinality here
@@ -102,7 +102,6 @@ def test_summary_noise_preserves_shape(sum_train):
     out, mask = noise.inject_summary_noise(sum_train, 0.25, seed=6,
                                            n_content=data.N_TGT_CONTENT)
     assert mask.corrupted.sum() == noise.corruption_count(0.25, 80) == 20
-    assert mask.ids is sum_train.ids
     for name in ("ids", "src", "src_len", "tgt_len", "src_counts"):   # only tgt is new
         assert getattr(out, name) is getattr(sum_train, name)
     assert out.tgt.shape == sum_train.tgt.shape              # lengths and pad preserved
@@ -130,8 +129,8 @@ def test_rate_bounds():
     train = data.generate_classification_dataset(1, 4, 1, 1, d=2).train
     for bad in (-0.01, 1.01):
         with pytest.raises(ConfigError):
-            noise.inject_label_noise(train, bad, seed=0)
-    out, mask = noise.inject_label_noise(train, 0.0, seed=0)
+            noise.inject_label_noise(train, bad, seed=0, mode="replace-set")
+    out, mask = noise.inject_label_noise(train, 0.0, seed=0, mode="replace-set")
     assert mask.corrupted.sum() == 0
     np.testing.assert_array_equal(out.y, train.y)
 

@@ -7,7 +7,10 @@ perfbench/bench.py times and checks every run by wrapping
 `runner.run_experiment(config, out_dir=None)`, so tier-1 also checks that
 call shape and that `run_grid` makes one such call per arm.  It builds its
 direct runs' configs by keyword and reads a few settings off every config it
-times, so tier-1 checks that construction and those reads too.
+times, so tier-1 checks that construction and those reads too.  Its EM
+counters read `n_iter`, `converged` and `selected` off what
+`gmm.select_model(obs, k_max=...)` and `gmm.fit_em(obs, k)` return, so
+tier-1 checks those fields.
 """
 
 import inspect
@@ -43,6 +46,33 @@ def test_counted_arguments_keep_their_positions():
                           (kernels.seq_losses, 6, "tgt_len"),
                           (kernels.greedy_decode, 7, "max_len")]:
         assert list(inspect.signature(fn).parameters)[pos] == name, fn.__name__
+
+
+def test_mixture_fits_return_what_the_tracer_counts():
+    from collections import Counter
+
+    import numpy as np
+    from mantra import gmm
+    tracer = _load_tracer()
+    obs = np.random.default_rng(0).normal(0.0, 1.0, 200)
+    # the scheduler's call, and each fit it makes
+    result = gmm.select_model(obs, k_max=3)
+    model, rows = result
+    assert [row["k"] for row in rows] == [1, 2, 3]
+    for row in rows:
+        assert isinstance(row["n_iter"], int)
+        assert isinstance(row["converged"], bool) and isinstance(row["selected"], bool)
+    assert [row["k"] for row in rows if row["selected"]] == [model.k]
+    fit = gmm.fit_em(obs, 2)
+    assert isinstance(fit.n_iter, int) and isinstance(fit.converged, bool)
+    counters = Counter()
+    tracer._count_select(counters, (obs,), {"k_max": 3}, result)
+    tracer._count_fit(counters, (obs, 2), {}, fit)
+    assert counters["gmm.fit_em_calls"] == 1
+    assert counters["gmm.em_iters"] == fit.n_iter
+    assert counters["gmm.fits_nonconverged"] == (not fit.converged)
+    assert counters["gmm.selected_nonconverged"] == sum(
+        row["selected"] and not row["converged"] for row in rows)
 
 
 def test_run_experiment_keeps_the_timed_call_shape():

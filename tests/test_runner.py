@@ -2,15 +2,17 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mantra import data, runner, scheduler
+from mantra import data, gmm, learner, noise, runner, scheduler
 from mantra.errors import ConfigError, SchemaError, UsageError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
+from mantra.trajectory import TrajectoryStore
 
 from jsonl_io import write_jsonl
 
@@ -54,6 +56,30 @@ def test_config_as_dict_is_flat_and_complete():
     assert ExperimentConfig(task="sum").as_dict() == {
         **shared, "task": "summarization", "warmup": 3, "lr": 16.0,
         "n_train": 1000, "n_val": 100, "n_test": 100}
+
+
+def test_each_run_setting_has_one_default():
+    # ExperimentConfig holds these defaults; the runner always passes the value
+    sizes = ("n_train", "n_val", "n_test")
+    for fn, names in ((data.generate_classification_dataset, (*sizes, "d")),
+                      (data.generate_summarization_dataset, sizes),
+                      (noise.inject_label_noise, ("mode",)),
+                      (TrajectoryStore.loss_histogram, ("bins",)),
+                      (TrajectoryStore.save_histogram_csv, ("bins",)),
+                      (gmm.select_model, ("k_max",))):
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
+    # settings no caller varies are module constants, not parameters
+    assert list(inspect.signature(gmm.fit_em).parameters) == ["obs", "k"]
+    assert list(inspect.signature(gmm.select_model).parameters) == ["obs", "k_max"]
+    assert "n_labels" not in inspect.signature(learner.new_classifier).parameters
+    assert list(inspect.signature(learner.gradient_check).parameters) == \
+        ["model", "samples", "h"]
+    assert not hasattr(learner, "TrainConfig")
+    # the mask holds what injection creates; ids are the split's own
+    mask_fields = [f.name for f in dataclasses.fields(noise.NoiseMask)]
+    assert mask_fields == ["corrupted", "prior_drift"]
 
 
 def test_config_validation():

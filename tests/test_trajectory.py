@@ -188,9 +188,9 @@ def _run_with_drops(tmp_path, tiny_cls_config):
 
 def test_noise_mask_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
     cfg, _, out = _run_with_drops(tmp_path, tiny_cls_config)
-    _, mask = runner._inject(cfg, runner._load_dataset(cfg))
+    train, mask = runner._inject(cfg, runner._load_dataset(cfg))
     assert mask.corrupted.any() and not mask.corrupted.all()
-    want = [[int(i), int(c)] for i, c in zip(mask.ids, mask.corrupted)]
+    want = [[int(i), int(c)] for i, c in zip(train.ids, mask.corrupted)]
     assert (out / "noise_mask.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["sample_id", "corrupted"], want)
 
