@@ -52,8 +52,6 @@ def _add_common_options(p):
     p.add_argument("--lr", type=float,
                    help="learning rate (default: the task's desk rate)")
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--init-scale", type=float,
-                   help="stddev of the seeded parameter init (0 = zeros)")
     p.add_argument("--noise-mode", choices=noise.LABEL_NOISE_MODES,
                    help="classification corruption style")
     p.add_argument("--data",
@@ -65,8 +63,6 @@ def _add_common_options(p):
     p.add_argument("--n-test", type=int)
     p.add_argument("--dim", type=int, dest="n_features", metavar="DIM",
                    help="synthetic classification feature dimension")
-    p.add_argument("--bins", type=int, dest="hist_bins", metavar="BINS",
-                   help="histogram bins for the density exports")
     p.add_argument("--out", help="artifact directory "
                    "(MANTRA_OUT env var takes precedence)")
 

@@ -7,6 +7,9 @@ Two task kinds flow through the pipeline:
 * token-level code summarization with integer source/target sequences over
   small closed vocabularies, targets terminated by an explicit EOS id.
 
+A target vocabulary holds its content ids, then BOS, then EOS: every module
+reads that layout through target_layout.  A split's widths are its arrays'.
+
 Every split is a PackedSplit: read-only arrays with one row per sample,
 built once here and read unchanged by noise injection, training, scoring
 and evaluation.  Both synthetic generators are fully seeded: the same seed
@@ -26,13 +29,19 @@ from .errors import ConfigError, ParseError, SchemaError, UsageError
 INTENTS = ("Bug", "Refactor", "Deprecation", "Feature", "Merge", "Resource", "Test")
 N_INTENTS = len(INTENTS)
 
-# Summarization vocabulary layout: source ids 0..39; target content ids 0..39
-# with BOS/EOS appended after the content range.
 N_SRC_VOCAB = 40
 N_TGT_CONTENT = 40
-BOS = N_TGT_CONTENT
-EOS = N_TGT_CONTENT + 1
-N_TGT_VOCAB = N_TGT_CONTENT + 2
+N_TGT_SPECIAL = 2       # BOS and EOS, the last two target ids
+
+
+def target_layout(n_tgt):
+    """(n_content, bos, eos) of n_tgt target ids: content ids first, BOS and EOS last."""
+    n_content = n_tgt - N_TGT_SPECIAL
+    return n_content, n_content, n_content + 1
+
+
+N_TGT_VOCAB = N_TGT_CONTENT + N_TGT_SPECIAL
+_, BOS, EOS = target_layout(N_TGT_VOCAB)
 
 SRC_LEN_MIN = 4
 SRC_LEN_MAX = 10
@@ -125,7 +134,11 @@ def _pad(rows):
 
 @dataclass
 class DatasetSplit:
-    """A train/validation/test partition plus provenance metadata."""
+    """A train/validation/test partition plus the facts no array carries.
+
+    meta: "n_tgt_vocab" for summarization, and a generator's provenance
+    ("label_repairs" and "hidden_weights", or "mapping").
+    """
     train: PackedSplit
     validation: PackedSplit
     test: PackedSplit
@@ -174,7 +187,7 @@ def generate_classification_dataset(seed, n_train, n_val, n_test, d):
 
     whole = PackedSplit("classification", np.arange(n, dtype=np.int64), x=feats, y=labels)
     return _partition(whole, n_train, n_val,
-                      {"n_features": d, "label_repairs": repairs, "hidden_weights": w_star})
+                      {"label_repairs": repairs, "hidden_weights": w_star})
 
 
 def generate_summarization_dataset(seed, n_train, n_val, n_test):
@@ -206,9 +219,7 @@ def generate_summarization_dataset(seed, n_train, n_val, n_test):
     whole = PackedSplit("summarization", np.arange(n, dtype=np.int64), src=src,
                         src_len=lengths, tgt=tgt, tgt_len=lengths + 1,
                         src_counts=_count_tokens(src, lengths, N_SRC_VOCAB))
-    return _partition(whole, n_train, n_val, {
-        "n_src_vocab": N_SRC_VOCAB, "n_tgt_vocab": N_TGT_VOCAB, "bos": BOS, "eos": EOS,
-        "mapping": mapping})
+    return _partition(whole, n_train, n_val, {"n_tgt_vocab": N_TGT_VOCAB, "mapping": mapping})
 
 
 def load_vocab(path):
@@ -340,8 +351,8 @@ def load_jsonl(path, task, vocab_path=None):
     vocab = load_vocab(vocab_path) if vocab_path is not None else None
     if task == "summarization":
         n_src = len(vocab) if vocab is not None else N_SRC_VOCAB
-        n_content = len(vocab) if vocab is not None else N_TGT_CONTENT
-        bos_id, eos_id = n_content, n_content + 1
+        n_tgt = (len(vocab) if vocab is not None else N_TGT_CONTENT) + N_TGT_SPECIAL
+        n_content, _, eos_id = target_layout(n_tgt)
     # split name -> (ids, features or sources, label bits or targets)
     buckets = {name: ([], [], []) for name in ("train", "validation", "test")}
     seen_ids = set()
@@ -389,14 +400,13 @@ def load_jsonl(path, task, vocab_path=None):
         raise ConfigError(f"vocabulary file {vocab_path} is unused: no "
                           "classification record reads 'text' through it")
     if task == "classification":
-        meta = {"n_features": d_expected}
+        meta = {}
         splits = {name: classification_split(
             ids, np.reshape(feats, (len(ids), d_expected or 0)),
             np.reshape(bits, (len(ids), N_INTENTS)))
             for name, (ids, feats, bits) in buckets.items()}
     else:
-        meta = {"n_src_vocab": n_src, "n_tgt_vocab": n_content + 2,
-                "bos": bos_id, "eos": eos_id}
+        meta = {"n_tgt_vocab": n_tgt}
         splits = {name: summarization_split(*columns, n_src)
                   for name, columns in buckets.items()}
     return DatasetSplit(meta=meta, **splits)

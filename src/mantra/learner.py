@@ -19,11 +19,12 @@ per_sample_losses never mutates the model, so the loss of every
 active sample can be recorded at epoch end under the same parameters.
 Every entry point takes a data.PackedSplit of the model's task.
 
-A model's parameters are its dataclass's np.ndarray fields, in declaration
-order (param_arrays), which is also the order its gradients come back in;
-a checkpoint stores every field.  Each parameter names its axes (_axes), and
-load_model checks a checkpoint's shapes against those names.  The
-annotations are read at run time, so they must stay real types, not strings.
+A model is its parameters: every field of its dataclass is an np.ndarray,
+in declaration order (param_arrays), which is also the order its gradients
+come back in; a checkpoint stores the model's kind and every field.  Each
+parameter names its axes (_axes), and load_model checks a checkpoint's
+shapes against those names.  A sequence model's BOS and EOS are not stored:
+they are the last two ids of its target axis (data.target_layout).
 """
 
 import json
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import kernels
-from .data import BOS, EOS, MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB
+from .data import MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB, target_layout
 from .errors import SchemaError, UsageError
 
 EPS = 1e-12                        # probability clamp for the BCE log
@@ -70,15 +71,22 @@ class ClassifierModel:
 
 @dataclass
 class Seq2SeqModel:
+    """Log-linear next-token model; BOS and EOS are the target axis's last two ids."""
     u: np.ndarray = _axes("tgt", "tgt")     # transition scores, u[next, prev]
     v: np.ndarray = _axes("tgt", "src")     # source-bag scores
     b: np.ndarray = _axes("tgt")
-    bos: int = BOS
-    eos: int = EOS
 
     @property
     def task(self):
         return "summarization"
+
+    @property
+    def bos(self):
+        return target_layout(self.b.shape[0])[1]
+
+    @property
+    def eos(self):
+        return target_layout(self.b.shape[0])[2]
 
 
 # The "kind" a checkpoint names its model by.
@@ -99,13 +107,14 @@ def new_classifier(n_features, init_scale=0.0, seed=0):
     return ClassifierModel(w=w, b=b)
 
 
-def new_seq2seq(n_tgt=N_TGT_VOCAB, n_src=N_SRC_VOCAB, bos=BOS, eos=EOS,
-                init_scale=0.0, seed=0):
+def new_seq2seq(n_tgt=N_TGT_VOCAB, n_src=N_SRC_VOCAB, init_scale=0.0, seed=0):
+    if target_layout(n_tgt)[0] < 1:
+        raise UsageError(f"{n_tgt} target ids leave no content id besides BOS and EOS")
     rng = np.random.default_rng([seed, _TAG_INIT])
     u = init_scale * rng.standard_normal((n_tgt, n_tgt))
     v = init_scale * rng.standard_normal((n_tgt, n_src))
     b = init_scale * rng.standard_normal(n_tgt)
-    return Seq2SeqModel(u=u, v=v, b=b, bos=bos, eos=eos)
+    return Seq2SeqModel(u=u, v=v, b=b)
 
 
 def _sigmoid(z):
@@ -123,6 +132,9 @@ def _classifier_probs(model, x):
 def _check_task(model, split):
     if split.task != model.task:
         raise UsageError(f"{type(model).__name__} cannot score {split.task} samples")
+    if split.task == "classification" and split.x.shape[1] != model.w.shape[1]:
+        raise UsageError(f"split has {split.x.shape[1]} features, "
+                         f"the model {model.w.shape[1]}")
     if split.task == "summarization" and split.src_counts.shape[1] != model.v.shape[1]:
         raise UsageError(f"split has a {split.src_counts.shape[1]}-token source "
                          f"vocabulary, the model {model.v.shape[1]}")
@@ -179,9 +191,8 @@ def predict(model, samples):
 
 
 def param_arrays(model):
-    """The model's np.ndarray fields in declaration order, the order of its gradients."""
-    return [getattr(model, f.name) for f in fields(model)
-            if f.type is np.ndarray]
+    """The model's fields in declaration order, the order of its gradients."""
+    return [getattr(model, f.name) for f in fields(model)]
 
 
 def _mean_grads(model, split):
@@ -242,8 +253,7 @@ def save_model(model, path):
         raise UsageError(f"cannot checkpoint {type(model).__name__}")
     payload = {"kind": kind}
     for f in fields(model):
-        value = getattr(model, f.name)
-        payload[f.name] = value.tolist() if f.type is np.ndarray else value
+        payload[f.name] = getattr(model, f.name).tolist()
     # one write: json.dump takes the pure-Python encoder and writes it in pieces
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -253,7 +263,9 @@ def load_model(path):
     """Rebuild the model save_model wrote; SchemaError names a field the file lacks or garbles.
 
     A parameter must be finite, have one dimension per named axis, and agree
-    in size with every other parameter along an axis of the same name.
+    in size with every other parameter along an axis of the same name.  A
+    target axis needs a content id besides BOS and EOS.  Other keys (older
+    checkpoints' "bos" and "eos") are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -269,22 +281,24 @@ def load_model(path):
         if f.name not in payload:
             raise SchemaError(f"{path}: missing field {f.name!r}")
         try:
-            value = (np.asarray(payload[f.name], dtype=np.float64)
-                     if f.type is np.ndarray else f.type(payload[f.name]))
+            value = np.asarray(payload[f.name], dtype=np.float64)
         except (TypeError, ValueError):
             raise SchemaError(
-                f"{path}: field {f.name!r} cannot be read as {f.type.__name__}") from None
-        if f.type is np.ndarray:
-            axes = f.metadata["axes"]
-            if value.ndim != len(axes):
-                raise SchemaError(f"{path}: field {f.name!r} has {value.ndim} dimensions, "
-                                  f"not {len(axes)} ({', '.join(axes)})")
-            if not np.isfinite(value).all():
-                raise SchemaError(f"{path}: field {f.name!r} holds a non-finite value")
-            for axis, size in zip(axes, value.shape):
-                first_size, first = sizes.setdefault(axis, (size, f.name))
-                if size != first_size:
-                    raise SchemaError(f"{path}: field {f.name!r} has {size} {axis} entries "
-                                      f"where field {first!r} has {first_size}")
+                f"{path}: field {f.name!r} cannot be read as a number array") from None
+        axes = f.metadata["axes"]
+        if value.ndim != len(axes):
+            raise SchemaError(f"{path}: field {f.name!r} has {value.ndim} dimensions, "
+                              f"not {len(axes)} ({', '.join(axes)})")
+        if not np.isfinite(value).all():
+            raise SchemaError(f"{path}: field {f.name!r} holds a non-finite value")
+        for axis, size in zip(axes, value.shape):
+            first_size, first = sizes.setdefault(axis, (size, f.name))
+            if size != first_size:
+                raise SchemaError(f"{path}: field {f.name!r} has {size} {axis} entries "
+                                  f"where field {first!r} has {first_size}")
         values[f.name] = value
+    if "tgt" in sizes and target_layout(sizes["tgt"][0])[0] < 1:
+        size, first = sizes["tgt"]
+        raise SchemaError(f"{path}: field {first!r} has {size} tgt entries; a target "
+                          "vocabulary needs a content id besides BOS and EOS")
     return model_type(**values)

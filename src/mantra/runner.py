@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels, learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
-                   generate_summarization_dataset, load_jsonl)
+                   generate_summarization_dataset, load_jsonl, target_layout)
 from .errors import ConfigError, SchemaError, UsageError
 from .trajectory import TrajectoryStore, float_cell, write_csv
 
@@ -48,6 +48,7 @@ TASK_ALIASES = {"cls": "classification", "sum": "summarization",
 DEFAULT_WARMUP = {"classification": 5, "summarization": 3}
 DEFAULT_SIZES = {"classification": (700, 85, 88), "summarization": (1000, 100, 100)}
 DEFAULT_DIM = 16
+HIST_BINS = 30          # bins of each density_e*.csv
 # Settings of synthetic data only: a file run leaves them None, echoed as null.
 SYNTHETIC_SIZES = ("n_train", "n_val", "n_test", "n_features")
 
@@ -60,7 +61,8 @@ class ExperimentConfig(scheduler.DropPolicy):
     the policy knobs are declared there, and as_dict() stays flat.  Only
     warmup is redeclared, because its default depends on the task.  It is
     also the training schedule: learner.train_epoch reads lr, batch_size and
-    seed off it.
+    seed off it.  Models start from zero parameters (learner's init_scale
+    default) and the density exports use HIST_BINS bins: no run varies them.
     """
     task: str
     seed: int = 1
@@ -70,7 +72,6 @@ class ExperimentConfig(scheduler.DropPolicy):
     warmup: int | None = None
     lr: float | None = None
     batch_size: int = 32
-    init_scale: float = 0.0
     noise_mode: str = "replace-set"
     data: str = "synthetic"
     vocab: str | None = None
@@ -78,7 +79,6 @@ class ExperimentConfig(scheduler.DropPolicy):
     n_val: int | None = None
     n_test: int | None = None
     n_features: int | None = None
-    hist_bins: int = 30
 
     def __post_init__(self):
         if self.task not in TASK_ALIASES:
@@ -112,8 +112,6 @@ class ExperimentConfig(scheduler.DropPolicy):
             raise ConfigError(f"noise rate must lie in [0, 1], got {self.noise_rate}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not math.isfinite(self.init_scale):
-            raise ConfigError(f"init_scale must be finite, got {self.init_scale}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if self.noise_mode not in noise.LABEL_NOISE_MODES:
@@ -132,8 +130,6 @@ class ExperimentConfig(scheduler.DropPolicy):
             raise ConfigError("vocab applies to a dataset file, not to synthetic data")
         elif min(getattr(self, name) for name in SYNTHETIC_SIZES) < 1:
             raise ConfigError("split sizes and n_features must be positive")
-        if self.hist_bins < 1:
-            raise ConfigError("hist_bins must be >= 1")
         # Policy knobs get the same scrutiny even when the scheduler is off,
         # so a baseline config cannot hide a bad treated config.
         return super().validate()
@@ -208,18 +204,16 @@ def _inject(config, dataset):
         return noise.inject_label_noise(dataset.train, config.noise_rate, config.seed,
                                         mode=config.noise_mode)
     return noise.inject_summary_noise(dataset.train, config.noise_rate, config.seed,
-                                      dataset.meta["n_tgt_vocab"] - 2)
+                                      target_layout(dataset.meta["n_tgt_vocab"])[0])
 
 
 def _new_model(config, dataset):
+    """The run's zero-initialised model, its widths read off the train arrays."""
+    train = dataset.train
     if config.task == "classification":
-        return learner.new_classifier(dataset.meta["n_features"],
-                                      init_scale=config.init_scale, seed=config.seed)
-    meta = dataset.meta
-    return learner.new_seq2seq(
-        n_tgt=meta["n_tgt_vocab"], n_src=meta["n_src_vocab"],
-        bos=meta["bos"], eos=meta["eos"],
-        init_scale=config.init_scale, seed=config.seed)
+        return learner.new_classifier(train.x.shape[1], seed=config.seed)
+    return learner.new_seq2seq(n_tgt=dataset.meta["n_tgt_vocab"],
+                               n_src=train.src_counts.shape[1], seed=config.seed)
 
 
 def _eval_metric(config, model, split):
@@ -309,7 +303,7 @@ def run_experiment(config, out_dir=None):
         runtime_sec=time.perf_counter() - t0,
     )
     if out_dir is not None:
-        _write_artifacts(out_dir, config, report, store, train, mask, model)
+        _write_artifacts(out_dir, report, store, train, mask, model)
     return report
 
 
@@ -329,7 +323,7 @@ _GMM_TRACE_COLUMNS = {
     "weights": _floats_cell, "means": _floats_cell, "variances": _floats_cell}
 
 
-def _write_artifacts(out_dir, config, report, store, train, mask, model):
+def _write_artifacts(out_dir, report, store, train, mask, model):
     os.makedirs(out_dir, exist_ok=True)
     report.save_json(os.path.join(out_dir, "results.json"))
     learner.save_model(model, os.path.join(out_dir, "model.ckpt.json"))
@@ -337,7 +331,7 @@ def _write_artifacts(out_dir, config, report, store, train, mask, model):
     store.save_group_means_csv(os.path.join(out_dir, "group_means.csv"))
     for epoch in store.epochs:
         store.save_histogram_csv(
-            os.path.join(out_dir, f"density_e{epoch}.csv"), epoch, config.hist_bins)
+            os.path.join(out_dir, f"density_e{epoch}.csv"), epoch, HIST_BINS)
     write_csv(os.path.join(out_dir, "noise_mask.csv"), ("sample_id", "corrupted"), (
         map(str, train.ids.tolist()), map(_flag_cell, mask.corrupted.tolist())))
     for name, rows, columns in (("drops.csv", report.drop_events, _DROP_COLUMNS),

@@ -57,6 +57,13 @@ def test_bad_usage_exits_2(tmp_path, capsys):
     assert main(_tiny_run_args(tmp_path, window=5)) == 2
     assert "window must be <= epochs" in capsys.readouterr().err
 
+    # retired settings are unknown flags, not silently accepted
+    for flag, value in (("--bins", "10"), ("--init-scale", "0.1")):
+        with pytest.raises(SystemExit) as exc:
+            main(_tiny_run_args(tmp_path) + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     # malformed grid rate and seed lists
     grid = ["grid", "--task", "cls", "--epochs", "3", "--warmup", "1",
             "--n-train", "40", "--n-val", "8", "--n-test", "8"]
@@ -230,8 +237,12 @@ def test_flags_left_off_keep_the_config_defaults(monkeypatch):
 
 
 def test_every_config_field_has_a_run_flag():
+    # and every run or grid option is a field, so none is parsed and then dropped
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    dests = {action.dest for action in sub.choices["run"]._actions}
     fields = {f.name for f in dataclasses.fields(runner.ExperimentConfig)}
+    dests = {action.dest for action in sub.choices["run"]._actions}
     assert fields - dests == set()
+    for command in ("run", "grid"):
+        dests = {action.dest for action in sub.choices[command]._actions}
+        assert dests - fields == {"help", "out", "rates", "seeds"} & dests, command

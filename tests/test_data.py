@@ -195,7 +195,7 @@ def test_jsonl_round_trip_classification(tmp_path):
     path = tmp_path / "cls.jsonl"
     write_jsonl(path, src)
     back = data.load_jsonl(path, "classification")
-    assert back.meta["n_features"] == 5
+    assert back.meta == {} and back.train.x.shape[1] == 5   # the width is x's
     for a, b in zip(_splits(src), _splits(back)):
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.x, b.x)    # float reprs round-trip exactly
@@ -207,7 +207,9 @@ def test_jsonl_round_trip_summarization(tmp_path):
     path = tmp_path / "sum.jsonl"
     write_jsonl(path, src)
     back = data.load_jsonl(path, "summarization")
-    assert back.meta["eos"] == data.EOS
+    assert back.meta == {"n_tgt_vocab": data.N_TGT_VOCAB}
+    assert data.target_layout(back.meta["n_tgt_vocab"]) == (
+        data.N_TGT_CONTENT, data.BOS, data.EOS)
     for a, b in zip(_splits(src), _splits(back)):    # EOS re-appended on load
         for name in ("ids", "src_len", "tgt_len", "src_counts"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

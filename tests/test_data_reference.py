@@ -172,7 +172,8 @@ def test_noisy_train_split_equals_reference(task, mode, rate, seed):
         assert mask.prior_drift == {"before": _reference_priors(train),
                                     "after": _reference_priors(want)}
     else:
-        out, mask = noise.inject_summary_noise(ds.train, rate, seed, ds.meta["bos"])
+        n_content, _, _ = data.target_layout(ds.meta["n_tgt_vocab"])
+        out, mask = noise.inject_summary_noise(ds.train, rate, seed, n_content)
         want, corrupted = _reference_summary_noise(train, rate, seed)
     _assert_equals_reference(out, task, want)
     assert out.ids is ds.train.ids

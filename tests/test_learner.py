@@ -108,7 +108,11 @@ def test_classifier_loss_matches_direct_bce(rng):
 
 def test_seq_loss_uses_mean_over_positions_including_eos():
     # hand-checkable single sample: uniform logits except a bias on the gold ids
-    model = learner.new_seq2seq(n_tgt=5, n_src=3, bos=3, eos=4)
+    model = learner.new_seq2seq(n_tgt=5, n_src=3)
+    assert (model.bos, model.eos) == (3, 4)     # the last two target ids
+    for n_tgt in (1, 2):                        # and at least one content id
+        with pytest.raises(UsageError):
+            learner.new_seq2seq(n_tgt=n_tgt, n_src=3)
     model.b[:] = 0.0
     sample = data.summarization_split([0], [[0, 1]], [[2, 4]], 3)
     # zero params: -ln softmax = ln 5 at both positions (content and EOS)
@@ -144,6 +148,18 @@ def test_source_vocabulary_mismatch():
         learner.predict(seq, samples)
     with pytest.raises(UsageError):     # an empty split still carries its width
         learner.predict(seq, _empty_split("summarization"))
+
+
+def test_feature_width_mismatch():
+    cls = learner.new_classifier(3)
+    samples = _cls_samples(1, 3, d=5)
+    for call in (lambda: learner.per_sample_losses(cls, samples),
+                 lambda: learner.train_epoch(cls, samples, _cfg(lr=0.1), 0),
+                 lambda: learner.predict(cls, samples),
+                 lambda: learner.predict(cls, _empty_split("classification", d=5))):
+        with pytest.raises(UsageError) as exc:
+            call()
+        assert "5 features" in str(exc.value) and "the model 3" in str(exc.value)
 
 
 def test_empty_inputs():
@@ -368,14 +384,14 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_bytes_and_parameter_order(tmp_path):
     cls = learner.new_classifier(5, init_scale=0.4, seed=8)
-    seq = learner.new_seq2seq(n_tgt=12, n_src=9, bos=10, eos=11, init_scale=0.1, seed=8)
+    seq = learner.new_seq2seq(n_tgt=12, n_src=9, init_scale=0.1, seed=8)
     seq.b[:4] = [-0.0, 1e-300, 5e300, 0.1 + 0.2]
     assert [id(a) for a in learner.param_arrays(cls)] == [id(cls.w), id(cls.b)]
     assert [id(a) for a in learner.param_arrays(seq)] == [id(seq.u), id(seq.v), id(seq.b)]
     expected = [
         (cls, {"kind": "classifier", "w": cls.w.tolist(), "b": cls.b.tolist()}),
         (seq, {"kind": "seq2seq", "u": seq.u.tolist(), "v": seq.v.tolist(),
-               "b": seq.b.tolist(), "bos": 10, "eos": 11}),
+               "b": seq.b.tolist()}),
     ]
     for model, payload in expected:
         path = tmp_path / f"{payload['kind']}.json"
@@ -387,8 +403,15 @@ def test_checkpoint_bytes_and_parameter_order(tmp_path):
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
         assert path.read_bytes() == ref.read_bytes()
+    assert list(json.loads((tmp_path / "seq2seq.json").read_text())) == ["b", "kind", "u", "v"]
     back = learner.load_model(tmp_path / "seq2seq.json")
+    assert (back.bos, back.eos) == (10, 11)     # derived: the last two of 12 target ids
     assert (type(back.bos), type(back.eos)) == (int, int)
+    # earlier checkpoints stored bos and eos; those keys name no field and are ignored
+    stored = {**expected[1][1], "bos": -1, "eos": 7}
+    (tmp_path / "stored.json").write_text(json.dumps(stored))
+    old = learner.load_model(tmp_path / "stored.json")
+    assert (old.bos, old.eos) == (10, 11) and list(vars(old)) == ["u", "v", "b"]
     assert all(a.dtype == np.float64 for a in learner.param_arrays(back))
 
     with pytest.raises(UsageError):
@@ -399,7 +422,10 @@ def test_load_model_names_the_malformed_field(tmp_path):
     path = tmp_path / "bad.json"
     for payload, field in (([1], "'kind'"),
                            ({"kind": "classifier", "w": [[0.5]]}, "'b'"),
-                           ({"kind": "classifier", "w": "x", "b": [0.0]}, "'w'")):
+                           ({"kind": "classifier", "w": "x", "b": [0.0]}, "'w'"),
+                           # BOS and EOS need a content id before them
+                           ({"kind": "seq2seq", "u": [[0.0] * 2] * 2, "v": [[0.0]] * 2,
+                             "b": [0.0] * 2}, "'u'")):
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError) as exc:
             learner.load_model(path)

@@ -48,8 +48,8 @@ def test_config_as_dict_is_flat_and_complete():
     shared = {"seed": 1, "noise_rate": 0.0, "epochs": 10, "mantra": True,
               "tau": 0.7, "persistence": 2, "max_drop_frac": 0.3, "k_max": 3,
               "transform": "log1p", "window": 1, "batch_size": 32,
-              "init_scale": 0.0, "noise_mode": "replace-set", "data": "synthetic",
-              "vocab": None, "n_features": 16, "hist_bins": 30}
+              "noise_mode": "replace-set", "data": "synthetic",
+              "vocab": None, "n_features": 16}
     assert ExperimentConfig(task="cls").as_dict() == {
         **shared, "task": "classification", "warmup": 5, "lr": 0.5,
         "n_train": 700, "n_val": 85, "n_test": 88}
@@ -58,7 +58,7 @@ def test_config_as_dict_is_flat_and_complete():
         "n_train": 1000, "n_val": 100, "n_test": 100}
 
 
-def test_each_run_setting_has_one_default():
+def test_each_run_setting_has_one_default(tmp_path):
     # ExperimentConfig holds these defaults; the runner always passes the value
     sizes = ("n_train", "n_val", "n_test")
     for fn, names in ((data.generate_classification_dataset, (*sizes, "d")),
@@ -77,6 +77,22 @@ def test_each_run_setting_has_one_default():
     assert list(inspect.signature(learner.gradient_check).parameters) == \
         ["model", "samples", "h"]
     assert not hasattr(learner, "TrainConfig")
+    # no run varies the init scale or the histogram bins, so neither is a setting
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert not config_fields & {"init_scale", "hist_bins"}
+    # a model is its parameter arrays; BOS and EOS follow from the target axis
+    assert [f.name for f in dataclasses.fields(learner.Seq2SeqModel)] == ["u", "v", "b"]
+    assert not {"bos", "eos"} & set(inspect.signature(learner.new_seq2seq).parameters)
+    # meta keeps only what no array carries: the widths are x's and src_counts'
+    generated = (data.generate_classification_dataset(1, 4, 2, 2, d=3),
+                 data.generate_summarization_dataset(1, 4, 2, 2))
+    assert [set(ds.meta) for ds in generated] == [
+        {"label_repairs", "hidden_weights"}, {"n_tgt_vocab", "mapping"}]
+    loaded = []
+    for ds in generated:
+        write_jsonl(tmp_path / "d.jsonl", ds)
+        loaded.append(data.load_jsonl(tmp_path / "d.jsonl", ds.train.task))
+    assert [set(ds.meta) for ds in loaded] == [set(), {"n_tgt_vocab"}]
     # the mask holds what injection creates; ids are the split's own
     mask_fields = [f.name for f in dataclasses.fields(noise.NoiseMask)]
     assert mask_fields == ["corrupted", "prior_drift"]
@@ -94,7 +110,6 @@ def test_config_validation():
         dict(task="cls", n_train=0),
         dict(task="cls", tau=0.4),           # policy knobs checked up front
         dict(task="cls", mantra=False, tau=0.4),   # even with the scheduler off
-        dict(task="cls", hist_bins=0),
         dict(task="cls", epochs=10, window=11),     # a window that never fills
         # every setting is checked before any work starts
         dict(task="cls", seed=-1),
@@ -104,8 +119,6 @@ def test_config_validation():
         dict(task="cls", n_features=0),
         dict(task="cls", lr=float("nan")),
         dict(task="cls", lr=float("inf")),
-        dict(task="cls", init_scale=float("nan")),
-        dict(task="cls", init_scale=float("inf")),
         # a dataset file sets its own sizes; vocab applies to files only
         dict(task="cls", data="data.jsonl", n_train=5),
         dict(task="cls", data="data.jsonl", n_features=99),
