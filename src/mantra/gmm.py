@@ -10,8 +10,11 @@ than TOL.  No run setting varies them; a reference fit assigns gmm.MAX_ITER.
 
 Model order is chosen by the Bayesian information criterion
 -2 ln L + k ln n with k = 3K - 1 free parameters in one dimension
-(K weights minus the simplex constraint, K means, K variances); the lowest
-BIC wins and ties break toward fewer components.
+(K weights minus the simplex constraint, K means, K variances).  The search
+runs forward: it fits K = 1, 2, ... and stops at the first K whose BIC is
+not lower than the best so far, keeping that best (so a tie keeps the
+smaller K).  BIC need not be unimodal in K, so this is a stopping rule, not
+an exhaustive search: a larger order past the first rise is never fit.
 
 At a few hundred observations and K <= 3 an EM pass costs little
 arithmetic, so numpy's per-call overhead is a large share of it.  The loop
@@ -127,11 +130,16 @@ def bic_value(log_likelihood, k, n):
 
 
 def select_model(obs, k_max):
-    """Fit K = 1..k_max and keep the lowest-BIC model (ties favor fewer).
+    """Fit K = 1, 2, ... and stop at the first K that does not lower BIC.
 
-    Returns (model, trace) where trace lists one dict per candidate K with
-    its log-likelihood, BIC, EM iteration count and convergence flags.
-    Candidate orders that exceed the number of observations are not fit.
+    Keeps the lowest-BIC model found; a tie stops the search and keeps the
+    smaller K.  Orders above k_max or above the number of observations are
+    never fit.  Because BIC need not be unimodal in K, a higher order past
+    the first K that fails to lower it could score lower; it is not tried.
+
+    Returns (model, trace) where trace lists one dict per order fit, in K
+    order, with its log-likelihood, BIC, EM iteration count and convergence
+    flags.
     """
     obs = np.asarray(obs, dtype=np.float64).ravel()
     if k_max < 1:
@@ -141,9 +149,7 @@ def select_model(obs, k_max):
     best_model = None
     best_bic = math.inf
     trace = []
-    for k in range(1, k_max + 1):
-        if obs.shape[0] < k:
-            break
+    for k in range(1, min(k_max, obs.shape[0]) + 1):
         model = fit_em(obs, k)
         score = bic_value(model.log_likelihood, k, obs.shape[0])
         trace.append({
@@ -157,9 +163,10 @@ def select_model(obs, k_max):
             "means": model.means.tolist(),
             "variances": model.variances.tolist(),
         })
-        if score < best_bic:
-            best_bic = score
-            best_model = model
+        if not score < best_bic:
+            break
+        best_bic = score
+        best_model = model
     for row in trace:
         row["selected"] = row["k"] == best_model.k
     return best_model, trace

@@ -50,18 +50,21 @@ def bench_run(run_cache):
 
 @pytest.fixture(scope="session")
 def seeded_fits():
-    """select_model(obs, k_max=5) of each of the 100 seeded EM inputs, run once.
+    """select_model(obs, k_max=5) of each of the 100 seeded EM inputs, and a
+    fit of every K <= 5, run once.
 
     Entry i is (obs, (model, trace), fits) for obs = _seeded_em_input(i) of
-    test_acceptance.py, fits being every fit_em result in K order.  C3 and
-    the EM oracle tests of test_gmm.py read them, so the fits run under
-    errstate(raise): a floating-point error in the shipped loop fails them.
+    test_acceptance.py, fits being fit_em(obs, K) for K = 1..5 in K order:
+    the fits select_model made, then fit_em of each order its search did not
+    reach.  C3 and the EM oracle tests of test_gmm.py read them, so the fits
+    run under errstate(raise): a floating-point error in the shipped loop
+    fails them.
     """
     from test_acceptance import _seeded_em_input
-    from test_gmm import _select_recording_fits
+    from test_gmm import _select_fitting_every_order
     with pytest.MonkeyPatch.context() as patch, \
             np.errstate(divide="raise", over="raise", invalid="raise"):
-        return [(obs, *_select_recording_fits(patch, gmm._em, obs, 5))
+        return [(obs, *_select_fitting_every_order(patch, gmm._em, obs, 5))
                 for obs in map(_seeded_em_input, range(100))]
 
 

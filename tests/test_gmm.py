@@ -78,26 +78,65 @@ def test_fit_limits_are_module_constants(monkeypatch):
     assert all(row["n_iter"] <= 3 for row in trace)
 
 
+def _assert_stop_rule(model, trace, k_max, n):
+    """trace is the forward order search that picked model.
+
+    Orders run K = 1, 2, ...; each one up to the selected K lowers BIC, and
+    the search ends at the first K that does not, or at min(k_max, n).
+    """
+    ks = [row["k"] for row in trace]
+    bics = [row["bic"] for row in trace]
+    chosen = model.k
+    assert ks == list(range(1, len(ks) + 1))
+    assert [row["selected"] for row in trace] == [k == chosen for k in ks]
+    assert bics[chosen - 1] == gmm.bic_value(model.log_likelihood, chosen, n)
+    assert all(later < earlier for earlier, later in zip(bics, bics[1:chosen]))
+    if len(ks) > chosen:
+        assert len(ks) == chosen + 1 and not bics[chosen] < bics[chosen - 1]
+    else:
+        assert len(ks) == min(k_max, n)
+
+
 def test_select_model_orders():
     rng = np.random.default_rng(1)
     uni = rng.normal(1.0, 0.4, 1500)
     model, trace = gmm.select_model(uni, k_max=3)
+    # K=2 does not lower BIC, so the search stops there and K=3 is not fit
     assert model.k == 1
-    assert [row["k"] for row in trace] == [1, 2, 3]
-    assert sum(row["selected"] for row in trace) == 1
-    assert trace[0]["selected"]
+    assert [row["k"] for row in trace] == [1, 2]
+    _assert_stop_rule(model, trace, 3, uni.shape[0])
 
     bi = _bimodal(np.random.default_rng(2))
     model, trace = gmm.select_model(bi, k_max=3)
+    # K=2 lowers BIC, K=3 does not: K=3 is the last order fit
     assert model.k == 2
-    scores = {row["k"]: row["bic"] for row in trace}
-    assert scores[2] < scores[1] and scores[2] <= scores[3]
+    assert [row["k"] for row in trace] == [1, 2, 3]
+    _assert_stop_rule(model, trace, 3, bi.shape[0])
+
+
+def test_k_max_caps_the_search():
+    rng = np.random.default_rng(7)
+    four = np.concatenate([rng.normal(m, 0.05, 100) for m in (0.0, 1.0, 2.0, 3.0)])
+    # each order up to 4 lowers BIC, so only the cap ends the search
+    for k_max in (1, 2, 3):
+        model, trace = gmm.select_model(four, k_max=k_max)
+        assert [row["k"] for row in trace] == list(range(1, k_max + 1))
+        assert model.k == k_max
+        _assert_stop_rule(model, trace, k_max, four.shape[0])
+    model, trace = gmm.select_model(four, k_max=6)
+    assert model.k == 4 and [row["k"] for row in trace] == [1, 2, 3, 4, 5]
+    _assert_stop_rule(model, trace, 6, four.shape[0])
 
 
 def test_select_model_skips_orders_beyond_n():
-    model, trace = gmm.select_model(np.array([0.4, 0.9]), k_max=3)
+    # K=2 lowers BIC on two points; no order above n is fit
+    obs = np.array([0.4, 0.9])
+    model, trace = gmm.select_model(obs, k_max=5)
     assert [row["k"] for row in trace] == [1, 2]
-    assert model.k in (1, 2)
+    assert model.k == 2
+    _assert_stop_rule(model, trace, 5, 2)
+    model, trace = gmm.select_model(np.array([0.4]), k_max=5)
+    assert [row["k"] for row in trace] == [1] and model.k == 1
 
 
 def test_identical_observations_prefer_one_component():
@@ -109,9 +148,29 @@ def test_identical_observations_prefer_one_component():
     lls = [row["log_likelihood"] for row in trace]
     assert lls[0] == pytest.approx(lls[1], abs=1e-6)
 
+    # K=2 only adds penalty, so the search stops there whatever k_max allows
+    model, trace = gmm.select_model(np.full(40, 0.7), k_max=5)
+    assert model.k == 1
+    assert [row["k"] for row in trace] == [1, 2]
+    assert [row["degenerate"] for row in trace] == [False, True]
+    _assert_stop_rule(model, trace, 5, 40)
+
     direct = gmm.fit_em(obs, 2)
     assert direct.degenerate
     assert np.all(direct.variances >= gmm.VAR_FLOOR)
+
+
+def test_tied_start_can_end_the_search_early():
+    # 80 observations on one value: the (j - 0.5)/K start puts both K=2 means
+    # on it, EM keeps them tied, and K=2 scores no better than K=1.  The
+    # search stops there although K=3, whose top start lands on the second
+    # value, lowers BIC: the stop rule is not an exhaustive search.
+    obs = np.log1p(np.array([0.2] * 80 + [3.0] * 20))
+    model, trace = gmm.select_model(obs, k_max=3)
+    assert model.k == 1 and [row["k"] for row in trace] == [1, 2]
+    assert trace[1]["means"][0] == trace[1]["means"][1]
+    three = gmm.fit_em(obs, 3)
+    assert gmm.bic_value(three.log_likelihood, 3, 100) < trace[0]["bic"]
 
 
 def test_variance_floor_binds_on_point_clusters():
@@ -241,8 +300,10 @@ def _assert_same_fit(model, ref):
         (ref.log_likelihood, ref.n_iter, ref.converged, ref.degenerate)
 
 
-def _select_recording_fits(monkeypatch, em, obs, k_max):
-    """select_model(obs, k_max) with gmm._em replaced by em, and every fit it made."""
+def _select_fitting_every_order(monkeypatch, em, obs, k_max):
+    """select_model(obs, k_max) with gmm._em replaced by em, and a fit of
+    every K <= min(k_max, n) in K order: the fits select_model made, then
+    fit_em of each order its search stopped short of."""
     fits = []
     fit_em = gmm.fit_em
 
@@ -253,40 +314,86 @@ def _select_recording_fits(monkeypatch, em, obs, k_max):
     with monkeypatch.context() as m:
         m.setattr(gmm, "_em", em)
         m.setattr(gmm, "fit_em", recorder)
-        return gmm.select_model(obs, k_max), fits
+        model, trace = gmm.select_model(obs, k_max)
+        # select_model calls fit_em once per order it fits, in K order
+        assert [f.k for f in fits] == [row["k"] for row in trace]
+        for k in range(len(fits) + 1, min(k_max, len(obs)) + 1):
+            recorder(obs, k)
+    return (model, trace), fits
 
 
 def _assert_select_equals_kmajor(monkeypatch, obs, k_max, shipped=None):
-    """The shipped select_model (or its recorded result) equals the K-major loop's."""
-    (model, trace), fits = shipped or _select_recording_fits(monkeypatch, gmm._em, obs, k_max)
-    (ref_model, ref_trace), ref_fits = _select_recording_fits(
+    """The shipped select_model and its fits of every order (or their recorded
+    results) equal the K-major loop's; returns the trace and the fits."""
+    (model, trace), fits = shipped or _select_fitting_every_order(
+        monkeypatch, gmm._em, obs, k_max)
+    (ref_model, ref_trace), ref_fits = _select_fitting_every_order(
         monkeypatch, _kmajor_em, obs, k_max)
     assert trace == ref_trace
     _assert_same_fit(model, ref_model)
-    # every order select_model fit, not only the selected one
-    assert [f.k for f in fits] == [f.k for f in ref_fits] == [row["k"] for row in trace]
+    _assert_stop_rule(model, trace, k_max, len(obs))
+    # every order up to the cap, whether the search reached it or not
+    assert [f.k for f in fits] == [f.k for f in ref_fits] == \
+        list(range(1, min(k_max, len(obs)) + 1))
     for fit, ref in zip(fits, ref_fits):
         _assert_same_fit(fit, ref)
-    return trace
+    return trace, fits
 
 
 def test_em_equals_kmajor_loop(monkeypatch, seeded_fits):
     with np.errstate(**_RAISE):
         for obs, select, fits in seeded_fits:
-            # every order is fit on its own, so k_max only decides which run
-            trace = _assert_select_equals_kmajor(monkeypatch, obs, 5, (select, fits))
-            assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
+            # every order is fit on its own, so the search and the direct
+            # fits of the orders past its stop are checked alike
+            _assert_select_equals_kmajor(monkeypatch, obs, 5, (select, fits))
+
+
+def _exhaustive_trace(obs, fits):
+    """The trace of a search that fits every order in fits and keeps the
+    lowest BIC, ties to fewer components: select_model before its stop rule."""
+    n = obs.shape[0]
+    rows = [{"k": fit.k, "log_likelihood": fit.log_likelihood,
+             "bic": -2.0 * fit.log_likelihood + (3 * fit.k - 1) * math.log(n),
+             "n_iter": fit.n_iter, "converged": fit.converged,
+             "degenerate": fit.degenerate, "weights": fit.weights.tolist(),
+             "means": fit.means.tolist(), "variances": fit.variances.tolist()}
+            for fit in fits]
+    best = min(rows, key=lambda row: row["bic"])
+    for row in rows:
+        row["selected"] = row is best
+    return rows
+
+
+def test_stop_rule_trace_is_the_exhaustive_trace_cut_short(seeded_fits):
+    def unselected(rows):
+        return [{key: v for key, v in row.items() if key != "selected"} for row in rows]
+
+    differs = []
+    for i, (obs, (model, trace), fits) in enumerate(seeded_fits):
+        full = _exhaustive_trace(obs, fits)
+        assert unselected(trace) == unselected(full[:len(trace)]), i
+        assert model is fits[model.k - 1]
+        _assert_stop_rule(model, trace, 5, obs.shape[0])
+        if next(row["k"] for row in full if row["selected"]) != model.k:
+            differs.append(i)
+    # BIC is not unimodal in K on input 63: K=4 scores above K=3, which stops
+    # the search, and K=5 below both; on the other 99 inputs both pick alike
+    assert differs == [63]
+    obs, _, fits = seeded_fits[63]
+    assert [round(row["bic"], 2) for row in _exhaustive_trace(obs, fits)] == \
+        [150.18, 104.63, 95.18, 102.52, 91.3]
 
 
 def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
     with np.errstate(**_RAISE):
-        # all observations identical: every order past K=1 is degenerate
-        trace = _assert_select_equals_kmajor(monkeypatch, np.full(40, 0.7), 5)
-        assert [row["degenerate"] for row in trace] == [False, True, True, True, True]
+        # all observations identical: every order past K=1 is degenerate; the
+        # search stops at K=2, and K=3..5 are fit directly
+        trace, fits = _assert_select_equals_kmajor(monkeypatch, np.full(40, 0.7), 5)
+        assert [row["k"] for row in trace] == [1, 2]
+        assert [fit.degenerate for fit in fits] == [False, True, True, True, True]
         # fewer observations than k_max: only K <= n is fit
         for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0])):
-            trace = _assert_select_equals_kmajor(monkeypatch, obs, 5)
-            assert [row["k"] for row in trace] == list(range(1, obs.shape[0] + 1))
+            _assert_select_equals_kmajor(monkeypatch, obs, 5)
         # a starved component takes the guarded M-step in every pass, beside
         # two live ones whose sums run over 700 points
         rng = np.random.default_rng(4)
@@ -298,28 +405,36 @@ def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
 
 
 def _select_both(monkeypatch, obs, fits):
-    """select_model(k_max=3) with the K-major loop, then with the reference loop.
+    """select_model(k_max=3) on K-major fits and on reference-loop fits.
 
-    Each order is fit on its own, so the K-major side takes the fits that
-    select_model(k_max=5) recorded for the same input.
+    Each order is fit on its own, so the K-major side takes the fits of
+    K = 1..3 that seeded_fits holds for the same input, and the reference
+    side fits each of K = 1..3 once with the row-major loop.  Returns both
+    selections and the reference fits.
     """
     with monkeypatch.context() as m:
-        m.setattr(gmm, "fit_em", lambda obs, k, **kwargs: fits[k - 1])
-        new = gmm.select_model(obs, k_max=3)
-    with monkeypatch.context() as m:
         m.setattr(gmm, "_em", _reference_em)
-        ref = gmm.select_model(obs, k_max=3)
-    return new, ref
+        ref_fits = [gmm.fit_em(obs, k) for k in (1, 2, 3)]
+    selections = []
+    for chosen in (fits, ref_fits):
+        with monkeypatch.context() as m:
+            m.setattr(gmm, "fit_em", lambda obs, k: chosen[k - 1])
+            selections.append(gmm.select_model(obs, k_max=3))
+    return *selections, ref_fits
 
 
 def test_em_matches_row_major_reference(monkeypatch, seeded_fits):
     for i, (obs, _, fits) in enumerate(seeded_fits):
-        (model, trace), (ref_model, ref_trace) = _select_both(monkeypatch, obs, fits)
-        assert [row["k"] for row in trace] == [row["k"] for row in ref_trace] == [1, 2, 3]
-        for row, ref in zip(trace, ref_trace):
-            assert row["n_iter"] == ref["n_iter"], (i, row["k"])
-            assert row["converged"] == ref["converged"], (i, row["k"])
-            assert row["log_likelihood"] == pytest.approx(ref["log_likelihood"], rel=1e-9)
+        (model, trace), (ref_model, ref_trace), ref_fits = _select_both(
+            monkeypatch, obs, fits)
+        # every K <= 3, whether or not the search reaches it
+        for fit, ref in zip(fits[:3], ref_fits, strict=True):
+            assert fit.n_iter == ref.n_iter, (i, fit.k)
+            assert fit.converged == ref.converged, (i, fit.k)
+            assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9)
+        assert [row["k"] for row in trace] == [row["k"] for row in ref_trace], i
+        _assert_stop_rule(model, trace, 3, obs.shape[0])
+        _assert_stop_rule(ref_model, ref_trace, 3, obs.shape[0])
         assert model.k == ref_model.k, i
         rows, lp = _reference_rows(obs, ref_model.weights, ref_model.means,
                                    ref_model.variances)

@@ -55,10 +55,11 @@ def test_mixture_fits_return_what_the_tracer_counts():
     from mantra import gmm
     tracer = _load_tracer()
     obs = np.random.default_rng(0).normal(0.0, 1.0, 200)
-    # the scheduler's call, and each fit it makes
+    # the scheduler's call, and each fit it makes: K=2 does not lower BIC on
+    # this unimodal input, so the order search stops there
     result = gmm.select_model(obs, k_max=3)
     model, rows = result
-    assert [row["k"] for row in rows] == [1, 2, 3]
+    assert [row["k"] for row in rows] == [1, 2]
     for row in rows:
         assert isinstance(row["n_iter"], int)
         assert isinstance(row["converged"], bool) and isinstance(row["selected"], bool)
