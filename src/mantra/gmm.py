@@ -13,8 +13,13 @@ Model order is chosen by the Bayesian information criterion
 (K weights minus the simplex constraint, K means, K variances).  The search
 runs forward: it fits K = 1, 2, ... and stops at the first K whose BIC is
 not lower than the best so far, keeping that best (so a tie keeps the
-smaller K).  BIC need not be unimodal in K, so this is a stopping rule, not
-an exhaustive search: a larger order past the first rise is never fit.
+smaller K).  A fit with two equal means does not stop it: the quantile
+start puts two means on one value when that value holds both quantiles,
+EM keeps them tied, and the fit is a smaller mixture that says nothing of
+order K.  Only when every observation is identical, where no order can do
+better, does such a fit stop the search.  BIC need not be unimodal in K, so
+this is a stopping rule, not an exhaustive search: a larger order past the
+first rise is never fit.
 
 At a few hundred observations and K <= 3 an EM pass costs little
 arithmetic, so numpy's per-call overhead is a large share of it.  The loop
@@ -133,9 +138,11 @@ def select_model(obs, k_max):
     """Fit K = 1, 2, ... and stop at the first K that does not lower BIC.
 
     Keeps the lowest-BIC model found; a tie stops the search and keeps the
-    smaller K.  Orders above k_max or above the number of observations are
-    never fit.  Because BIC need not be unimodal in K, a higher order past
-    the first K that fails to lower it could score lower; it is not tried.
+    smaller K.  An order whose fit has two equal means does not stop it
+    unless the observations are all identical.  Orders above k_max or above
+    the number of observations are never fit.  Because BIC need not be
+    unimodal in K, a higher order past the first K that fails to lower it
+    could score lower; it is not tried.
 
     Returns (model, trace) where trace lists one dict per order fit, in K
     order, with its log-likelihood, BIC, EM iteration count and convergence
@@ -163,10 +170,11 @@ def select_model(obs, k_max):
             "means": model.means.tolist(),
             "variances": model.variances.tolist(),
         })
-        if not score < best_bic:
+        if score < best_bic:
+            best_bic = score
+            best_model = model
+        elif model.degenerate or not np.any(model.means[1:] == model.means[:-1]):
             break
-        best_bic = score
-        best_model = model
     for row in trace:
         row["selected"] = row["k"] == best_model.k
     return best_model, trace

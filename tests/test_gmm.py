@@ -81,20 +81,25 @@ def test_fit_limits_are_module_constants(monkeypatch):
 def _assert_stop_rule(model, trace, k_max, n):
     """trace is the forward order search that picked model.
 
-    Orders run K = 1, 2, ...; each one up to the selected K lowers BIC, and
-    the search ends at the first K that does not, or at min(k_max, n).
+    Orders run K = 1, 2, ...; model is the first row of lowest BIC.  The
+    search ends at the first K that does not lower the best BIC so far,
+    unless that fit has two equal means and is not degenerate; or else at
+    min(k_max, n).
     """
     ks = [row["k"] for row in trace]
-    bics = [row["bic"] for row in trace]
-    chosen = model.k
     assert ks == list(range(1, len(ks) + 1))
-    assert [row["selected"] for row in trace] == [k == chosen for k in ks]
-    assert bics[chosen - 1] == gmm.bic_value(model.log_likelihood, chosen, n)
-    assert all(later < earlier for earlier, later in zip(bics, bics[1:chosen]))
-    if len(ks) > chosen:
-        assert len(ks) == chosen + 1 and not bics[chosen] < bics[chosen - 1]
+    best, chosen = math.inf, None
+    for row in trace:
+        if row["bic"] < best:
+            best, chosen = row["bic"], row["k"]
+        elif row["degenerate"] or len(set(row["means"])) == row["k"]:
+            assert row is trace[-1]
+            break
     else:
         assert len(ks) == min(k_max, n)
+    assert model.k == chosen
+    assert [row["selected"] for row in trace] == [k == chosen for k in ks]
+    assert best == gmm.bic_value(model.log_likelihood, chosen, n)
 
 
 def test_select_model_orders():
@@ -160,17 +165,26 @@ def test_identical_observations_prefer_one_component():
     assert np.all(direct.variances >= gmm.VAR_FLOOR)
 
 
-def test_tied_start_can_end_the_search_early():
+def test_tied_order_does_not_end_the_search():
     # 80 observations on one value: the (j - 0.5)/K start puts both K=2 means
-    # on it, EM keeps them tied, and K=2 scores no better than K=1.  The
-    # search stops there although K=3, whose top start lands on the second
-    # value, lowers BIC: the stop rule is not an exhaustive search.
+    # on it and EM keeps them tied, so K=2 is K=1 with more penalty.  That
+    # says nothing of order 2, so the search goes on to K=3, whose top start
+    # lands on the second value and lowers BIC.
     obs = np.log1p(np.array([0.2] * 80 + [3.0] * 20))
     model, trace = gmm.select_model(obs, k_max=3)
-    assert model.k == 1 and [row["k"] for row in trace] == [1, 2]
+    assert [row["k"] for row in trace] == [1, 2, 3]
     assert trace[1]["means"][0] == trace[1]["means"][1]
-    three = gmm.fit_em(obs, 3)
-    assert gmm.bic_value(three.log_likelihood, 3, 100) < trace[0]["bic"]
+    assert not trace[1]["bic"] < trace[0]["bic"]
+    assert model.k == 3 and trace[2]["bic"] < trace[0]["bic"]
+    _assert_stop_rule(model, trace, 3, 100)
+    # K=4 ties three means on the first value and scores above K=3, yet it
+    # too only says what a smaller mixture does: the cap ends the search
+    model, trace = gmm.select_model(obs, k_max=5)
+    assert [row["k"] for row in trace] == [1, 2, 3, 4, 5] and model.k == 3
+    _assert_stop_rule(model, trace, 5, 100)
+    # a tied order that is degenerate does stop it: no order can do better
+    model, trace = gmm.select_model(np.full(40, 0.7), k_max=5)
+    assert [row["k"] for row in trace] == [1, 2] and trace[1]["degenerate"]
 
 
 def test_variance_floor_binds_on_point_clusters():

@@ -124,23 +124,21 @@ def test_single_component_epoch_resets_persistence():
 
 
 def test_cap_binds_and_ties_fall_to_smaller_ids():
-    # 20 of 100 noisy but cap is 10: every noisy posterior saturates at 1.0,
+    # 20 of 100 noisy at one shared loss level but cap is 10: equal posteriors,
     # so the 10 smallest noisy ids win the budget
     n = 100
     noisy = set(range(80, 100))
-    losses = _scripted_losses(n, noisy)
     state = DropState.for_ids(range(n))
     policy = _policy(warmup=0, max_drop_frac=0.1)
-    evaluate_epoch(state, policy, 1, range(n), losses)
-    d2 = evaluate_epoch(state, policy, 2, range(n), losses)
-    assert {p for _, p in d2.dropped} == {1.0}
+    evaluate_epoch(state, policy, 1, range(n), _bimodal_losses(n, noisy))
+    d2 = evaluate_epoch(state, policy, 2, range(n), _bimodal_losses(n, noisy))
     assert [sid for sid, _ in d2.dropped] == list(range(80, 90))
     assert len(_dropped(state)) == drop_cap(policy, state) == 10
 
     # budget exhausted: the still-flagged rest never drops
     active = _active_ids(state)
-    d3 = evaluate_epoch(state, policy, 3, active, [losses[sid] for sid in active])
-    assert d3.flagged == list(range(90, 100))
+    d3 = evaluate_epoch(state, policy, 3, active,
+                        _bimodal_losses(n, noisy)[:80] + [3.0] * 10)
     assert d3.dropped == [] and len(_dropped(state)) == 10
 
 
