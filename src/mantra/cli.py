@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import noise, runner, scheduler
+from . import noise, runner
 from .errors import ConfigError, MantraError, UsageError
 
 
@@ -44,11 +44,6 @@ def _add_common_options(p):
                    help="cap on the dropped fraction of the train split")
     p.add_argument("--kmax", type=int, dest="k_max", metavar="KMAX",
                    help="largest mixture order offered to BIC selection")
-    p.add_argument("--transform", choices=sorted(scheduler.TRANSFORMS),
-                   help="loss transform fed to the mixture fit")
-    p.add_argument("--window", type=int,
-                   help="trailing epochs averaged into the mixture feature, "
-                        "at most --epochs")
     p.add_argument("--lr", type=float,
                    help="learning rate (default: the task's desk rate)")
     p.add_argument("--batch-size", type=int)
@@ -97,7 +92,7 @@ def _cmd_run(args):
     out_dir = _resolve_out(args)
     report = runner.run_experiment(config, out_dir=out_dir)
     print(f"task={config.task} rate={config.noise_rate:g} seed={config.seed} "
-          f"mantra={'on' if config.mantra else 'off'} backend={report.backend}")
+          f"mantra={'on' if config.mantra else 'off'}")
     print(f"test {report.metric_name} = {report.test_metric:.6f}")
     print(_detection_note(report))
     if out_dir:

@@ -57,7 +57,7 @@ _GATHER_SLOTS = 256    # slots whose base rows _logits adds at a time
 
 
 def backend():
-    """Name of the kernel implementation, recorded in results.json."""
+    """Name of the kernel implementation, recorded by perfbench/bench.py."""
     return "numpy"
 
 

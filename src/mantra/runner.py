@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, learner, metrics, noise, scheduler
+from . import learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl, target_layout)
 from .errors import ConfigError, SchemaError, UsageError
@@ -62,7 +62,8 @@ class ExperimentConfig(scheduler.DropPolicy):
     warmup is redeclared, because its default depends on the task.  It is
     also the training schedule: learner.train_epoch reads lr, batch_size and
     seed off it.  Models start from zero parameters (learner's init_scale
-    default) and the density exports use HIST_BINS bins: no run varies them.
+    default), the density exports use HIST_BINS bins, and the mixture is fit
+    to np.log1p of one epoch's losses (scheduler): no run varies them.
     """
     task: str
     seed: int = 1
@@ -102,10 +103,6 @@ class ExperimentConfig(scheduler.DropPolicy):
             raise ConfigError(
                 f"warmup must satisfy 0 <= warmup < epochs, got {self.warmup} "
                 f"with {self.epochs} epochs")
-        # a longer window never fills, and DropState holds (n_train, window) losses
-        if self.window > self.epochs:
-            raise ConfigError(f"window must be <= epochs, got {self.window} "
-                              f"with {self.epochs} epochs")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.noise_rate <= 1.0):
@@ -159,7 +156,6 @@ class RunReport:
     gmm_trace: list = field(default_factory=list)
     label_repairs: int | None = None
     prior_drift: dict | None = None
-    backend: str = ""
     runtime_sec: float = 0.0
 
     def as_dict(self):
@@ -299,7 +295,6 @@ def run_experiment(config, out_dir=None):
         gmm_trace=gmm_trace,
         label_repairs=dataset.meta.get("label_repairs"),
         prior_drift=mask.prior_drift or None,
-        backend=kernels.backend(),
         runtime_sec=time.perf_counter() - t0,
     )
     if out_dir is not None:

@@ -1,23 +1,21 @@
 """Adaptive sample dropping driven by mixture posteriors over losses.
 
-After a warmup of untouched epochs, each epoch's per-sample losses (optionally
-log1p-transformed, optionally averaged over a short trailing window) are fit
-with BIC-selected Gaussian mixtures.  When more than one component is
-selected, the component with the largest mean is read as the noisy
-population; samples whose posterior for that component exceeds the threshold
-collect consecutive-epoch flags, and a sample flagged `persistence` epochs in
-a row is dropped permanently.  A single-component selection is treated as
-"no noise evidence this epoch" and resets every counter.  Total drops never
-exceed floor(max_drop_frac * initial train size); when candidates outnumber
-the remaining budget, higher posterior wins and ties fall to the smaller id.
+After a warmup of untouched epochs, the log1p of each epoch's per-sample
+losses is fit with BIC-selected Gaussian mixtures.  When more than one
+component is selected, the component with the largest mean is read as the
+noisy population; samples whose posterior for that component exceeds the
+threshold collect consecutive-epoch flags, and a sample flagged
+`persistence` epochs in a row is dropped permanently.  A single-component
+selection is treated as "no noise evidence this epoch" and resets every
+counter.  Total drops never exceed floor(max_drop_frac * initial train
+size); when candidates outnumber the remaining budget, higher posterior wins
+and ties fall to the smaller id.
 
 The state is a set of arrays indexed by train position: the consecutive-flag
 counters, the epoch each sample was dropped at (0 while it is active, so
-`dropped_at == 0` is the active mask), its noisy-component posterior at that
-drop (0 while active), and an (n, window) buffer of trailing transformed
-losses, oldest first.  It is the run's only drop record.  A dropped sample
-never returns, so every active sample has been scored in each epoch so far
-and all windows hold the last min(epoch, window) values.
+`dropped_at == 0` is the active mask), and its noisy-component posterior at
+that drop (0 while active).  It is the run's only drop record.  It holds no
+losses: each epoch's fit sees that epoch's losses alone.
 """
 
 from dataclasses import dataclass
@@ -27,11 +25,6 @@ import numpy as np
 from . import gmm
 from .errors import ConfigError, SequencingError, UsageError
 
-TRANSFORMS = {
-    "identity": lambda x: np.asarray(x, dtype=np.float64),
-    "log1p": lambda x: np.log1p(np.asarray(x, dtype=np.float64)),
-}
-
 
 @dataclass(kw_only=True)
 class DropPolicy:
@@ -39,15 +32,14 @@ class DropPolicy:
 
     Keyword-only, so a subclass may add fields in any order.  A run's
     runner.ExperimentConfig extends it and is itself the policy the run's
-    scheduler reads.
+    scheduler reads.  The mixture feature is no knob: it is always np.log1p
+    of the epoch's losses.
     """
     warmup: int
     tau: float = 0.7
     persistence: int = 2
     max_drop_frac: float = 0.3
     k_max: int = 3
-    transform: str = "log1p"
-    window: int = 1
 
     def validate(self):
         if self.warmup < 0:
@@ -61,10 +53,6 @@ class DropPolicy:
                 f"max_drop_frac must lie in [0, 1], got {self.max_drop_frac}")
         if self.k_max < 1:
             raise ConfigError("k_max must be >= 1")
-        if self.transform not in TRANSFORMS:
-            raise ConfigError(f"transform must be one of {sorted(TRANSFORMS)}")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
         return self
 
 
@@ -74,7 +62,6 @@ class DropState:
     counters: np.ndarray               # (n,) consecutive flags
     dropped_at: np.ndarray             # (n,) epoch dropped at, 0 = active
     posterior: np.ndarray              # (n,) noisy posterior at the drop, 0 = active
-    buffer: np.ndarray | None = None   # (n, window) trailing losses, oldest first
     last_epoch: int = 0
 
     @classmethod
@@ -108,8 +95,8 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses):
 
     sample_ids must be the currently active ids in train order, as
     active_samples returns them.  Epochs must arrive contiguously (1, 2, ...);
-    warmup epochs only feed the trailing windows.  Dropped ids take effect
-    from the next epoch's active set.
+    warmup epochs are only counted.  Dropped ids take effect from the next
+    epoch's active set.
     """
     policy.validate()
     if epoch != state.last_epoch + 1:
@@ -123,12 +110,6 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses):
         raise UsageError("sample_ids must be the active ids in train order")
     state.last_epoch = epoch     # a rejected call must not consume the epoch
 
-    if state.buffer is None:
-        state.buffer = np.zeros((len(state.initial_ids), policy.window))
-    buf = state.buffer
-    buf[:, :-1] = buf[:, 1:]
-    buf[pos, -1] = TRANSFORMS[policy.transform](vals)
-
     cap = drop_cap(policy, state)
     decision = EpochDecision(epoch=epoch, in_warmup=epoch <= policy.warmup,
                              selected_k=0, flagged=[], dropped=[], gmm_trace=[],
@@ -136,7 +117,7 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses):
     if decision.in_warmup or not len(ids):
         return decision
 
-    features = buf[pos, buf.shape[1] - min(epoch, buf.shape[1]):].mean(axis=1)
+    features = np.log1p(vals)
     model, trace = gmm.select_model(features, k_max=policy.k_max)
     decision.gmm_trace = trace
     decision.selected_k = model.k

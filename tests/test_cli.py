@@ -53,12 +53,9 @@ def test_bad_usage_exits_2(tmp_path, capsys):
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
 
-    # config error: a window longer than the run (--epochs 4)
-    assert main(_tiny_run_args(tmp_path, window=5)) == 2
-    assert "window must be <= epochs" in capsys.readouterr().err
-
     # retired settings are unknown flags, not silently accepted
-    for flag, value in (("--bins", "10"), ("--init-scale", "0.1")):
+    for flag, value in (("--bins", "10"), ("--init-scale", "0.1"),
+                        ("--window", "2"), ("--transform", "log1p")):
         with pytest.raises(SystemExit) as exc:
             main(_tiny_run_args(tmp_path) + [flag, value])
         assert exc.value.code == 2

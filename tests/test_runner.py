@@ -47,8 +47,7 @@ def test_config_is_its_own_drop_policy():
 def test_config_as_dict_is_flat_and_complete():
     shared = {"seed": 1, "noise_rate": 0.0, "epochs": 10, "mantra": True,
               "tau": 0.7, "persistence": 2, "max_drop_frac": 0.3, "k_max": 3,
-              "transform": "log1p", "window": 1, "batch_size": 32,
-              "noise_mode": "replace-set", "data": "synthetic",
+              "batch_size": 32, "noise_mode": "replace-set", "data": "synthetic",
               "vocab": None, "n_features": 16}
     assert ExperimentConfig(task="cls").as_dict() == {
         **shared, "task": "classification", "warmup": 5, "lr": 0.5,
@@ -77,9 +76,13 @@ def test_each_run_setting_has_one_default(tmp_path):
     assert list(inspect.signature(learner.gradient_check).parameters) == \
         ["model", "samples", "h"]
     assert not hasattr(learner, "TrainConfig")
-    # no run varies the init scale or the histogram bins, so neither is a setting
+    # no run varies the init scale, the histogram bins, or the mixture feature
+    # (np.log1p of one epoch's losses), so none of them is a setting
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert not config_fields & {"init_scale", "hist_bins"}
+    assert not config_fields & {"init_scale", "hist_bins", "window", "transform"}
+    for retired in ("window", "transform"):
+        with pytest.raises(TypeError):
+            ExperimentConfig(task="cls", **{retired: 1})
     # a model is its parameter arrays; BOS and EOS follow from the target axis
     assert [f.name for f in dataclasses.fields(learner.Seq2SeqModel)] == ["u", "v", "b"]
     assert not {"bos", "eos"} & set(inspect.signature(learner.new_seq2seq).parameters)
@@ -110,7 +113,6 @@ def test_config_validation():
         dict(task="cls", n_train=0),
         dict(task="cls", tau=0.4),           # policy knobs checked up front
         dict(task="cls", mantra=False, tau=0.4),   # even with the scheduler off
-        dict(task="cls", epochs=10, window=11),     # a window that never fills
         # every setting is checked before any work starts
         dict(task="cls", seed=-1),
         dict(task="cls", noise_mode="bogus"),
@@ -128,8 +130,6 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
-    # the longest window a run fills
-    assert ExperimentConfig(task="cls", epochs=10, window=10).window == 10
 
 
 def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
@@ -142,7 +142,7 @@ def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
     assert set(json.loads((tmp_path / "results.json").read_text())) == {
         "config", "metric_name", "test_metric", "val_metrics", "detection",
         "dropped_total", "dropped_per_epoch", "label_repairs", "prior_drift",
-        "backend", "runtime_sec"}
+        "runtime_sec"}
     assert (tmp_path / "results.json").read_bytes() == (
         json.dumps(saved, sort_keys=True, indent=2) + "\n").encode("utf-8")
     want = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -170,7 +170,6 @@ def test_run_report_bookkeeping(tiny_cls_config):
     assert report.dropped_ids == sorted(report.dropped_ids)
     assert report.label_repairs is not None
     assert set(report.prior_drift) == {"before", "after"}
-    assert report.backend == "numpy"
     # drops never precede warmup + persistence
     assert report.drop_events
     for event in report.drop_events:
@@ -240,6 +239,29 @@ def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, confi
     assert report.dropped_per_epoch == {d.epoch: len(d.dropped) for d in decisions}
     assert {e: n for e, n in report.dropped_per_epoch.items() if n} == drops
     assert report.detection["tp"] == sum(e["was_noisy"] for e in report.drop_events)
+
+
+def test_mixture_sees_log1p_of_the_epochs_losses(tmp_path, monkeypatch, tiny_cls_config):
+    fits = []
+    select = scheduler.gmm.select_model
+
+    def recording(obs, k_max):
+        fits.append(np.array(obs))
+        return select(obs, k_max)
+
+    monkeypatch.setattr(scheduler.gmm, "select_model", recording)
+    config = tiny_cls_config(n_train=200)
+    report = run_experiment(config, out_dir=str(tmp_path))
+    losses = {}                                            # epoch -> active losses
+    with open(tmp_path / "trajectory.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            losses.setdefault(int(row["epoch"]), []).append(float(row["loss"]))
+    # epochs 2-4 are fit, and epoch 4 runs without the 16 dropped at epoch 3
+    assert report.dropped_per_epoch == {1: 0, 2: 0, 3: 16, 4: 0}
+    assert [len(losses[epoch]) for epoch in (2, 3, 4)] == [200, 200, 184]
+    assert len(fits) == 3
+    for epoch, obs in zip((2, 3, 4), fits):
+        assert np.array_equal(obs, np.log1p(losses[epoch])), epoch
 
 
 def _artifacts(run_dir):
@@ -368,6 +390,12 @@ def test_compare_runs_contract(tiny_cls_config, tmp_path):
     base.save_json(path)
     again = compare_runs(str(path), treat.as_dict())
     assert again["metric_delta"] == out["metric_delta"]
+    # a results.json written before window, transform and backend were retired
+    legacy = json.loads(path.read_text())
+    legacy["config"].update(window=1, transform="log1p")
+    legacy["backend"] = "numpy"
+    path.write_text(json.dumps(legacy))
+    assert compare_runs(str(path), treat.as_dict()) == again
 
 
 def test_compare_runs_with_clean_references(tiny_cls_config):

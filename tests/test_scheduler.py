@@ -1,6 +1,5 @@
 """Drop scheduler: warmup, persistence, cap, and reset behavior on scripted losses."""
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,13 +7,12 @@ import pytest
 
 from mantra import gmm, scheduler
 from mantra.errors import ConfigError, SequencingError, UsageError
-from mantra.scheduler import (TRANSFORMS, DropPolicy, DropState, EpochDecision,
-                              active_samples, drop_cap, evaluate_epoch)
+from mantra.scheduler import (DropPolicy, DropState, EpochDecision, active_samples,
+                              drop_cap, evaluate_epoch)
 
 
 def _policy(**overrides):
-    base = dict(warmup=5, tau=0.7, persistence=2, max_drop_frac=0.3,
-                k_max=3, transform="log1p", window=1)
+    base = dict(warmup=5, tau=0.7, persistence=2, max_drop_frac=0.3, k_max=3)
     base.update(overrides)
     return DropPolicy(**base)
 
@@ -43,8 +41,7 @@ def _scripted_losses(n, noisy_ids, low=0.2, high=3.0):
 def test_policy_validation():
     _policy().validate()
     bad = [dict(warmup=-1), dict(tau=0.5), dict(tau=1.2), dict(persistence=0),
-           dict(max_drop_frac=-0.1), dict(max_drop_frac=1.5), dict(k_max=0),
-           dict(transform="exp"), dict(window=0)]
+           dict(max_drop_frac=-0.1), dict(max_drop_frac=1.5), dict(k_max=0)]
     for overrides in bad:
         with pytest.raises(ConfigError):
             _policy(**overrides).validate()
@@ -180,15 +177,6 @@ def test_zero_cap_disables_dropping():
     assert _dropped(state) == {}
 
 
-def test_window_averages_recent_transformed_losses():
-    state = DropState.for_ids(range(8))
-    policy = _policy(warmup=1, window=2, k_max=1)
-    evaluate_epoch(state, policy, 1, range(8), [1.0] * 8)        # warmup feeds window
-    d = evaluate_epoch(state, policy, 2, range(8), [3.0] * 8)
-    want = (np.log1p(1.0) + np.log1p(3.0)) / 2.0
-    assert d.gmm_trace[0]["means"][0] == pytest.approx(want)     # K=1 mean = feature mean
-
-
 def test_sequencing_and_input_validation():
     state = DropState.for_ids(range(4))
     policy = _policy(warmup=0)
@@ -210,8 +198,8 @@ def test_active_samples_preserves_order():
 
 
 def test_duplicate_ids_are_rejected():
-    # same set as the active ids, but id 1 twice: one sample would get two
-    # window entries and the mixture would be fit on an extra point
+    # same set as the active ids, but id 1 twice: the mixture would be fit on
+    # an extra point and one sample would collect two flags in one epoch
     state = DropState.for_ids(range(4))
     policy = _policy(warmup=0)
     with pytest.raises(UsageError):
@@ -228,29 +216,21 @@ def test_duplicate_ids_are_rejected():
 class _RefState:
     initial_ids: tuple
     counters: dict = field(default_factory=dict)     # id -> consecutive flags
-    windows: dict = field(default_factory=dict)      # id -> recent transformed losses
     dropped: dict = field(default_factory=dict)      # id -> epoch dropped at
     last_epoch: int = 0
 
 
 def _reference_evaluate_epoch(state, policy, epoch, sample_ids, losses):
-    """The per-id dict/deque scheduler, kept as the oracle for the array state."""
+    """The per-id dict scheduler, kept as the oracle for the array state."""
     ids = [int(i) for i in sample_ids]
     state.last_epoch = epoch
-    transformed = TRANSFORMS[policy.transform](np.asarray(losses, dtype=np.float64))
-    for sid, x in zip(ids, transformed):
-        window = state.windows.get(sid)
-        if window is None:
-            window = state.windows[sid] = deque(maxlen=policy.window)
-        window.append(float(x))
-
     cap = drop_cap(policy, state)
     decision = EpochDecision(epoch=epoch, in_warmup=epoch <= policy.warmup,
                              selected_k=0, flagged=[], dropped=[], gmm_trace=[],
                              cap=cap, n_active=len(ids))
     if decision.in_warmup or not ids:
         return decision
-    features = np.array([float(np.mean(state.windows[sid])) for sid in ids])
+    features = np.log1p(np.asarray(losses, dtype=np.float64))
     model, trace = gmm.select_model(features, k_max=policy.k_max)
     decision.gmm_trace = trace
     decision.selected_k = model.k
@@ -276,18 +256,17 @@ def _reference_evaluate_epoch(state, policy, epoch, sample_ids, losses):
     for sid in sorted(candidates):
         state.dropped[sid] = epoch
         state.counters.pop(sid, None)
-        state.windows.pop(sid, None)
         decision.dropped.append((sid, posterior_by_id[sid]))
     return decision
 
 
-def _loss_streams(kind, seed, window, n=80, epochs=12):
+def _loss_streams(kind, seed, blob, n=80, epochs=12):
     """Scattered ids and per-epoch losses aligned with them.
 
     "mixed": a noisy quarter sits ~2 above gamma-distributed clean losses,
     and some clean samples join it on odd epochs only, so their streaks
-    break; `window` epochs from epoch 6 on are one tight blob, so a fully
-    blob-averaged epoch resets every streak.  "ties": two exact
+    break; `blob` epochs from epoch 6 on are one tight blob each, so a blob
+    epoch resets every streak.  "ties": two exact
     loss levels, so every flagged posterior saturates to the same value and
     the id tiebreak decides the cap.
     """
@@ -299,7 +278,7 @@ def _loss_streams(kind, seed, window, n=80, epochs=12):
     for epoch in range(1, epochs + 1):
         if kind == "ties":
             losses = np.where(noisy, 3.0, 0.2)
-        elif 6 <= epoch < 6 + window:
+        elif 6 <= epoch < 6 + blob:
             losses = rng.normal(0.5, 0.01, n)
         else:
             high = noisy | (flicker & (epoch % 2 == 1))
@@ -308,8 +287,8 @@ def _loss_streams(kind, seed, window, n=80, epochs=12):
     return ids, streams
 
 
-def _run_against_reference(policy, kind, seed):
-    ids, streams = _loss_streams(kind, seed, policy.window)
+def _run_against_reference(policy, kind, seed, blob=1):
+    ids, streams = _loss_streams(kind, seed, blob)
     state = DropState.for_ids(ids)
     ref = _RefState(tuple(int(i) for i in ids))
     decisions = []
@@ -327,11 +306,12 @@ def _run_against_reference(policy, kind, seed):
     return decisions
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 5])
+@pytest.mark.parametrize("blob", [1, 2, 3, 5])
 @pytest.mark.parametrize("persistence", [1, 2, 3])
-def test_evaluate_epoch_matches_dict_reference(window, persistence):
-    policy = _policy(warmup=2, window=window, persistence=persistence)
-    decisions = _run_against_reference(policy, "mixed", seed=10 * window + persistence)
+def test_evaluate_epoch_matches_dict_reference(blob, persistence):
+    policy = _policy(warmup=2, persistence=persistence)
+    decisions = _run_against_reference(policy, "mixed", seed=10 * blob + persistence,
+                                       blob=blob)
     post_warmup = [d for d in decisions if not d.in_warmup]
     assert any(prev.flagged and d.selected_k == 1                 # a streak reset
                for prev, d in zip(post_warmup, post_warmup[1:]))

@@ -7,7 +7,6 @@ import pytest
 
 from mantra import runner
 from mantra.errors import SequencingError, UsageError
-from mantra.scheduler import TRANSFORMS
 from mantra.trajectory import TrajectoryStore, write_csv
 
 
@@ -72,12 +71,6 @@ def test_histogram_is_a_density(rng):
     assert float(np.sum(density * np.diff(edges))) == pytest.approx(1.0)
     with pytest.raises(UsageError):
         store.loss_histogram(1, bins=0)
-
-
-def test_transform_table():
-    x = np.array([0.0, 1.0, 3.0])
-    np.testing.assert_allclose(TRANSFORMS["identity"](x), x)
-    np.testing.assert_allclose(TRANSFORMS["log1p"](x), np.log1p(x))
 
 
 def test_csv_exports(tmp_path):
