@@ -382,7 +382,7 @@ def load_jsonl(path, task, vocab_path=None):
             seen_ids.add(sample_id)
             n_records += 1
             split = record.get("split")
-            if split not in _SPLIT_NAMES:
+            if not isinstance(split, str) or split not in _SPLIT_NAMES:
                 raise SchemaError(
                     f"line {line_no}: split must be train/val/test, got {split!r}")
             if task == "classification":

@@ -264,8 +264,8 @@ def load_model(path):
 
     A parameter must be finite, have one dimension per named axis, and agree
     in size with every other parameter along an axis of the same name.  A
-    target axis needs a content id besides BOS and EOS.  Other keys (older
-    checkpoints' "bos" and "eos") are ignored.
+    label axis holds N_INTENTS entries; a target axis, a content id besides
+    BOS and EOS.  Other keys (older checkpoints' "bos", "eos") are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -301,4 +301,6 @@ def load_model(path):
         size, first = sizes["tgt"]
         raise SchemaError(f"{path}: field {first!r} has {size} tgt entries; a target "
                           "vocabulary needs a content id besides BOS and EOS")
+    if sizes.get("label", (N_INTENTS,))[0] != N_INTENTS:    # w is the first label field
+        raise SchemaError(f"{path}: field 'w' has {sizes['label'][0]} labels, not {N_INTENTS}")
     return model_type(**values)

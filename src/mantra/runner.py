@@ -10,15 +10,16 @@ baseline/treated pair differing only in the `mantra` flag shares its
 dataset, noise mask, initialization, and shuffle order, and trains the same
 model until the treated arm's first drop takes effect.
 
-run_grid computes that shared prefix once.  The baseline arm records its
-per-epoch losses, validation metric and parameter copies.  At each epoch
-the treated arm starts with nothing dropped, it takes that epoch's record
-and restores its parameters instead of training.  So the model it holds is
-the baseline's at every replayed epoch, and what it does next (train on a
-reduced set, or compute its test metric) it does exactly as a run alone
-would.  The scheduler's DropState is the run's one drop record: the
-report's drop events, per-epoch counts, dropped ids and detection scores
-are all read off it by train position once the loop is over.
+run_grid computes that shared prefix once.  The baseline arm keeps its
+trajectory store, one row of losses per epoch, and records its validation
+metric and parameter copies.  At each epoch the treated arm starts with
+nothing dropped, it takes that epoch's row and record and restores its
+parameters instead of training.  So the model it holds is the baseline's
+at every replayed epoch, and what it does next (train on a reduced set, or
+compute its test metric) it does exactly as a run alone would.  The
+scheduler's DropState is the run's one drop record: the report's drop
+events, per-epoch counts, dropped ids and detection scores are all read off
+it by train position once the loop is over.
 
 Reports serialize to results.json deterministically: reruns of the same
 config are byte-identical except for the runtime field.  Each fact of a run
@@ -28,6 +29,7 @@ metrics and detection.
 """
 
 import dataclasses
+import fnmatch
 import itertools
 import json
 import math
@@ -173,7 +175,8 @@ class RunReport:
 class _PairPrefix:
     """A grid baseline arm's per-epoch results, for its treated twin to replay."""
     config: dict                     # the treated twin's config
-    # per epoch: (losses, validation metric, copies of the parameter arrays)
+    store: TrajectoryStore | None = None     # its losses: it never drops, so no NaN
+    # per epoch: (validation metric, copies of the parameter arrays)
     epochs: list = field(default_factory=list)
 
 
@@ -239,7 +242,9 @@ def run_experiment(config, out_dir=None):
 
     model = _new_model(config, dataset)
     state = scheduler.DropState.for_ids(train.ids)
-    store = TrajectoryStore()
+    store = TrajectoryStore(train.ids, mask.corrupted, config.epochs)
+    if record is not None:
+        record.store = store
 
     val_metrics = []
     gmm_trace = []
@@ -250,7 +255,8 @@ def run_experiment(config, out_dir=None):
         active = train if len(rows) == len(train) else train.take(rows)
         if replay is not None and active is train:
             # nothing dropped yet: this epoch is the baseline's, so take it whole
-            losses, val_metric, params = replay.epochs[epoch - 1]
+            losses = replay.store.losses[epoch - 1]
+            val_metric, params = replay.epochs[epoch - 1]
             for dst, src in zip(learner.param_arrays(model), params):
                 dst[...] = src
         else:
@@ -258,7 +264,7 @@ def run_experiment(config, out_dir=None):
             losses = learner.per_sample_losses(model, active)
             val_metric = _eval_metric(config, model, dataset.validation)
         val_metrics.append(val_metric)
-        store.record_epoch(epoch, active.ids, losses, mask.corrupted[rows])
+        store.record_epoch(epoch, active.ids, losses)
         if config.mantra:
             decision = scheduler.evaluate_epoch(state, config, epoch, active.ids, losses)
             for row in decision.gmm_trace:
@@ -266,7 +272,7 @@ def run_experiment(config, out_dir=None):
         if record is not None:
             # plain copies: copy.deepcopy of the model costs several times more
             record.epochs.append(
-                (losses, val_metric, [a.copy() for a in learner.param_arrays(model)]))
+                (val_metric, [a.copy() for a in learner.param_arrays(model)]))
 
     test_metric = _eval_metric(config, model, dataset.test)
     # The baseline arm never drops, so its drop fields come out empty.
@@ -298,7 +304,7 @@ def run_experiment(config, out_dir=None):
         runtime_sec=time.perf_counter() - t0,
     )
     if out_dir is not None:
-        _write_artifacts(out_dir, report, store, train, mask, model)
+        _write_artifacts(out_dir, report, store, model)
     return report
 
 
@@ -318,17 +324,19 @@ _GMM_TRACE_COLUMNS = {
     "weights": _floats_cell, "means": _floats_cell, "variances": _floats_cell}
 
 
-def _write_artifacts(out_dir, report, store, train, mask, model):
+def _write_artifacts(out_dir, report, store, model):
     os.makedirs(out_dir, exist_ok=True)
     report.save_json(os.path.join(out_dir, "results.json"))
     learner.save_model(model, os.path.join(out_dir, "model.ckpt.json"))
     store.save_csv(os.path.join(out_dir, "trajectory.csv"))
     store.save_group_means_csv(os.path.join(out_dir, "group_means.csv"))
-    for epoch in store.epochs:
+    for name in fnmatch.filter(os.listdir(out_dir), "density_e*.csv"):
+        os.remove(os.path.join(out_dir, name))   # an earlier, longer run's would outlive it
+    for epoch in range(1, store.last_epoch + 1):
         store.save_histogram_csv(
             os.path.join(out_dir, f"density_e{epoch}.csv"), epoch, HIST_BINS)
     write_csv(os.path.join(out_dir, "noise_mask.csv"), ("sample_id", "corrupted"), (
-        map(str, train.ids.tolist()), map(_flag_cell, mask.corrupted.tolist())))
+        map(str, store.ids.tolist()), map(_flag_cell, store.corrupted.tolist())))
     for name, rows, columns in (("drops.csv", report.drop_events, _DROP_COLUMNS),
                                 ("gmm_trace.csv", report.gmm_trace, _GMM_TRACE_COLUMNS)):
         write_csv(os.path.join(out_dir, name), columns,
@@ -436,14 +444,14 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     run writes its artifacts under a nested directory and a summary.csv
     lands at the grid root.
 
-    Each (rate, seed) runs its baseline arm first, which records its
-    per-epoch losses, validation metric and parameters.  Each epoch the
-    treated arm starts with nothing dropped, it takes that epoch's record
-    and restores its parameters instead of training, so the shared prefix
-    of the pair is computed once.  From its first reduced epoch on, and for
-    its test metric, it computes on the model it holds; every report and
-    artifact equals that of the same config run alone through
-    run_experiment.
+    Each (rate, seed) runs its baseline arm first, which keeps its
+    trajectory store and records its per-epoch validation metric and
+    parameters.  Each epoch the treated arm starts with nothing dropped, it
+    takes that epoch's row of the store and that record and restores its
+    parameters instead of training, so the shared prefix of the pair is
+    computed once.  From its first reduced epoch on, and for its test
+    metric, it computes on the model it holds; every report and artifact
+    equals that of the same config run alone through run_experiment.
     """
     global _pair_prefix
     if not rates or not seeds:

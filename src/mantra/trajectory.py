@@ -1,13 +1,14 @@
 """Per-sample loss trajectory bookkeeping.
 
-The store accumulates one row per scored sample per epoch.  Epochs must be
-recorded contiguously starting at 1 so that downstream consumers (group
-curves, histograms, the drop scheduler) can trust the sequence.  Rows keep
-the ground-truth corruption flag alongside the loss, for the clean and
-noisy group means.  The trajectory CSV holds epoch, sample id and loss
-only: the flag is the run's noise_mask.csv, joined on sample id.  Only
-active samples are scored, so a sample's rows stop at the epoch it was
-dropped at.
+The store is one (epochs, n_train) array of losses over train positions, the
+layout of the scheduler's DropState and the noise mask: row e - 1 holds
+epoch e, NaN where a sample was not scored.  Only active samples are scored,
+so a sample's column is NaN past the epoch it was dropped at.  Epochs must
+be recorded contiguously starting at 1 so that downstream consumers (group
+curves, histograms, the drop scheduler) can trust the sequence.  The store
+keeps the split's ids and ground-truth corruption flags beside the array,
+for the clean and noisy group means.  The trajectory CSV holds epoch, sample
+id and loss only: the flag is the run's noise_mask.csv, joined on sample id.
 """
 
 from itertools import chain, islice
@@ -42,42 +43,40 @@ def float_cell(value):
 
 
 class TrajectoryStore:
-    def __init__(self):
-        self._epochs = {}       # epoch -> dict(ids, losses, noisy)
+    def __init__(self, ids, corrupted, epochs):
+        """An empty store for a train split's ids and corruption flags, and a run of epochs."""
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.corrupted = np.asarray(corrupted, dtype=bool)
+        self.losses = np.full((epochs, self.ids.size), np.nan)
+        self.last_epoch = 0
 
-    @property
-    def epochs(self):
-        return sorted(self._epochs)
+    def record_epoch(self, epoch, sample_ids, losses):
+        """Record the scored samples of one epoch, given in train order.
 
-    @property
-    def last_epoch(self):
-        return max(self._epochs) if self._epochs else 0
-
-    def record_epoch(self, epoch, sample_ids, losses, is_noisy):
-        """Record the scored samples of one epoch.
-
-        epoch must be exactly last_epoch + 1 (starting from 1); anything else
-        raises SequencingError so pipeline ordering bugs surface immediately.
+        epoch must be exactly last_epoch + 1 (starting from 1) and within the
+        store's epochs; anything else raises SequencingError so pipeline
+        ordering bugs surface immediately.
         """
-        if epoch != self.last_epoch + 1:
-            raise SequencingError(
-                f"expected epoch {self.last_epoch + 1}, got {epoch}")
+        if not epoch == self.last_epoch + 1 <= len(self.losses):
+            raise SequencingError(f"expected epoch {self.last_epoch + 1} of "
+                                  f"{len(self.losses)}, got {epoch}")
         ids = np.asarray(sample_ids, dtype=np.int64)
         vals = np.asarray(losses, dtype=np.float64)
-        noisy = np.asarray(is_noisy, dtype=bool)
-        if not (ids.shape == vals.shape == noisy.shape):
-            raise UsageError("ids, losses, and flags must have matching lengths")
-        if np.unique(ids).shape[0] != ids.shape[0]:
-            raise UsageError("sample ids must be unique within an epoch")
+        if ids.shape != vals.shape:
+            raise UsageError("ids and losses must have matching lengths")
         if not np.all(np.isfinite(vals)):
             raise UsageError("losses must be finite")
-        self._epochs[epoch] = {
-            "ids": ids.copy(), "losses": vals.copy(), "noisy": noisy.copy()}
+        scored = np.isin(self.ids, ids)
+        if not np.array_equal(self.ids[scored], ids):
+            raise UsageError("sample ids must be distinct train ids, in train order")
+        self.losses[epoch - 1, scored] = vals
+        self.last_epoch = epoch
 
-    def epoch_rows(self, epoch):
-        if epoch not in self._epochs:
-            raise UsageError(f"epoch {epoch} has not been recorded")
-        return self._epochs[epoch]
+    def _scored(self):
+        """(epoch, train positions scored that epoch, their losses) of each recorded epoch."""
+        for epoch, row in enumerate(self.losses[:self.last_epoch], start=1):
+            pos = np.flatnonzero(~np.isnan(row))
+            yield epoch, pos, row[pos]
 
     def group_means(self):
         """Mean loss per epoch for the clean and noisy groups.
@@ -87,34 +86,19 @@ class TrajectoryStore:
         fabricated number.
         """
         out = {}
-        for epoch in self.epochs:
-            rows = self._epochs[epoch]
-            noisy = rows["noisy"]
-            entry = {}
-            for name, grp in (("clean", ~noisy), ("noisy", noisy)):
-                entry[name] = float(rows["losses"][grp].mean()) if grp.any() else None
-            out[epoch] = entry
+        for epoch, pos, losses in self._scored():
+            noisy = self.corrupted[pos]
+            out[epoch] = {name: float(losses[grp].mean()) if grp.any() else None
+                          for name, grp in (("clean", ~noisy), ("noisy", noisy))}
         return out
-
-    def loss_histogram(self, epoch, bins):
-        """Equal-width density histogram of one epoch's losses.
-
-        Returns (edges, density) with len(edges) == bins + 1 and
-        sum(density * widths) == 1.
-        """
-        if bins < 1:
-            raise UsageError("bins must be >= 1")
-        density, edges = np.histogram(self.epoch_rows(epoch)["losses"], bins=bins,
-                                      density=True)
-        return edges, density
 
     def save_csv(self, path):
         # Each column is built an epoch at a time as write_csv consumes it.
-        epochs = [(str(epoch), self._epochs[epoch]) for epoch in self.epochs]
+        epochs = list(self._scored())
         write_csv(path, ("epoch", "sample_id", "loss"), (
-            chain.from_iterable([e] * r["ids"].size for e, r in epochs),
-            chain.from_iterable([str(i) for i in r["ids"].tolist()] for _, r in epochs),
-            chain.from_iterable([repr(x) for x in r["losses"].tolist()] for _, r in epochs)))
+            chain.from_iterable([str(e)] * pos.size for e, pos, _ in epochs),
+            chain.from_iterable(map(str, self.ids[pos].tolist()) for _, pos, _ in epochs),
+            chain.from_iterable(map(repr, losses.tolist()) for _, _, losses in epochs)))
 
     def save_group_means_csv(self, path):
         means = self.group_means()
@@ -124,7 +108,13 @@ class TrajectoryStore:
             [float_cell(entry["noisy"]) for entry in means.values()]))
 
     def save_histogram_csv(self, path, epoch, bins):
-        edges, density = self.loss_histogram(epoch, bins)
+        """One epoch's equal-width density histogram: bin edges and density per bin."""
+        if not 1 <= epoch <= self.last_epoch:
+            raise UsageError(f"epoch {epoch} has not been recorded")
+        if bins < 1:
+            raise UsageError("bins must be >= 1")
+        row = self.losses[epoch - 1]
+        density, edges = np.histogram(row[~np.isnan(row)], bins=bins, density=True)
         edges = list(map(repr, edges.tolist()))
         write_csv(path, ("bin_left", "bin_right", "density"),
                   (edges[:-1], edges[1:], map(repr, density.tolist())))

@@ -289,6 +289,9 @@ def test_jsonl_error_lines(tmp_path):
 
     cases = [
         ({"split": "nope", "features": [1.0], "labels": ["Bug"]}, "split"),
+        # unhashable splits
+        ({"split": ["train"], "features": [1.0], "labels": ["Bug"]}, "split"),
+        ({"split": {"name": "train"}, "features": [1.0], "labels": ["Bug"]}, "split"),
         ({"split": "train", "labels": ["Bug"]}, "features"),
         ({"split": "train", "features": [1.0], "labels": []}, "label"),
         ({"split": "train", "features": [1.0], "labels": ["Zap"]}, "Zap"),

@@ -423,6 +423,9 @@ def test_load_model_names_the_malformed_field(tmp_path):
     for payload, field in (([1], "'kind'"),
                            ({"kind": "classifier", "w": [[0.5]]}, "'b'"),
                            ({"kind": "classifier", "w": "x", "b": [0.0]}, "'w'"),
+                           # a label axis other than N_INTENTS
+                           ({"kind": "classifier", "w": [[0.0] * 3] * 5, "b": [0.0] * 5},
+                            "'w'"),
                            # BOS and EOS need a content id before them
                            ({"kind": "seq2seq", "u": [[0.0] * 2] * 2, "v": [[0.0]] * 2,
                              "b": [0.0] * 2}, "'u'")):

@@ -48,6 +48,23 @@ def test_counted_arguments_keep_their_positions():
         assert list(inspect.signature(fn).parameters)[pos] == name, fn.__name__
 
 
+def test_row_counter_reads_a_real_record_epoch_call():
+    import numpy as np
+    from mantra.trajectory import TrajectoryStore
+    tracer = _load_tracer()
+    store = TrajectoryStore(np.arange(10, 20), np.zeros(10, dtype=bool), 2)
+    ids = np.array([11, 14, 15, 19])
+    trace = tracer.Tracer()
+    targets = [(TrajectoryStore, "record_epoch", "trajectory.record_epoch",
+                tracer._count_rows)]
+    with tracer.patched(trace.replacements(targets)):
+        store.record_epoch(1, ids, np.ones(4))
+        assert trace.counters["trajectory.rows"] == 4
+        store.record_epoch(epoch=2, sample_ids=ids[:3], losses=np.ones(3))
+    scored = np.count_nonzero(~np.isnan(store.losses))
+    assert trace.counters["trajectory.rows"] == scored == 7
+
+
 def test_mixture_fits_return_what_the_tracer_counts():
     from collections import Counter
 

@@ -63,7 +63,6 @@ def test_each_run_setting_has_one_default(tmp_path):
     for fn, names in ((data.generate_classification_dataset, (*sizes, "d")),
                       (data.generate_summarization_dataset, sizes),
                       (noise.inject_label_noise, ("mode",)),
-                      (TrajectoryStore.loss_histogram, ("bins",)),
                       (TrajectoryStore.save_histogram_csv, ("bins",)),
                       (gmm.select_model, ("k_max",))):
         params = inspect.signature(fn).parameters
@@ -284,6 +283,10 @@ def test_rerun_is_byte_identical_except_runtime(tmp_path, tiny_cls_config):
     run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "a"))
     run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "b"))
     assert _artifacts(tmp_path / "a") == _artifacts(tmp_path / "b")
+    # a shorter rerun into a longer run's directory leaves none of its density_e*.csv
+    run_experiment(tiny_cls_config(epochs=6), out_dir=str(tmp_path / "c"))
+    run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "c"))
+    assert _artifacts(tmp_path / "a") == _artifacts(tmp_path / "c")
 
 
 def test_artifact_set(tmp_path, tiny_cls_config):

@@ -10,42 +10,47 @@ from mantra.errors import SequencingError, UsageError
 from mantra.trajectory import TrajectoryStore, write_csv
 
 
-def _store_with(epochs):
-    store = TrajectoryStore()
-    for e, (ids, losses, noisy) in enumerate(epochs, start=1):
-        store.record_epoch(e, ids, losses, noisy)
+def _store_with(ids, noisy, epochs):
+    """A store over train ids and their flags, with each (ids, losses) epoch recorded."""
+    store = TrajectoryStore(ids, noisy, len(epochs))
+    for e, (scored, losses) in enumerate(epochs, start=1):
+        store.record_epoch(e, scored, losses)
     return store
 
 
 def test_epochs_must_be_contiguous_from_one():
-    store = TrajectoryStore()
+    store = TrajectoryStore([1], [False], 2)
     with pytest.raises(SequencingError):
-        store.record_epoch(0, [1], [0.5], [False])
+        store.record_epoch(0, [1], [0.5])
     with pytest.raises(SequencingError):
-        store.record_epoch(2, [1], [0.5], [False])
-    store.record_epoch(1, [1], [0.5], [False])
+        store.record_epoch(2, [1], [0.5])
+    store.record_epoch(1, [1], [0.5])
     with pytest.raises(SequencingError):
-        store.record_epoch(1, [1], [0.5], [False])    # no rewrites
-    store.record_epoch(2, [1], [0.4], [False])
-    assert store.epochs == [1, 2] and store.last_epoch == 2
+        store.record_epoch(1, [1], [0.5])    # no rewrites
+    store.record_epoch(2, [1], [0.4])
+    assert store.last_epoch == 2
+    with pytest.raises(SequencingError):
+        store.record_epoch(3, [1], [0.3])    # past the store's epochs
 
 
-def test_row_validation():
-    store = TrajectoryStore()
+def test_row_validation(tmp_path):
+    store = TrajectoryStore([1, 2, 3], [False, True, False], 1)
+    for ids, losses in (([1, 2], [0.5]),               # lengths differ
+                        ([1, 1], [0.5, 0.6]),          # duplicate id
+                        ([1, 2], [0.5, np.inf]),       # non-finite loss
+                        ([1, 4], [0.5, 0.6]),          # not a train id
+                        ([2, 1], [0.5, 0.6])):         # out of train order
+        with pytest.raises(UsageError):
+            store.record_epoch(1, ids, losses)
+    assert store.last_epoch == 0 and np.isnan(store.losses).all()
     with pytest.raises(UsageError):
-        store.record_epoch(1, [1, 2], [0.5], [False, True])
-    with pytest.raises(UsageError):
-        store.record_epoch(1, [1, 1], [0.5, 0.6], [False, True])
-    with pytest.raises(UsageError):
-        store.record_epoch(1, [1, 2], [0.5, np.inf], [False, True])
-    with pytest.raises(UsageError):
-        store.epoch_rows(1)
+        store.save_histogram_csv(tmp_path / "hist.csv", 1, bins=3)
 
 
 def test_group_means_and_none_semantics():
-    store = _store_with([
-        ([1, 2, 3, 4], [0.1, 0.3, 0.2, 0.8], [False, True, False, True]),
-        ([1, 3], [0.05, 0.15], [False, False]),
+    store = _store_with([1, 2, 3, 4], [False, True, False, True], [
+        ([1, 2, 3, 4], [0.1, 0.3, 0.2, 0.8]),
+        ([1, 3], [0.05, 0.15]),
     ])
     means = store.group_means()
     assert means[1]["clean"] == pytest.approx(0.15)
@@ -57,26 +62,28 @@ def test_group_means_and_none_semantics():
 def test_recorded_arrays_are_copies():
     ids = np.array([1, 2])
     losses = np.array([0.5, 0.6])
-    store = TrajectoryStore()
-    store.record_epoch(1, ids, losses, [False, False])
+    store = TrajectoryStore(ids, [False, False], 1)
+    store.record_epoch(1, ids, losses)
     losses[0] = 99.0
-    assert store.epoch_rows(1)["losses"][0] == 0.5
+    assert store.losses[0, 0] == 0.5
 
 
-def test_histogram_is_a_density(rng):
+def test_histogram_is_a_density(rng, tmp_path):
     losses = rng.lognormal(0.0, 0.5, 500)
-    store = _store_with([(np.arange(500), losses, np.zeros(500, dtype=bool))])
-    edges, density = store.loss_histogram(1, bins=25)
-    assert edges.shape == (26,) and density.shape == (25,)
-    assert float(np.sum(density * np.diff(edges))) == pytest.approx(1.0)
+    store = _store_with(np.arange(500), np.zeros(500, dtype=bool), [(np.arange(500), losses)])
+    store.save_histogram_csv(tmp_path / "hist.csv", 1, bins=25)
+    rows = list(csv.DictReader((tmp_path / "hist.csv").open()))
+    assert len(rows) == 25
+    assert sum(float(r["density"]) * (float(r["bin_right"]) - float(r["bin_left"]))
+               for r in rows) == pytest.approx(1.0)
     with pytest.raises(UsageError):
-        store.loss_histogram(1, bins=0)
+        store.save_histogram_csv(tmp_path / "hist.csv", 1, bins=0)
 
 
 def test_csv_exports(tmp_path):
-    store = _store_with([
-        ([1, 2], [0.5, 1.5], [False, True]),
-        ([1], [0.25], [False]),
+    store = _store_with([1, 2], [False, True], [
+        ([1, 2], [0.5, 1.5]),
+        ([1], [0.25]),
     ])
     traj = tmp_path / "traj.csv"
     store.save_csv(traj)
@@ -109,19 +116,17 @@ def _csv_writer_bytes(path, header, rows):
 
 
 def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
-    # exponent-form reprs and a shrunken epoch after drops, against the
-    # per-row csv.writer loop the export replaced; the noisy flag is left out
-    store = TrajectoryStore()
-    store.record_epoch(1, [7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0],
-                       [False, True, False, True])
-    store.record_epoch(2, [3, 12], [123456789.125, 1.0 / 3.0], [True, False])
-    store.record_epoch(3, [12], [5e-324], [False])
+    # exponent-form reprs, train ids out of sorted order, and a shrunken epoch
+    # after drops, against the per-row csv.writer loop the export replaced;
+    # the noisy flag is left out
+    epochs = [([7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0]),
+              ([3, 12], [123456789.125, 1.0 / 3.0]),
+              ([12], [5e-324])]
+    store = _store_with([7, 3, 12, 5], [False, True, False, True], epochs)
     store.save_csv(tmp_path / "fast.csv")
-    want = []
-    for epoch in store.epochs:
-        rows = store.epoch_rows(epoch)
-        for i in range(rows["ids"].shape[0]):
-            want.append([epoch, int(rows["ids"][i]), repr(float(rows["losses"][i]))])
+    want = [[epoch, sample_id, repr(loss)]
+            for epoch, (ids, losses) in enumerate(epochs, start=1)
+            for sample_id, loss in zip(ids, losses)]
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["epoch", "sample_id", "loss"], want)
     assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
@@ -129,12 +134,11 @@ def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
 
 def test_histogram_csv_matches_csv_writer_reference(tmp_path):
     # exponent-form edges, a single-valued epoch, and bins past the sample count
-    store = TrajectoryStore()
-    store.record_epoch(1, [1, 2, 3, 4], [1e-07, 2.5e-06, 0.1 + 0.2, 3e-05], [False] * 4)
-    store.record_epoch(2, [1, 2], [0.7, 0.7], [False, True])
+    epochs = [([1, 2, 3, 4], [1e-07, 2.5e-06, 0.1 + 0.2, 3e-05]), ([1, 2], [0.7, 0.7])]
+    store = _store_with([1, 2, 3, 4], [False, True, False, False], epochs)
     for epoch, bins in ((1, 3), (1, 30), (2, 4)):
         store.save_histogram_csv(tmp_path / "fast.csv", epoch, bins=bins)
-        edges, density = store.loss_histogram(epoch, bins=bins)
+        density, edges = np.histogram(epochs[epoch - 1][1], bins=bins, density=True)
         want = [[repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(density[i]))]
                 for i in range(bins)]
         assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
@@ -157,10 +161,10 @@ def test_write_csv_rows_and_lengths(tmp_path):
 
 def test_group_means_csv_matches_csv_writer_reference(tmp_path):
     # a group with no samples (None -> empty cell) and an exponent-form mean
-    store = _store_with([
-        ([1, 2, 3], [2e-06, 4e-06, 0.1 + 0.2], [False, False, True]),
-        ([1, 2], [0.5, 1.0 / 3.0], [False, False]),
-        ([3], [7.0], [True]),
+    store = _store_with([1, 2, 3], [False, False, True], [
+        ([1, 2, 3], [2e-06, 4e-06, 0.1 + 0.2]),
+        ([1, 2], [0.5, 1.0 / 3.0]),
+        ([3], [7.0]),
     ])
     store.save_group_means_csv(tmp_path / "fast.csv")
     want = [[epoch, "" if e["clean"] is None else repr(e["clean"]),
@@ -221,3 +225,31 @@ def test_summary_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
     assert (tmp_path / "summary.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["task", "rate", "seed", "mantra", "test_metric",
                                "dropped", "det_precision", "det_recall"], want)
+
+
+def test_grid_pair_stores_share_rows_until_the_first_drop(monkeypatch, tiny_cls_config):
+    stores = []
+
+    class Kept(TrajectoryStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(runner, "TrajectoryStore", Kept)
+    cfg = tiny_cls_config(n_train=200, epochs=6)
+    _, treated = runner.run_grid(cfg, [cfg.noise_rate], [cfg.seed])
+    base, treat = stores
+    assert treat.ids.tobytes() == base.ids.tobytes()
+    assert treat.corrupted.tobytes() == base.corrupted.tobytes()
+    position = {sample_id: i for i, sample_id in enumerate(treat.ids.tolist())}
+    dropped_at = np.zeros(len(position), dtype=np.int64)
+    for event in treated.drop_events:
+        dropped_at[position[event["sample_id"]]] = event["epoch"]
+    first = dropped_at[dropped_at > 0].min()
+    assert first < cfg.epochs
+    # the baseline never drops, so every row scores the whole split; the
+    # treated arm replays its rows bit for bit until its first drop takes effect
+    assert not np.isnan(base.losses).any()
+    assert treat.losses[:first].tobytes() == base.losses[:first].tobytes()
+    epoch = np.arange(1, cfg.epochs + 1)[:, None]
+    assert np.array_equal(np.isnan(treat.losses), (dropped_at > 0) & (epoch > dropped_at))
