@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 2 for configuration problems (bad flags or an
 inconsistent experiment setup), 1 for runtime failures (unreadable files,
-failed fits).  MANTRA_OUT, when set, overrides any --out flag.
+failed fits, an output path that cannot be a directory, which the runner
+rejects before any work).  MANTRA_OUT, when set, overrides any --out flag.
 
 Every run setting, with its default and its checks, is declared once, in
 runner.ExperimentConfig or the scheduler.DropPolicy it extends: `run` and

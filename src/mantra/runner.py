@@ -11,13 +11,17 @@ dataset, noise mask, initialization, and shuffle order, and trains the same
 model until the treated arm's first drop takes effect.
 
 run_grid computes that shared prefix once.  The baseline arm keeps its
-trajectory store, one row of losses per epoch, and records its validation
-metric and parameter copies.  At each epoch the treated arm starts with
-nothing dropped, it takes that epoch's row and record and restores its
-parameters instead of training.  So the model it holds is the baseline's
-at every replayed epoch, and what it does next (train on a reduced set, or
-compute its test metric) it does exactly as a run alone would.  The
-scheduler's DropState is the run's one drop record: the report's drop
+dataset, noisy train split and noise mask (all read-only), its trajectory
+store, one row of losses per epoch, and records its validation metric and
+parameter copies.  The treated arm takes the dataset, split and mask as
+they are.  At each epoch it starts with nothing dropped, it takes that
+epoch's row and record and restores its parameters instead of training.
+So the model it holds is the baseline's at every replayed epoch, and what
+it does next (train on a reduced set, or compute its test metric) it does
+exactly as a run alone would.  When it writes artifacts, the bytes of its
+replayed epochs (their trajectory rows and density files) and of the noise
+mask are copied from the baseline's files; it formats only its own epochs.
+The scheduler's DropState is the run's one drop record: the report's drop
 events, per-epoch counts, dropped ids and detection scores are all read off
 it by train position once the loop is over.
 
@@ -28,12 +32,14 @@ CSVs only, and results.json keeps the config, the scalars, the per-epoch
 metrics and detection.
 """
 
+import copy
 import dataclasses
 import fnmatch
 import itertools
 import json
 import math
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -173,8 +179,10 @@ class RunReport:
 
 @dataclass
 class _PairPrefix:
-    """A grid baseline arm's per-epoch results, for its treated twin to replay."""
+    """A grid baseline arm's inputs, results and files, for its treated twin to reuse."""
     config: dict                     # the treated twin's config
+    inputs: tuple | None = None      # (dataset, noisy train split, NoiseMask), read-only
+    run_dir: str | None = None       # where the baseline wrote its artifacts, if anywhere
     store: TrajectoryStore | None = None     # its losses: it never drops, so no NaN
     # per epoch: (validation metric, copies of the parameter arrays)
     epochs: list = field(default_factory=list)
@@ -184,6 +192,31 @@ class _PairPrefix:
 # run_experiment(config, out_dir=None) is the per-arm call that the
 # benchmark wraps to time and check each arm; only run_grid sets it.
 _pair_prefix = None
+
+
+def _check_out_dir(path):
+    """Raise NotADirectoryError unless path can be, or be made, a directory.
+
+    Runs call it before any work, so a bad --out fails at once rather than
+    after training.  Only an existing non-directory on the path is caught;
+    the directory itself is made when the artifacts are written.
+    """
+    path = head = os.fspath(path)
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)     # the nearest part of the path that exists
+    if not path or (head and not os.path.isdir(head)):
+        raise NotADirectoryError(f"output path {path!r} is not a directory"
+                                 + (f": {head!r} is a file" if head != path else ""))
+
+
+def _prepare(config):
+    """The run's dataset, its noisy train split and the NoiseMask of the injection."""
+    dataset = _load_dataset(config)
+    if not dataset.train:
+        raise ConfigError("training split is empty")
+    if not (dataset.validation and dataset.test):
+        raise ConfigError("cannot evaluate on an empty split")
+    return (dataset, *_inject(config, dataset))
 
 
 def _load_dataset(config):
@@ -224,15 +257,14 @@ def _eval_metric(config, model, split):
 
 
 def run_experiment(config, out_dir=None):
-    """Execute one configured run and optionally write its artifact set."""
-    t0 = time.perf_counter()
-    dataset = _load_dataset(config)
-    if not dataset.train:
-        raise ConfigError("training split is empty")
-    if not (dataset.validation and dataset.test):
-        raise ConfigError("cannot evaluate on an empty split")
-    train, mask = _inject(config, dataset)
+    """Execute one configured run and optionally write its artifact set.
 
+    An out_dir that is, or lies under, a file raises NotADirectoryError
+    before any work.
+    """
+    t0 = time.perf_counter()
+    if out_dir is not None:
+        _check_out_dir(out_dir)
     cfg = config.as_dict()
     pair = _pair_prefix
     if pair is not None and pair.config != {**cfg, "mantra": True}:
@@ -240,6 +272,9 @@ def run_experiment(config, out_dir=None):
     record = pair if pair is not None and not config.mantra else None
     replay = pair if pair is not None and config.mantra else None
 
+    dataset, train, mask = replay.inputs if replay is not None else _prepare(config)
+    if record is not None:
+        record.inputs, record.run_dir = (dataset, train, mask), out_dir
     model = _new_model(config, dataset)
     state = scheduler.DropState.for_ids(train.ids)
     store = TrajectoryStore(train.ids, mask.corrupted, config.epochs)
@@ -249,12 +284,14 @@ def run_experiment(config, out_dir=None):
     val_metrics = []
     gmm_trace = []
     positions = np.arange(len(train))
+    replayed = 0          # leading epochs taken whole from the baseline
     for epoch in range(1, config.epochs + 1):
         rows = scheduler.active_samples(state, positions) if config.mantra else positions
         # no copy while nothing is dropped: it would only raise peak memory
         active = train if len(rows) == len(train) else train.take(rows)
         if replay is not None and active is train:
             # nothing dropped yet: this epoch is the baseline's, so take it whole
+            replayed = epoch
             losses = replay.store.losses[epoch - 1]
             val_metric, params = replay.epochs[epoch - 1]
             for dst, src in zip(learner.param_arrays(model), params):
@@ -300,11 +337,13 @@ def run_experiment(config, out_dir=None):
         drop_events=drop_events,
         gmm_trace=gmm_trace,
         label_repairs=dataset.meta.get("label_repairs"),
-        prior_drift=mask.prior_drift or None,
+        # a copy: a grid pair shares its mask, and each report owns its fields
+        prior_drift=copy.deepcopy(mask.prior_drift) or None,
         runtime_sec=time.perf_counter() - t0,
     )
     if out_dir is not None:
-        _write_artifacts(out_dir, report, store, model)
+        copy_from = replay.run_dir if replay is not None else None
+        _write_artifacts(out_dir, report, store, model, copy_from, replayed)
     return report
 
 
@@ -324,19 +363,39 @@ _GMM_TRACE_COLUMNS = {
     "weights": _floats_cell, "means": _floats_cell, "variances": _floats_cell}
 
 
-def _write_artifacts(out_dir, report, store, model):
+def _write_artifacts(out_dir, report, store, model, copy_from=None, replayed=0):
+    """Write a run's artifact set into out_dir.
+
+    copy_from is the run directory of a grid pair's baseline, given to its
+    treated arm, whose first `replayed` epochs were the baseline's: their
+    trajectory rows and density files, and the shared noise mask, are copied
+    from the baseline's files byte for byte rather than formatted again.
+    """
+    def path(name):
+        return os.path.join(out_dir, name)
+
+    if copy_from is None:
+        replayed = 0
     os.makedirs(out_dir, exist_ok=True)
-    report.save_json(os.path.join(out_dir, "results.json"))
-    learner.save_model(model, os.path.join(out_dir, "model.ckpt.json"))
-    store.save_csv(os.path.join(out_dir, "trajectory.csv"))
-    store.save_group_means_csv(os.path.join(out_dir, "group_means.csv"))
+    report.save_json(path("results.json"))
+    learner.save_model(model, path("model.ckpt.json"))
+    store.save_csv(path("trajectory.csv"),
+                   None if copy_from is None else os.path.join(copy_from, "trajectory.csv"),
+                   replayed)
+    store.save_group_means_csv(path("group_means.csv"))
     for name in fnmatch.filter(os.listdir(out_dir), "density_e*.csv"):
-        os.remove(os.path.join(out_dir, name))   # an earlier, longer run's would outlive it
+        os.remove(path(name))   # an earlier, longer run's would outlive it
     for epoch in range(1, store.last_epoch + 1):
-        store.save_histogram_csv(
-            os.path.join(out_dir, f"density_e{epoch}.csv"), epoch, HIST_BINS)
-    write_csv(os.path.join(out_dir, "noise_mask.csv"), ("sample_id", "corrupted"), (
-        map(str, store.ids.tolist()), map(_flag_cell, store.corrupted.tolist())))
+        name = f"density_e{epoch}.csv"
+        if epoch <= replayed:
+            shutil.copyfile(os.path.join(copy_from, name), path(name))
+        else:
+            store.save_histogram_csv(path(name), epoch, HIST_BINS)
+    if copy_from is None:
+        write_csv(path("noise_mask.csv"), ("sample_id", "corrupted"), (
+            map(str, store.ids.tolist()), map(_flag_cell, store.corrupted.tolist())))
+    else:
+        shutil.copyfile(os.path.join(copy_from, "noise_mask.csv"), path("noise_mask.csv"))
     for name, rows, columns in (("drops.csv", report.drop_events, _DROP_COLUMNS),
                                 ("gmm_trace.csv", report.gmm_trace, _GMM_TRACE_COLUMNS)):
         write_csv(os.path.join(out_dir, name), columns,
@@ -445,13 +504,18 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     lands at the grid root.
 
     Each (rate, seed) runs its baseline arm first, which keeps its
-    trajectory store and records its per-epoch validation metric and
-    parameters.  Each epoch the treated arm starts with nothing dropped, it
-    takes that epoch's row of the store and that record and restores its
-    parameters instead of training, so the shared prefix of the pair is
-    computed once.  From its first reduced epoch on, and for its test
-    metric, it computes on the model it holds; every report and artifact
-    equals that of the same config run alone through run_experiment.
+    dataset, noisy train split, noise mask and trajectory store, and records
+    its per-epoch validation metric and parameters.  The treated arm reuses
+    the dataset, split and mask.  Each epoch it starts with nothing
+    dropped, it takes that epoch's row of the store and that record and
+    restores its parameters instead of training, and it copies those
+    epochs' trajectory rows and density files, and the noise mask file,
+    from the baseline's run directory; so the shared prefix of the pair is
+    computed and formatted once.  From its first reduced epoch on, and for
+    its test metric, it computes on the model it holds; every report and
+    artifact equals that of the same config run alone through
+    run_experiment.  Nothing of a pair outlives the grid.  An out_dir that
+    is, or lies under, a file raises NotADirectoryError before any run.
     """
     global _pair_prefix
     if not rates or not seeds:
@@ -465,6 +529,8 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"grid seeds must be distinct, got {seeds}")
     configs = grid_configs(base_config, rates, seeds)
+    if out_dir is not None:
+        _check_out_dir(out_dir)
     reports = []
     try:
         for config in configs:

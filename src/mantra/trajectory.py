@@ -11,14 +11,17 @@ for the clean and noisy group means.  The trajectory CSV holds epoch, sample
 id and loss only: the flag is the run's noise_mask.csv, joined on sample id.
 """
 
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .errors import SequencingError, UsageError
 
 
-def write_csv(path, header, columns):
+_BLOCK = 256     # rows per write, so no column's cells are all alive at once
+
+
+def write_csv(path, header, columns, prefix=None):
     """Write the header row, then row i from cell i of each column.
 
     Every CSV artifact of the package is written here.  columns are
@@ -28,13 +31,28 @@ def write_csv(path, header, columns):
     and no table has one column, so no row is a lone empty cell.  Nothing
     needs quoting, and the bytes equal the csv module's default dialect,
     CRLF row ends included.
+
+    prefix, if given, is (src, n): the first n lines of the CSV file src,
+    header included, are copied byte for byte ahead of the rows.  UsageError
+    if src starts with another header or has fewer lines.
     """
     rows = map(",".join, zip(*columns, strict=True))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # a bounded block per write: a lazy column's cells are never all alive at once
-        while block := list(islice(rows, 256)):
-            fh.write("\r\n".join(block) + "\r\n")
+    head = (",".join(header) + "\r\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(head)
+        if prefix is not None:
+            src, n = prefix
+            with open(src, "rb") as lines:
+                if next(lines, None) != head:
+                    raise UsageError(f"{src} does not start with the header {header}")
+                copied, todo = 1, islice(lines, n - 1)
+                while block := list(islice(todo, _BLOCK)):
+                    fh.writelines(block)
+                    copied += len(block)
+            if copied < n:
+                raise UsageError(f"{src} has {copied} lines, fewer than {n}")
+        while block := list(islice(rows, _BLOCK)):
+            fh.write(("\r\n".join(block) + "\r\n").encode())
 
 
 def float_cell(value):
@@ -92,13 +110,27 @@ class TrajectoryStore:
                           for name, grp in (("clean", ~noisy), ("noisy", noisy))}
         return out
 
-    def save_csv(self, path):
+    def save_csv(self, path, copy_from=None, copy_epochs=0):
+        """Write the trajectory CSV: one row per scored (epoch, sample).
+
+        copy_from, if given, is the trajectory CSV of a run whose first
+        copy_epochs epochs scored the same samples with the same losses (a
+        grid pair's baseline): those rows are copied from it byte for byte,
+        and only the later epochs are formatted.
+        """
+        scored = list(self._scored())
+        prefix = None
+        if copy_from is not None:
+            # the header line, then one line per sample scored in the copied epochs
+            prefix = (copy_from, 1 + sum(pos.size for _, pos, _ in scored[:copy_epochs]))
+            scored = scored[copy_epochs:]
+        id_cells = np.array(list(map(str, self.ids.tolist())), dtype=object)
         # Each column is built an epoch at a time as write_csv consumes it.
-        epochs = list(self._scored())
         write_csv(path, ("epoch", "sample_id", "loss"), (
-            chain.from_iterable([str(e)] * pos.size for e, pos, _ in epochs),
-            chain.from_iterable(map(str, self.ids[pos].tolist()) for _, pos, _ in epochs),
-            chain.from_iterable(map(repr, losses.tolist()) for _, _, losses in epochs)))
+            chain.from_iterable(repeat(str(e), pos.size) for e, pos, _ in scored),
+            chain.from_iterable(id_cells[pos].tolist() for _, pos, _ in scored),
+            chain.from_iterable(map(repr, losses.tolist()) for _, _, losses in scored)),
+            prefix)
 
     def save_group_means_csv(self, path):
         means = self.group_means()

@@ -92,6 +92,34 @@ def test_repeated_grid_rate_or_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "grid").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("out, env, named", [
+    ("afile", None, "'afile'"),
+    ("afile/sub", None, "'afile/sub'"),       # a file on the way to it
+    ("", None, "''"),
+    ("ok", "afile", "'afile'"),                # MANTRA_OUT wins over --out
+])
+def test_out_that_is_no_directory_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch, command, out, env, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"kept")
+    if env is not None:
+        monkeypatch.setenv("MANTRA_OUT", env)
+    calls = []
+    for owner, name in ((runner, "generate_classification_dataset"),
+                        (runner.learner, "train_epoch")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **kw: calls.append(name))
+    args = (_tiny_run_args(tmp_path) if command == "run" else
+            ["grid", "--task", "cls", "--epochs", "4", "--warmup", "1",
+             "--n-train", "60", "--rates", "0.15", "--seeds", "3"])
+    assert main(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output path {named} is not a directory")
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_bytes() == b"kept"
+
+
 def test_malformed_compare_report_exits_1(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({

@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import gc
 import inspect
 import json
 import os
+import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -533,21 +536,74 @@ def test_grid_arms_equal_their_standalone_runs(tmp_path, monkeypatch, tiny_cls_c
         assert _artifacts(grid_dir) == _artifacts(tmp_path / arm)
 
 
-def test_grid_clears_the_pair_slot(monkeypatch, tiny_cls_config):
+def test_treated_arms_copy_only_their_own_baselines_replayed_epochs(
+        tmp_path, monkeypatch, tiny_cls_config, tiny_sum_config):
+    # A treated arm's first drop-free epochs, and its noise mask, are copied
+    # from its own baseline's files; every arm still equals its run alone.
+    # Pairs differ in rate and seed, so a copy from another pair shows, and
+    # each grid has a treated arm that drops before its last epoch, so a copy
+    # of one epoch too many shows.
+    grids = [(tiny_cls_config(n_train=200, epochs=6), [0.1, 0.15], [3, 4],
+              "generate_classification_dataset", "inject_label_noise"),
+             (tiny_sum_config(n_train=80, epochs=6), [0.15], [3],
+              "generate_summarization_dataset", "inject_summary_noise")]
+    for k, (cfg, rates, seeds, generate, inject) in enumerate(grids):
+        calls = []
+        with monkeypatch.context() as patch:
+            # wrapped where the runner looks them up, as the benchmark wraps them
+            for owner, name in ((runner, generate), (runner.noise, inject)):
+                fn = getattr(owner, name)
+                patch.setattr(owner, name, lambda *a, fn=fn, name=name, **kw:
+                              calls.append(name) or fn(*a, **kw))
+            grid = tmp_path / f"grid{k}"
+            reports = run_grid(cfg, rates, seeds, out_dir=str(grid))
+        pairs = len(rates) * len(seeds)
+        assert calls.count(generate) == calls.count(inject) == pairs
+
+        first_drops = [min((e for e, n in r.dropped_per_epoch.items() if n), default=None)
+                       for r in reports[1::2]]
+        assert any(e is not None and e < cfg.epochs for e in first_drops), first_drops
+        for report in reports:
+            config = ExperimentConfig(**report.config)
+            alone = tmp_path / f"alone{k}" / f"r{config.noise_rate:g}_s{config.seed}_{config.mantra}"
+            assert _without_runtime(run_experiment(config, out_dir=str(alone))) == \
+                _without_runtime(report)
+            arm = "mantra" if config.mantra else "baseline"
+            grid_dir = grid / f"{config.task}_r{config.noise_rate:g}_s{config.seed}_{arm}"
+            assert _artifacts(grid_dir) == _artifacts(alone)
+
+
+def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config):
     cfg = tiny_cls_config(n_train=200, epochs=6)
     treated = ExperimentConfig(**{**cfg.as_dict(), "seed": 4})
-    fresh = _without_runtime(run_experiment(treated))
+    fresh = _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "fresh")))
 
-    run_grid(cfg, [0.15], [3, 4])
+    run_grid(cfg, [0.15], [3, 4], out_dir=str(tmp_path / "grid"))
     assert runner._pair_prefix is None
-    assert _without_runtime(run_experiment(treated)) == fresh
+    # nothing of the grid's, in memory or on disk, feeds a later run
+    shutil.rmtree(tmp_path / "grid")
+    assert _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "after"))) == fresh
+    assert _artifacts(tmp_path / "after") == _artifacts(tmp_path / "fresh")
+
+    datasets = []
+    generate = runner.generate_classification_dataset
+
+    def generating(*args, **kwargs):
+        dataset = generate(*args, **kwargs)
+        datasets.append(weakref.ref(dataset))
+        return dataset
 
     def failing(*args):
         raise RuntimeError("evaluate_epoch failed")
 
+    monkeypatch.setattr(runner, "generate_classification_dataset", generating)
     monkeypatch.setattr(runner.scheduler, "evaluate_epoch", failing)
     with pytest.raises(RuntimeError, match="evaluate_epoch failed"):
-        run_grid(cfg, [0.15], [3, 4])     # the first treated arm raises
+        run_grid(cfg, [0.15], [3, 4], out_dir=str(tmp_path / "failed"))  # first treated arm
     assert runner._pair_prefix is None
+    assert len(datasets) == 1
+    gc.collect()
+    assert datasets[0]() is None          # the pair's dataset and splits are gone
     monkeypatch.undo()
-    assert _without_runtime(run_experiment(treated)) == fresh
+    assert _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "again"))) == fresh
+    assert _artifacts(tmp_path / "again") == _artifacts(tmp_path / "fresh")

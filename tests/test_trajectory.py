@@ -253,3 +253,33 @@ def test_grid_pair_stores_share_rows_until_the_first_drop(monkeypatch, tiny_cls_
     assert treat.losses[:first].tobytes() == base.losses[:first].tobytes()
     epoch = np.arange(1, cfg.epochs + 1)[:, None]
     assert np.array_equal(np.isnan(treat.losses), (dropped_at > 0) & (epoch > dropped_at))
+
+
+def test_write_csv_copies_a_prefix(tmp_path):
+    src = tmp_path / "src.csv"
+    write_csv(src, ("x", "y"), (map(str, range(600)), map(repr, range(600))))
+    lines = src.read_bytes().splitlines(keepends=True)
+    # the header and 299 rows copied, more than one block, then two formatted rows
+    write_csv(tmp_path / "a.csv", ("x", "y"), (["a", "b"], ["1", "2"]), prefix=(src, 300))
+    assert (tmp_path / "a.csv").read_bytes() == b"".join(lines[:300]) + b"a,1\r\nb,2\r\n"
+    write_csv(tmp_path / "a.csv", ("x", "y"), ([], []), prefix=(src, 1))
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n"
+    with pytest.raises(UsageError, match="header"):
+        write_csv(tmp_path / "a.csv", ("x", "z"), ([], []), prefix=(src, 2))
+    with pytest.raises(UsageError, match="601 lines, fewer than 602"):
+        write_csv(tmp_path / "a.csv", ("x", "y"), ([], []), prefix=(src, 602))
+
+
+def test_trajectory_csv_copies_leading_epochs(tmp_path):
+    # the copy holds the header and the rows of the first epochs; later
+    # epochs, a shrunken one included, are formatted from the store
+    epochs = [([7, 3, 12], [1e-05, 0.5, 2.0]), ([7, 3, 12], [0.25, 0.75, 1.5]),
+              ([3], [0.125])]
+    store = _store_with([7, 3, 12], [False, True, False], epochs)
+    store.save_csv(tmp_path / "whole.csv")
+    whole = (tmp_path / "whole.csv").read_bytes()
+    for copied in range(4):
+        src = tmp_path / "src.csv"
+        _store_with([7, 3, 12], [False, True, False], epochs[:copied]).save_csv(src)
+        store.save_csv(tmp_path / "part.csv", copy_from=src, copy_epochs=copied)
+        assert (tmp_path / "part.csv").read_bytes() == whole
