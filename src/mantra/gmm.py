@@ -24,8 +24,7 @@ first rise is never fit.
 At a few hundred observations and K <= 3 an EM pass costs little
 arithmetic, so numpy's per-call overhead is a large share of it.  The loop
 calls the ufunc reductions directly instead of through the ndarray methods'
-Python wrappers, and it skips the starved-component guards in any pass
-where every component keeps responsibility; both give the same bits.
+Python wrappers, which gives the same bits.
 """
 
 import math
@@ -71,6 +70,7 @@ def _e_step(sq, weights, variances, resp):
 
 
 def _em(obs, weights, means, variances, max_iter, tol):
+    means, variances = means.copy(), variances.copy()   # updated in place below
     sq = (obs - means[:, None]) ** 2
     resp = np.empty_like(sq)
     history = []
@@ -82,19 +82,12 @@ def _em(obs, weights, means, variances, max_iter, tol):
             break
         totals = np.add.reduce(resp, axis=1)
         weights = totals / obs.shape[0]
-        if np.minimum.reduce(totals) > 1e-12:
-            # No starved component: the guarded update below reduces to this.
-            means = (resp @ obs) / totals
-            np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
-            variances = np.maximum(np.einsum("kn,kn->k", resp, sq) / totals, VAR_FLOOR)
-            continue
         # A starved component keeps its parameters; its weight decays to ~0.
-        safe = totals > 1e-12
-        denom = np.maximum(totals, 1e-12)   # quotients of starved ones are unused
-        means = np.where(safe, (resp @ obs) / denom, means)
+        live = totals > 1e-12
+        np.divide(resp @ obs, totals, out=means, where=live)
         np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
-        spread = np.einsum("kn,kn->k", resp, sq)
-        variances = np.maximum(np.where(safe, spread / denom, variances), VAR_FLOOR)
+        np.divide(np.einsum("kn,kn->k", resp, sq), totals, out=variances, where=live)
+        np.maximum(variances, VAR_FLOOR, out=variances)
     else:
         # Ran out of iterations right after an M-step; score the final state.
         history.append(_e_step(sq, weights, variances, resp))

@@ -26,12 +26,13 @@ on how a split is cut into blocks.
 
 seq_losses scores whole splits in blocks of 64 samples in row order.  Each
 block computes on its real slots only, so its samples need no sorting by
-target length to keep pads out.  One block's logits, at most about 240 KB
-at the desk sizes, are alive at a time.  128-sample blocks raised a
-``sum-sweep`` benchmark run's peak RSS by 0.29 MB (44.58 -> 44.87 MB,
-medians of 6 alternating pairs, higher in 6 of 6) and its wall time by 3%;
-alone they were 7% faster on a 4000-sample split but 20-30% slower on
-700- and 1000-sample splits.
+target length to keep pads out.  One block's logits plus one gathered
+block of its base rows, at most about 480 KB together at the desk sizes,
+are alive at a time.  128-sample blocks raised a ``sum-sweep`` benchmark
+run's peak RSS by 0.29 MB (44.58 -> 44.87 MB, medians of 6 alternating
+pairs, higher in 6 of 6) and its wall time by 3%; alone they were 7%
+faster on a 4000-sample split but 20-30% slower on 700- and 1000-sample
+splits.
 
 Greedy decoding feeds each step its own previous output: a loop over positions.
 
@@ -53,7 +54,6 @@ softmax cross-entropy.
 import numpy as np
 
 _LOSS_BLOCK = 64       # samples per dense pass in seq_losses
-_GATHER_SLOTS = 256    # slots whose base rows _logits adds at a time
 
 
 def backend():
@@ -73,13 +73,10 @@ def _source_term(v, b, src_counts, src_len):
 def _logits(ut, base, rows, prev):
     """Logits of each slot: the previous token's row of u.T plus its sample's row of base.
 
-    The base rows are added _GATHER_SLOTS slots at a time: one gather of a
-    whole loss block's rows doubled its logits in memory and raised a
-    ``sum-sweep`` benchmark run's peak RSS by about 0.2 MB.
+    The base rows are added in one gather, a temporary as large as the logits.
     """
     logits = np.take(ut, prev, axis=0)
-    for lo in range(0, prev.size, _GATHER_SLOTS):
-        logits[lo:lo + _GATHER_SLOTS] += base[rows[lo:lo + _GATHER_SLOTS]]
+    logits += base[rows]
     return logits
 
 

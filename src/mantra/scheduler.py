@@ -134,8 +134,7 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses):
 
     cand = np.flatnonzero(state.counters[pos] >= policy.persistence)
     budget = cap - (len(state.initial_ids) - len(pos))
-    if budget < len(cand):
-        cand = cand[np.lexsort((ids[cand], -post[cand]))][:max(budget, 0)]
+    cand = cand[np.lexsort((ids[cand], -post[cand]))][:max(budget, 0)]
     cand = cand[np.argsort(ids[cand])]
     state.dropped_at[pos[cand]] = epoch
     state.posterior[pos[cand]] = post[cand]

@@ -280,7 +280,9 @@ def _kmajor_e_step(sq, weights, variances, resp):
 
 
 def _kmajor_em(obs, weights, means, variances, max_iter, tol):
-    """ndarray-method reductions and the starved-component guards every pass."""
+    """ndarray-method reductions, and the starved-component guards in their
+    np.where/denom form; the shipped loop guards every pass too, by a masked
+    divide, and calls the ufunc reductions directly."""
     sq = (obs - means[:, None]) ** 2
     resp = np.empty_like(sq)
     history = []
@@ -408,7 +410,7 @@ def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
         # fewer observations than k_max: only K <= n is fit
         for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0])):
             _assert_select_equals_kmajor(monkeypatch, obs, 5)
-        # a starved component takes the guarded M-step in every pass, beside
+        # a starved component is masked out of every pass's M-step, beside
         # two live ones whose sums run over 700 points
         rng = np.random.default_rng(4)
         obs = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(3.0, 0.5, 200)])
@@ -463,6 +465,8 @@ def test_starved_component_keeps_its_parameters():
     with np.errstate(divide="raise", invalid="raise"):
         weights, means, variances, ll, n_iter, converged, _ = gmm._em(
             obs, *start, max_iter=200, tol=1e-6)
+    # the M-step writes in place, into copies of the start arrays
+    assert [a.tolist() for a in start] == [[0.5, 0.5], [0.0, 50.0], [1.0, 1.0]]
     assert means[1] == 50.0 and variances[1] == 1.0
     assert weights[1] <= 1e-12
     assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))

@@ -139,7 +139,12 @@ def test_cap_binds_and_ties_fall_to_smaller_ids():
     assert d3.dropped == [] and len(_dropped(state)) == 10
 
 
-def test_cap_prefers_higher_posterior_before_id(monkeypatch):
+@pytest.mark.parametrize("cap, dropped", [
+    (1, [(20, 0.95)]),
+    # the budget equals the candidate count: both drop, listed in id order
+    (2, [(10, 0.80), (20, 0.95)]),
+], ids=["cap1", "cap2"])
+def test_cap_prefers_higher_posterior_before_id(monkeypatch, cap, dropped):
     # real fits on well-separated losses saturate every outlier posterior at
     # 1.0, which only ever exercises the id tiebreak; script the mixture so
     # the two flagged ids carry distinct posteriors and the ordering shows
@@ -158,12 +163,15 @@ def test_cap_prefers_higher_posterior_before_id(monkeypatch):
                             [1.0 - scripted, scripted]))
 
     state = DropState.for_ids(range(n))
-    policy = _policy(warmup=0, max_drop_frac=1 / n, persistence=1, k_max=2)
+    policy = _policy(warmup=0, max_drop_frac=cap / n, persistence=1, k_max=2)
+    assert drop_cap(policy, state) == cap
     d = evaluate_epoch(state, policy, 1, range(n), [0.2] * n)
     assert d.flagged == [10, 20]
-    assert d.dropped == [(20, 0.95)]
-    assert _dropped(state) == {20: 1}
-    assert state.posterior[20] == 0.95 and not np.delete(state.posterior, 20).any()
+    assert d.dropped == dropped
+    assert _dropped(state) == {sid: 1 for sid, _ in dropped}
+    hit = [sid for sid, _ in dropped]
+    assert state.posterior[hit].tolist() == [p for _, p in dropped]
+    assert not np.delete(state.posterior, hit).any()
 
 
 def test_zero_cap_disables_dropping():
