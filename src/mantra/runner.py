@@ -69,9 +69,9 @@ class ExperimentConfig(scheduler.DropPolicy):
     the policy knobs are declared there, and as_dict() stays flat.  Only
     warmup is redeclared, because its default depends on the task.  It is
     also the training schedule: learner.train_epoch reads lr, batch_size and
-    seed off it.  Models start from zero parameters (learner's init_scale
-    default), the density exports use HIST_BINS bins, and the mixture is fit
-    to np.log1p of one epoch's losses (scheduler): no run varies them.
+    seed off it.  Models start with every parameter +0.0 (learner's
+    constructors), the density exports use HIST_BINS bins, and the mixture
+    is fit to np.log1p of one epoch's losses (scheduler): no run varies them.
     """
     task: str
     seed: int = 1
@@ -243,9 +243,9 @@ def _new_model(config, dataset):
     """The run's zero-initialised model, its widths read off the train arrays."""
     train = dataset.train
     if config.task == "classification":
-        return learner.new_classifier(train.x.shape[1], seed=config.seed)
+        return learner.new_classifier(train.x.shape[1])
     return learner.new_seq2seq(n_tgt=dataset.meta["n_tgt_vocab"],
-                               n_src=train.src_counts.shape[1], seed=config.seed)
+                               n_src=train.src_counts.shape[1])
 
 
 def _eval_metric(config, model, split):

@@ -25,6 +25,8 @@ import pytest
 from mantra import data, gmm, learner, metrics
 from mantra.runner import ExperimentConfig, run_experiment
 
+from grad_audit import gradient_check, randomized
+
 SEEDS = (1, 2, 3, 4, 5)
 RATES = (0.05, 0.10, 0.15)
 EPOCHS = 10
@@ -69,14 +71,16 @@ def test_criterion_2_loss_bimodality(run_cache):
                 losses_by_epoch.setdefault(int(row["epoch"]), []).append(
                     float(row["loss"]))
         ks = []
-        for epoch in range(report.config["warmup"], EPOCHS + 1):
+        warmup = report.config["warmup"]
+        for epoch in range(warmup, EPOCHS + 1):
             model, _ = gmm.select_model(np.log1p(losses_by_epoch[epoch]), k_max=3)
             ks.append(model.k)
         per_seed.append(min(ks))
         hits += min(ks) >= 2
     line, ok = _verdict(
         "C2 loss bimodality", hits >= 4,
-        f"BIC K>=2 at every post-warmup epoch in {hits}/5 seeds "
+        f"BIC K>=2 at every epoch {warmup}-{EPOCHS} (last warmup epoch on) "
+        f"in {hits}/5 seeds "
         f"(min K per seed: {per_seed}, need >=4)")
     assert ok, line
 
@@ -162,15 +166,15 @@ def test_criterion_4_metric_oracles():
 def test_criterion_5_gradient_audit():
     worst = 0.0
     for seed in SEEDS:
-        cls_model = learner.new_classifier(16, init_scale=0.5, seed=seed)
+        cls_model = randomized(learner.new_classifier(16), 0.5, seed)
         cls_samples = data.generate_classification_dataset(
             seed, 5, 1, 1, d=16).train
-        rep = learner.gradient_check(cls_model, cls_samples, h=1e-5)
+        rep = gradient_check(cls_model, cls_samples, h=1e-5)
         worst = max(worst, rep.max_rel_error)
 
-        seq_model = learner.new_seq2seq(init_scale=0.2, seed=seed)
+        seq_model = randomized(learner.new_seq2seq(), 0.2, seed)
         seq_samples = data.generate_summarization_dataset(seed, 5, 1, 1).train
-        rep = learner.gradient_check(seq_model, seq_samples, h=1e-5)
+        rep = gradient_check(seq_model, seq_samples, h=1e-5)
         worst = max(worst, rep.max_rel_error)
     line, ok = _verdict(
         "C5 gradient audit", worst < 1e-4,

@@ -11,6 +11,8 @@ import pytest
 from mantra import data, kernels, learner
 from mantra.errors import SchemaError, UsageError
 
+from grad_audit import gradient_check, randomized
+
 
 def _cfg(lr, batch_size=32, seed=0):
     """What train_epoch reads off a run's config.  Not a runner.ExperimentConfig:
@@ -43,6 +45,14 @@ def test_zero_init_loss_oracles():
     np.testing.assert_allclose(losses, math.log(42.0), rtol=0, atol=1e-9)
 
 
+def test_fresh_models_start_at_positive_zero():
+    # a parameter training never touches (u's EOS column) keeps its start in the checkpoint
+    for model in (learner.new_classifier(16), learner.new_seq2seq()):
+        for p in learner.param_arrays(model):
+            assert p.dtype == np.float64 and not p.any()
+            assert not np.signbit(p).any()
+
+
 def _assert_same_split(got, want):
     """Equal fields, except that got's sequence pads may be wider than want's."""
     assert got.task == want.task and len(got) == len(want)
@@ -63,11 +73,11 @@ def test_packed_subset_equals_packing_the_subset(task):
     # train alike although it keeps the full split's pad width
     if task == "classification":
         full = _cls_samples(4, 60, d=6)
-        model_a, model_b = (learner.new_classifier(6, init_scale=0.5, seed=1)
+        model_a, model_b = (randomized(learner.new_classifier(6), 0.5, 1)
                             for _ in range(2))
     else:
         full = _sum_samples(4, 60)
-        model_a, model_b = (learner.new_seq2seq(init_scale=0.2, seed=1)
+        model_a, model_b = (randomized(learner.new_seq2seq(), 0.2, 1)
                             for _ in range(2))
     rows = np.random.default_rng(5).permutation(len(full))[:35]
     if task == "classification":
@@ -96,7 +106,7 @@ def test_packed_subset_equals_packing_the_subset(task):
 
 def test_classifier_loss_matches_direct_bce(rng):
     samples = _cls_samples(5, 12, d=6)
-    model = learner.new_classifier(6, init_scale=0.8, seed=2)
+    model = randomized(learner.new_classifier(6), 0.8, 2)
     got = learner.per_sample_losses(model, samples)
     for features, labels, loss in zip(samples.x, samples.y, got):
         z = model.w @ features + model.b
@@ -206,7 +216,7 @@ def test_train_epoch_reads_lr_batch_size_and_seed_off_any_config():
 
 def test_lr_zero_is_identity():
     samples = _sum_samples(3, 10)
-    model = learner.new_seq2seq(init_scale=0.1, seed=4)
+    model = randomized(learner.new_seq2seq(), 0.1, 4)
     u0, v0, b0 = model.u.copy(), model.v.copy(), model.b.copy()
     learner.train_epoch(model, samples, _cfg(lr=0.0, batch_size=4), 0)
     np.testing.assert_array_equal(model.u, u0)
@@ -244,14 +254,14 @@ def test_full_batch_small_step_never_increases_loss():
     # gradient descent property, checked as a seeded loop over problems
     for seed in range(6):
         cls_samples = _cls_samples(seed, 20, d=5)
-        model = learner.new_classifier(5, init_scale=0.5, seed=seed)
+        model = randomized(learner.new_classifier(5), 0.5, seed)
         cfg = _cfg(lr=1e-3, batch_size=len(cls_samples))
         before = learner.per_sample_losses(model, cls_samples).mean()
         learner.train_epoch(model, cls_samples, cfg, 0)
         assert learner.per_sample_losses(model, cls_samples).mean() <= before + 1e-12
 
         seq_samples = _sum_samples(seed, 12)
-        model = learner.new_seq2seq(init_scale=0.3, seed=seed)
+        model = randomized(learner.new_seq2seq(), 0.3, seed)
         cfg = _cfg(lr=1e-3, batch_size=len(seq_samples))
         before = learner.per_sample_losses(model, seq_samples).mean()
         learner.train_epoch(model, seq_samples, cfg, 0)
@@ -298,20 +308,20 @@ def test_predict_threshold_is_strict():
 
 
 def test_gradient_check_passes_both_learners():
-    cls = learner.new_classifier(6, init_scale=0.7, seed=11)
-    report = learner.gradient_check(cls, _cls_samples(11, 5, d=6))
+    cls = randomized(learner.new_classifier(6), 0.7, 11)
+    report = gradient_check(cls, _cls_samples(11, 5, d=6))
     assert report.passed and report.max_rel_error < 1e-4
     assert report.n_checked == min(100, cls.w.size + cls.b.size)
 
-    seq = learner.new_seq2seq(init_scale=0.2, seed=11)
-    report = learner.gradient_check(seq, _sum_samples(11, 5))
+    seq = randomized(learner.new_seq2seq(), 0.2, 11)
+    report = gradient_check(seq, _sum_samples(11, 5))
     assert report.passed and report.max_rel_error < 1e-4
     assert report.n_checked == 100
 
 
 def test_gradient_check_catches_injected_defects(monkeypatch):
     # a 2% scaling bug in either gradient path must trip the audit
-    cls = learner.new_classifier(6, init_scale=0.7, seed=3)
+    cls = randomized(learner.new_classifier(6), 0.7, 3)
     true_grads = learner._classifier_grads
 
     def bad_cls(model, x, y):
@@ -319,10 +329,10 @@ def test_gradient_check_catches_injected_defects(monkeypatch):
         return dw * 1.02, db
 
     monkeypatch.setattr(learner, "_classifier_grads", bad_cls)
-    assert not learner.gradient_check(cls, _cls_samples(3, 5, d=6)).passed
+    assert not gradient_check(cls, _cls_samples(3, 5, d=6)).passed
     monkeypatch.undo()
 
-    seq = learner.new_seq2seq(init_scale=0.2, seed=3)
+    seq = randomized(learner.new_seq2seq(), 0.2, 3)
     true_kernel = kernels.seq_grad_sum
 
     def bad_seq(*args):
@@ -330,12 +340,12 @@ def test_gradient_check_catches_injected_defects(monkeypatch):
         return du, dv * 1.02, db
 
     monkeypatch.setattr(learner.kernels, "seq_grad_sum", bad_seq)
-    assert not learner.gradient_check(seq, _sum_samples(3, 5)).passed
+    assert not gradient_check(seq, _sum_samples(3, 5)).passed
 
 
 def test_gradient_check_needs_samples():
     with pytest.raises(UsageError):
-        learner.gradient_check(learner.new_classifier(3), _empty_split("classification", 3))
+        gradient_check(learner.new_classifier(3), _empty_split("classification", 3))
 
 
 def test_overfit_tiny_summarization_set_decodes_exactly():
@@ -357,14 +367,14 @@ def test_overfit_tiny_summarization_set_decodes_exactly():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    cls = learner.new_classifier(5, init_scale=0.4, seed=8)
+    cls = randomized(learner.new_classifier(5), 0.4, 8)
     path = tmp_path / "cls.json"
     learner.save_model(cls, path)
     back = learner.load_model(path)
     np.testing.assert_array_equal(back.w, cls.w)
     np.testing.assert_array_equal(back.b, cls.b)
 
-    seq = learner.new_seq2seq(init_scale=0.1, seed=8)
+    seq = randomized(learner.new_seq2seq(), 0.1, 8)
     learner.train_epoch(seq, _sum_samples(8, 6), _cfg(lr=2.0), 0)
     path = tmp_path / "seq.json"
     learner.save_model(seq, path)
@@ -383,8 +393,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_bytes_and_parameter_order(tmp_path):
-    cls = learner.new_classifier(5, init_scale=0.4, seed=8)
-    seq = learner.new_seq2seq(n_tgt=12, n_src=9, init_scale=0.1, seed=8)
+    cls = randomized(learner.new_classifier(5), 0.4, 8)
+    seq = randomized(learner.new_seq2seq(n_tgt=12, n_src=9), 0.1, 8)
     seq.b[:4] = [-0.0, 1e-300, 5e300, 0.1 + 0.2]
     assert [id(a) for a in learner.param_arrays(cls)] == [id(cls.w), id(cls.b)]
     assert [id(a) for a in learner.param_arrays(seq)] == [id(seq.u), id(seq.v), id(seq.b)]

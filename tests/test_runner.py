@@ -74,9 +74,9 @@ def test_each_run_setting_has_one_default(tmp_path):
     # settings no caller varies are module constants, not parameters
     assert list(inspect.signature(gmm.fit_em).parameters) == ["obs", "k"]
     assert list(inspect.signature(gmm.select_model).parameters) == ["obs", "k_max"]
-    assert "n_labels" not in inspect.signature(learner.new_classifier).parameters
-    assert list(inspect.signature(learner.gradient_check).parameters) == \
-        ["model", "samples", "h"]
+    # a model starts at zero: no init scale or init seed to pass
+    assert list(inspect.signature(learner.new_classifier).parameters) == ["n_features"]
+    assert list(inspect.signature(learner.new_seq2seq).parameters) == ["n_tgt", "n_src"]
     assert not hasattr(learner, "TrainConfig")
     # no run varies the init scale, the histogram bins, or the mixture feature
     # (np.log1p of one epoch's losses), so none of them is a setting
