@@ -18,7 +18,7 @@ train_epoch reads lr, batch_size and seed off the run's ExperimentConfig
 (or any object with those attributes); this module keeps no copy of them.
 per_sample_losses never mutates the model, so the loss of every
 active sample can be recorded at epoch end under the same parameters.
-Every entry point takes a data.PackedSplit of the model's task.
+Every entry point takes a data.PackedSplit the model fits (_check_task).
 
 A model is its parameters: every field of its dataclass is an np.ndarray,
 in declaration order (param_arrays), which is also the order its gradients
@@ -120,6 +120,12 @@ def _check_task(model, split):
     if split.task == "summarization" and split.src_counts.shape[1] != model.v.shape[1]:
         raise UsageError(f"split has a {split.src_counts.shape[1]}-token source "
                          f"vocabulary, the model {model.v.shape[1]}")
+    if split.task == "summarization" and (
+            (split.tgt[np.arange(len(split)), split.tgt_len - 1] != model.eos).any()
+            or split.tgt.max(initial=0) >= model.b.shape[0]):
+        raise UsageError(f"split targets do not fit the model's {model.b.shape[0]}-id "
+                         f"target vocabulary: each must end in EOS {model.eos} "
+                         "and use no larger id")
 
 
 def per_sample_losses(model, samples):

@@ -276,19 +276,18 @@ def run_experiment(config, out_dir=None):
     if record is not None:
         record.inputs, record.run_dir = (dataset, train, mask), out_dir
     model = _new_model(config, dataset)
-    state = scheduler.DropState.for_ids(train.ids)
+    state = scheduler.DropState.for_size(len(train))
     store = TrajectoryStore(train.ids, mask.corrupted, config.epochs)
     if record is not None:
         record.store = store
 
     val_metrics = []
     gmm_trace = []
-    positions = np.arange(len(train))
     replayed = 0          # leading epochs taken whole from the baseline
     for epoch in range(1, config.epochs + 1):
-        rows = scheduler.active_samples(state, positions) if config.mantra else positions
+        rows = scheduler.active_samples(state) if config.mantra else None
         # no copy while nothing is dropped: it would only raise peak memory
-        active = train if len(rows) == len(train) else train.take(rows)
+        active = train if rows is None or len(rows) == len(train) else train.take(rows)
         if replay is not None and active is train:
             # nothing dropped yet: this epoch is the baseline's, so take it whole
             replayed = epoch
@@ -303,7 +302,7 @@ def run_experiment(config, out_dir=None):
         val_metrics.append(val_metric)
         store.record_epoch(epoch, active.ids, losses)
         if config.mantra:
-            decision = scheduler.evaluate_epoch(state, config, epoch, active.ids, losses)
+            decision = scheduler.evaluate_epoch(state, config, epoch, losses)
             for row in decision.gmm_trace:
                 gmm_trace.append({"epoch": epoch, **row})
         if record is not None:

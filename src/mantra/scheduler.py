@@ -9,13 +9,15 @@ threshold collect consecutive-epoch flags, and a sample flagged
 selection is treated as "no noise evidence this epoch" and resets every
 counter.  Total drops never exceed floor(max_drop_frac * initial train
 size); when candidates outnumber the remaining budget, higher posterior wins
-and ties fall to the smaller id.
+and ties fall to the earlier train position.
 
 The state is a set of arrays indexed by train position: the consecutive-flag
 counters, the epoch each sample was dropped at (0 while it is active, so
 `dropped_at == 0` is the active mask), and its noisy-component posterior at
 that drop (0 while active).  It is the run's only drop record.  It holds no
-losses: each epoch's fit sees that epoch's losses alone.
+losses: each epoch's fit sees that epoch's losses alone.  Nor does it hold
+sample ids: the state and its decisions name train positions, and the
+caller maps them to ids where it reads or writes them.
 """
 
 from dataclasses import dataclass
@@ -58,20 +60,15 @@ class DropPolicy:
 
 @dataclass(eq=False)
 class DropState:
-    initial_ids: np.ndarray            # (n,) int64 train ids in train order
     counters: np.ndarray               # (n,) consecutive flags
     dropped_at: np.ndarray             # (n,) epoch dropped at, 0 = active
     posterior: np.ndarray              # (n,) noisy posterior at the drop, 0 = active
     last_epoch: int = 0
 
     @classmethod
-    def for_ids(cls, ids):
-        ids = np.fromiter(ids, dtype=np.int64)
-        if np.unique(ids).shape[0] != ids.shape[0]:
-            raise UsageError("train sample ids must be unique")
-        zeros = np.zeros(ids.shape[0], dtype=np.int64)
-        return cls(initial_ids=ids, counters=zeros, dropped_at=zeros.copy(),
-                   posterior=np.zeros(ids.shape[0]))
+    def for_size(cls, n):
+        zeros = np.zeros(n, dtype=np.int64)
+        return cls(counters=zeros, dropped_at=zeros.copy(), posterior=np.zeros(n))
 
 
 @dataclass
@@ -79,42 +76,39 @@ class EpochDecision:
     epoch: int
     in_warmup: bool
     selected_k: int                    # 0 when no fit happened
-    flagged: list                      # ids over threshold this epoch
-    dropped: list                      # (id, posterior) pairs dropped this epoch
+    flagged: list                      # train positions over threshold this epoch
+    dropped: list                      # (position, posterior) pairs dropped this epoch
     gmm_trace: list                    # one dict per candidate K that was fit
     cap: int
     n_active: int
 
 
 def drop_cap(policy, state):
-    return int(np.floor(policy.max_drop_frac * len(state.initial_ids)))
+    return int(np.floor(policy.max_drop_frac * len(state.dropped_at)))
 
 
-def evaluate_epoch(state, policy, epoch, sample_ids, losses):
+def evaluate_epoch(state, policy, epoch, losses):
     """Consume one epoch of losses and decide which samples to drop.
 
-    sample_ids must be the currently active ids in train order, as
-    active_samples returns them.  Epochs must arrive contiguously (1, 2, ...);
-    warmup epochs are only counted.  Dropped ids take effect from the next
-    epoch's active set.
+    losses are the active samples' losses in train order: one per position
+    active_samples returns.  Epochs must arrive contiguously (1, 2, ...);
+    warmup epochs are only counted.  Dropped positions take effect from the
+    next epoch's active set.
     """
     policy.validate()
     if epoch != state.last_epoch + 1:
         raise SequencingError(f"expected epoch {state.last_epoch + 1}, got {epoch}")
-    ids = np.asarray(sample_ids, dtype=np.int64)
     vals = np.asarray(losses, dtype=np.float64)
-    if len(ids) != vals.shape[0]:
-        raise UsageError("sample_ids and losses must have matching lengths")
-    pos = np.flatnonzero(state.dropped_at == 0)      # train position of each id
-    if not np.array_equal(ids, state.initial_ids[pos]):
-        raise UsageError("sample_ids must be the active ids in train order")
+    pos = np.flatnonzero(state.dropped_at == 0)
+    if vals.shape[0] != len(pos):
+        raise UsageError(f"got {vals.shape[0]} losses for {len(pos)} active samples")
     state.last_epoch = epoch     # a rejected call must not consume the epoch
 
     cap = drop_cap(policy, state)
     decision = EpochDecision(epoch=epoch, in_warmup=epoch <= policy.warmup,
                              selected_k=0, flagged=[], dropped=[], gmm_trace=[],
-                             cap=cap, n_active=len(ids))
-    if decision.in_warmup or not len(ids):
+                             cap=cap, n_active=len(pos))
+    if decision.in_warmup or not len(pos):
         return decision
 
     features = np.log1p(vals)
@@ -130,23 +124,19 @@ def evaluate_epoch(state, policy, epoch, sample_ids, losses):
     post = gmm.posteriors(model, features)[:, -1]   # component with largest mean
     flag = post > policy.tau
     state.counters[pos] = np.where(flag, state.counters[pos] + 1, 0)
-    decision.flagged = ids[flag].tolist()
+    decision.flagged = pos[flag].tolist()
 
     cand = np.flatnonzero(state.counters[pos] >= policy.persistence)
-    budget = cap - (len(state.initial_ids) - len(pos))
-    cand = cand[np.lexsort((ids[cand], -post[cand]))][:max(budget, 0)]
-    cand = cand[np.argsort(ids[cand])]
+    budget = cap - (len(state.dropped_at) - len(pos))
+    # stable: equal posteriors keep train order, so the earlier position wins
+    cand = np.sort(cand[np.argsort(-post[cand], kind="stable")][:max(budget, 0)])
     state.dropped_at[pos[cand]] = epoch
     state.posterior[pos[cand]] = post[cand]
     state.counters[pos[cand]] = 0
-    decision.dropped = list(zip(ids[cand].tolist(), post[cand].tolist()))
+    decision.dropped = list(zip(pos[cand].tolist(), post[cand].tolist()))
     return decision
 
 
-def active_samples(state, samples):
-    """The entries of samples still active, in their order.
-
-    samples is aligned with the state's initial ids and indexable by a
-    boolean mask: the train positions, or any per-sample array.
-    """
-    return samples[state.dropped_at == 0]
+def active_samples(state):
+    """The active train positions, in train order."""
+    return np.flatnonzero(state.dropped_at == 0)

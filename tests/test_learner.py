@@ -160,6 +160,26 @@ def test_source_vocabulary_mismatch():
         learner.predict(seq, _empty_split("summarization"))
 
 
+def test_target_vocabulary_mismatch():
+    samples = _sum_samples(1, 3)            # 42 target ids: EOS 41 ends each target
+    # 12 ids: the split's ids run past the target axis; 50 ids: EOS 41 reads as content
+    for n_tgt in (12, 50):
+        seq = learner.new_seq2seq(n_tgt=n_tgt, n_src=data.N_SRC_VOCAB)
+        for call in (lambda: learner.per_sample_losses(seq, samples),
+                     lambda: learner.train_epoch(seq, samples, _cfg(lr=0.1), 0),
+                     lambda: learner.predict(seq, samples)):
+            with pytest.raises(UsageError) as exc:
+                call()
+            assert f"{n_tgt}-id target vocabulary" in str(exc.value)
+    # ends in the model's EOS, but holds an id past its target axis
+    past = data.summarization_split([0], [[1, 2]], [[50, data.EOS]], data.N_SRC_VOCAB)
+    with pytest.raises(UsageError):
+        learner.per_sample_losses(learner.new_seq2seq(), past)
+    # an empty split has no targets to check
+    assert learner.per_sample_losses(learner.new_seq2seq(),
+                                     _empty_split("summarization")).shape == (0,)
+
+
 def test_feature_width_mismatch():
     cls = learner.new_classifier(3)
     samples = _cls_samples(1, 3, d=5)

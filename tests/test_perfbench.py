@@ -2,7 +2,9 @@
 
 perfbench/tracer.py wraps pipeline functions by owner and attribute name and
 reads some of their arguments by position.  A rename or deletion here would
-leave the benchmark with missing targets, so tier-1 checks the list.
+leave the benchmark with missing targets, so tier-1 checks the list.  Its
+drop counter takes the len of what `scheduler.evaluate_epoch` returns as
+`dropped`, so tier-1 feeds it a real decision.
 perfbench/bench.py times and checks every run by wrapping
 `runner.run_experiment(config, out_dir=None)`, so tier-1 also checks that
 call shape and that `run_grid` makes one such call per arm.  It builds its
@@ -124,3 +126,23 @@ def test_benchmark_config_construction_and_reads():
         # every setting bench.py reads off a timed config
         assert (config.mantra, config.seed, config.noise_rate, config.max_drop_frac,
                 config.n_train, config.epochs) == (False, 2, 0.15, 0.3, want, 10)
+
+
+def test_drop_counter_reads_a_real_decision():
+    import numpy as np
+    from mantra import scheduler
+    from test_scheduler import _policy, _scripted_losses
+    tracer = _load_tracer()
+    # the scripted 100-sample block of test_scheduler.py: its 10 noisy
+    # samples are flagged at epoch 6 and dropped at epoch 7
+    n, noisy = 100, set(range(90, 100))
+    state = scheduler.DropState.for_size(n)
+    trace = tracer.Tracer()
+    targets = [(scheduler, "evaluate_epoch", "scheduler.evaluate_epoch",
+                tracer._count_decision)]
+    with tracer.patched(trace.replacements(targets)):
+        for epoch in range(1, 8):
+            losses = _scripted_losses(n, noisy) if epoch > 5 else [0.5] * n
+            decision = scheduler.evaluate_epoch(state, _policy(), epoch, losses)
+    assert len(decision.dropped) == 10
+    assert trace.counters["scheduler.dropped"] == np.count_nonzero(state.dropped_at) == 10

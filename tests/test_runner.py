@@ -193,6 +193,19 @@ def test_baseline_arm_never_drops(tiny_cls_config):
     assert set(report.dropped_per_epoch.values()) == {0}
 
 
+def test_baseline_arm_calls_no_scheduler(monkeypatch, tiny_cls_config, tiny_sum_config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a baseline arm called the scheduler")
+
+    for owner, name in ((scheduler, "evaluate_epoch"), (scheduler, "active_samples"),
+                        (scheduler.gmm, "select_model")):
+        monkeypatch.setattr(owner, name, refuse)
+    for config in (tiny_cls_config(mantra=False), tiny_sum_config(mantra=False)):
+        assert run_experiment(config).dropped_total == 0
+    with pytest.raises(AssertionError):        # the treated arm does call it
+        run_experiment(tiny_cls_config(mantra=True))
+
+
 def test_arms_share_everything_until_first_drop(tiny_cls_config):
     base = run_experiment(tiny_cls_config(n_train=200, mantra=False))
     treat = run_experiment(tiny_cls_config(n_train=200, mantra=True))
@@ -232,12 +245,15 @@ def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, confi
 
     monkeypatch.setattr(runner.scheduler, "evaluate_epoch", recording)
     report = run_experiment(ExperimentConfig(**config), out_dir=str(tmp_path))
+    # the mask lists the train split in train order: row i is train position i
     with open(tmp_path / "noise_mask.csv", newline="", encoding="utf-8") as fh:
-        noisy = {int(row["sample_id"]): row["corrupted"] == "1"
-                 for row in csv.DictReader(fh)}
+        rows = [(int(row["sample_id"]), row["corrupted"] == "1")
+                for row in csv.DictReader(fh)]
     assert report.drop_events == [
-        {"epoch": d.epoch, "sample_id": sid, "posterior": post, "was_noisy": noisy[sid]}
-        for d in decisions for sid, post in d.dropped]
+        {"epoch": d.epoch, "sample_id": rows[pos][0], "posterior": post,
+         "was_noisy": rows[pos][1]}
+        for d in decisions for pos, post in sorted(
+            d.dropped, key=lambda drop: rows[drop[0]][0])]
     assert report.dropped_per_epoch == {d.epoch: len(d.dropped) for d in decisions}
     assert {e: n for e, n in report.dropped_per_epoch.items() if n} == drops
     assert report.detection["tp"] == sum(e["was_noisy"] for e in report.drop_events)
@@ -361,6 +377,50 @@ def test_file_dataset_round_trip(tmp_path, tiny_cls_config):
     assert from_file.val_metrics == synthetic.val_metrics
     assert from_file.dropped_ids == synthetic.dropped_ids
     assert from_file.label_repairs is None      # provenance lost in the file
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_file_ids_stay_at_the_run_edges(tmp_path, tiny_cls_config):
+    # ids fall as train positions rise, so an id read as a position, or a
+    # position written as an id, shows
+    def to_id(sample_id):
+        return 10**6 - 7 * sample_id
+
+    ds = data.generate_classification_dataset(3, n_train=200, n_val=16, n_test=16, d=8)
+    write_jsonl(tmp_path / "synthetic.jsonl", ds)
+    path = tmp_path / "data.jsonl"
+    with open(tmp_path / "synthetic.jsonl", encoding="utf-8") as src, \
+            open(path, "w", encoding="utf-8") as dst:
+        for line in src:
+            record = json.loads(line)
+            record["id"] = to_id(record["id"])
+            dst.write(json.dumps(record) + "\n")
+    from_file = run_experiment(ExperimentConfig(
+        task="cls", seed=3, noise_rate=0.15, epochs=4, warmup=1, data=str(path)),
+        out_dir=str(tmp_path / "file"))
+    synthetic = run_experiment(tiny_cls_config(n_train=200),
+                               out_dir=str(tmp_path / "synthetic"))
+
+    assert from_file.test_metric == synthetic.test_metric
+    assert from_file.val_metrics == synthetic.val_metrics
+    assert from_file.dropped_per_epoch == synthetic.dropped_per_epoch
+    assert synthetic.dropped_per_epoch == {1: 0, 2: 0, 3: 16, 4: 0}   # cap 60 unmet
+    assert from_file.dropped_ids == sorted(map(to_id, synthetic.dropped_ids))
+    assert {e["sample_id"]: e for e in from_file.drop_events} == {
+        to_id(e["sample_id"]): {**e, "sample_id": to_id(e["sample_id"])}
+        for e in synthetic.drop_events}
+    for name in ("trajectory.csv", "noise_mask.csv", "drops.csv"):
+        mapped = [{**row, "sample_id": str(to_id(int(row["sample_id"])))}
+                  for row in _csv_rows(tmp_path / "synthetic" / name)]
+        got = _csv_rows(tmp_path / "file" / name)
+        if name == "drops.csv":       # listed in id order, which the map reverses
+            got, mapped = (sorted(rows, key=lambda row: int(row["sample_id"]))
+                           for rows in (got, mapped))
+        assert got == mapped, name
 
 
 def test_empty_train_file_is_a_config_error(tmp_path):
