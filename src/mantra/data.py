@@ -99,8 +99,13 @@ class PackedSplit:
 
 def classification_split(ids, x, y):
     """A classification split from ids, (n, d) features and (n, 7) label bits."""
-    return PackedSplit("classification", np.array(ids, dtype=np.int64),
-                       x=np.array(x, dtype=np.float64), y=np.array(y, dtype=np.float64))
+    ids = np.array(ids, dtype=np.int64)
+    x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    n = ids.shape[0]
+    if (x.ndim != 2 or x.shape[0] != n or y.shape != (n, N_INTENTS)
+            or ((y != 0) & (y != 1)).any()):
+        raise UsageError(f"{n} samples need {n} feature rows and ({n}, {N_INTENTS}) 0/1 labels")
+    return PackedSplit("classification", ids, x=x, y=y)
 
 
 def summarization_split(ids, sources, targets, n_src):

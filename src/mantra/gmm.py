@@ -2,8 +2,9 @@
 
 The detector models an epoch's per-sample losses as a 1-D mixture.  Fits
 are deterministic: one start places component means on the (j - 0.5)/K
-quantiles with equal weights and the overall variance, and the EM loop
-itself has no randomness.
+quantiles of the distinct observed values, with equal weights and the
+overall variance, and the EM loop itself has no randomness.  A K-component
+fit needs K distinct values, so no two start means are equal.
 
 EM stops after MAX_ITER iterations or once the log-likelihood moves by less
 than TOL.  No run setting varies them; a reference fit assigns gmm.MAX_ITER.
@@ -13,13 +14,9 @@ Model order is chosen by the Bayesian information criterion
 (K weights minus the simplex constraint, K means, K variances).  The search
 runs forward: it fits K = 1, 2, ... and stops at the first K whose BIC is
 not lower than the best so far, keeping that best (so a tie keeps the
-smaller K).  A fit with two equal means does not stop it: the quantile
-start puts two means on one value when that value holds both quantiles,
-EM keeps them tied, and the fit is a smaller mixture that says nothing of
-order K.  Only when every observation is identical, where no order can do
-better, does such a fit stop the search.  BIC need not be unimodal in K, so
-this is a stopping rule, not an exhaustive search: a larger order past the
-first rise is never fit.
+smaller K), or at the number of distinct values.  BIC need not be unimodal
+in K, so this is a stopping rule, not an exhaustive search: a larger order
+past the first rise is never fit.
 
 At a few hundred observations and K <= 3 an EM pass costs little
 arithmetic, so numpy's per-call overhead is a large share of it.  The loop
@@ -47,7 +44,6 @@ class GmmModel:
     log_likelihood: float      # of the data the model was fit on
     n_iter: int
     converged: bool
-    degenerate: bool = False   # all observations identical while K > 1
     ll_trace: list = None      # log-likelihood after each EM evaluation
 
     @property
@@ -97,27 +93,27 @@ def _em(obs, weights, means, variances, max_iter, tol):
 def fit_em(obs, k):
     """Fit a K-component univariate mixture; components come back sorted by mean.
 
-    Raises FitError when there are fewer observations than components.
+    The means start at the (j - 0.5)/K quantiles of the distinct values, so
+    no two start equal.  Raises FitError when there are fewer distinct
+    observations than components.
     """
     obs = np.asarray(obs, dtype=np.float64).ravel()
     if k < 1:
         raise UsageError(f"component count must be >= 1, got {k}")
-    if obs.shape[0] < k:
-        raise FitError(f"cannot fit {k} components to {obs.shape[0]} observations")
     if not np.all(np.isfinite(obs)):
         raise FitError("observations must be finite")
+    distinct = np.unique(obs)
+    if distinct.shape[0] < k:
+        raise FitError(f"cannot fit {k} components to {distinct.shape[0]} distinct observations")
 
-    spread = float(obs.var())
-    degenerate = bool(spread == 0.0 and k > 1)
     weights, means, variances, ll, n_iter, converged, history = _em(
-        obs, np.full(k, 1.0 / k), np.quantile(obs, (np.arange(k) + 0.5) / k),
-        np.full(k, max(spread, VAR_FLOOR)), MAX_ITER, TOL)
+        obs, np.full(k, 1.0 / k), np.quantile(distinct, (np.arange(k) + 0.5) / k),
+        np.full(k, max(float(obs.var()), VAR_FLOOR)), MAX_ITER, TOL)
 
     order = np.argsort(means, kind="stable")
     return GmmModel(weights=weights[order], means=means[order],
                     variances=variances[order], log_likelihood=ll,
-                    n_iter=n_iter, converged=converged, degenerate=degenerate,
-                    ll_trace=history)
+                    n_iter=n_iter, converged=converged, ll_trace=history)
 
 
 def bic_value(log_likelihood, k, n):
@@ -131,11 +127,10 @@ def select_model(obs, k_max):
     """Fit K = 1, 2, ... and stop at the first K that does not lower BIC.
 
     Keeps the lowest-BIC model found; a tie stops the search and keeps the
-    smaller K.  An order whose fit has two equal means does not stop it
-    unless the observations are all identical.  Orders above k_max or above
-    the number of observations are never fit.  Because BIC need not be
-    unimodal in K, a higher order past the first K that fails to lower it
-    could score lower; it is not tried.
+    smaller K.  Orders above k_max or above the number of distinct values
+    are never fit.  Because BIC need not be unimodal in K, a higher order
+    past the first K that fails to lower it could score lower; it is not
+    tried.
 
     Returns (model, trace) where trace lists one dict per order fit, in K
     order, with its log-likelihood, BIC, EM iteration count and convergence
@@ -149,7 +144,7 @@ def select_model(obs, k_max):
     best_model = None
     best_bic = math.inf
     trace = []
-    for k in range(1, min(k_max, obs.shape[0]) + 1):
+    for k in range(1, min(k_max, np.unique(obs).shape[0]) + 1):
         model = fit_em(obs, k)
         score = bic_value(model.log_likelihood, k, obs.shape[0])
         trace.append({
@@ -158,16 +153,14 @@ def select_model(obs, k_max):
             "bic": score,
             "n_iter": model.n_iter,
             "converged": model.converged,
-            "degenerate": model.degenerate,
             "weights": model.weights.tolist(),
             "means": model.means.tolist(),
             "variances": model.variances.tolist(),
         })
-        if score < best_bic:
-            best_bic = score
-            best_model = model
-        elif model.degenerate or not np.any(model.means[1:] == model.means[:-1]):
+        if not score < best_bic:
             break
+        best_bic = score
+        best_model = model
     for row in trace:
         row["selected"] = row["k"] == best_model.k
     return best_model, trace

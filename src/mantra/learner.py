@@ -120,12 +120,14 @@ def _check_task(model, split):
     if split.task == "summarization" and split.src_counts.shape[1] != model.v.shape[1]:
         raise UsageError(f"split has a {split.src_counts.shape[1]}-token source "
                          f"vocabulary, the model {model.v.shape[1]}")
-    if split.task == "summarization" and (
-            (split.tgt[np.arange(len(split)), split.tgt_len - 1] != model.eos).any()
-            or split.tgt.max(initial=0) >= model.b.shape[0]):
-        raise UsageError(f"split targets do not fit the model's {model.b.shape[0]}-id "
-                         f"target vocabulary: each must end in EOS {model.eos} "
-                         "and use no larger id")
+    if split.task == "summarization":
+        body = split.tgt[np.arange(split.tgt.shape[1]) < split.tgt_len[:, None] - 1]
+        if ((split.tgt_len < 1).any()
+                or (split.tgt[np.arange(len(split)), split.tgt_len - 1] != model.eos).any()
+                or (body < 0).any() or (body >= model.bos).any()):
+            raise UsageError(f"split targets do not fit the model's {model.b.shape[0]}-id "
+                             f"target vocabulary: each must be content ids in "
+                             f"[0, {model.bos}) ending in EOS {model.eos}")
 
 
 def per_sample_losses(model, samples):

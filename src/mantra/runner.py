@@ -358,7 +358,7 @@ def _floats_cell(values):
 _DROP_COLUMNS = {"epoch": str, "sample_id": str, "posterior": repr, "was_noisy": _flag_cell}
 _GMM_TRACE_COLUMNS = {
     "epoch": str, "k": str, "log_likelihood": repr, "bic": repr, "n_iter": str,
-    "converged": _flag_cell, "degenerate": _flag_cell, "selected": _flag_cell,
+    "converged": _flag_cell, "selected": _flag_cell,
     "weights": _floats_cell, "means": _floats_cell, "variances": _floats_cell}
 
 

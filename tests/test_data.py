@@ -160,6 +160,19 @@ def test_summarization_split_rejects_sources_it_cannot_count():
             data.summarization_split([0, 1], bad, [[2, 4], [2, 4]], 3)
 
 
+def test_classification_split_rejects_labels_it_cannot_score():
+    # label bits of the wrong width, a bit that is not 0 or 1, features whose
+    # rows do not match the ids, and features that are not one row per sample
+    for x, y in (([[1.0], [2.0]], [[1, 0], [0, 1]]),
+                 ([[1.0], [2.0]], [[2, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1]]),
+                 ([[1.0]], [[0] * 6 + [1]] * 2),
+                 ([1.0, 2.0], [[0] * 6 + [1]] * 2)):
+        with pytest.raises(UsageError):
+            data.classification_split([0, 1], x, y)
+    split = data.classification_split([0, 1], [[1.0], [2.0]], [[0] * 6 + [1], [1] * 7])
+    assert split.y.shape == (2, data.N_INTENTS)
+
+
 def test_take_keeps_counts_aligned():
     full = data.generate_summarization_dataset(2, n_train=50, n_val=1, n_test=1).train
     rows = np.random.default_rng(3).permutation(len(full))[:20]

@@ -78,28 +78,26 @@ def test_fit_limits_are_module_constants(monkeypatch):
     assert all(row["n_iter"] <= 3 for row in trace)
 
 
-def _assert_stop_rule(model, trace, k_max, n):
-    """trace is the forward order search that picked model.
+def _assert_stop_rule(model, trace, k_max, obs):
+    """trace is the forward order search that picked model on obs.
 
     Orders run K = 1, 2, ...; model is the first row of lowest BIC.  The
-    search ends at the first K that does not lower the best BIC so far,
-    unless that fit has two equal means and is not degenerate; or else at
-    min(k_max, n).
+    search ends at the first K that does not lower the best BIC so far, or
+    else at min(k_max, number of distinct observations).
     """
     ks = [row["k"] for row in trace]
     assert ks == list(range(1, len(ks) + 1))
     best, chosen = math.inf, None
     for row in trace:
-        if row["bic"] < best:
-            best, chosen = row["bic"], row["k"]
-        elif row["degenerate"] or len(set(row["means"])) == row["k"]:
+        if not row["bic"] < best:
             assert row is trace[-1]
             break
+        best, chosen = row["bic"], row["k"]
     else:
-        assert len(ks) == min(k_max, n)
+        assert len(ks) == min(k_max, np.unique(obs).shape[0])
     assert model.k == chosen
     assert [row["selected"] for row in trace] == [k == chosen for k in ks]
-    assert best == gmm.bic_value(model.log_likelihood, chosen, n)
+    assert best == gmm.bic_value(model.log_likelihood, chosen, len(obs))
 
 
 def test_select_model_orders():
@@ -109,14 +107,14 @@ def test_select_model_orders():
     # K=2 does not lower BIC, so the search stops there and K=3 is not fit
     assert model.k == 1
     assert [row["k"] for row in trace] == [1, 2]
-    _assert_stop_rule(model, trace, 3, uni.shape[0])
+    _assert_stop_rule(model, trace, 3, uni)
 
     bi = _bimodal(np.random.default_rng(2))
     model, trace = gmm.select_model(bi, k_max=3)
     # K=2 lowers BIC, K=3 does not: K=3 is the last order fit
     assert model.k == 2
     assert [row["k"] for row in trace] == [1, 2, 3]
-    _assert_stop_rule(model, trace, 3, bi.shape[0])
+    _assert_stop_rule(model, trace, 3, bi)
 
 
 def test_k_max_caps_the_search():
@@ -127,10 +125,10 @@ def test_k_max_caps_the_search():
         model, trace = gmm.select_model(four, k_max=k_max)
         assert [row["k"] for row in trace] == list(range(1, k_max + 1))
         assert model.k == k_max
-        _assert_stop_rule(model, trace, k_max, four.shape[0])
+        _assert_stop_rule(model, trace, k_max, four)
     model, trace = gmm.select_model(four, k_max=6)
     assert model.k == 4 and [row["k"] for row in trace] == [1, 2, 3, 4, 5]
-    _assert_stop_rule(model, trace, 6, four.shape[0])
+    _assert_stop_rule(model, trace, 6, four)
 
 
 def test_select_model_skips_orders_beyond_n():
@@ -139,52 +137,43 @@ def test_select_model_skips_orders_beyond_n():
     model, trace = gmm.select_model(obs, k_max=5)
     assert [row["k"] for row in trace] == [1, 2]
     assert model.k == 2
-    _assert_stop_rule(model, trace, 5, 2)
+    _assert_stop_rule(model, trace, 5, obs)
     model, trace = gmm.select_model(np.array([0.4]), k_max=5)
     assert [row["k"] for row in trace] == [1] and model.k == 1
 
 
 def test_identical_observations_prefer_one_component():
-    obs = np.array([1.0, 1.0])
-    model, trace = gmm.select_model(obs, k_max=2)
-    # both orders reach the same likelihood; the BIC penalty breaks the tie
-    assert model.k == 1
-    assert not model.degenerate
-    lls = [row["log_likelihood"] for row in trace]
-    assert lls[0] == pytest.approx(lls[1], abs=1e-6)
-
-    # K=2 only adds penalty, so the search stops there whatever k_max allows
-    model, trace = gmm.select_model(np.full(40, 0.7), k_max=5)
-    assert model.k == 1
-    assert [row["k"] for row in trace] == [1, 2]
-    assert [row["degenerate"] for row in trace] == [False, True]
-    _assert_stop_rule(model, trace, 5, 40)
-
-    direct = gmm.fit_em(obs, 2)
-    assert direct.degenerate
-    assert np.all(direct.variances >= gmm.VAR_FLOOR)
+    # one distinct value: only K=1 is fit, whatever k_max allows
+    for obs in (np.array([1.0, 1.0]), np.full(40, 0.7)):
+        model, trace = gmm.select_model(obs, k_max=5)
+        assert model.k == 1 and [row["k"] for row in trace] == [1]
+        assert np.all(model.variances >= gmm.VAR_FLOOR)
+        _assert_stop_rule(model, trace, 5, obs)
+        with pytest.raises(FitError):
+            gmm.fit_em(obs, 2)
 
 
-def test_tied_order_does_not_end_the_search():
-    # 80 observations on one value: the (j - 0.5)/K start puts both K=2 means
-    # on it and EM keeps them tied, so K=2 is K=1 with more penalty.  That
-    # says nothing of order 2, so the search goes on to K=3, whose top start
-    # lands on the second value and lowers BIC.
+def test_repeated_values_do_not_tie_the_start():
+    # 80 observations on one value, 20 on another.  Quantiles of the raw
+    # values would start both K=2 means on the first; quantiles of the two
+    # distinct values start one on each, and K=2 lowers BIC.
     obs = np.log1p(np.array([0.2] * 80 + [3.0] * 20))
-    model, trace = gmm.select_model(obs, k_max=3)
-    assert [row["k"] for row in trace] == [1, 2, 3]
-    assert trace[1]["means"][0] == trace[1]["means"][1]
-    assert not trace[1]["bic"] < trace[0]["bic"]
-    assert model.k == 3 and trace[2]["bic"] < trace[0]["bic"]
-    _assert_stop_rule(model, trace, 3, 100)
-    # K=4 ties three means on the first value and scores above K=3, yet it
-    # too only says what a smaller mixture does: the cap ends the search
     model, trace = gmm.select_model(obs, k_max=5)
-    assert [row["k"] for row in trace] == [1, 2, 3, 4, 5] and model.k == 3
-    _assert_stop_rule(model, trace, 5, 100)
-    # a tied order that is degenerate does stop it: no order can do better
-    model, trace = gmm.select_model(np.full(40, 0.7), k_max=5)
-    assert [row["k"] for row in trace] == [1, 2] and trace[1]["degenerate"]
+    assert [row["k"] for row in trace] == [1, 2] and model.k == 2
+    assert model.means == pytest.approx(np.log1p([0.2, 3.0]), abs=1e-6)
+    assert round(trace[1]["bic"], 2) == -1074.66
+    _assert_stop_rule(model, trace, 5, obs)
+
+
+def test_distinct_values_cap_the_order():
+    # three distinct values: each order up to 3 lowers BIC, so the cap ends
+    # the search before k_max does, and no fit of 4 components exists
+    obs = np.array([0.1, 0.5, 0.5, 2.0, 2.0, 2.0] * 5)
+    model, trace = gmm.select_model(obs, k_max=5)
+    assert [row["k"] for row in trace] == [1, 2, 3] and model.k == 3
+    _assert_stop_rule(model, trace, 5, obs)
+    with pytest.raises(FitError):
+        gmm.fit_em(obs, 4)
 
 
 def test_variance_floor_binds_on_point_clusters():
@@ -312,14 +301,14 @@ def _assert_same_fit(model, ref):
     for name in ("weights", "means", "variances"):
         assert getattr(model, name).tolist() == getattr(ref, name).tolist(), name
     assert model.ll_trace == ref.ll_trace
-    assert (model.log_likelihood, model.n_iter, model.converged, model.degenerate) == \
-        (ref.log_likelihood, ref.n_iter, ref.converged, ref.degenerate)
+    assert (model.log_likelihood, model.n_iter, model.converged) == \
+        (ref.log_likelihood, ref.n_iter, ref.converged)
 
 
 def _select_fitting_every_order(monkeypatch, em, obs, k_max):
     """select_model(obs, k_max) with gmm._em replaced by em, and a fit of
-    every K <= min(k_max, n) in K order: the fits select_model made, then
-    fit_em of each order its search stopped short of."""
+    every K <= min(k_max, distinct observations) in K order: the fits
+    select_model made, then fit_em of each order its search stopped short of."""
     fits = []
     fit_em = gmm.fit_em
 
@@ -333,7 +322,7 @@ def _select_fitting_every_order(monkeypatch, em, obs, k_max):
         model, trace = gmm.select_model(obs, k_max)
         # select_model calls fit_em once per order it fits, in K order
         assert [f.k for f in fits] == [row["k"] for row in trace]
-        for k in range(len(fits) + 1, min(k_max, len(obs)) + 1):
+        for k in range(len(fits) + 1, min(k_max, np.unique(obs).shape[0]) + 1):
             recorder(obs, k)
     return (model, trace), fits
 
@@ -347,10 +336,10 @@ def _assert_select_equals_kmajor(monkeypatch, obs, k_max, shipped=None):
         monkeypatch, _kmajor_em, obs, k_max)
     assert trace == ref_trace
     _assert_same_fit(model, ref_model)
-    _assert_stop_rule(model, trace, k_max, len(obs))
+    _assert_stop_rule(model, trace, k_max, obs)
     # every order up to the cap, whether the search reached it or not
     assert [f.k for f in fits] == [f.k for f in ref_fits] == \
-        list(range(1, min(k_max, len(obs)) + 1))
+        list(range(1, min(k_max, np.unique(obs).shape[0]) + 1))
     for fit, ref in zip(fits, ref_fits):
         _assert_same_fit(fit, ref)
     return trace, fits
@@ -371,8 +360,8 @@ def _exhaustive_trace(obs, fits):
     rows = [{"k": fit.k, "log_likelihood": fit.log_likelihood,
              "bic": -2.0 * fit.log_likelihood + (3 * fit.k - 1) * math.log(n),
              "n_iter": fit.n_iter, "converged": fit.converged,
-             "degenerate": fit.degenerate, "weights": fit.weights.tolist(),
-             "means": fit.means.tolist(), "variances": fit.variances.tolist()}
+             "weights": fit.weights.tolist(), "means": fit.means.tolist(),
+             "variances": fit.variances.tolist()}
             for fit in fits]
     best = min(rows, key=lambda row: row["bic"])
     for row in rows:
@@ -389,26 +378,30 @@ def test_stop_rule_trace_is_the_exhaustive_trace_cut_short(seeded_fits):
         full = _exhaustive_trace(obs, fits)
         assert unselected(trace) == unselected(full[:len(trace)]), i
         assert model is fits[model.k - 1]
-        _assert_stop_rule(model, trace, 5, obs.shape[0])
+        _assert_stop_rule(model, trace, 5, obs)
         if next(row["k"] for row in full if row["selected"]) != model.k:
             differs.append(i)
-    # BIC is not unimodal in K on input 63: K=4 scores above K=3, which stops
-    # the search, and K=5 below both; on the other 99 inputs both pick alike
-    assert differs == [63]
-    obs, _, fits = seeded_fits[63]
-    assert [round(row["bic"], 2) for row in _exhaustive_trace(obs, fits)] == \
-        [150.18, 104.63, 95.18, 102.52, 91.3]
+    # on these 100 inputs the stop rule keeps the order an exhaustive search keeps
+    assert differs == []
+    # but BIC is not unimodal in K on seeded input 174 (its values do not
+    # repeat): K=3 scores above K=2, which stops the search, and K=4 below both
+    from test_acceptance import _seeded_em_input
+    obs = _seeded_em_input(174)
+    model, trace = gmm.select_model(obs, k_max=5)
+    full = _exhaustive_trace(obs, [gmm.fit_em(obs, k) for k in range(1, 6)])
+    assert unselected(trace) == unselected(full[:len(trace)])
+    assert [round(row["bic"], 2) for row in full] == [344.9, 299.35, 300.4, 288.01, 301.01]
+    assert model.k == 2 and next(row["k"] for row in full if row["selected"]) == 4
 
 
 def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
     with np.errstate(**_RAISE):
-        # all observations identical: every order past K=1 is degenerate; the
-        # search stops at K=2, and K=3..5 are fit directly
+        # all observations identical: only K=1 is fit
         trace, fits = _assert_select_equals_kmajor(monkeypatch, np.full(40, 0.7), 5)
-        assert [row["k"] for row in trace] == [1, 2]
-        assert [fit.degenerate for fit in fits] == [False, True, True, True, True]
-        # fewer observations than k_max: only K <= n is fit
-        for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0])):
+        assert [row["k"] for row in trace] == [1] and len(fits) == 1
+        # fewer distinct observations than k_max: only K <= that count is fit
+        for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0]),
+                    np.log1p(np.array([0.2] * 80 + [3.0] * 20))):
             _assert_select_equals_kmajor(monkeypatch, obs, 5)
         # a starved component is masked out of every pass's M-step, beside
         # two live ones whose sums run over 700 points
@@ -449,8 +442,8 @@ def test_em_matches_row_major_reference(monkeypatch, seeded_fits):
             assert fit.converged == ref.converged, (i, fit.k)
             assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9)
         assert [row["k"] for row in trace] == [row["k"] for row in ref_trace], i
-        _assert_stop_rule(model, trace, 3, obs.shape[0])
-        _assert_stop_rule(ref_model, ref_trace, 3, obs.shape[0])
+        _assert_stop_rule(model, trace, 3, obs)
+        _assert_stop_rule(ref_model, ref_trace, 3, obs)
         assert model.k == ref_model.k, i
         rows, lp = _reference_rows(obs, ref_model.weights, ref_model.means,
                                    ref_model.variances)

@@ -180,6 +180,23 @@ def test_target_vocabulary_mismatch():
                                      _empty_split("summarization")).shape == (0,)
 
 
+def test_targets_hold_content_ids_before_eos():
+    # a negative id would wrap to the last row of the target axis, and BOS is
+    # never a target; both end in EOS and fit under the largest id.  An
+    # empty target has no EOS to end it.
+    seq = learner.new_seq2seq()
+    for target in ([-1, data.EOS], [data.BOS, data.EOS], [3, -2, 5, data.EOS], []):
+        samples = data.summarization_split([0], [[1, 2]], [target], data.N_SRC_VOCAB)
+        for call in (lambda: learner.per_sample_losses(seq, samples),
+                     lambda: learner.train_epoch(seq, samples, _cfg(lr=0.1), 0),
+                     lambda: learner.predict(seq, samples)):
+            with pytest.raises(UsageError):
+                call()
+    ok = data.summarization_split([0], [[1, 2]], [[0, data.BOS - 1, data.EOS]],
+                                  data.N_SRC_VOCAB)
+    assert learner.per_sample_losses(seq, ok).shape == (1,)
+
+
 def test_feature_width_mismatch():
     cls = learner.new_classifier(3)
     samples = _cls_samples(1, 3, d=5)

@@ -200,16 +200,16 @@ def test_drops_and_gmm_trace_csv_match_csv_writer_reference(tmp_path, tiny_cls_c
     assert (out / "drops.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["epoch", "sample_id", "posterior", "was_noisy"], want)
     want = [[row["epoch"], row["k"], repr(row["log_likelihood"]), repr(row["bic"]),
-             row["n_iter"], int(row["converged"]), int(row["degenerate"]),
-             int(row["selected"]), ";".join(repr(x) for x in row["weights"]),
+             row["n_iter"], int(row["converged"]), int(row["selected"]),
+             ";".join(repr(x) for x in row["weights"]),
              ";".join(repr(x) for x in row["means"]),
              ";".join(repr(x) for x in row["variances"])]
             for row in report.gmm_trace]
-    assert {row[7] for row in want} == {0, 1}
+    assert {row[6] for row in want} == {0, 1}
     assert (out / "gmm_trace.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["epoch", "k", "log_likelihood", "bic", "n_iter",
-                               "converged", "degenerate", "selected", "weights",
-                               "means", "variances"], want)
+                               "converged", "selected", "weights", "means",
+                               "variances"], want)
 
 
 def test_summary_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
