@@ -22,20 +22,20 @@ Every entry point takes a data.PackedSplit the model fits (_check_task).
 
 A model is its parameters: every field of its dataclass is an np.ndarray,
 in declaration order (param_arrays), which is also the order its gradients
-come back in; a checkpoint stores the model's kind and every field.  Each
-parameter names its axes (_axes), and load_model checks a checkpoint's
-shapes against those names.  A sequence model's BOS and EOS are not stored:
-they are the last two ids of its target axis (data.target_layout).
+come back in; a checkpoint stores the model's kind and every field as JSON
+lists, so json.load and np.asarray of each field rebuild the model.  A
+sequence model's BOS and EOS are not stored: they are the last two ids of
+its target axis (data.target_layout).
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
 from .data import MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB, target_layout
-from .errors import SchemaError, UsageError
+from .errors import UsageError
 
 EPS = 1e-12                        # probability clamp for the BCE log
 # Desk-scale defaults, calibrated on the seeded benchmark configs: the
@@ -49,15 +49,10 @@ DESK_LR = {"classification": 0.5, "summarization": 16.0}
 _TAG_SHUFFLE = 42
 
 
-def _axes(*names):
-    """A parameter field, with its axes named so load_model can check its shape."""
-    return field(metadata={"axes": names})
-
-
 @dataclass
 class ClassifierModel:
-    w: np.ndarray = _axes("label", "feature")
-    b: np.ndarray = _axes("label")
+    w: np.ndarray     # (label, feature)
+    b: np.ndarray     # (label,)
 
     @property
     def task(self):
@@ -67,9 +62,9 @@ class ClassifierModel:
 @dataclass
 class Seq2SeqModel:
     """Log-linear next-token model; BOS and EOS are the target axis's last two ids."""
-    u: np.ndarray = _axes("tgt", "tgt")     # transition scores, u[next, prev]
-    v: np.ndarray = _axes("tgt", "src")     # source-bag scores
-    b: np.ndarray = _axes("tgt")
+    u: np.ndarray     # (tgt, tgt) transition scores, u[next, prev]
+    v: np.ndarray     # (tgt, src) source-bag scores
+    b: np.ndarray     # (tgt,)
 
     @property
     def task(self):
@@ -186,7 +181,7 @@ def param_arrays(model):
 
 
 def save_model(model, path):
-    """Write a JSON checkpoint that load_model restores exactly: the kind, then every field."""
+    """Write a JSON checkpoint: the kind, then every field as a list of its floats."""
     kind = _CHECKPOINT_KINDS.get(type(model))
     if kind is None:
         raise UsageError(f"cannot checkpoint {type(model).__name__}")
@@ -197,49 +192,3 @@ def save_model(model, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
-
-def load_model(path):
-    """Rebuild the model save_model wrote; SchemaError names a field the file lacks or garbles.
-
-    A parameter must be finite, have one dimension per named axis, and agree
-    in size with every other parameter along an axis of the same name.  A
-    label axis holds N_INTENTS entries; a target axis, a content id besides
-    BOS and EOS.  Other keys (older checkpoints' "bos", "eos") are ignored.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: a checkpoint must be a JSON object with field 'kind'")
-    kind = payload.get("kind")
-    model_type = next((t for t, name in _CHECKPOINT_KINDS.items() if name == kind), None)
-    if model_type is None:
-        raise UsageError(f"unknown checkpoint kind {kind!r}")
-    values = {}
-    sizes = {}          # axis name -> (size, the first field with that axis)
-    for f in fields(model_type):
-        if f.name not in payload:
-            raise SchemaError(f"{path}: missing field {f.name!r}")
-        try:
-            value = np.asarray(payload[f.name], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise SchemaError(
-                f"{path}: field {f.name!r} cannot be read as a number array") from None
-        axes = f.metadata["axes"]
-        if value.ndim != len(axes):
-            raise SchemaError(f"{path}: field {f.name!r} has {value.ndim} dimensions, "
-                              f"not {len(axes)} ({', '.join(axes)})")
-        if not np.isfinite(value).all():
-            raise SchemaError(f"{path}: field {f.name!r} holds a non-finite value")
-        for axis, size in zip(axes, value.shape):
-            first_size, first = sizes.setdefault(axis, (size, f.name))
-            if size != first_size:
-                raise SchemaError(f"{path}: field {f.name!r} has {size} {axis} entries "
-                                  f"where field {first!r} has {first_size}")
-        values[f.name] = value
-    if "tgt" in sizes and target_layout(sizes["tgt"][0])[0] < 1:
-        size, first = sizes["tgt"]
-        raise SchemaError(f"{path}: field {first!r} has {size} tgt entries; a target "
-                          "vocabulary needs a content id besides BOS and EOS")
-    if sizes.get("label", (N_INTENTS,))[0] != N_INTENTS:    # w is the first label field
-        raise SchemaError(f"{path}: field 'w' has {sizes['label'][0]} labels, not {N_INTENTS}")
-    return model_type(**values)

@@ -15,12 +15,15 @@ dataset, noisy train split and noise mask (all read-only), its trajectory
 store, one row of losses per epoch, and records its validation metric and
 parameter copies.  The treated arm takes the dataset, split and mask as
 they are.  At each epoch it starts with nothing dropped, it takes that
-epoch's row and record and restores its parameters instead of training.
-So the model it holds is the baseline's at every replayed epoch, and what
-it does next (train on a reduced set, or compute its test metric) it does
-exactly as a run alone would.  When it writes artifacts, the bytes of its
-replayed epochs (their trajectory rows and density files) and of the noise
-mask are copied from the baseline's files; it formats only its own epochs.
+epoch's row and record and restores its parameters instead of training;
+it still runs every mixture fit and drop decision itself.  So the model it
+holds is the baseline's at every replayed epoch, and what it does next
+(train on a reduced set, or compute its test metric) it does exactly as a
+run alone would.  When it writes artifacts, the bytes of its replayed
+epochs (their trajectory rows and density files) and of the noise mask are
+copied from the baseline's files, in bounded blocks; it formats only its
+own epochs.  Every report and artifact of either arm equals that of the
+same config run alone, runtime_sec aside.
 The scheduler's DropState is the run's one drop record: the report's drop
 events, per-epoch counts, dropped ids and detection scores are all read off
 it by train position once the loop is over.
@@ -102,9 +105,16 @@ class ExperimentConfig(scheduler.DropPolicy):
             for name, size in zip(SYNTHETIC_SIZES, (*DEFAULT_SIZES[self.task], DEFAULT_DIM)):
                 if getattr(self, name) is None:
                     setattr(self, name, size)
-        self.validate()
+        super().__post_init__()
 
     def validate(self):
+        # Each setting's type is its annotation's, a float setting also takes
+        # an int, and no number is a bool; text settings are not checked.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type not in (str, str | None) and not _has_type(
+                    value, (int, float) if f.type in (float, float | None) else f.type):
+                raise ConfigError(f"{f.name} has the wrong type: {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if not (0 <= self.warmup < self.epochs):
@@ -502,19 +512,12 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     run writes its artifacts under a nested directory and a summary.csv
     lands at the grid root.
 
-    Each (rate, seed) runs its baseline arm first, which keeps its
-    dataset, noisy train split, noise mask and trajectory store, and records
-    its per-epoch validation metric and parameters.  The treated arm reuses
-    the dataset, split and mask.  Each epoch it starts with nothing
-    dropped, it takes that epoch's row of the store and that record and
-    restores its parameters instead of training, and it copies those
-    epochs' trajectory rows and density files, and the noise mask file,
-    from the baseline's run directory; so the shared prefix of the pair is
-    computed and formatted once.  From its first reduced epoch on, and for
-    its test metric, it computes on the model it holds; every report and
-    artifact equals that of the same config run alone through
-    run_experiment.  Nothing of a pair outlives the grid.  An out_dir that
-    is, or lies under, a file raises NotADirectoryError before any run.
+    Each (rate, seed) runs its baseline arm first, and the treated arm
+    replays the pair's shared prefix from it (see the module docstring);
+    every report and artifact still equals that of the same config run
+    alone through run_experiment, runtime_sec aside.  Nothing of a pair
+    outlives the grid.  An out_dir that is, or lies under, a file raises
+    NotADirectoryError before any run.
     """
     global _pair_prefix
     if not rates or not seeds:

@@ -30,7 +30,7 @@ from .errors import ConfigError, SequencingError, UsageError
 
 @dataclass(kw_only=True)
 class DropPolicy:
-    """The treatment's knobs, checked by validate().
+    """The treatment's knobs, checked by validate() when the policy is built.
 
     Keyword-only, so a subclass may add fields in any order.  A run's
     runner.ExperimentConfig extends it and is itself the policy the run's
@@ -42,6 +42,9 @@ class DropPolicy:
     persistence: int = 2
     max_drop_frac: float = 0.3
     k_max: int = 3
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.warmup < 0:
@@ -95,7 +98,6 @@ def evaluate_epoch(state, policy, epoch, losses):
     warmup epochs are only counted.  Dropped positions take effect from the
     next epoch's active set.
     """
-    policy.validate()
     if epoch != state.last_epoch + 1:
         raise SequencingError(f"expected epoch {state.last_epoch + 1}, got {epoch}")
     vals = np.asarray(losses, dtype=np.float64)

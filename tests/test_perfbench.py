@@ -12,10 +12,15 @@ direct runs' configs by keyword and reads a few settings off every config it
 times, so tier-1 checks that construction and those reads too.  Its EM
 counters read `n_iter`, `converged` and `selected` off what
 `gmm.select_model(obs, k_max=...)` and `gmm.fit_em(obs, k)` return, so
-tier-1 checks those fields.
+tier-1 checks those fields.  It checks each run and scores the noisy
+pairs by reading `as_dict()` (popping `runtime_sec`), `test_metric`,
+`dropped_total`, `dropped_ids` and `detection["f1"]` off every report, and
+`metric_delta` and `recovered` off `runner.compare_runs`, so tier-1 reads
+them off a real grid's reports.
 """
 
 import inspect
+import json
 import types
 from pathlib import Path
 
@@ -146,3 +151,23 @@ def test_drop_counter_reads_a_real_decision():
             decision = scheduler.evaluate_epoch(state, _policy(), epoch, losses)
     assert len(decision.dropped) == 10
     assert trace.counters["scheduler.dropped"] == np.count_nonzero(state.dropped_at) == 10
+
+
+def test_reports_carry_what_the_benchmark_reads(tiny_cls_config):
+    from mantra import runner
+    # a clean pair and a noisy pair whose treated arm drops 16 samples
+    clean_base, clean_treat, base, treat = runner.run_grid(
+        tiny_cls_config(n_train=200), [0.0, 0.15], [3])
+    for report in (clean_base, clean_treat, base, treat):
+        # a traced run is compared with its untraced twin on this dump
+        doc = report.as_dict()
+        assert isinstance(doc.pop("runtime_sec"), float)
+        assert '"runtime_sec"' not in json.dumps(doc, sort_keys=True)
+        assert isinstance(report.test_metric, float) and 0.0 <= report.test_metric <= 1.0
+        assert report.dropped_total == len(report.dropped_ids)
+        assert report.detection["f1"] is None or isinstance(report.detection["f1"], float)
+    assert base.dropped_total == 0 and treat.dropped_total == 16
+    assert isinstance(treat.detection["f1"], float)
+    cmp = runner.compare_runs(base, treat, clean_a=clean_base, clean_b=clean_treat)
+    assert cmp["metric_delta"] == treat.test_metric - base.test_metric
+    assert isinstance(cmp["recovered"], bool)

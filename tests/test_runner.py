@@ -128,6 +128,13 @@ def test_config_validation():
         dict(task="cls", data="data.jsonl", n_features=99),
         dict(task="sum", data="data.jsonl", n_test=10),
         dict(task="sum", vocab="vocab.txt"),
+        # a setting of the wrong numeric type, before any work
+        dict(task="cls", seed=1.5),
+        dict(task="cls", epochs=6.0),
+        dict(task="cls", k_max=2.0),
+        dict(task="cls", persistence=1.5),
+        dict(task="cls", seed=True),         # a flag is not a count
+        dict(task="cls", seed=np.int64(3)),  # results.json could not hold it
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

@@ -46,6 +46,9 @@ def test_policy_validation():
     for overrides in bad:
         with pytest.raises(ConfigError):
             _policy(**overrides).validate()
+    # checked once, when built: evaluate_epoch does not check it again
+    with pytest.raises(ConfigError):
+        DropPolicy(warmup=5, persistence=0)
     # keyword-only, so a subclass can add fields without reordering these
     with pytest.raises(TypeError):
         DropPolicy(5)
