@@ -6,7 +6,6 @@ than silently coerced to a number.
 """
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,29 +101,16 @@ def bleu4(candidates, references):
     return brevity * math.exp(math.fsum(log_precisions))
 
 
-@dataclass
-class DetectionReport:
-    """Noise-detection quality, with dropped samples as the positive class."""
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    n_corrupted: int
-    n_dropped: int
-    precision: float | None    # None when nothing was dropped
-    recall: float | None       # None when nothing was corrupted
-    f1: float | None
-    noise_rate: float
-    lift: float | None         # precision / noise_rate; None when undefined
-
-    def as_dict(self):
-        return asdict(self)
-
-
 def detection_report(dropped, corrupted):
     """Score the dropped samples against the ground-truth corruption.
 
     dropped and corrupted are boolean arrays over the same train positions.
+    Returns the dict a RunReport stores as its detection: the confusion
+    counts tp, fp, fn and tn with dropped samples as the positive class,
+    n_corrupted, n_dropped, precision (None when nothing was dropped), recall
+    (None when nothing was corrupted), f1 (None when either is), noise_rate,
+    and lift, precision / noise_rate (None when precision is None or
+    noise_rate is 0).
     """
     dropped = np.asarray(dropped, dtype=bool)
     corrupted = np.asarray(corrupted, dtype=bool)
@@ -146,7 +132,7 @@ def detection_report(dropped, corrupted):
         f1 = 2.0 * precision * recall / (precision + recall)
     noise_rate = n_corrupted / n if n else 0.0
     lift = precision / noise_rate if (precision is not None and noise_rate > 0) else None
-    return DetectionReport(tp=tp, fp=fp, fn=fn, tn=tn,
-                           n_corrupted=n_corrupted, n_dropped=n_dropped,
-                           precision=precision, recall=recall, f1=f1,
-                           noise_rate=noise_rate, lift=lift)
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn,
+            "n_corrupted": n_corrupted, "n_dropped": n_dropped,
+            "precision": precision, "recall": recall, "f1": f1,
+            "noise_rate": noise_rate, "lift": lift}

@@ -64,17 +64,19 @@ HIST_BINS = 30          # bins of each density_e*.csv
 SYNTHETIC_SIZES = ("n_train", "n_val", "n_test", "n_features")
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(scheduler.DropPolicy):
     """One run's settings, keyword-only, each with its default and its checks.
 
-    It extends scheduler.DropPolicy, so a run config is its own drop policy:
-    the policy knobs are declared there, and as_dict() stays flat.  Only
-    warmup is redeclared, because its default depends on the task.  It is
-    also the training schedule: learner.train_epoch reads lr, batch_size and
-    seed off it.  Models start with every parameter +0.0 (learner's
-    constructors), the density exports use HIST_BINS bins, and the mixture
-    is fit to np.log1p of one epoch's losses (scheduler): no run varies them.
+    Frozen like the scheduler.DropPolicy it extends, so a run config is its
+    own drop policy: the policy knobs are declared there, and as_dict()
+    stays flat.  A variant is dataclasses.replace(config, ...), which checks
+    it like a built one.  Only warmup is redeclared, because its default
+    depends on the task.  It is also the training schedule:
+    learner.train_epoch reads lr, batch_size and seed off it.  Models start
+    with every parameter +0.0 (learner's constructors), the density exports
+    use HIST_BINS bins, and the mixture is fit to np.log1p of one epoch's
+    losses (scheduler): no run varies them.
     """
     task: str
     seed: int = 1
@@ -95,29 +97,21 @@ class ExperimentConfig(scheduler.DropPolicy):
     def __post_init__(self):
         if self.task not in TASK_ALIASES:
             raise ConfigError(f"task must be one of {sorted(TASK_ALIASES)}")
-        self.task = TASK_ALIASES[self.task]
-        if self.warmup is None:
-            self.warmup = DEFAULT_WARMUP[self.task]
-        if self.lr is None:
-            self.lr = learner.DESK_LR[self.task]
+        # The task-derived defaults, set before any check reads them.
+        object.__setattr__(self, "task", TASK_ALIASES[self.task])
+        derived = {"warmup": DEFAULT_WARMUP[self.task], "lr": learner.DESK_LR[self.task]}
         if self.data == "synthetic":
             # a dataset file sets its own sizes, so a file run leaves them None
-            for name, size in zip(SYNTHETIC_SIZES, (*DEFAULT_SIZES[self.task], DEFAULT_DIM)):
-                if getattr(self, name) is None:
-                    setattr(self, name, size)
+            derived.update(zip(SYNTHETIC_SIZES, (*DEFAULT_SIZES[self.task], DEFAULT_DIM)))
+        for name, value in derived.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        # The types and the policy knobs, checked even when the scheduler is
+        # off, so a baseline config cannot hide a bad treated config.
         super().__post_init__()
-
-    def validate(self):
-        # Each setting's type is its annotation's, a float setting also takes
-        # an int, and no number is a bool; text settings are not checked.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type not in (str, str | None) and not _has_type(
-                    value, (int, float) if f.type in (float, float | None) else f.type):
-                raise ConfigError(f"{f.name} has the wrong type: {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if not (0 <= self.warmup < self.epochs):
+        if self.warmup >= self.epochs:
             raise ConfigError(
                 f"warmup must satisfy 0 <= warmup < epochs, got {self.warmup} "
                 f"with {self.epochs} epochs")
@@ -145,9 +139,6 @@ class ExperimentConfig(scheduler.DropPolicy):
             raise ConfigError("vocab applies to a dataset file, not to synthetic data")
         elif min(getattr(self, name) for name in SYNTHETIC_SIZES) < 1:
             raise ConfigError("split sizes and n_features must be positive")
-        # Policy knobs get the same scrutiny even when the scheduler is off,
-        # so a baseline config cannot hide a bad treated config.
-        return super().validate()
 
     def as_dict(self):
         return dataclasses.asdict(self)
@@ -190,7 +181,7 @@ class RunReport:
 @dataclass
 class _PairPrefix:
     """A grid baseline arm's inputs, results and files, for its treated twin to reuse."""
-    config: dict                     # the treated twin's config
+    config: ExperimentConfig         # the treated twin's config
     inputs: tuple | None = None      # (dataset, noisy train split, NoiseMask), read-only
     run_dir: str | None = None       # where the baseline wrote its artifacts, if anywhere
     store: TrajectoryStore | None = None     # its losses: it never drops, so no NaN
@@ -275,9 +266,8 @@ def run_experiment(config, out_dir=None):
     t0 = time.perf_counter()
     if out_dir is not None:
         _check_out_dir(out_dir)
-    cfg = config.as_dict()
     pair = _pair_prefix
-    if pair is not None and pair.config != {**cfg, "mantra": True}:
+    if pair is not None and pair.config != dataclasses.replace(config, mantra=True):
         pair = None
     record = pair if pair is not None and not config.mantra else None
     replay = pair if pair is not None and config.mantra else None
@@ -331,15 +321,14 @@ def run_experiment(config, out_dir=None):
             state.posterior[hit].tolist(), mask.corrupted[hit].tolist())]
     per_epoch = np.bincount(state.dropped_at, minlength=config.epochs + 1)
     dropped_ids = np.sort(train.ids[hit]).tolist()
-    detection = metrics.detection_report(state.dropped_at > 0, mask.corrupted)
 
     report = RunReport(
-        config=cfg,
+        config=config.as_dict(),
         metric_name="micro_f1" if config.task == "classification" else "bleu4",
         test_metric=test_metric,
         val_metrics=val_metrics,
         group_means=store.group_means(),
-        detection=detection.as_dict(),
+        detection=metrics.detection_report(state.dropped_at > 0, mask.corrupted),
         dropped_total=len(dropped_ids),
         dropped_ids=dropped_ids,
         dropped_per_epoch=dict(enumerate(per_epoch[1:].tolist(), start=1)),
@@ -418,11 +407,6 @@ _CONFIG_FIELDS = {"task": str, "seed": int, "noise_rate": (int, float),
                   "mantra": bool}
 
 
-def _has_type(value, types):
-    # bool subclasses int, but a flag is never a count or a metric
-    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
-
-
 def _as_report_dict(report):
     """A report as a dict; SchemaError names the first field missing or mistyped."""
     where = "report"
@@ -441,7 +425,7 @@ def _as_report_dict(report):
         for key, types in fields.items():
             if key not in obj:
                 raise SchemaError(f"{where}: missing field {prefix + key!r}")
-            if not _has_type(obj[key], types):
+            if not scheduler.has_type(obj[key], types):
                 raise SchemaError(
                     f"{where}: field {prefix + key!r} has the wrong type: {obj[key]!r}")
     return report
@@ -542,7 +526,7 @@ def run_grid(base_config, rates, seeds, out_dir=None):
                 run_dir = os.path.join(
                     out_dir, f"{config.task}_r{config.noise_rate:g}_s{config.seed}_{arm}")
             if not config.mantra:
-                _pair_prefix = _PairPrefix({**config.as_dict(), "mantra": True})
+                _pair_prefix = _PairPrefix(dataclasses.replace(config, mantra=True))
             reports.append(run_experiment(config, out_dir=run_dir))
     finally:
         _pair_prefix = None
@@ -553,9 +537,9 @@ def run_grid(base_config, rates, seeds, out_dir=None):
 
 
 def grid_configs(base_config, rates, seeds):
-    """Every arm's config of a grid, in sweep order, each checked before any runs."""
-    base = base_config.as_dict()
-    return [ExperimentConfig(**{**base, "noise_rate": rate, "seed": seed, "mantra": mantra_on})
+    """Every arm's config of a grid, in sweep order, each checked before any runs:
+    base_config with the arm's rate, seed and mantra flag replaced."""
+    return [dataclasses.replace(base_config, noise_rate=rate, seed=seed, mantra=mantra_on)
             for rate, seed, mantra_on in itertools.product(rates, seeds, (False, True))]
 
 

@@ -20,7 +20,7 @@ sample ids: the state and its decisions name train positions, and the
 caller maps them to ids where it reads or writes them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,10 +28,17 @@ from . import gmm
 from .errors import ConfigError, SequencingError, UsageError
 
 
-@dataclass(kw_only=True)
-class DropPolicy:
-    """The treatment's knobs, checked by validate() when the policy is built.
+def has_type(value, types):
+    # bool subclasses int, but a flag is never a count or a metric
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
 
+
+@dataclass(frozen=True, kw_only=True)
+class DropPolicy:
+    """The treatment's knobs, each checked once, when the policy is built.
+
+    Frozen, so a built policy keeps the settings that were checked; a
+    variant is dataclasses.replace(policy, ...), which checks it anew.
     Keyword-only, so a subclass may add fields in any order.  A run's
     runner.ExperimentConfig extends it and is itself the policy the run's
     scheduler reads.  The mixture feature is no knob: it is always np.log1p
@@ -44,9 +51,14 @@ class DropPolicy:
     k_max: int = 3
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
+        # Each setting's type is its annotation's, a float setting also takes
+        # an int, and no number is a bool; text settings are not checked.
+        # fields() lists a subclass's settings too.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type not in (str, str | None) and not has_type(
+                    value, (int, float) if f.type in (float, float | None) else f.type):
+                raise ConfigError(f"{f.name} has the wrong type: {value!r}")
         if self.warmup < 0:
             raise ConfigError("warmup must be >= 0 epochs")
         if not (0.5 < self.tau <= 1.0):
@@ -58,7 +70,6 @@ class DropPolicy:
                 f"max_drop_frac must lie in [0, 1], got {self.max_drop_frac}")
         if self.k_max < 1:
             raise ConfigError("k_max must be >= 1")
-        return self
 
 
 @dataclass(eq=False)

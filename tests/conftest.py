@@ -1,12 +1,10 @@
 """Shared fixtures: benchmark run cache, seeded mixture fits and small dataset helpers."""
 
-import json
-
 import numpy as np
 import pytest
 
 from mantra import gmm
-from mantra.runner import ExperimentConfig, run_grid
+from mantra.runner import ExperimentConfig, grid_configs, run_grid
 
 
 class _RunCache:
@@ -21,19 +19,18 @@ class _RunCache:
 
     def __init__(self, root):
         self.root = root
-        self.runs = {}          # config as JSON -> (RunReport, run directory)
+        self.runs = {}          # ExperimentConfig -> (RunReport, run directory)
 
     def get(self, **kwargs):
         config = ExperimentConfig(**kwargs)
-        key = json.dumps(config.as_dict(), sort_keys=True)
-        if key not in self.runs:
+        if config not in self.runs:
             out = self.root / str(len(self.runs))
-            reports = run_grid(config, [config.noise_rate], [config.seed], out_dir=str(out))
+            grid = ([config.noise_rate], [config.seed])
+            reports = run_grid(config, *grid, out_dir=str(out))
             # the arm directories end in _baseline and _mantra: sweep order
             run_dirs = sorted(path for path in out.iterdir() if path.is_dir())
-            for report, run_dir in zip(reports, run_dirs):
-                self.runs[json.dumps(report.config, sort_keys=True)] = (report, run_dir)
-        return self.runs[key]
+            self.runs.update(zip(grid_configs(config, *grid), zip(reports, run_dirs)))
+        return self.runs[config]
 
 
 @pytest.fixture(scope="session")

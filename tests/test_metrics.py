@@ -229,10 +229,10 @@ def _reference_detection_report(dropped_ids, ids, corrupted):
         f1 = 2.0 * precision * recall / (precision + recall)
     noise_rate = len(corrupted) / len(universe) if universe else 0.0
     lift = precision / noise_rate if (precision is not None and noise_rate > 0) else None
-    return metrics.DetectionReport(tp=tp, fp=fp, fn=fn, tn=tn,
-                                   n_corrupted=len(corrupted), n_dropped=len(dropped),
-                                   precision=precision, recall=recall, f1=f1,
-                                   noise_rate=noise_rate, lift=lift)
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn,
+            "n_corrupted": len(corrupted), "n_dropped": len(dropped),
+            "precision": precision, "recall": recall, "f1": f1,
+            "noise_rate": noise_rate, "lift": lift}
 
 
 def _at(n, positions):
@@ -241,29 +241,28 @@ def _at(n, positions):
 
 def test_detection_report_counts_and_lift():
     rep = metrics.detection_report(_at(10, {0, 1, 5}), _at(10, {0, 1, 2, 3}))
-    assert (rep.tp, rep.fp, rep.fn, rep.tn) == (2, 1, 2, 5)
-    assert rep.precision == pytest.approx(2 / 3)
-    assert rep.recall == pytest.approx(0.5)
-    assert rep.f1 == pytest.approx(2 * (2 / 3) * 0.5 / ((2 / 3) + 0.5))
-    assert rep.lift == pytest.approx((2 / 3) / 0.4)   # noise_rate 0.4
-    assert rep.as_dict() == {
+    assert rep["precision"] == pytest.approx(2 / 3)
+    assert rep["recall"] == pytest.approx(0.5)
+    assert rep["f1"] == pytest.approx(2 * (2 / 3) * 0.5 / ((2 / 3) + 0.5))
+    assert rep["lift"] == pytest.approx((2 / 3) / 0.4)   # noise_rate 0.4
+    assert rep == {
         "tp": 2, "fp": 1, "fn": 2, "tn": 5, "n_corrupted": 4, "n_dropped": 3,
-        "precision": rep.precision, "recall": rep.recall, "f1": rep.f1,
-        "noise_rate": 0.4, "lift": rep.lift}
+        "precision": rep["precision"], "recall": rep["recall"], "f1": rep["f1"],
+        "noise_rate": 0.4, "lift": rep["lift"]}
 
 
 def test_detection_report_none_semantics():
     rep = metrics.detection_report(_at(6, set()), _at(6, {1, 2}))
-    assert rep.precision is None and rep.f1 is None and rep.lift is None
-    assert rep.recall == 0.0
+    assert rep["precision"] is None and rep["f1"] is None and rep["lift"] is None
+    assert rep["recall"] == 0.0
 
     rep = metrics.detection_report(_at(6, {3}), _at(6, set()))
-    assert rep.recall is None and rep.f1 is None
-    assert rep.precision == 0.0
-    assert rep.lift is None                         # noise_rate 0
+    assert rep["recall"] is None and rep["f1"] is None
+    assert rep["precision"] == 0.0
+    assert rep["lift"] is None                      # noise_rate 0
 
     rep = metrics.detection_report(_at(6, {4, 5}), _at(6, {1, 2}))
-    assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
+    assert rep["precision"] == 0.0 and rep["recall"] == 0.0 and rep["f1"] == 0.0
 
     with pytest.raises(UsageError):
         metrics.detection_report(_at(7, {6}), _at(6, {1}))

@@ -141,6 +141,26 @@ def test_config_validation():
             ExperimentConfig(**kwargs)
 
 
+def test_config_is_frozen():
+    # a built config keeps the settings that were checked
+    config = ExperimentConfig(task="cls")
+    for name, value in (("epochs", 0), ("tau", 0.2), ("persistence", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert config == ExperimentConfig(task="cls")
+    # a variant is checked like a built config
+    for change in (dict(epochs=0), dict(tau=0.2, persistence=0)):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config, **change)
+    # a grid's arms are the configs built by keyword
+    arms = runner.grid_configs(ExperimentConfig(task="sum", epochs=4), [0.0, 0.2], [3])
+    assert arms == [ExperimentConfig(task="sum", epochs=4, noise_rate=rate, seed=3,
+                                     mantra=mantra)
+                    for rate in (0.0, 0.2) for mantra in (False, True)]
+    with pytest.raises(ConfigError):
+        runner.grid_configs(config, [1.5], [3])
+
+
 def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
     report = run_experiment(tiny_cls_config(n_train=200), out_dir=tmp_path)
     assert report.drop_events and report.gmm_trace
@@ -642,7 +662,7 @@ def test_treated_arms_copy_only_their_own_baselines_replayed_epochs(
 
 def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config):
     cfg = tiny_cls_config(n_train=200, epochs=6)
-    treated = ExperimentConfig(**{**cfg.as_dict(), "seed": 4})
+    treated = dataclasses.replace(cfg, seed=4)
     fresh = _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "fresh")))
 
     run_grid(cfg, [0.15], [3, 4], out_dir=str(tmp_path / "grid"))

@@ -1,7 +1,7 @@
 """Drop scheduler: warmup, persistence, cap, and reset behavior on scripted losses."""
 
 import inspect
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -40,12 +40,13 @@ def _scripted_losses(n, noisy, low=0.2, high=3.0):
 
 
 def test_policy_validation():
-    _policy().validate()
     bad = [dict(warmup=-1), dict(tau=0.5), dict(tau=1.2), dict(persistence=0),
-           dict(max_drop_frac=-0.1), dict(max_drop_frac=1.5), dict(k_max=0)]
+           dict(max_drop_frac=-0.1), dict(max_drop_frac=1.5), dict(k_max=0),
+           # a bare policy checks the types of its own settings
+           dict(k_max=2.0), dict(persistence=1.5), dict(warmup=True)]
     for overrides in bad:
         with pytest.raises(ConfigError):
-            _policy(**overrides).validate()
+            _policy(**overrides)
     # checked once, when built: evaluate_epoch does not check it again
     with pytest.raises(ConfigError):
         DropPolicy(warmup=5, persistence=0)
@@ -53,6 +54,16 @@ def test_policy_validation():
     with pytest.raises(TypeError):
         DropPolicy(5)
     assert DropPolicy(warmup=5) == _policy()
+    # frozen: a built policy keeps the settings that were checked, and a
+    # variant is checked like a built policy
+    policy = _policy()
+    for name, value in (("tau", 0.2), ("persistence", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(policy, name, value)
+    assert policy == _policy()
+    assert replace(policy, tau=0.9) == _policy(tau=0.9)
+    with pytest.raises(ConfigError):
+        replace(policy, tau=0.2, persistence=0)
 
 
 def test_state_construction():
