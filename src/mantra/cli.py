@@ -32,11 +32,11 @@ def _add_common_options(p):
     p.add_argument("--task", required=True, choices=sorted(runner.TASK_ALIASES),
                    help="task kind (cls/classification or sum/summarization)")
     p.add_argument("--epochs", type=int)
-    warmups = runner.DEFAULT_WARMUP
+    defaults = runner.TASK_DEFAULTS
     p.add_argument("--warmup", type=int,
                    help="untouched epochs before dropping may start "
-                        f"(default: {warmups['classification']} classification, "
-                        f"{warmups['summarization']} summarization)")
+                        f"(default: {defaults['classification']['warmup']} classification, "
+                        f"{defaults['summarization']['warmup']} summarization)")
     p.add_argument("--tau", type=float,
                    help="posterior threshold for flagging a sample")
     p.add_argument("--persistence", type=int,

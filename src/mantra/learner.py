@@ -15,7 +15,8 @@ with every parameter +0.0, shuffles draw from a stream keyed on
 (seed, epoch), and the update rule is plain mini-batch SGD with closed-form
 gradients (tests/grad_audit.py checks them against finite differences).
 train_epoch reads lr, batch_size and seed off the run's ExperimentConfig
-(or any object with those attributes); this module keeps no copy of them.
+(or any object with those attributes); this module declares no default
+for them (lr's is in runner.TASK_DEFAULTS).
 per_sample_losses never mutates the model, so the loss of every
 active sample can be recorded at epoch end under the same parameters.
 Every entry point takes a data.PackedSplit the model fits (_check_task).
@@ -38,14 +39,6 @@ from .data import MAX_TGT_LEN, N_INTENTS, N_SRC_VOCAB, N_TGT_VOCAB, target_layou
 from .errors import UsageError
 
 EPS = 1e-12                        # probability clamp for the BCE log
-# Desk-scale defaults, calibrated on the seeded benchmark configs: the
-# classifier needs its clean losses concentrated by the end of warmup or
-# the mixture step starts splitting the clean tail, and the sequence model
-# needs a rate high enough that greedy decodes reach reference length
-# within 10 epochs.  The objectives are convex, so the large sequence rate
-# is stable (loss descent is checked in the tests).
-DESK_LR = {"classification": 0.5, "summarization": 16.0}
-
 _TAG_SHUFFLE = 42
 
 

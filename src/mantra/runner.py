@@ -56,10 +56,17 @@ from .trajectory import TrajectoryStore, float_cell, write_csv
 
 TASK_ALIASES = {"cls": "classification", "sum": "summarization",
                 "classification": "classification", "summarization": "summarization"}
-DEFAULT_WARMUP = {"classification": 5, "summarization": 3}
-DEFAULT_SIZES = {"classification": (700, 85, 88), "summarization": (1000, 100, 100)}
+# The settings whose default depends on the task, calibrated on the seeded
+# benchmark configs: the classifier needs its clean losses concentrated by
+# the end of warmup or the mixture step starts splitting the clean tail, and
+# the sequence model needs a rate high enough that greedy decodes reach
+# reference length within 10 epochs.  The objectives are convex, so the
+# large sequence rate is stable (loss descent is checked in the tests).
+TASK_DEFAULTS = {
+    "classification": {"warmup": 5, "lr": 0.5, "n_train": 700, "n_val": 85, "n_test": 88},
+    "summarization": {"warmup": 3, "lr": 16.0, "n_train": 1000, "n_val": 100, "n_test": 100},
+}
 DEFAULT_DIM = 16
-HIST_BINS = 30          # bins of each density_e*.csv
 # Settings of synthetic data only: a file run leaves them None, echoed as null.
 SYNTHETIC_SIZES = ("n_train", "n_val", "n_test", "n_features")
 
@@ -72,11 +79,13 @@ class ExperimentConfig(scheduler.DropPolicy):
     own drop policy: the policy knobs are declared there, and as_dict()
     stays flat.  A variant is dataclasses.replace(config, ...), which checks
     it like a built one.  Only warmup is redeclared, because its default
-    depends on the task.  It is also the training schedule:
-    learner.train_epoch reads lr, batch_size and seed off it.  Models start
-    with every parameter +0.0 (learner's constructors), the density exports
-    use HIST_BINS bins, and the mixture is fit to np.log1p of one epoch's
-    losses (scheduler): no run varies them.
+    depends on the task: a setting left None takes its value from the
+    task's TASK_DEFAULTS row, and n_features from DEFAULT_DIM (the sizes
+    and n_features on synthetic data only).  It is also the training
+    schedule: learner.train_epoch reads lr, batch_size and seed off it.
+    Models start with every parameter +0.0 (learner's constructors), the
+    density exports use trajectory.HIST_BINS bins, and the mixture is fit
+    to np.log1p of one epoch's losses (scheduler): no run varies them.
     """
     task: str
     seed: int = 1
@@ -99,12 +108,10 @@ class ExperimentConfig(scheduler.DropPolicy):
             raise ConfigError(f"task must be one of {sorted(TASK_ALIASES)}")
         # The task-derived defaults, set before any check reads them.
         object.__setattr__(self, "task", TASK_ALIASES[self.task])
-        derived = {"warmup": DEFAULT_WARMUP[self.task], "lr": learner.DESK_LR[self.task]}
-        if self.data == "synthetic":
+        for name, value in {**TASK_DEFAULTS[self.task], "n_features": DEFAULT_DIM}.items():
             # a dataset file sets its own sizes, so a file run leaves them None
-            derived.update(zip(SYNTHETIC_SIZES, (*DEFAULT_SIZES[self.task], DEFAULT_DIM)))
-        for name, value in derived.items():
-            if getattr(self, name) is None:
+            if getattr(self, name) is None and (
+                    self.data == "synthetic" or name not in SYNTHETIC_SIZES):
                 object.__setattr__(self, name, value)
         # The types and the policy knobs, checked even when the scheduler is
         # off, so a baseline config cannot hide a bad treated config.
@@ -388,7 +395,7 @@ def _write_artifacts(out_dir, report, store, model, copy_from=None, replayed=0):
         if epoch <= replayed:
             shutil.copyfile(os.path.join(copy_from, name), path(name))
         else:
-            store.save_histogram_csv(path(name), epoch, HIST_BINS)
+            store.save_histogram_csv(path(name), epoch)
     if copy_from is None:
         write_csv(path("noise_mask.csv"), ("sample_id", "corrupted"), (
             map(str, store.ids.tolist()), map(_flag_cell, store.corrupted.tolist())))

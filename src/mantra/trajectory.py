@@ -19,6 +19,7 @@ from .errors import SequencingError, UsageError
 
 
 _BLOCK = 256     # rows per write, so no column's cells are all alive at once
+HIST_BINS = 30   # bins of each density_e*.csv
 
 
 def write_csv(path, header, columns, prefix=None):
@@ -139,14 +140,12 @@ class TrajectoryStore:
             [float_cell(entry["clean"]) for entry in means.values()],
             [float_cell(entry["noisy"]) for entry in means.values()]))
 
-    def save_histogram_csv(self, path, epoch, bins):
-        """One epoch's equal-width density histogram: bin edges and density per bin."""
+    def save_histogram_csv(self, path, epoch):
+        """One epoch's density histogram: HIST_BINS equal-width bins, edges and density."""
         if not 1 <= epoch <= self.last_epoch:
             raise UsageError(f"epoch {epoch} has not been recorded")
-        if bins < 1:
-            raise UsageError("bins must be >= 1")
         row = self.losses[epoch - 1]
-        density, edges = np.histogram(row[~np.isnan(row)], bins=bins, density=True)
+        density, edges = np.histogram(row[~np.isnan(row)], bins=HIST_BINS, density=True)
         edges = list(map(repr, edges.tolist()))
         write_csv(path, ("bin_left", "bin_right", "density"),
                   (edges[:-1], edges[1:], map(repr, density.tolist())))

@@ -1,11 +1,13 @@
 """Acceptance suite for the full pipeline on the seeded benchmark configs.
 
 One test per criterion, each printing a single verdict line (visible with
-pytest -v via the test outcome, and in captured output with details).  The
-benchmark runs are deterministic and shared across criteria (and with the
-artifact manifest test) through the session run cache in conftest, which
-also keeps each run's artifact directory, so the whole suite stays in
-CPU-minutes territory.
+pytest -v via the test outcome, and in captured output with details).  C6
+and C7 judge seeds 1-5 and print a second line, the same statistics on
+seeds 6-10, which no verdict reads: a gain that holds on seeds 1-5 only
+shows there.  The benchmark runs are deterministic and shared across
+criteria (and with the artifact manifest test) through the session run
+cache in conftest, which also keeps each run's artifact directory, so the
+whole suite stays in CPU-minutes territory.
 
 Criterion 8 (validation-curve smoothness) is known to fail at this scale:
 the baseline learner is convex and descends smoothly even under label
@@ -28,6 +30,7 @@ from mantra.runner import ExperimentConfig, run_experiment
 from grad_audit import gradient_check, randomized
 
 SEEDS = (1, 2, 3, 4, 5)
+HELD_OUT_SEEDS = (6, 7, 8, 9, 10)      # reported beside C6 and C7, never judged
 RATES = (0.05, 0.10, 0.15)
 EPOCHS = 10
 
@@ -35,6 +38,11 @@ EPOCHS = 10
 def _verdict(tag, ok, detail):
     print(f"[{tag}] {'PASS' if ok else 'FAIL'}: {detail}")
     return f"[{tag}] {detail}", ok
+
+
+def _held_out(tag, ok, detail):
+    """The same statistics on HELD_OUT_SEEDS: a line, not a verdict."""
+    print(f"[{tag}] seeds 6-10, bar {'met' if ok else 'not met'}, not judged: {detail}")
 
 
 # -- criterion 1: noisy/clean loss separation --------------------------------
@@ -185,12 +193,12 @@ def test_criterion_5_gradient_audit():
 
 # -- criterion 6: detection quality and the clean-data guard -----------------
 
-def test_criterion_6_detection_quality(bench_run):
+def _detection_quality(bench_run, seeds):
     lines = []
     ok = True
     for rate in (0.10, 0.15):
         lifts, recalls = [], []
-        for seed in SEEDS:
+        for seed in seeds:
             det = bench_run(task="classification", seed=seed, noise_rate=rate,
                             mantra=True).detection
             lifts.append(det["lift"])
@@ -202,12 +210,16 @@ def test_criterion_6_detection_quality(bench_run):
                      f"recall {min(recalls):.3f}-{max(recalls):.3f}")
 
     drops = [bench_run(task="classification", seed=seed, noise_rate=0.0,
-                       mantra=True).dropped_total for seed in SEEDS]
+                       mantra=True).dropped_total for seed in seeds]
     clean_ok = all(d <= 0.02 * 700 for d in drops)
     ok = ok and clean_ok
     lines.append(f"clean-run drops {drops} (cap 2% = 14)")
+    return ok, "; ".join(lines)
 
-    line, ok = _verdict("C6 detection quality", ok, "; ".join(lines))
+
+def test_criterion_6_detection_quality(bench_run):
+    line, ok = _verdict("C6 detection quality", *_detection_quality(bench_run, SEEDS))
+    _held_out("C6 detection quality", *_detection_quality(bench_run, HELD_OUT_SEEDS))
     assert ok, line
 
 
@@ -222,13 +234,13 @@ def _degradations(bench_run, task, seed, rate):
             treat_clean.test_metric - treat_noisy.test_metric)
 
 
-def test_criterion_7_robustness_recovery(bench_run):
+def _robustness_recovery(bench_run, seeds):
     details = []
     ok = True
     for task in ("classification", "summarization"):
         wins = 0
         degs = []
-        for seed in SEEDS:
+        for seed in seeds:
             deg_base, deg_treat = _degradations(bench_run, task, seed, 0.15)
             degs.append((deg_base, deg_treat))
             wins += deg_treat < deg_base
@@ -237,7 +249,12 @@ def test_criterion_7_robustness_recovery(bench_run):
             f"{task[:3]}: {wins}/5 seeds with smaller degradation-from-clean "
             "(" + ", ".join(f"{b:.4f}>{t:.4f}" if t < b else f"{b:.4f}<={t:.4f}"
                             for b, t in degs) + ")")
-    line, ok = _verdict("C7 robustness recovery", ok, "; ".join(details))
+    return ok, "; ".join(details)
+
+
+def test_criterion_7_robustness_recovery(bench_run):
+    line, ok = _verdict("C7 robustness recovery", *_robustness_recovery(bench_run, SEEDS))
+    _held_out("C7 robustness recovery", *_robustness_recovery(bench_run, HELD_OUT_SEEDS))
     assert ok, line
 
 

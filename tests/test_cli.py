@@ -32,6 +32,24 @@ def test_run_subcommand(tmp_path, capsys):
     assert saved["config"]["noise_rate"] == 0.15
 
 
+def test_a_run_that_drops_prints_its_detection(tmp_path, capsys):
+    args = _tiny_run_args(tmp_path)
+    args[args.index("--n-train") + 1] = "200"     # large enough to drop
+    assert main(args) == 0
+    assert "\ndropped=16 precision=1.000 recall=0.533 lift=6.67\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("missing", ["val", "test"])
+def test_a_file_with_an_empty_split_exits_2(tmp_path, capsys, missing):
+    path = tmp_path / "d.jsonl"
+    rows = [{"split": split, "features": [float(i), 1.0], "labels": ["Bug"]}
+            for i, split in enumerate(("train", "train", "val", "test")) if split != missing]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["run", "--task", "cls", "--epochs", "2", "--warmup", "1",
+                 "--data", str(path)]) == 2
+    assert "cannot evaluate on an empty split" in capsys.readouterr().err
+
+
 def test_run_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(_tiny_run_args(tmp_path)) == 0

@@ -241,7 +241,8 @@ def test_jsonl_ids_optional_and_split_aliases(tmp_path):
         {"split": "validation", "features": [0.0, 1.0], "labels": ["Feature"]},
         {"split": "test", "features": [2.0, 0.0], "labels": ["Refactor"]},
     ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    # blank lines are skipped, and take no file-order index
+    path.write_text("\n  \n".join(json.dumps(r) for r in rows) + "\n\n")
     ds = data.load_jsonl(path, "classification")
     assert ds.train.ids.tolist() == [0]
     assert ds.validation.ids.tolist() == [1, 2]    # both spellings accepted
@@ -290,6 +291,37 @@ def test_jsonl_summarization_strings_through_vocab(tmp_path):
     np.testing.assert_array_equal(ds.train.src, [[0, 1, 2]])
     np.testing.assert_array_equal(ds.train.tgt, [[2, 0, 4]])    # EOS = len(vocab)+1
     assert ds.test.src.shape == (0, 0) and ds.test.task == "summarization"
+
+
+_BUG = {"split": "train", "labels": ["Bug"]}
+_TARGET = {"split": "train", "target": [0]}
+
+
+@pytest.mark.parametrize("task, record, vocab, needle", [
+    ("classification", [1.0], None, "record must be a JSON object"),
+    ("classification", {**_BUG, "features": ["x"]}, None, "finite numbers"),
+    ("classification", {**_BUG, "features": [True]}, None, "finite numbers"),
+    ("classification", {**_BUG, "text": "fix"}, None, "text input requires a vocabulary"),
+    ("classification", {**_BUG, "text": ["fix"]}, "fix\nbug\n", "text must be a string"),
+    ("classification", {**_BUG, "text": "fix zap"}, "fix\nbug\n",
+     "token 'zap' in text not in the vocabulary"),
+    ("summarization", {**_TARGET, "source": "a b"}, None, "string source requires a vocabulary"),
+    ("summarization", {**_TARGET, "source": 3}, None, "source must be a token-id list or a string"),
+    ("summarization", {**_TARGET, "source": []}, None, "source must be non-empty"),
+    ("summarization", {**_TARGET, "source": [0] * 65}, None, "source length 65 exceeds 64"),
+    ("summarization", {"split": "train", "source": [0], "target": [0] * 17}, None,
+     "target length 17 exceeds 16"),
+])
+def test_jsonl_record_errors_name_their_line(tmp_path, task, record, vocab, needle):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    vocab_path = None
+    if vocab is not None:
+        vocab_path = tmp_path / "v.txt"
+        vocab_path.write_text(vocab)
+    with pytest.raises(SchemaError) as exc:
+        data.load_jsonl(path, task, vocab_path=vocab_path)
+    assert str(exc.value).startswith("line 1: ") and needle in str(exc.value)
 
 
 def test_jsonl_error_lines(tmp_path):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mantra import data, kernels, learner
+from mantra import data, kernels, learner, runner
 from mantra.errors import UsageError
 
 from grad_audit import gradient_check, randomized
@@ -266,7 +266,7 @@ def test_classifier_loss_strictly_decreases_early():
     # the first 5 epochs
     samples = _cls_samples(1, 200, d=16)
     model = learner.new_classifier(16)
-    cfg = _cfg(lr=learner.DESK_LR["classification"])
+    cfg = _cfg(lr=runner.TASK_DEFAULTS["classification"]["lr"])
     prev = learner.per_sample_losses(model, samples).mean()
     for epoch in range(5):
         learner.train_epoch(model, samples, cfg, epoch)
@@ -278,7 +278,7 @@ def test_classifier_loss_strictly_decreases_early():
 def test_seq_loss_strictly_decreases_early():
     samples = _sum_samples(1, 200)
     model = learner.new_seq2seq()
-    cfg = _cfg(lr=learner.DESK_LR["summarization"])
+    cfg = _cfg(lr=runner.TASK_DEFAULTS["summarization"]["lr"])
     prev = learner.per_sample_losses(model, samples).mean()
     for epoch in range(5):
         learner.train_epoch(model, samples, cfg, epoch)
@@ -468,4 +468,10 @@ def test_checkpoint_bytes_and_parameter_order(tmp_path):
 
 
 def test_desk_lr_table():
-    assert set(learner.DESK_LR) == {"classification", "summarization"}
+    # the desk rates are a column of the runner's one table of task defaults,
+    # a row per task, each with the same settings; the learner keeps none
+    rows = runner.TASK_DEFAULTS
+    assert set(rows) == set(runner.TASK_ALIASES.values())
+    for row in rows.values():
+        assert set(row) == {"warmup", "lr", "n_train", "n_val", "n_test"}
+    assert not hasattr(learner, "DESK_LR")

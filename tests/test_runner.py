@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mantra import data, gmm, learner, noise, runner, scheduler
+from mantra import data, gmm, learner, noise, runner, scheduler, trajectory
 from mantra.errors import ConfigError, SchemaError, UsageError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
 from mantra.trajectory import TrajectoryStore
@@ -66,13 +66,17 @@ def test_each_run_setting_has_one_default(tmp_path):
     for fn, names in ((data.generate_classification_dataset, (*sizes, "d")),
                       (data.generate_summarization_dataset, sizes),
                       (noise.inject_label_noise, ("mode",)),
-                      (TrajectoryStore.save_histogram_csv, ("bins",)),
                       (gmm.select_model, ("k_max",))):
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
     # settings no caller varies are module constants, not parameters
     assert list(inspect.signature(gmm.fit_em).parameters) == ["obs", "k"]
+    assert list(inspect.signature(TrajectoryStore.save_histogram_csv).parameters) == [
+        "self", "path", "epoch"]
+    assert trajectory.HIST_BINS == 30
+    # one table holds the task-dependent defaults
+    assert not {"DEFAULT_WARMUP", "DEFAULT_SIZES", "HIST_BINS"} & set(vars(runner))
     assert list(inspect.signature(gmm.select_model).parameters) == ["obs", "k_max"]
     # a model starts at zero: no init scale or init seed to pass
     assert list(inspect.signature(learner.new_classifier).parameters) == ["n_features"]
@@ -658,6 +662,17 @@ def test_treated_arms_copy_only_their_own_baselines_replayed_epochs(
             arm = "mantra" if config.mantra else "baseline"
             grid_dir = grid / f"{config.task}_r{config.noise_rate:g}_s{config.seed}_{arm}"
             assert _artifacts(grid_dir) == _artifacts(alone)
+
+
+def test_a_run_ignores_the_slot_of_another_pair(monkeypatch, tiny_cls_config):
+    # only the two arms of the pair in the slot read it
+    cfg = tiny_cls_config(n_train=200)
+    configs = [dataclasses.replace(cfg, mantra=mantra_on) for mantra_on in (False, True)]
+    alone = [_without_runtime(run_experiment(config)) for config in configs]
+    slot = runner._PairPrefix(dataclasses.replace(cfg, seed=4))
+    monkeypatch.setattr(runner, "_pair_prefix", slot)
+    assert [_without_runtime(run_experiment(config)) for config in configs] == alone
+    assert (slot.inputs, slot.run_dir, slot.store, slot.epochs) == (None, None, None, [])
 
 
 def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config):

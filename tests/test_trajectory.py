@@ -7,7 +7,7 @@ import pytest
 
 from mantra import runner
 from mantra.errors import SequencingError, UsageError
-from mantra.trajectory import TrajectoryStore, write_csv
+from mantra.trajectory import HIST_BINS, TrajectoryStore, write_csv
 
 
 def _store_with(ids, noisy, epochs):
@@ -44,7 +44,7 @@ def test_row_validation(tmp_path):
             store.record_epoch(1, ids, losses)
     assert store.last_epoch == 0 and np.isnan(store.losses).all()
     with pytest.raises(UsageError):
-        store.save_histogram_csv(tmp_path / "hist.csv", 1, bins=3)
+        store.save_histogram_csv(tmp_path / "hist.csv", 1)
 
 
 def test_group_means_and_none_semantics():
@@ -71,13 +71,11 @@ def test_recorded_arrays_are_copies():
 def test_histogram_is_a_density(rng, tmp_path):
     losses = rng.lognormal(0.0, 0.5, 500)
     store = _store_with(np.arange(500), np.zeros(500, dtype=bool), [(np.arange(500), losses)])
-    store.save_histogram_csv(tmp_path / "hist.csv", 1, bins=25)
+    store.save_histogram_csv(tmp_path / "hist.csv", 1)
     rows = list(csv.DictReader((tmp_path / "hist.csv").open()))
-    assert len(rows) == 25
+    assert len(rows) == HIST_BINS
     assert sum(float(r["density"]) * (float(r["bin_right"]) - float(r["bin_left"]))
                for r in rows) == pytest.approx(1.0)
-    with pytest.raises(UsageError):
-        store.save_histogram_csv(tmp_path / "hist.csv", 1, bins=0)
 
 
 def test_csv_exports(tmp_path):
@@ -99,9 +97,9 @@ def test_csv_exports(tmp_path):
     assert rows[1]["noisy_mean"] == ""    # None -> empty cell
 
     hist = tmp_path / "hist.csv"
-    store.save_histogram_csv(hist, epoch=1, bins=4)
+    store.save_histogram_csv(hist, epoch=1)
     rows = list(csv.DictReader(hist.open()))
-    assert len(rows) == 4
+    assert len(rows) == HIST_BINS
     widths = [float(r["bin_right"]) - float(r["bin_left"]) for r in rows]
     total = sum(float(r["density"]) * w for r, w in zip(rows, widths))
     assert total == pytest.approx(1.0)
@@ -136,11 +134,11 @@ def test_histogram_csv_matches_csv_writer_reference(tmp_path):
     # exponent-form edges, a single-valued epoch, and bins past the sample count
     epochs = [([1, 2, 3, 4], [1e-07, 2.5e-06, 0.1 + 0.2, 3e-05]), ([1, 2], [0.7, 0.7])]
     store = _store_with([1, 2, 3, 4], [False, True, False, False], epochs)
-    for epoch, bins in ((1, 3), (1, 30), (2, 4)):
-        store.save_histogram_csv(tmp_path / "fast.csv", epoch, bins=bins)
-        density, edges = np.histogram(epochs[epoch - 1][1], bins=bins, density=True)
+    for epoch in (1, 2):
+        store.save_histogram_csv(tmp_path / "fast.csv", epoch)
+        density, edges = np.histogram(epochs[epoch - 1][1], bins=HIST_BINS, density=True)
         want = [[repr(float(edges[i])), repr(float(edges[i + 1])), repr(float(density[i]))]
-                for i in range(bins)]
+                for i in range(HIST_BINS)]
         assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
             tmp_path / "ref.csv", ["bin_left", "bin_right", "density"], want)
 
