@@ -141,8 +141,6 @@ def greedy_decode(u, v, b, src_counts, src_len, bos, eos, max_len):
     n = src_counts.shape[0]
     out = np.zeros((n, max_len), dtype=np.int64)
     out_len = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return out, out_len
     ut = np.ascontiguousarray(u.T)
     base = _source_term(v, b, src_counts, src_len)[1]
     prev = np.full(n, bos, dtype=np.int64)

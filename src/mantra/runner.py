@@ -291,10 +291,11 @@ def run_experiment(config, out_dir=None):
     val_metrics = []
     gmm_trace = []
     replayed = 0          # leading epochs taken whole from the baseline
+    every_row = np.arange(len(train))     # the baseline arm's active rows, every epoch
     for epoch in range(1, config.epochs + 1):
-        rows = scheduler.active_samples(state) if config.mantra else None
+        rows = scheduler.active_samples(state) if config.mantra else every_row
         # no copy while nothing is dropped: it would only raise peak memory
-        active = train if rows is None or len(rows) == len(train) else train.take(rows)
+        active = train if len(rows) == len(train) else train.take(rows)
         if replay is not None and active is train:
             # nothing dropped yet: this epoch is the baseline's, so take it whole
             replayed = epoch
@@ -307,7 +308,7 @@ def run_experiment(config, out_dir=None):
             losses = learner.per_sample_losses(model, active)
             val_metric = _eval_metric(config, model, dataset.validation)
         val_metrics.append(val_metric)
-        store.record_epoch(epoch, active.ids, losses)
+        store.record_epoch(epoch, rows, losses)
         if config.mantra:
             decision = scheduler.evaluate_epoch(state, config, epoch, losses)
             for row in decision.gmm_trace:

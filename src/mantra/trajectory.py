@@ -1,14 +1,14 @@
 """Per-sample loss trajectory bookkeeping.
 
-The store is one (epochs, n_train) array of losses over train positions, the
-layout of the scheduler's DropState and the noise mask: row e - 1 holds
-epoch e, NaN where a sample was not scored.  Only active samples are scored,
-so a sample's column is NaN past the epoch it was dropped at.  Epochs must
-be recorded contiguously starting at 1 so that downstream consumers (group
-curves, histograms, the drop scheduler) can trust the sequence.  The store
-keeps the split's ids and ground-truth corruption flags beside the array,
-for the clean and noisy group means.  The trajectory CSV holds epoch, sample
-id and loss only: the flag is the run's noise_mask.csv, joined on sample id.
+The store is one (epochs, n_train) array of losses, recorded and indexed by
+train position like the scheduler's DropState and the noise mask: row e - 1
+holds epoch e, NaN where a sample was not scored.  Only active samples are
+scored, so a sample's column is NaN past the epoch it was dropped at.  Epochs
+must be recorded contiguously starting at 1 so that downstream consumers
+(group curves, histograms) can trust the sequence.  The store keeps the
+split's ids, for its CSV's sample_id cells, and the ground-truth corruption
+flags, for the clean and noisy group means.  The trajectory CSV holds epoch,
+sample id and loss only: the flag is noise_mask.csv, joined on sample id.
 """
 
 from itertools import chain, islice, repeat
@@ -69,8 +69,8 @@ class TrajectoryStore:
         self.losses = np.full((epochs, self.ids.size), np.nan)
         self.last_epoch = 0
 
-    def record_epoch(self, epoch, sample_ids, losses):
-        """Record the scored samples of one epoch, given in train order.
+    def record_epoch(self, epoch, rows, losses):
+        """Record one epoch's losses at the train positions it scored, in train order.
 
         epoch must be exactly last_epoch + 1 (starting from 1) and within the
         store's epochs; anything else raises SequencingError so pipeline
@@ -79,16 +79,16 @@ class TrajectoryStore:
         if not epoch == self.last_epoch + 1 <= len(self.losses):
             raise SequencingError(f"expected epoch {self.last_epoch + 1} of "
                                   f"{len(self.losses)}, got {epoch}")
-        ids = np.asarray(sample_ids, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
         vals = np.asarray(losses, dtype=np.float64)
-        if ids.shape != vals.shape:
-            raise UsageError("ids and losses must have matching lengths")
+        if rows.ndim != 1 or rows.shape != vals.shape:
+            raise UsageError("rows and losses must be 1-D, of matching lengths")
         if not np.all(np.isfinite(vals)):
             raise UsageError("losses must be finite")
-        scored = np.isin(self.ids, ids)
-        if not np.array_equal(self.ids[scored], ids):
-            raise UsageError("sample ids must be distinct train ids, in train order")
-        self.losses[epoch - 1, scored] = vals
+        if rows.size and not (rows[0] >= 0 and rows[-1] < self.ids.size
+                              and np.all(rows[1:] > rows[:-1])):
+            raise UsageError("rows must be distinct train positions, in train order")
+        self.losses[epoch - 1, rows] = vals
         self.last_epoch = epoch
 
     def _scored(self):

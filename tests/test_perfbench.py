@@ -4,7 +4,9 @@ perfbench/tracer.py wraps pipeline functions by owner and attribute name and
 reads some of their arguments by position.  A rename or deletion here would
 leave the benchmark with missing targets, so tier-1 checks the list.  Its
 drop counter takes the len of what `scheduler.evaluate_epoch` returns as
-`dropped`, so tier-1 feeds it a real decision.
+`dropped`, so tier-1 feeds it a real decision.  Its row counter takes the
+len of argument 2 of `TrajectoryStore.record_epoch`, so tier-1 traces a real
+grid and checks that the runner passes `rows` there on both arms.
 perfbench/bench.py times and checks every run by wrapping
 `runner.run_experiment(config, out_dir=None)`, so tier-1 also checks that
 call shape and that `run_grid` makes one such call per arm.  It builds its
@@ -48,28 +50,34 @@ def test_counted_arguments_keep_their_positions():
     from mantra.trajectory import TrajectoryStore
     # (function, position, name) as the tracer's counters read them
     for fn, pos, name in [(learner.train_epoch, 1, "samples"),
-                          (TrajectoryStore.record_epoch, 2, "sample_ids"),
+                          (TrajectoryStore.record_epoch, 2, "rows"),
                           (kernels.seq_grad_sum, 6, "tgt_len"),
                           (kernels.seq_losses, 6, "tgt_len"),
                           (kernels.greedy_decode, 7, "max_len")]:
         assert list(inspect.signature(fn).parameters)[pos] == name, fn.__name__
 
 
-def test_row_counter_reads_a_real_record_epoch_call():
+def test_row_counter_reads_a_real_record_epoch_call(tiny_cls_config):
     import numpy as np
+    from mantra import runner
     from mantra.trajectory import TrajectoryStore
     tracer = _load_tracer()
-    store = TrajectoryStore(np.arange(10, 20), np.zeros(10, dtype=bool), 2)
-    ids = np.array([11, 14, 15, 19])
+    stores, keyword_calls = {}, []
+
+    def count(c, args, kwargs, result):
+        # the tracer reads rows at argument 2 of a positional call
+        stores[id(args[0])] = args[0]
+        keyword_calls.extend(kwargs)
+        tracer._count_rows(c, args, kwargs, result)
+
     trace = tracer.Tracer()
-    targets = [(TrajectoryStore, "record_epoch", "trajectory.record_epoch",
-                tracer._count_rows)]
+    targets = [(TrajectoryStore, "record_epoch", "trajectory.record_epoch", count)]
     with tracer.patched(trace.replacements(targets)):
-        store.record_epoch(1, ids, np.ones(4))
-        assert trace.counters["trajectory.rows"] == 4
-        store.record_epoch(epoch=2, sample_ids=ids[:3], losses=np.ones(3))
-    scored = np.count_nonzero(~np.isnan(store.losses))
-    assert trace.counters["trajectory.rows"] == scored == 7
+        reports = runner.run_grid(tiny_cls_config(n_train=200), [0.0, 0.15], [3])
+    assert [r.dropped_total for r in reports] == [0, 0, 0, 16]
+    assert keyword_calls == [] and len(stores) == 4
+    scored = sum(np.count_nonzero(~np.isnan(s.losses)) for s in stores.values())
+    assert trace.counters["trajectory.rows"] == scored
 
 
 def test_mixture_fits_return_what_the_tracer_counts():

@@ -11,46 +11,51 @@ from mantra.trajectory import HIST_BINS, TrajectoryStore, write_csv
 
 
 def _store_with(ids, noisy, epochs):
-    """A store over train ids and their flags, with each (ids, losses) epoch recorded."""
+    """A store over train ids and their flags, with each (rows, losses) epoch
+    recorded: rows are the train positions scored, in train order."""
     store = TrajectoryStore(ids, noisy, len(epochs))
-    for e, (scored, losses) in enumerate(epochs, start=1):
-        store.record_epoch(e, scored, losses)
+    for e, (rows, losses) in enumerate(epochs, start=1):
+        store.record_epoch(e, rows, losses)
     return store
 
 
 def test_epochs_must_be_contiguous_from_one():
     store = TrajectoryStore([1], [False], 2)
     with pytest.raises(SequencingError):
-        store.record_epoch(0, [1], [0.5])
+        store.record_epoch(0, [0], [0.5])
     with pytest.raises(SequencingError):
-        store.record_epoch(2, [1], [0.5])
-    store.record_epoch(1, [1], [0.5])
+        store.record_epoch(2, [0], [0.5])
+    store.record_epoch(1, [0], [0.5])
     with pytest.raises(SequencingError):
-        store.record_epoch(1, [1], [0.5])    # no rewrites
-    store.record_epoch(2, [1], [0.4])
+        store.record_epoch(1, [0], [0.5])    # no rewrites
+    store.record_epoch(2, [0], [0.4])
     assert store.last_epoch == 2
     with pytest.raises(SequencingError):
-        store.record_epoch(3, [1], [0.3])    # past the store's epochs
+        store.record_epoch(3, [0], [0.3])    # past the store's epochs
 
 
 def test_row_validation(tmp_path):
-    store = TrajectoryStore([1, 2, 3], [False, True, False], 1)
-    for ids, losses in (([1, 2], [0.5]),               # lengths differ
-                        ([1, 1], [0.5, 0.6]),          # duplicate id
-                        ([1, 2], [0.5, np.inf]),       # non-finite loss
-                        ([1, 4], [0.5, 0.6]),          # not a train id
-                        ([2, 1], [0.5, 0.6])):         # out of train order
+    store = TrajectoryStore([10, 20, 30], [False, True, False], 1)
+    for rows, losses in (([0, 1], [0.5]),              # lengths differ
+                         ([1, 1], [0.5, 0.6]),         # repeated position
+                         ([0, 1], [0.5, np.nan]),      # non-finite loss
+                         ([-1, 0], [0.5, 0.6]),        # before the split
+                         ([1, 3], [0.5, 0.6]),         # position n, past the split
+                         ([2, 1], [0.5, 0.6]),         # decreasing
+                         ([[0, 1]], [[0.5, 0.6]])):    # not 1-D
         with pytest.raises(UsageError):
-            store.record_epoch(1, ids, losses)
+            store.record_epoch(1, rows, losses)
     assert store.last_epoch == 0 and np.isnan(store.losses).all()
     with pytest.raises(UsageError):
         store.save_histogram_csv(tmp_path / "hist.csv", 1)
+    store.record_epoch(1, [0, 2], [0.5, 0.6])
+    assert np.array_equal(store.losses, [[0.5, np.nan, 0.6]], equal_nan=True)
 
 
 def test_group_means_and_none_semantics():
     store = _store_with([1, 2, 3, 4], [False, True, False, True], [
-        ([1, 2, 3, 4], [0.1, 0.3, 0.2, 0.8]),
-        ([1, 3], [0.05, 0.15]),
+        ([0, 1, 2, 3], [0.1, 0.3, 0.2, 0.8]),
+        ([0, 2], [0.05, 0.15]),
     ])
     means = store.group_means()
     assert means[1]["clean"] == pytest.approx(0.15)
@@ -60,12 +65,12 @@ def test_group_means_and_none_semantics():
 
 
 def test_recorded_arrays_are_copies():
-    ids = np.array([1, 2])
+    rows = np.array([0, 1])
     losses = np.array([0.5, 0.6])
-    store = TrajectoryStore(ids, [False, False], 1)
-    store.record_epoch(1, ids, losses)
-    losses[0] = 99.0
-    assert store.losses[0, 0] == 0.5
+    store = TrajectoryStore([1, 2], [False, False], 1)
+    store.record_epoch(1, rows, losses)
+    rows[0], losses[0] = 1, 99.0
+    assert store.losses[0].tolist() == [0.5, 0.6]
 
 
 def test_histogram_is_a_density(rng, tmp_path):
@@ -80,8 +85,8 @@ def test_histogram_is_a_density(rng, tmp_path):
 
 def test_csv_exports(tmp_path):
     store = _store_with([1, 2], [False, True], [
-        ([1, 2], [0.5, 1.5]),
-        ([1], [0.25]),
+        ([0, 1], [0.5, 1.5]),
+        ([0], [0.25]),
     ])
     traj = tmp_path / "traj.csv"
     store.save_csv(traj)
@@ -116,15 +121,16 @@ def _csv_writer_bytes(path, header, rows):
 def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
     # exponent-form reprs, train ids out of sorted order, and a shrunken epoch
     # after drops, against the per-row csv.writer loop the export replaced;
-    # the noisy flag is left out
-    epochs = [([7, 3, 12, 5], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0]),
-              ([3, 12], [123456789.125, 1.0 / 3.0]),
-              ([12], [5e-324])]
-    store = _store_with([7, 3, 12, 5], [False, True, False, True], epochs)
+    # the noisy flag is left out, and the id cells follow train order
+    ids = [7, 3, 12, 5]
+    epochs = [([0, 1, 2, 3], [1e-05, 0.1 + 0.2, 2.5e-300, 3.0]),
+              ([1, 2], [123456789.125, 1.0 / 3.0]),
+              ([2], [5e-324])]
+    store = _store_with(ids, [False, True, False, True], epochs)
     store.save_csv(tmp_path / "fast.csv")
-    want = [[epoch, sample_id, repr(loss)]
-            for epoch, (ids, losses) in enumerate(epochs, start=1)
-            for sample_id, loss in zip(ids, losses)]
+    want = [[epoch, ids[row], repr(loss)]
+            for epoch, (rows, losses) in enumerate(epochs, start=1)
+            for row, loss in zip(rows, losses)]
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["epoch", "sample_id", "loss"], want)
     assert b"1e-05" in (tmp_path / "fast.csv").read_bytes()
@@ -132,7 +138,7 @@ def test_trajectory_csv_matches_csv_writer_reference(tmp_path):
 
 def test_histogram_csv_matches_csv_writer_reference(tmp_path):
     # exponent-form edges, a single-valued epoch, and bins past the sample count
-    epochs = [([1, 2, 3, 4], [1e-07, 2.5e-06, 0.1 + 0.2, 3e-05]), ([1, 2], [0.7, 0.7])]
+    epochs = [([0, 1, 2, 3], [1e-07, 2.5e-06, 0.1 + 0.2, 3e-05]), ([0, 1], [0.7, 0.7])]
     store = _store_with([1, 2, 3, 4], [False, True, False, False], epochs)
     for epoch in (1, 2):
         store.save_histogram_csv(tmp_path / "fast.csv", epoch)
@@ -160,9 +166,9 @@ def test_write_csv_rows_and_lengths(tmp_path):
 def test_group_means_csv_matches_csv_writer_reference(tmp_path):
     # a group with no samples (None -> empty cell) and an exponent-form mean
     store = _store_with([1, 2, 3], [False, False, True], [
-        ([1, 2, 3], [2e-06, 4e-06, 0.1 + 0.2]),
-        ([1, 2], [0.5, 1.0 / 3.0]),
-        ([3], [7.0]),
+        ([0, 1, 2], [2e-06, 4e-06, 0.1 + 0.2]),
+        ([0, 1], [0.5, 1.0 / 3.0]),
+        ([2], [7.0]),
     ])
     store.save_group_means_csv(tmp_path / "fast.csv")
     want = [[epoch, "" if e["clean"] is None else repr(e["clean"]),
@@ -271,8 +277,8 @@ def test_write_csv_copies_a_prefix(tmp_path):
 def test_trajectory_csv_copies_leading_epochs(tmp_path):
     # the copy holds the header and the rows of the first epochs; later
     # epochs, a shrunken one included, are formatted from the store
-    epochs = [([7, 3, 12], [1e-05, 0.5, 2.0]), ([7, 3, 12], [0.25, 0.75, 1.5]),
-              ([3], [0.125])]
+    epochs = [([0, 1, 2], [1e-05, 0.5, 2.0]), ([0, 1, 2], [0.25, 0.75, 1.5]),
+              ([1], [0.125])]
     store = _store_with([7, 3, 12], [False, True, False], epochs)
     store.save_csv(tmp_path / "whole.csv")
     whole = (tmp_path / "whole.csv").read_bytes()
