@@ -7,7 +7,8 @@ overall variance, and the EM loop itself has no randomness.  A K-component
 fit needs K distinct values, so no two start means are equal.
 
 EM stops after MAX_ITER iterations or once the log-likelihood moves by less
-than TOL.  No run setting varies them; a reference fit assigns gmm.MAX_ITER.
+than TOL.  No run setting varies them; _em reads both at call time, so a
+reference fit assigns gmm.MAX_ITER.
 
 Model order is chosen by the Bayesian information criterion
 -2 ln L + k ln n with k = 3K - 1 free parameters in one dimension
@@ -44,7 +45,7 @@ class GmmModel:
     log_likelihood: float      # of the data the model was fit on
     n_iter: int
     converged: bool
-    ll_trace: list = None      # log-likelihood after each EM evaluation
+    ll_trace: list             # log-likelihood after each EM evaluation
 
     @property
     def k(self):
@@ -65,15 +66,15 @@ def _e_step(sq, weights, variances, resp):
     return float(np.add.reduce(mx) + np.add.reduce(np.log(s, out=s)))
 
 
-def _em(obs, weights, means, variances, max_iter, tol):
+def _em(obs, weights, means, variances):
     means, variances = means.copy(), variances.copy()   # updated in place below
     sq = (obs - means[:, None]) ** 2
     resp = np.empty_like(sq)
     history = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         history.append(_e_step(sq, weights, variances, resp))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < TOL:
             converged = True
             break
         totals = np.add.reduce(resp, axis=1)
@@ -87,7 +88,7 @@ def _em(obs, weights, means, variances, max_iter, tol):
     else:
         # Ran out of iterations right after an M-step; score the final state.
         history.append(_e_step(sq, weights, variances, resp))
-    return weights, means, variances, history[-1], len(history) - 1, converged, history
+    return weights, means, variances, converged, history
 
 
 def fit_em(obs, k):
@@ -106,14 +107,14 @@ def fit_em(obs, k):
     if distinct.shape[0] < k:
         raise FitError(f"cannot fit {k} components to {distinct.shape[0]} distinct observations")
 
-    weights, means, variances, ll, n_iter, converged, history = _em(
+    weights, means, variances, converged, history = _em(
         obs, np.full(k, 1.0 / k), np.quantile(distinct, (np.arange(k) + 0.5) / k),
-        np.full(k, max(float(obs.var()), VAR_FLOOR)), MAX_ITER, TOL)
+        np.full(k, max(float(obs.var()), VAR_FLOOR)))
 
     order = np.argsort(means, kind="stable")
     return GmmModel(weights=weights[order], means=means[order],
-                    variances=variances[order], log_likelihood=ll,
-                    n_iter=n_iter, converged=converged, ll_trace=history)
+                    variances=variances[order], log_likelihood=history[-1],
+                    n_iter=len(history) - 1, converged=converged, ll_trace=history)
 
 
 def bic_value(log_likelihood, k, n):

@@ -280,13 +280,11 @@ def run_experiment(config, out_dir=None):
     replay = pair if pair is not None and config.mantra else None
 
     dataset, train, mask = replay.inputs if replay is not None else _prepare(config)
-    if record is not None:
-        record.inputs, record.run_dir = (dataset, train, mask), out_dir
     model = _new_model(config, dataset)
     state = scheduler.DropState.for_size(len(train))
     store = TrajectoryStore(train.ids, mask.corrupted, config.epochs)
     if record is not None:
-        record.store = store
+        record.inputs, record.run_dir, record.store = (dataset, train, mask), out_dir, store
 
     val_metrics = []
     gmm_trace = []

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mantra import gmm
 from mantra.runner import ExperimentConfig, grid_configs, run_grid
 
 
@@ -53,15 +52,15 @@ def seeded_fits():
     Entry i is (obs, (model, trace), fits) for obs = _seeded_em_input(i) of
     test_acceptance.py, fits being fit_em(obs, K) for K = 1..5 in K order:
     the fits select_model made, then fit_em of each order its search did not
-    reach.  C3 and the EM oracle tests of test_gmm.py read them, so the fits
-    run under errstate(raise): a floating-point error in the shipped loop
-    fails them.
+    reach.  C3 and test_gmm.py's EM reference and stop-rule tests read them,
+    so the fits run under errstate(raise): a floating-point error in the
+    shipped loop fails them.
     """
     from test_acceptance import _seeded_em_input
     from test_gmm import _select_fitting_every_order
     with pytest.MonkeyPatch.context() as patch, \
             np.errstate(divide="raise", over="raise", invalid="raise"):
-        return [(obs, *_select_fitting_every_order(patch, gmm._em, obs, 5))
+        return [(obs, *_select_fitting_every_order(patch, obs, 5))
                 for obs in map(_seeded_em_input, range(100))]
 
 

@@ -51,7 +51,9 @@ def test_em_log_likelihood_monotone(rng):
             trace = np.asarray(model.ll_trace)
             assert trace.size >= 1
             assert np.all(np.diff(trace) >= -1e-9)
-            assert model.log_likelihood == pytest.approx(trace[-1])
+            # n_iter counts the evaluations after the first
+            assert model.log_likelihood == model.ll_trace[-1]
+            assert model.n_iter == len(model.ll_trace) - 1
 
 
 def test_known_mixture_recovery():
@@ -71,9 +73,17 @@ def test_fit_limits_are_module_constants(monkeypatch):
     assert (gmm.MAX_ITER, gmm.TOL) == (200, 1e-6)
     obs = _bimodal(np.random.default_rng(0))
     assert gmm.fit_em(obs, 2).n_iter > 3
+    start = (np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.ones(2))
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "TOL", 1e9)
+        # _em reads the limits at call time: any move now counts as converged
+        *_, converged, history = gmm._em(obs, *start)
+        assert converged and len(history) == 2
     monkeypatch.setattr(gmm, "MAX_ITER", 3)
+    *_, converged, history = gmm._em(obs, *start)
+    assert not converged and len(history) == 4   # three passes, then the final state
     model = gmm.fit_em(obs, 2)
-    assert model.n_iter <= 3 and not model.converged
+    assert model.n_iter == 3 and not model.converged
     _, trace = gmm.select_model(obs, k_max=2)
     assert all(row["n_iter"] <= 3 for row in trace)
 
@@ -216,7 +226,7 @@ def test_posteriors_are_responsibilities():
     assert gmm.posteriors(model, np.array([2.0]))[0, 1] > 0.99
 
 
-# -- oracle: the row-major EM loop the K-major one replaced ------------------
+# -- oracle: a row-major textbook EM, independent of the shipped loop -------
 
 def _reference_rows(obs, weights, means, variances):
     """Per-point log-likelihoods and the (n, K) log(weight * density) matrix."""
@@ -228,14 +238,15 @@ def _reference_rows(obs, weights, means, variances):
     return mx + np.log(np.exp(lp - mx[:, None]).sum(axis=1)), lp
 
 
-def _reference_em(obs, weights, means, variances, max_iter, tol):
-    """Row-major (n, K) EM with boolean-indexed M-step updates."""
+def _reference_em(obs, weights, means, variances):
+    """Row-major (n, K) EM with boolean-indexed M-step updates, under the
+    limits gmm.MAX_ITER and gmm.TOL; returns what gmm._em returns."""
     history = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(gmm.MAX_ITER):
         rows, lp = _reference_rows(obs, weights, means, variances)
         history.append(float(rows.sum()))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < gmm.TOL:
             converged = True
             break
         resp = np.exp(lp - rows[:, None])
@@ -251,64 +262,41 @@ def _reference_em(obs, weights, means, variances, max_iter, tol):
     else:
         rows, _ = _reference_rows(obs, weights, means, variances)
         history.append(float(rows.sum()))
-    return weights, means, variances, history[-1], len(history) - 1, converged, history
+    return weights, means, variances, converged, history
 
 
-# -- oracle: the K-major loop as it was before its per-call overhead was cut --
-
-def _kmajor_e_step(sq, weights, variances, resp):
-    np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
-    resp += (np.log(np.maximum(weights, 1e-300))
-             - 0.5 * np.log(2.0 * np.pi * variances))[:, None]
-    mx = resp.max(axis=0)
-    resp -= mx
-    np.exp(resp, out=resp)
-    s = resp.sum(axis=0)
-    resp /= s
-    return float(mx.sum() + np.log(s).sum())
-
-
-def _kmajor_em(obs, weights, means, variances, max_iter, tol):
-    """ndarray-method reductions, and the starved-component guards in their
-    np.where/denom form; the shipped loop guards every pass too, by a masked
-    divide, and calls the ufunc reductions directly."""
-    sq = (obs - means[:, None]) ** 2
-    resp = np.empty_like(sq)
-    history = []
-    converged = False
-    for _ in range(max_iter):
-        history.append(_kmajor_e_step(sq, weights, variances, resp))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
-            converged = True
-            break
-        totals = resp.sum(axis=1)
-        safe = totals > 1e-12
-        denom = np.maximum(totals, 1e-12)
-        weights = totals / obs.shape[0]
-        means = np.where(safe, (resp @ obs) / denom, means)
-        np.square(np.subtract(obs, means[:, None], out=sq), out=sq)
-        spread = np.einsum("kn,kn->k", resp, sq)
-        variances = np.maximum(np.where(safe, spread / denom, variances), gmm.VAR_FLOOR)
-    else:
-        history.append(_kmajor_e_step(sq, weights, variances, resp))
-    return weights, means, variances, history[-1], len(history) - 1, converged, history
+def _reference_fit(obs, k):
+    """fit_em(obs, k) by the reference loop: means start on the (j - 0.5)/K
+    quantiles of the distinct values, with equal weights and the floored
+    overall variance, and the components come back sorted by mean."""
+    distinct = np.unique(obs)
+    weights, means, variances, converged, history = _reference_em(
+        obs, np.full(k, 1.0 / k), np.quantile(distinct, (np.arange(k) + 0.5) / k),
+        np.full(k, max(float(obs.var()), gmm.VAR_FLOOR)))
+    order = np.argsort(means, kind="stable")
+    return gmm.GmmModel(weights[order], means[order], variances[order], history[-1],
+                        len(history) - 1, converged, history)
 
 
-_RAISE = dict(divide="raise", over="raise", invalid="raise")
+def _assert_same_em(got, want):
+    """Two (weights, means, variances, converged, history) results agree: the
+    same evaluation count and stop, the trace to rel=1e-9, parameters to 1e-7."""
+    *params, converged, history = got
+    *ref_params, ref_converged, ref_history = want
+    assert (len(history), converged) == (len(ref_history), ref_converged)
+    assert history == pytest.approx(ref_history, rel=1e-9)
+    for name, a, b in zip(("weights", "means", "variances"), params, ref_params):
+        np.testing.assert_allclose(a, b, rtol=1e-7, err_msg=name)
 
 
-def _assert_same_fit(model, ref):
-    for name in ("weights", "means", "variances"):
-        assert getattr(model, name).tolist() == getattr(ref, name).tolist(), name
-    assert model.ll_trace == ref.ll_trace
-    assert (model.log_likelihood, model.n_iter, model.converged) == \
-        (ref.log_likelihood, ref.n_iter, ref.converged)
+def _fields(model):
+    return (model.weights, model.means, model.variances, model.converged, model.ll_trace)
 
 
-def _select_fitting_every_order(monkeypatch, em, obs, k_max):
-    """select_model(obs, k_max) with gmm._em replaced by em, and a fit of
-    every K <= min(k_max, distinct observations) in K order: the fits
-    select_model made, then fit_em of each order its search stopped short of."""
+def _select_fitting_every_order(monkeypatch, obs, k_max):
+    """select_model(obs, k_max), and a fit of every K <= min(k_max, distinct
+    observations) in K order: the fits select_model made, then fit_em of
+    each order its search stopped short of."""
     fits = []
     fit_em = gmm.fit_em
 
@@ -317,7 +305,6 @@ def _select_fitting_every_order(monkeypatch, em, obs, k_max):
         return fits[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(gmm, "_em", em)
         m.setattr(gmm, "fit_em", recorder)
         model, trace = gmm.select_model(obs, k_max)
         # select_model calls fit_em once per order it fits, in K order
@@ -327,30 +314,47 @@ def _select_fitting_every_order(monkeypatch, em, obs, k_max):
     return (model, trace), fits
 
 
-def _assert_select_equals_kmajor(monkeypatch, obs, k_max, shipped=None):
-    """The shipped select_model and its fits of every order (or their recorded
-    results) equal the K-major loop's; returns the trace and the fits."""
-    (model, trace), fits = shipped or _select_fitting_every_order(
-        monkeypatch, gmm._em, obs, k_max)
-    (ref_model, ref_trace), ref_fits = _select_fitting_every_order(
-        monkeypatch, _kmajor_em, obs, k_max)
-    assert trace == ref_trace
-    _assert_same_fit(model, ref_model)
-    _assert_stop_rule(model, trace, k_max, obs)
+def _assert_matches_reference(monkeypatch, obs, k_max, shipped=None):
+    """select_model(obs, k_max) and fit_em of every order (or their recorded
+    results) agree with the reference loop; returns the trace and the fits."""
+    (model, trace), fits = shipped or _select_fitting_every_order(monkeypatch, obs, k_max)
+    refs = [_reference_fit(obs, k) for k in range(1, min(k_max, np.unique(obs).shape[0]) + 1)]
     # every order up to the cap, whether the search reached it or not
-    assert [f.k for f in fits] == [f.k for f in ref_fits] == \
-        list(range(1, min(k_max, np.unique(obs).shape[0]) + 1))
-    for fit, ref in zip(fits, ref_fits):
-        _assert_same_fit(fit, ref)
+    assert [f.k for f in fits] == [r.k for r in refs]
+    for fit, ref in zip(fits, refs):
+        _assert_same_em(_fields(fit), _fields(ref))
+        assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9)
+        assert fit.n_iter == ref.n_iter
+    # the same search over the reference fits stops at, and keeps, the same orders
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "fit_em", lambda obs, k: refs[k - 1])
+        _, ref_trace = gmm.select_model(obs, k_max)
+    assert [(row["k"], row["selected"]) for row in trace] == \
+        [(row["k"], row["selected"]) for row in ref_trace]
+    _assert_stop_rule(model, trace, k_max, obs)
+    rows, lp = _reference_rows(obs, model.weights, model.means, model.variances)
+    np.testing.assert_allclose(gmm.posteriors(model, obs), np.exp(lp - rows[:, None]),
+                               atol=1e-12)
     return trace, fits
 
 
-def test_em_equals_kmajor_loop(monkeypatch, seeded_fits):
-    with np.errstate(**_RAISE):
+def test_em_matches_row_major_reference(monkeypatch, seeded_fits):
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
         for obs, select, fits in seeded_fits:
-            # every order is fit on its own, so the search and the direct
-            # fits of the orders past its stop are checked alike
-            _assert_select_equals_kmajor(monkeypatch, obs, 5, (select, fits))
+            _assert_matches_reference(monkeypatch, obs, 5, (select, fits))
+        # all observations identical: only K=1 is fit
+        trace, fits = _assert_matches_reference(monkeypatch, np.full(40, 0.7), 5)
+        assert [row["k"] for row in trace] == [1] and len(fits) == 1
+        # fewer distinct observations than k_max: only K <= that count is fit
+        for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0]),
+                    np.log1p(np.array([0.2] * 80 + [3.0] * 20))):
+            _assert_matches_reference(monkeypatch, obs, 5)
+        # a starved component is masked out of every pass's M-step, beside
+        # two live ones whose sums run over 700 points
+        rng = np.random.default_rng(4)
+        obs = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(3.0, 0.5, 200)])
+        start = (np.full(3, 1 / 3), np.array([0.0, 3.0, 60.0]), np.ones(3))
+        _assert_same_em(gmm._em(obs, *start), _reference_em(obs, *start))
 
 
 def _exhaustive_trace(obs, fits):
@@ -394,90 +398,29 @@ def test_stop_rule_trace_is_the_exhaustive_trace_cut_short(seeded_fits):
     assert model.k == 2 and next(row["k"] for row in full if row["selected"]) == 4
 
 
-def test_em_equals_kmajor_loop_on_edge_cases(monkeypatch):
-    with np.errstate(**_RAISE):
-        # all observations identical: only K=1 is fit
-        trace, fits = _assert_select_equals_kmajor(monkeypatch, np.full(40, 0.7), 5)
-        assert [row["k"] for row in trace] == [1] and len(fits) == 1
-        # fewer distinct observations than k_max: only K <= that count is fit
-        for obs in (np.array([0.4]), np.array([0.4, 0.9]), np.array([0.1, 0.5, 2.0]),
-                    np.log1p(np.array([0.2] * 80 + [3.0] * 20))):
-            _assert_select_equals_kmajor(monkeypatch, obs, 5)
-        # a starved component is masked out of every pass's M-step, beside
-        # two live ones whose sums run over 700 points
-        rng = np.random.default_rng(4)
-        obs = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(3.0, 0.5, 200)])
-        start = (np.full(3, 1 / 3), np.array([0.0, 3.0, 60.0]), np.ones(3))
-        for got, want in zip(gmm._em(obs, *start, 200, 1e-6),
-                             _kmajor_em(obs, *start, 200, 1e-6)):
-            assert np.asarray(got).tolist() == np.asarray(want).tolist()
-
-
-def _select_both(monkeypatch, obs, fits):
-    """select_model(k_max=3) on K-major fits and on reference-loop fits.
-
-    Each order is fit on its own, so the K-major side takes the fits of
-    K = 1..3 that seeded_fits holds for the same input, and the reference
-    side fits each of K = 1..3 once with the row-major loop.  Returns both
-    selections and the reference fits.
-    """
-    with monkeypatch.context() as m:
-        m.setattr(gmm, "_em", _reference_em)
-        ref_fits = [gmm.fit_em(obs, k) for k in (1, 2, 3)]
-    selections = []
-    for chosen in (fits, ref_fits):
-        with monkeypatch.context() as m:
-            m.setattr(gmm, "fit_em", lambda obs, k: chosen[k - 1])
-            selections.append(gmm.select_model(obs, k_max=3))
-    return *selections, ref_fits
-
-
-def test_em_matches_row_major_reference(monkeypatch, seeded_fits):
-    for i, (obs, _, fits) in enumerate(seeded_fits):
-        (model, trace), (ref_model, ref_trace), ref_fits = _select_both(
-            monkeypatch, obs, fits)
-        # every K <= 3, whether or not the search reaches it
-        for fit, ref in zip(fits[:3], ref_fits, strict=True):
-            assert fit.n_iter == ref.n_iter, (i, fit.k)
-            assert fit.converged == ref.converged, (i, fit.k)
-            assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9)
-        assert [row["k"] for row in trace] == [row["k"] for row in ref_trace], i
-        _assert_stop_rule(model, trace, 3, obs)
-        _assert_stop_rule(ref_model, ref_trace, 3, obs)
-        assert model.k == ref_model.k, i
-        rows, lp = _reference_rows(obs, ref_model.weights, ref_model.means,
-                                   ref_model.variances)
-        np.testing.assert_allclose(gmm.posteriors(ref_model, obs),
-                                   np.exp(lp - rows[:, None]), atol=1e-12)
-
-
 def test_starved_component_keeps_its_parameters():
     obs = np.random.default_rng(4).normal(0.0, 1.0, 200)
     start = (np.array([0.5, 0.5]), np.array([0.0, 50.0]), np.array([1.0, 1.0]))
     # the far component gets exactly zero responsibility from the first E-step
     with np.errstate(divide="raise", invalid="raise"):
-        weights, means, variances, ll, n_iter, converged, _ = gmm._em(
-            obs, *start, max_iter=200, tol=1e-6)
+        weights, means, variances, converged, history = gmm._em(obs, *start)
     # the M-step writes in place, into copies of the start arrays
     assert [a.tolist() for a in start] == [[0.5, 0.5], [0.0, 50.0], [1.0, 1.0]]
     assert means[1] == 50.0 and variances[1] == 1.0
     assert weights[1] <= 1e-12
     assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
-    assert math.isfinite(ll)
-    ref = _reference_em(obs, *start, max_iter=200, tol=1e-6)
-    assert (n_iter, converged) == (ref[4], ref[5])
+    assert math.isfinite(history[-1])
+    *ref, ref_converged, ref_history = _reference_em(obs, *start)
+    assert (len(history), converged) == (len(ref_history), ref_converged)
     np.testing.assert_allclose(means, ref[1], rtol=1e-12)
     np.testing.assert_allclose(variances, ref[2], rtol=1e-9)
 
 
-def test_variances_survive_a_large_offset(monkeypatch):
+def test_variances_survive_a_large_offset():
     # spread ~1e-2 around 1e4: E[x^2] - mu^2 would keep only about 4 digits here
     rng = np.random.default_rng(6)
     obs = 1e4 + np.concatenate([rng.normal(0.0, 1e-2, 300), rng.normal(0.06, 1e-2, 200)])
     for k in (1, 2):
-        model = gmm.fit_em(obs, k)
-        with monkeypatch.context() as m:
-            m.setattr(gmm, "_em", _reference_em)
-            ref = gmm.fit_em(obs, k)
+        model, ref = gmm.fit_em(obs, k), _reference_fit(obs, k)
         assert model.converged and model.n_iter == ref.n_iter
         np.testing.assert_allclose(model.variances, ref.variances, rtol=1e-9)
