@@ -1,9 +1,10 @@
 """Command line entry points: `mantra run`, `mantra grid`, `mantra compare`.
 
-Exit status: 0 on success, 2 for configuration problems (bad flags or an
-inconsistent experiment setup), 1 for runtime failures (unreadable files,
-failed fits, an output path that cannot be a directory, which the runner
-rejects before any work).  MANTRA_OUT, when set, overrides any --out flag.
+Exit status: 0 on success; 2 for a ConfigError (bad flags or an inconsistent
+experiment setup), raised before any work; 1 for any other MantraError or an
+OSError (unreadable or malformed files, a failed fit or a diverging run, an
+output path the OS cannot make a directory, which the runner tries before
+any work).  MANTRA_OUT, when set, overrides any --out flag.
 
 Every run setting, with its default and its checks, is declared once, in
 runner.ExperimentConfig or the scheduler.DropPolicy it extends: `run` and
@@ -18,7 +19,7 @@ import os
 import sys
 
 from . import noise, runner
-from .errors import ConfigError, MantraError, UsageError
+from .errors import ConfigError, MantraError
 
 
 def _parse_list(text, kind):
@@ -167,10 +168,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MantraError, OSError, json.JSONDecodeError) as exc:
+    except (MantraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

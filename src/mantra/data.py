@@ -227,17 +227,28 @@ def generate_summarization_dataset(seed, n_train, n_val, n_test):
     return _partition(whole, n_train, n_val, {"n_tgt_vocab": N_TGT_VOCAB, "mapping": mapping})
 
 
-def load_vocab(path):
-    """Read a token-per-line vocabulary file: token id = line number (0-based)."""
-    vocab = {}
-    with open(path, "r", encoding="utf-8") as fh:
+def _numbered_lines(path):
+    """A UTF-8 file's lines, numbered from 1.  A byte that is not UTF-8 decodes
+    to a lone surrogate, so the line holding one fails to encode: ParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                raise ParseError(line_no, "empty vocabulary entry")
-            if token in vocab:
-                raise ParseError(line_no, f"duplicate vocabulary token {token!r}")
-            vocab[token] = line_no - 1
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(line_no, f"not UTF-8 text (column {exc.start + 1})") from None
+            yield line_no, line
+
+
+def load_vocab(path):
+    """Read a token-per-line UTF-8 vocabulary file: token id = line number (0-based)."""
+    vocab = {}
+    for line_no, line in _numbered_lines(path):
+        token = line.strip()
+        if not token:
+            raise ParseError(line_no, "empty vocabulary entry")
+        if token in vocab:
+            raise ParseError(line_no, f"duplicate vocabulary token {token!r}")
+        vocab[token] = line_no - 1
     if not vocab:
         raise SchemaError(f"vocabulary file {path} is empty")
     return vocab
@@ -344,12 +355,12 @@ def load_jsonl(path, task, vocab_path=None):
     finite numbers) or "text" (whitespace-tokenized through the vocabulary
     file), plus "labels" (intent names).  Summarization records carry
     "source" and "target" as token-id lists or as strings through the
-    vocabulary; the trailing EOS is implied and appended on load.  Malformed
-    JSON raises ParseError with the line number; structurally invalid records
-    raise SchemaError.  A vocabulary that no classification record reads
-    (none carries "text") raises ConfigError, since the run would silently
-    ignore it; for summarization the vocabulary also sets the id range and
-    the vocabulary sizes, so it always applies.
+    vocabulary; the trailing EOS is implied and appended on load.  A line
+    that is not UTF-8 or not JSON raises ParseError with the line number;
+    structurally invalid records raise SchemaError.  A vocabulary that no
+    classification record reads (none carries "text") raises ConfigError,
+    since the run would silently ignore it; for summarization the vocabulary
+    also sets the id range and the vocabulary sizes, so it always applies.
     """
     if task not in ("classification", "summarization"):
         raise UsageError(f"unknown task {task!r}")
@@ -364,43 +375,42 @@ def load_jsonl(path, task, vocab_path=None):
     d_expected = None
     n_records = 0
     read_text = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise SchemaError(f"line {line_no}: record must be a JSON object")
-            if "id" in record:
-                if not isinstance(record["id"], int) or isinstance(record["id"], bool):
-                    raise SchemaError(f"line {line_no}: id must be an integer")
-                if not -2**63 <= record["id"] < 2**63:
-                    raise SchemaError(f"line {line_no}: id {record['id']} does not fit int64")
-                sample_id = record["id"]
-            else:
-                sample_id = n_records
-            if sample_id in seen_ids:
-                raise SchemaError(f"line {line_no}: duplicate sample id {sample_id}")
-            seen_ids.add(sample_id)
-            n_records += 1
-            split = record.get("split")
-            if not isinstance(split, str) or split not in _SPLIT_NAMES:
-                raise SchemaError(
-                    f"line {line_no}: split must be train/val/test, got {split!r}")
-            if task == "classification":
-                first, second = _parse_classification(record, line_no, d_expected, vocab)
-                d_expected = first.shape[0]
-                read_text = read_text or "text" in record
-            else:
-                first, second = _parse_summarization(
-                    record, line_no, vocab, n_src, n_content, eos_id)
-            ids, firsts, seconds = buckets[_SPLIT_NAMES[split]]
-            ids.append(sample_id)
-            firsts.append(first)
-            seconds.append(second)
+    for line_no, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise SchemaError(f"line {line_no}: record must be a JSON object")
+        if "id" in record:
+            if not isinstance(record["id"], int) or isinstance(record["id"], bool):
+                raise SchemaError(f"line {line_no}: id must be an integer")
+            if not -2**63 <= record["id"] < 2**63:
+                raise SchemaError(f"line {line_no}: id {record['id']} does not fit int64")
+            sample_id = record["id"]
+        else:
+            sample_id = n_records
+        if sample_id in seen_ids:
+            raise SchemaError(f"line {line_no}: duplicate sample id {sample_id}")
+        seen_ids.add(sample_id)
+        n_records += 1
+        split = record.get("split")
+        if not isinstance(split, str) or split not in _SPLIT_NAMES:
+            raise SchemaError(
+                f"line {line_no}: split must be train/val/test, got {split!r}")
+        if task == "classification":
+            first, second = _parse_classification(record, line_no, d_expected, vocab)
+            d_expected = first.shape[0]
+            read_text = read_text or "text" in record
+        else:
+            first, second = _parse_summarization(
+                record, line_no, vocab, n_src, n_content, eos_id)
+        ids, firsts, seconds = buckets[_SPLIT_NAMES[split]]
+        ids.append(sample_id)
+        firsts.append(first)
+        seconds.append(second)
     if task == "classification" and vocab is not None and not read_text:
         raise ConfigError(f"vocabulary file {vocab_path} is unused: no "
                           "classification record reads 'text' through it")

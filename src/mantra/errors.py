@@ -35,4 +35,5 @@ class SequencingError(MantraError):
 
 
 class UsageError(MantraError):
-    """An API was called with arguments of the wrong task kind or shape."""
+    """API misuse: an argument of the wrong task kind, shape or value.  One that
+    reaches the CLI (a run diverging to non-finite losses, say) exits 1."""

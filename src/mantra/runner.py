@@ -51,7 +51,7 @@ import numpy as np
 from . import learner, metrics, noise, scheduler
 from .data import (generate_classification_dataset,
                    generate_summarization_dataset, load_jsonl, target_layout)
-from .errors import ConfigError, SchemaError, UsageError
+from .errors import ConfigError, SchemaError
 from .trajectory import TrajectoryStore, float_cell, write_csv
 
 TASK_ALIASES = {"cls": "classification", "sum": "summarization",
@@ -202,21 +202,6 @@ class _PairPrefix:
 _pair_prefix = None
 
 
-def _check_out_dir(path):
-    """Raise NotADirectoryError unless path can be, or be made, a directory.
-
-    Runs call it before any work, so a bad --out fails at once rather than
-    after training.  Only an existing non-directory on the path is caught;
-    the directory itself is made when the artifacts are written.
-    """
-    path = head = os.fspath(path)
-    while head and not os.path.exists(head):
-        head = os.path.dirname(head)     # the nearest part of the path that exists
-    if not path or (head and not os.path.isdir(head)):
-        raise NotADirectoryError(f"output path {path!r} is not a directory"
-                                 + (f": {head!r} is a file" if head != path else ""))
-
-
 def _prepare(config):
     """The run's dataset, its noisy train split and the NoiseMask of the injection."""
     dataset = _load_dataset(config)
@@ -267,12 +252,12 @@ def _eval_metric(config, model, split):
 def run_experiment(config, out_dir=None):
     """Execute one configured run and optionally write its artifact set.
 
-    An out_dir that is, or lies under, a file raises NotADirectoryError
-    before any work.
+    out_dir is made (os.makedirs) before any work, so a path the OS refuses
+    raises its OSError at once; a run that fails later leaves it behind.
     """
     t0 = time.perf_counter()
     if out_dir is not None:
-        _check_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
     pair = _pair_prefix
     if pair is not None and pair.config != dataclasses.replace(config, mantra=True):
         pair = None
@@ -368,7 +353,7 @@ _GMM_TRACE_COLUMNS = {
 
 
 def _write_artifacts(out_dir, report, store, model, copy_from=None, replayed=0):
-    """Write a run's artifact set into out_dir.
+    """Write a run's artifact set into out_dir, which run_experiment made.
 
     copy_from is the run directory of a grid pair's baseline, given to its
     treated arm, whose first `replayed` epochs were the baseline's: their
@@ -380,7 +365,6 @@ def _write_artifacts(out_dir, report, store, model, copy_from=None, replayed=0):
 
     if copy_from is None:
         replayed = 0
-    os.makedirs(out_dir, exist_ok=True)
     report.save_json(path("results.json"))
     learner.save_model(model, path("model.ckpt.json"))
     store.save_csv(path("trajectory.csv"),
@@ -414,14 +398,17 @@ _CONFIG_FIELDS = {"task": str, "seed": int, "noise_rate": (int, float),
 
 
 def _as_report_dict(report):
-    """A report as a dict; SchemaError names the first field missing or mistyped."""
+    """A report as a dict; SchemaError names a non-JSON file or a missing or mistyped field."""
     where = "report"
     if isinstance(report, RunReport):
         report = vars(report)
     elif not isinstance(report, dict):
         where = os.fspath(report)
-        with open(report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+        try:
+            with open(report, "r", encoding="utf-8") as fh:
+                report = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{where}: not a JSON report ({exc})") from None
     if not isinstance(report, dict):
         raise SchemaError(f"{where}: a report must be a JSON object")
     if not isinstance(report.get("config"), dict):
@@ -506,12 +493,12 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     replays the pair's shared prefix from it (see the module docstring);
     every report and artifact still equals that of the same config run
     alone through run_experiment, runtime_sec aside.  Nothing of a pair
-    outlives the grid.  An out_dir that is, or lies under, a file raises
-    NotADirectoryError before any run.
+    outlives the grid.  out_dir is made (os.makedirs) once every config is
+    checked and before any run, so a path the OS refuses fails at once.
     """
     global _pair_prefix
     if not rates or not seeds:
-        raise UsageError("grid needs at least one rate and one seed")
+        raise ConfigError("grid needs at least one rate and one seed")
     # Each arm writes to a {rate:g} / seed directory, so rates sharing a label would collide.
     labels = [f"{rate:g}" for rate in rates]
     for i, label in enumerate(labels):
@@ -522,7 +509,7 @@ def run_grid(base_config, rates, seeds, out_dir=None):
         raise ConfigError(f"grid seeds must be distinct, got {seeds}")
     configs = grid_configs(base_config, rates, seeds)
     if out_dir is not None:
-        _check_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
     reports = []
     try:
         for config in configs:
@@ -537,7 +524,6 @@ def run_grid(base_config, rates, seeds, out_dir=None):
     finally:
         _pair_prefix = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_summary(os.path.join(out_dir, "summary.csv"), reports)
     return reports
 

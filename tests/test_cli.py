@@ -115,12 +115,15 @@ def test_repeated_grid_rate_or_seed_exits_2(tmp_path, capsys):
     ("afile", None, "'afile'"),
     ("afile/sub", None, "'afile/sub'"),       # a file on the way to it
     ("", None, "''"),
+    ("dangling", None, "'dangling'"),         # a link to nothing
+    pytest.param("x" * 300, None, "'" + "x" * 300 + "'", id="name-too-long"),
     ("ok", "afile", "'afile'"),                # MANTRA_OUT wins over --out
 ])
 def test_out_that_is_no_directory_exits_1_before_any_work(
         tmp_path, capsys, monkeypatch, command, out, env, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_bytes(b"kept")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
     if env is not None:
         monkeypatch.setenv("MANTRA_OUT", env)
     calls = []
@@ -132,10 +135,34 @@ def test_out_that_is_no_directory_exits_1_before_any_work(
              "--n-train", "60", "--rates", "0.15", "--seeds", "3"])
     assert main(args + ["--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: output path {named} is not a directory")
+    assert err.startswith("error:") and err.rstrip().endswith(named)
     assert calls == []
-    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dangling"]
     assert (tmp_path / "afile").read_bytes() == b"kept"
+
+
+def test_a_diverging_run_exits_1(capsys):
+    assert main(["run", "--task", "sum", "--n-train", "40", "--n-val", "5",
+                 "--n-test", "5", "--epochs", "4", "--warmup", "1", "--lr", "1e308"]) == 1
+    assert capsys.readouterr().err == "error: losses must be finite\n"
+
+
+@pytest.mark.parametrize("bad", ["d.jsonl", "v.txt", "r.json"])
+def test_undecodable_input_exits_1(tmp_path, capsys, bad):
+    files = {"d.jsonl": b'{"split": "train", "source": "a", "target": "a"}\n',
+             "v.txt": b"a\n", "r.json": b"{}\n"}
+    files[bad] += b"\xff\n"          # a byte that is not UTF-8, on line 2
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    report = str(tmp_path / "r.json")
+    args = (["compare", report, report] if bad == "r.json" else
+            ["run", "--task", "sum", "--data", str(tmp_path / "d.jsonl"),
+             "--vocab", str(tmp_path / "v.txt")])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: not a JSON report" if bad == "r.json"
+                          else "error: line 2: not UTF-8 text")
+    assert "Traceback" not in err
 
 
 def test_malformed_compare_report_exits_1(tmp_path, capsys):

@@ -35,16 +35,6 @@ def _empty_split(task, d=4):
     return data.summarization_split([], [], [], data.N_SRC_VOCAB)
 
 
-def test_zero_init_loss_oracles():
-    cls = learner.new_classifier(n_features=8)
-    losses = learner.per_sample_losses(cls, _cls_samples(1, 20))
-    np.testing.assert_allclose(losses, math.log(2.0), rtol=0, atol=1e-9)
-
-    seq = learner.new_seq2seq()
-    losses = learner.per_sample_losses(seq, _sum_samples(1, 20))
-    np.testing.assert_allclose(losses, math.log(42.0), rtol=0, atol=1e-9)
-
-
 def test_fresh_models_start_at_positive_zero():
     # a parameter training never touches (u's EOS column) keeps its start in the checkpoint
     for model in (learner.new_classifier(16), learner.new_seq2seq()):

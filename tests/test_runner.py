@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mantra import data, gmm, learner, noise, runner, scheduler, trajectory
-from mantra.errors import ConfigError, SchemaError, UsageError
+from mantra.errors import ConfigError, SchemaError
 from mantra.runner import ExperimentConfig, compare_runs, run_experiment, run_grid
 from mantra.trajectory import TrajectoryStore
 
@@ -571,9 +571,9 @@ def test_compare_runs_checks_a_run_report_like_its_dict(tiny_cls_config):
 
 def test_run_grid(tmp_path, tiny_cls_config):
     base = tiny_cls_config()
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_grid(base, [], [3])
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         run_grid(base, [0.1], [])
 
     out = tmp_path / "grid"
