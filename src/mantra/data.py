@@ -235,7 +235,8 @@ def _numbered_lines(path):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise ParseError(line_no, f"not UTF-8 text (column {exc.start + 1})") from None
+                raise ParseError(path, line_no,
+                                 f"not UTF-8 text (column {exc.start + 1})") from None
             yield line_no, line
 
 
@@ -245,9 +246,9 @@ def load_vocab(path):
     for line_no, line in _numbered_lines(path):
         token = line.strip()
         if not token:
-            raise ParseError(line_no, "empty vocabulary entry")
+            raise ParseError(path, line_no, "empty vocabulary entry")
         if token in vocab:
-            raise ParseError(line_no, f"duplicate vocabulary token {token!r}")
+            raise ParseError(path, line_no, f"duplicate vocabulary token {token!r}")
         vocab[token] = line_no - 1
     if not vocab:
         raise SchemaError(f"vocabulary file {path} is empty")
@@ -356,7 +357,7 @@ def load_jsonl(path, task, vocab_path=None):
     file), plus "labels" (intent names).  Summarization records carry
     "source" and "target" as token-id lists or as strings through the
     vocabulary; the trailing EOS is implied and appended on load.  A line
-    that is not UTF-8 or not JSON raises ParseError with the line number;
+    that is not UTF-8 or not JSON raises ParseError with the file and line;
     structurally invalid records raise SchemaError.  A vocabulary that no
     classification record reads (none carries "text") raises ConfigError,
     since the run would silently ignore it; for summarization the vocabulary
@@ -381,7 +382,7 @@ def load_jsonl(path, task, vocab_path=None):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from None
+            raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict):
             raise SchemaError(f"line {line_no}: record must be a JSON object")
         if "id" in record:

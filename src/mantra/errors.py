@@ -1,8 +1,8 @@
 """Exception types shared across the pipeline.
 
 Every error raised on a user-facing path carries enough context to act on:
-parse errors name the line, schema errors name the field, sequencing errors
-name the expected epoch.
+parse errors name the file and the line, schema errors name the field,
+sequencing errors name the expected epoch.
 """
 
 
@@ -11,11 +11,10 @@ class MantraError(Exception):
 
 
 class ParseError(MantraError):
-    """A dataset file could not be parsed. Carries the 1-based line number."""
+    """A dataset or vocabulary file could not be parsed at a 1-based line."""
 
-    def __init__(self, line_no, message):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no, message):
+        super().__init__(f"{path}: line {line_no}: {message}")
 
 
 class SchemaError(MantraError):

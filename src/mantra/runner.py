@@ -306,10 +306,10 @@ def run_experiment(config, out_dir=None):
     hit = np.flatnonzero(state.dropped_at)
     hit = hit[np.lexsort((train.ids[hit], state.dropped_at[hit]))]
     drop_events = [
-        {"epoch": epoch, "sample_id": sid, "posterior": posterior, "was_noisy": noisy}
-        for epoch, sid, posterior, noisy in zip(
+        {"epoch": epoch, "sample_id": sid, "posterior": posterior}
+        for epoch, sid, posterior in zip(
             state.dropped_at[hit].tolist(), train.ids[hit].tolist(),
-            state.posterior[hit].tolist(), mask.corrupted[hit].tolist())]
+            state.posterior[hit].tolist())]
     per_epoch = np.bincount(state.dropped_at, minlength=config.epochs + 1)
     dropped_ids = np.sort(train.ids[hit]).tolist()
 
@@ -345,7 +345,7 @@ def _floats_cell(values):
 
 
 # CSV column -> cell of that key in a drop_events / gmm_trace row, in file order.
-_DROP_COLUMNS = {"epoch": str, "sample_id": str, "posterior": repr, "was_noisy": _flag_cell}
+_DROP_COLUMNS = {"epoch": str, "sample_id": str, "posterior": repr}
 _GMM_TRACE_COLUMNS = {
     "epoch": str, "k": str, "log_likelihood": repr, "bic": repr, "n_iter": str,
     "converged": _flag_cell, "selected": _flag_cell,

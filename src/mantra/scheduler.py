@@ -1,15 +1,16 @@
 """Adaptive sample dropping driven by mixture posteriors over losses.
 
-After a warmup of untouched epochs, the log1p of each epoch's per-sample
-losses is fit with BIC-selected Gaussian mixtures.  When more than one
-component is selected, the component with the largest mean is read as the
-noisy population; samples whose posterior for that component exceeds the
-threshold collect consecutive-epoch flags, and a sample flagged
-`persistence` epochs in a row is dropped permanently.  A single-component
-selection is treated as "no noise evidence this epoch" and resets every
-counter.  Total drops never exceed floor(max_drop_frac * initial train
-size); when candidates outnumber the remaining budget, higher posterior wins
-and ties fall to the earlier train position.
+After a warmup of untouched epochs, evaluate_epoch fits the log1p of each
+epoch's per-sample losses with BIC-selected Gaussian mixtures, and decide,
+the one place the drop rule is written, applies it to the selected mixture.
+When more than one component is selected, the component with the largest
+mean is read as the noisy population; samples whose posterior for that
+component exceeds the threshold collect consecutive-epoch flags, and a
+sample flagged `persistence` epochs in a row is dropped permanently.  A
+single-component selection is treated as "no noise evidence this epoch" and
+resets every counter.  Total drops never exceed floor(max_drop_frac *
+initial train size); when candidates outnumber the remaining budget, higher
+posterior wins and ties fall to the earlier train position.
 
 The state is a set of arrays indexed by train position: the consecutive-flag
 counters, the epoch each sample was dropped at (0 while it is active, so
@@ -87,22 +88,12 @@ class DropState:
 
 @dataclass
 class EpochDecision:
-    epoch: int
-    in_warmup: bool
-    selected_k: int                    # 0 when no fit happened
-    flagged: list                      # train positions over threshold this epoch
-    dropped: list                      # (position, posterior) pairs dropped this epoch
     gmm_trace: list                    # one dict per candidate K that was fit
-    cap: int
-    n_active: int
-
-
-def drop_cap(policy, state):
-    return int(np.floor(policy.max_drop_frac * len(state.dropped_at)))
+    dropped: list                      # (position, posterior) pairs dropped this epoch
 
 
 def evaluate_epoch(state, policy, epoch, losses):
-    """Consume one epoch of losses and decide which samples to drop.
+    """Consume one epoch of losses: fit the mixture, then decide the drops.
 
     losses are the active samples' losses in train order: one per position
     active_samples returns.  Epochs must arrive contiguously (1, 2, ...);
@@ -112,42 +103,43 @@ def evaluate_epoch(state, policy, epoch, losses):
     if epoch != state.last_epoch + 1:
         raise SequencingError(f"expected epoch {state.last_epoch + 1}, got {epoch}")
     vals = np.asarray(losses, dtype=np.float64)
-    pos = np.flatnonzero(state.dropped_at == 0)
-    if vals.shape[0] != len(pos):
-        raise UsageError(f"got {vals.shape[0]} losses for {len(pos)} active samples")
+    n_active = np.count_nonzero(state.dropped_at == 0)
+    if vals.shape[0] != n_active:
+        raise UsageError(f"got {vals.shape[0]} losses for {n_active} active samples")
     state.last_epoch = epoch     # a rejected call must not consume the epoch
-
-    cap = drop_cap(policy, state)
-    decision = EpochDecision(epoch=epoch, in_warmup=epoch <= policy.warmup,
-                             selected_k=0, flagged=[], dropped=[], gmm_trace=[],
-                             cap=cap, n_active=len(pos))
-    if decision.in_warmup or not len(pos):
-        return decision
-
+    if epoch <= policy.warmup or not n_active:
+        return EpochDecision(gmm_trace=[], dropped=[])
     features = np.log1p(vals)
     model, trace = gmm.select_model(features, k_max=policy.k_max)
-    decision.gmm_trace = trace
-    decision.selected_k = model.k
+    return EpochDecision(gmm_trace=trace,
+                         dropped=decide(state, policy, epoch, features, model))
 
+
+def decide(state, policy, epoch, features, model):
+    """Apply the drop rule to one fitted epoch; return its (position, posterior) drops.
+
+    features are the mixture's inputs, one per active position in train
+    order, and model the mixture selected on them.  A run passes what
+    evaluate_epoch fit; a replay may pass a model rebuilt from gmm_trace.csv
+    and the log1p of trajectory.csv's losses, and gets the same drops.
+    """
     if model.k == 1:
         # No mixture evidence: treat the epoch as clean and restart persistence.
         state.counters[:] = 0
-        return decision
-
+        return []
+    pos = np.flatnonzero(state.dropped_at == 0)
     post = gmm.posteriors(model, features)[:, -1]   # component with largest mean
-    flag = post > policy.tau
-    state.counters[pos] = np.where(flag, state.counters[pos] + 1, 0)
-    decision.flagged = pos[flag].tolist()
+    state.counters[pos] = np.where(post > policy.tau, state.counters[pos] + 1, 0)
 
     cand = np.flatnonzero(state.counters[pos] >= policy.persistence)
+    cap = int(np.floor(policy.max_drop_frac * len(state.dropped_at)))
     budget = cap - (len(state.dropped_at) - len(pos))
     # stable: equal posteriors keep train order, so the earlier position wins
     cand = np.sort(cand[np.argsort(-post[cand], kind="stable")][:max(budget, 0)])
     state.dropped_at[pos[cand]] = epoch
     state.posterior[pos[cand]] = post[cand]
     state.counters[pos[cand]] = 0
-    decision.dropped = list(zip(pos[cand].tolist(), post[cand].tolist()))
-    return decision
+    return list(zip(pos[cand].tolist(), post[cand].tolist()))
 
 
 def active_samples(state):

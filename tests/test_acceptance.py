@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from mantra import data, gmm, learner, metrics
-from mantra.runner import ExperimentConfig, run_experiment
+from mantra.runner import ExperimentConfig, compare_runs, run_experiment
 
 from grad_audit import gradient_check, randomized
 
@@ -225,15 +225,6 @@ def test_criterion_6_detection_quality(bench_run):
 
 # -- criterion 7: robustness recovery ----------------------------------------
 
-def _degradations(bench_run, task, seed, rate):
-    base_clean = bench_run(task=task, seed=seed, noise_rate=0.0, mantra=False)
-    base_noisy = bench_run(task=task, seed=seed, noise_rate=rate, mantra=False)
-    treat_clean = bench_run(task=task, seed=seed, noise_rate=0.0, mantra=True)
-    treat_noisy = bench_run(task=task, seed=seed, noise_rate=rate, mantra=True)
-    return (base_clean.test_metric - base_noisy.test_metric,
-            treat_clean.test_metric - treat_noisy.test_metric)
-
-
 def _robustness_recovery(bench_run, seeds):
     details = []
     ok = True
@@ -241,9 +232,13 @@ def _robustness_recovery(bench_run, seeds):
         wins = 0
         degs = []
         for seed in seeds:
-            deg_base, deg_treat = _degradations(bench_run, task, seed, 0.15)
-            degs.append((deg_base, deg_treat))
-            wins += deg_treat < deg_base
+            # judged on what `mantra compare` prints for the pair and its clean runs
+            cmp = compare_runs(*(
+                bench_run(task=task, seed=seed, noise_rate=rate, mantra=mantra_on)
+                for rate, mantra_on in ((0.15, False), (0.15, True),
+                                        (0.0, False), (0.0, True))))
+            degs.append((cmp["baseline_degradation"], cmp["mantra_degradation"]))
+            wins += cmp["recovered"]
         ok = ok and wins >= 4
         details.append(
             f"{task[:3]}: {wins}/5 seeds with smaller degradation-from-clean "

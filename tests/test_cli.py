@@ -160,8 +160,9 @@ def test_undecodable_input_exits_1(tmp_path, capsys, bad):
              "--vocab", str(tmp_path / "v.txt")])
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {report}: not a JSON report" if bad == "r.json"
-                          else "error: line 2: not UTF-8 text")
+    # the message names the file that holds the bad byte, of the two a run reads
+    assert err.startswith(f"error: {tmp_path / bad}: " + (
+        "not a JSON report" if bad == "r.json" else "line 2: not UTF-8 text"))
     assert "Traceback" not in err
 
 

@@ -267,12 +267,12 @@ def test_mask_and_drops_stay_inside_train_split(tiny_cls_config):
     (dict(task="sum", seed=1, noise_rate=0.15), {5: 114, 8: 30}),
 ])
 def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, config, drops):
-    decisions = []
+    decisions = []             # (epoch, EpochDecision)
     evaluate = runner.scheduler.evaluate_epoch
 
-    def recording(*args):
-        decisions.append(evaluate(*args))
-        return decisions[-1]
+    def recording(state, policy, epoch, losses):
+        decisions.append((epoch, evaluate(state, policy, epoch, losses)))
+        return decisions[-1][1]
 
     monkeypatch.setattr(runner.scheduler, "evaluate_epoch", recording)
     report = run_experiment(ExperimentConfig(**config), out_dir=str(tmp_path))
@@ -281,13 +281,13 @@ def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, confi
         rows = [(int(row["sample_id"]), row["corrupted"] == "1")
                 for row in csv.DictReader(fh)]
     assert report.drop_events == [
-        {"epoch": d.epoch, "sample_id": rows[pos][0], "posterior": post,
-         "was_noisy": rows[pos][1]}
-        for d in decisions for pos, post in sorted(
+        {"epoch": epoch, "sample_id": rows[pos][0], "posterior": post}
+        for epoch, d in decisions for pos, post in sorted(
             d.dropped, key=lambda drop: rows[drop[0]][0])]
-    assert report.dropped_per_epoch == {d.epoch: len(d.dropped) for d in decisions}
+    assert report.dropped_per_epoch == {epoch: len(d.dropped) for epoch, d in decisions}
     assert {e: n for e, n in report.dropped_per_epoch.items() if n} == drops
-    assert report.detection["tp"] == sum(e["was_noisy"] for e in report.drop_events)
+    assert report.detection["tp"] == sum(
+        rows[pos][1] for _, d in decisions for pos, _ in d.dropped)
 
 
 def test_mixture_sees_log1p_of_the_epochs_losses(tmp_path, monkeypatch, tiny_cls_config):

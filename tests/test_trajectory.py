@@ -199,10 +199,10 @@ def test_noise_mask_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
 def test_drops_and_gmm_trace_csv_match_csv_writer_reference(tmp_path, tiny_cls_config):
     # against the per-row csv.writer loops the runner wrote them with
     _, report, out = _run_with_drops(tmp_path, tiny_cls_config)
-    want = [[row["epoch"], row["sample_id"], repr(row["posterior"]), int(row["was_noisy"])]
+    want = [[row["epoch"], row["sample_id"], repr(row["posterior"])]
             for row in report.drop_events]
     assert (out / "drops.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "ref.csv", ["epoch", "sample_id", "posterior", "was_noisy"], want)
+        tmp_path / "ref.csv", ["epoch", "sample_id", "posterior"], want)
     want = [[row["epoch"], row["k"], repr(row["log_likelihood"]), repr(row["bic"]),
              row["n_iter"], int(row["converged"]), int(row["selected"]),
              ";".join(repr(x) for x in row["weights"]),
