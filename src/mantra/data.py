@@ -259,12 +259,11 @@ _SPLIT_NAMES = {"train": "train", "val": "validation", "validation": "validation
                 "test": "test"}
 
 
-def _tokens_to_ids(text, vocab, line_no, field):
+def _tokens_to_ids(text, vocab, field):
     ids = []
     for token in text.split():
         if token not in vocab:
-            raise SchemaError(
-                f"line {line_no}: token {token!r} in {field} not in the vocabulary")
+            raise SchemaError(f"token {token!r} in {field} not in the vocabulary")
         ids.append(vocab[token])
     return ids
 
@@ -279,69 +278,58 @@ def _is_finite_number(value):
         return False
 
 
-def _parse_classification(record, line_no, d_expected, vocab):
+def _parse_classification(record, d_expected, vocab):
     if "features" in record and "text" in record:
-        raise SchemaError(
-            f"line {line_no}: a record carries 'features' or 'text', not both")
+        raise SchemaError("a record carries 'features' or 'text', not both")
     if "features" in record:
         feats = record["features"]
         if not isinstance(feats, list) or not feats or not all(
                 map(_is_finite_number, feats)):
-            raise SchemaError(
-                f"line {line_no}: features must be a non-empty list of finite numbers")
+            raise SchemaError("features must be a non-empty list of finite numbers")
         feats = np.asarray(feats, dtype=np.float64)
     elif "text" in record:
         if vocab is None:
-            raise SchemaError(
-                f"line {line_no}: text input requires a vocabulary file")
+            raise SchemaError("text input requires a vocabulary file")
         if not isinstance(record["text"], str):
-            raise SchemaError(f"line {line_no}: text must be a string")
+            raise SchemaError("text must be a string")
         feats = np.zeros(len(vocab), dtype=np.float64)
-        for tid in _tokens_to_ids(record["text"], vocab, line_no, "text"):
+        for tid in _tokens_to_ids(record["text"], vocab, "text"):
             feats[tid] += 1.0
     else:
-        raise SchemaError(f"line {line_no}: record needs 'features' or 'text'")
+        raise SchemaError("record needs 'features' or 'text'")
     if d_expected is not None and feats.shape[0] != d_expected:
-        raise SchemaError(
-            f"line {line_no}: feature dimension {feats.shape[0]} != {d_expected} "
-            "seen earlier")
+        raise SchemaError(f"feature dimension {feats.shape[0]} != {d_expected} seen earlier")
     names = record.get("labels")
     if not isinstance(names, list) or not names:
-        raise SchemaError(f"line {line_no}: a sample must carry at least one label")
-    try:
-        bits = intents_to_bits(names)
-    except SchemaError as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from None
-    return feats, bits
+        raise SchemaError("a sample must carry at least one label")
+    return feats, intents_to_bits(names)
 
 
-def _token_field(record, key, vocab, line_no, bound):
+def _token_field(record, key, vocab, bound):
     value = record.get(key)
     if isinstance(value, str):
         if vocab is None:
-            raise SchemaError(
-                f"line {line_no}: string {key} requires a vocabulary file")
-        ids = _tokens_to_ids(value, vocab, line_no, key)
+            raise SchemaError(f"string {key} requires a vocabulary file")
+        ids = _tokens_to_ids(value, vocab, key)
     elif isinstance(value, list) and all(
             isinstance(v, int) and not isinstance(v, bool) for v in value):
         ids = value
     else:
-        raise SchemaError(
-            f"line {line_no}: {key} must be a token-id list or a string")
+        raise SchemaError(f"{key} must be a token-id list or a string")
     if not ids:
-        raise SchemaError(f"line {line_no}: {key} must be non-empty")
+        raise SchemaError(f"{key} must be non-empty")
     if any(t < 0 or t >= bound for t in ids):
-        raise SchemaError(f"line {line_no}: {key} token id out of range [0, {bound})")
+        raise SchemaError(f"{key} token id out of range [0, {bound})")
     return ids
 
 
-def _parse_summarization(record, line_no, vocab, n_src, n_content, eos_id):
-    src = _token_field(record, "source", vocab, line_no, n_src)
-    tgt = _token_field(record, "target", vocab, line_no, n_content)
+def _parse_summarization(record, vocab, n_src, n_content, eos_id):
+    src = _token_field(record, "source", vocab, n_src)
+    tgt = _token_field(record, "target", vocab, n_content)
     if len(src) > MAX_SRC_LEN:
-        raise SchemaError(f"line {line_no}: source length {len(src)} exceeds {MAX_SRC_LEN}")
+        raise SchemaError(f"source length {len(src)} exceeds {MAX_SRC_LEN}")
     if len(tgt) > MAX_TGT_LEN:
-        raise SchemaError(f"line {line_no}: target length {len(tgt)} exceeds {MAX_TGT_LEN}")
+        raise SchemaError(f"target length {len(tgt)} exceeds {MAX_TGT_LEN}")
     source = np.asarray(src, dtype=np.int64)
     target = np.concatenate([np.asarray(tgt, dtype=np.int64), [eos_id]])
     return source, target
@@ -356,9 +344,13 @@ def load_jsonl(path, task, vocab_path=None):
     finite numbers) or "text" (whitespace-tokenized through the vocabulary
     file), plus "labels" (intent names).  Summarization records carry
     "source" and "target" as token-id lists or as strings through the
-    vocabulary; the trailing EOS is implied and appended on load.  A line
-    that is not UTF-8 or not JSON raises ParseError with the file and line;
-    structurally invalid records raise SchemaError.  A vocabulary that no
+    vocabulary; the trailing EOS is implied and appended on load.
+
+    A bad line of either file raises ParseError naming that file and line:
+    text that is not UTF-8, invalid JSON, a record that breaks the schema
+    or repeats an id, a blank or repeated vocabulary entry.  The record
+    checks raise SchemaError and this loop alone adds the location.  An
+    empty vocabulary raises SchemaError.  A vocabulary that no
     classification record reads (none carries "text") raises ConfigError,
     since the run would silently ignore it; for summarization the vocabulary
     also sets the id range and the vocabulary sizes, so it always applies.
@@ -381,33 +373,33 @@ def load_jsonl(path, task, vocab_path=None):
             continue
         try:
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise SchemaError("record must be a JSON object")
+            if "id" in record:
+                if not isinstance(record["id"], int) or isinstance(record["id"], bool):
+                    raise SchemaError("id must be an integer")
+                if not -2**63 <= record["id"] < 2**63:
+                    raise SchemaError(f"id {record['id']} does not fit int64")
+                sample_id = record["id"]
+            else:
+                sample_id = n_records
+            if sample_id in seen_ids:
+                raise SchemaError(f"duplicate sample id {sample_id}")
+            split = record.get("split")
+            if not isinstance(split, str) or split not in _SPLIT_NAMES:
+                raise SchemaError(f"split must be train/val/test, got {split!r}")
+            if task == "classification":
+                first, second = _parse_classification(record, d_expected, vocab)
+                d_expected = first.shape[0]
+                read_text = read_text or "text" in record
+            else:
+                first, second = _parse_summarization(record, vocab, n_src, n_content, eos_id)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {line_no}: record must be a JSON object")
-        if "id" in record:
-            if not isinstance(record["id"], int) or isinstance(record["id"], bool):
-                raise SchemaError(f"line {line_no}: id must be an integer")
-            if not -2**63 <= record["id"] < 2**63:
-                raise SchemaError(f"line {line_no}: id {record['id']} does not fit int64")
-            sample_id = record["id"]
-        else:
-            sample_id = n_records
-        if sample_id in seen_ids:
-            raise SchemaError(f"line {line_no}: duplicate sample id {sample_id}")
+        except SchemaError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         seen_ids.add(sample_id)
         n_records += 1
-        split = record.get("split")
-        if not isinstance(split, str) or split not in _SPLIT_NAMES:
-            raise SchemaError(
-                f"line {line_no}: split must be train/val/test, got {split!r}")
-        if task == "classification":
-            first, second = _parse_classification(record, line_no, d_expected, vocab)
-            d_expected = first.shape[0]
-            read_text = read_text or "text" in record
-        else:
-            first, second = _parse_summarization(
-                record, line_no, vocab, n_src, n_content, eos_id)
         ids, firsts, seconds = buckets[_SPLIT_NAMES[split]]
         ids.append(sample_id)
         firsts.append(first)

@@ -1,8 +1,8 @@
 """Exception types shared across the pipeline.
 
 Every error raised on a user-facing path carries enough context to act on:
-parse errors name the file and the line, schema errors name the field,
-sequencing errors name the expected epoch.
+parse errors name the file and the line, schema errors name a report field
+or a whole file, sequencing errors name the expected epoch.
 """
 
 
@@ -11,14 +11,14 @@ class MantraError(Exception):
 
 
 class ParseError(MantraError):
-    """A dataset or vocabulary file could not be parsed at a 1-based line."""
+    """A dataset or vocabulary file is bad at a 1-based line: "<path>: line N: ..."."""
 
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}: line {line_no}: {message}")
 
 
 class SchemaError(MantraError):
-    """A record parsed but violates the dataset schema (unknown label, bad shape)."""
+    """A report field or a whole file breaks its schema (a record's is re-raised as ParseError)."""
 
 
 class ConfigError(MantraError):

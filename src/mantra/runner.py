@@ -424,14 +424,20 @@ def _as_report_dict(report):
     return report
 
 
+def _require_twin(cfg, want, what):
+    """ConfigError naming the first setting both configs hold, mantra aside,
+    on which cfg differs from want: the compared fields first, then by name."""
+    for key in [*_CONFIG_FIELDS, *sorted(cfg.keys() & want.keys())]:
+        if key != "mantra" and cfg[key] != want[key]:
+            raise ConfigError(f"{what} has {key} {cfg[key]!r}, need {want[key]!r}")
+
+
 def _clean_references(pair, clean_a, clean_b):
     """(baseline's, treated arm's) clean report, each matched by its mantra flag."""
     by_flag = {}
     for clean in (_as_report_dict(c) for c in (clean_a, clean_b) if c is not None):
         cfg = clean["config"]
-        for key, want in (("task", pair["task"]), ("seed", pair["seed"]), ("noise_rate", 0)):
-            if cfg[key] != want:
-                raise ConfigError(f"clean reference has {key} {cfg[key]!r}, need {want!r}")
+        _require_twin(cfg, {**pair, "noise_rate": 0}, "clean reference")
         if cfg["mantra"] in by_flag:
             raise ConfigError("need one baseline and one treated clean reference, "
                               f"got two with mantra={cfg['mantra']}")
@@ -443,18 +449,17 @@ def _clean_references(pair, clean_a, clean_b):
 def compare_runs(report_a, report_b, clean_a=None, clean_b=None):
     """Pair a baseline run with its treated twin and summarize the contrast.
 
-    The two reports must share task, seed, and noise rate and differ only in
-    the mantra flag; their order does not matter.  When clean (noise-free)
-    reports of the same task and seed are supplied, per-arm
-    degradation-from-clean is included: each serves the arm with its own
-    mantra flag, whatever its position, and a single one serves both arms.
+    The two reports must be twins: their configs agree on every setting
+    both hold (an older results.json may hold more) except the mantra flag,
+    which must differ; their order does not matter.  Clean reports, if
+    given, agree with the pair the same way but have noise rate 0, and add
+    per-arm degradation-from-clean: each serves the arm with its own mantra
+    flag, whatever its position, and a single one serves both arms.  A
+    mismatch is a ConfigError naming the first setting that differs.
     """
     a = _as_report_dict(report_a)
     b = _as_report_dict(report_b)
-    for key in ("task", "seed", "noise_rate"):
-        if a["config"][key] != b["config"][key]:
-            raise ConfigError(f"runs disagree on {key}: "
-                              f"{a['config'][key]!r} vs {b['config'][key]!r}")
+    _require_twin(b["config"], a["config"], "the second run")
     if a["config"]["mantra"] == b["config"]["mantra"]:
         raise ConfigError("need one baseline and one treated run, got two "
                           f"with mantra={a['config']['mantra']}")

@@ -67,6 +67,19 @@ def test_criterion_1_loss_separation(bench_run):
 
 # -- criterion 2: bimodality of the loss distribution ------------------------
 
+def _ashman_d(model):
+    """Ashman's D of a fit's two highest-mean components, 0 for one component.
+
+    D = sqrt(2)|mu1 - mu2| / sqrt(var1 + var2); two components of equal
+    weight and variance make a bimodal mixture exactly when D > 2 (Ashman,
+    Bird & Zepf, AJ 108, 1994).  A fit's means ascend.
+    """
+    if model.k < 2:
+        return 0.0
+    (m1, m2), (v1, v2) = model.means[-2:], model.variances[-2:]
+    return math.sqrt(2.0) * abs(m2 - m1) / math.sqrt(v1 + v2)
+
+
 def test_criterion_2_loss_bimodality(run_cache):
     hits = 0
     per_seed = []
@@ -78,18 +91,20 @@ def test_criterion_2_loss_bimodality(run_cache):
             for row in csv.DictReader(fh):
                 losses_by_epoch.setdefault(int(row["epoch"]), []).append(
                     float(row["loss"]))
-        ks = []
+        ks, ds = [], []
         warmup = report.config["warmup"]
         for epoch in range(warmup, EPOCHS + 1):
             model, _ = gmm.select_model(np.log1p(losses_by_epoch[epoch]), k_max=3)
             ks.append(model.k)
-        per_seed.append(min(ks))
-        hits += min(ks) >= 2
+            ds.append(_ashman_d(model))
+        per_seed.append((min(ks), min(ds)))
+        hits += min(ks) >= 2 and min(ds) > 2.0
     line, ok = _verdict(
         "C2 loss bimodality", hits >= 4,
-        f"BIC K>=2 at every epoch {warmup}-{EPOCHS} (last warmup epoch on) "
-        f"in {hits}/5 seeds "
-        f"(min K per seed: {per_seed}, need >=4)")
+        f"BIC K>=2 with Ashman's D>2 of the top two components at every epoch "
+        f"{warmup}-{EPOCHS} (last warmup epoch on) in {hits}/5 seeds "
+        f"(min K per seed: {[k for k, _ in per_seed]}, "
+        f"min D per seed: {', '.join(f'{d:.2f}' for _, d in per_seed)}; need >=4)")
     assert ok, line
 
 

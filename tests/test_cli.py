@@ -166,6 +166,17 @@ def test_undecodable_input_exits_1(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+def test_a_record_the_vocabulary_cannot_read_names_the_data_file(tmp_path, capsys):
+    (tmp_path / "v.txt").write_text("fix\nbug\n")
+    (tmp_path / "d.jsonl").write_text(
+        '{"split": "train", "text": "fix zap", "labels": ["Bug"]}\n')
+    assert main(["run", "--task", "cls", "--data", str(tmp_path / "d.jsonl"),
+                 "--vocab", str(tmp_path / "v.txt")]) == 1
+    # of the two files a run reads, line 1 is the data file's
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'd.jsonl'}: line 1: "
+                                       "token 'zap' in text not in the vocabulary\n")
+
+
 def test_malformed_compare_report_exits_1(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({

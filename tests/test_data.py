@@ -311,6 +311,24 @@ _TARGET = {"split": "train", "target": [0]}
     ("summarization", {**_TARGET, "source": [0] * 65}, None, "source length 65 exceeds 64"),
     ("summarization", {"split": "train", "source": [0], "target": [0] * 17}, None,
      "target length 17 exceeds 16"),
+    ("classification", {**_BUG, "split": "nope", "features": [1.0]}, None,
+     "split must be train/val/test, got 'nope'"),
+    # unhashable splits
+    ("classification", {**_BUG, "split": ["train"], "features": [1.0]}, None, "split must be"),
+    ("classification", {**_BUG, "split": {"name": "train"}, "features": [1.0]}, None,
+     "split must be"),
+    ("classification", _BUG, None, "record needs 'features' or 'text'"),
+    ("classification", {**_BUG, "features": [1.0], "labels": []}, None, "at least one label"),
+    ("classification", {**_BUG, "features": [1.0], "labels": ["Zap"]}, None,
+     "unknown intent 'Zap'"),
+    ("classification", {**_BUG, "features": [1.0], "id": True}, None, "id must be an integer"),
+    ("classification", {**_BUG, "features": [1.0], "text": "fix"}, None, "not both"),
+    # values numpy cannot hold
+    ("classification", {**_BUG, "features": [float("nan")]}, None, "finite numbers"),
+    ("classification", {**_BUG, "features": [1.0, 10**400]}, None, "finite numbers"),
+    ("classification", {**_BUG, "features": [1.0], "id": 2**70}, None, "does not fit int64"),
+    ("summarization", {**_TARGET, "source": [0, 99]}, None,
+     "source token id out of range [0, 40)"),
 ])
 def test_jsonl_record_errors_name_their_line(tmp_path, task, record, vocab, needle):
     path = tmp_path / "d.jsonl"
@@ -319,9 +337,9 @@ def test_jsonl_record_errors_name_their_line(tmp_path, task, record, vocab, need
     if vocab is not None:
         vocab_path = tmp_path / "v.txt"
         vocab_path.write_text(vocab)
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(ParseError) as exc:
         data.load_jsonl(path, task, vocab_path=vocab_path)
-    assert str(exc.value).startswith("line 1: ") and needle in str(exc.value)
+    assert str(exc.value).startswith(f"{path}: line 1: ") and needle in str(exc.value)
 
 
 def test_jsonl_error_lines(tmp_path):
@@ -330,28 +348,7 @@ def test_jsonl_error_lines(tmp_path):
     path.write_text('{"split": "train", "features": [1.0], "labels": ["Bug"]}\n{oops\n')
     with pytest.raises(ParseError) as exc:
         data.load_jsonl(path, "classification")
-    assert "line 2" in str(exc.value)
-
-    cases = [
-        ({"split": "nope", "features": [1.0], "labels": ["Bug"]}, "split"),
-        # unhashable splits
-        ({"split": ["train"], "features": [1.0], "labels": ["Bug"]}, "split"),
-        ({"split": {"name": "train"}, "features": [1.0], "labels": ["Bug"]}, "split"),
-        ({"split": "train", "labels": ["Bug"]}, "features"),
-        ({"split": "train", "features": [1.0], "labels": []}, "label"),
-        ({"split": "train", "features": [1.0], "labels": ["Zap"]}, "Zap"),
-        ({"split": "train", "features": [1.0], "labels": ["Bug"], "id": True}, "id"),
-        ({"split": "train", "features": [1.0], "text": "fix", "labels": ["Bug"]}, "not both"),
-        # values numpy cannot hold
-        ({"split": "train", "features": [float("nan")], "labels": ["Bug"]}, "finite"),
-        ({"split": "train", "features": [1.0, 10**400], "labels": ["Bug"]}, "finite"),
-        ({"split": "train", "features": [1.0], "labels": ["Bug"], "id": 2**70}, "int64"),
-    ]
-    for record, needle in cases:
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(SchemaError) as exc:
-            data.load_jsonl(path, "classification")
-        assert "line 1" in str(exc.value) and needle in str(exc.value)
+    assert str(exc.value).startswith(f"{path}: line 2: invalid JSON")
 
     # duplicate ids across lines
     rows = [
@@ -359,9 +356,9 @@ def test_jsonl_error_lines(tmp_path):
         {"split": "test", "features": [2.0], "labels": ["Test"], "id": 3},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(ParseError) as exc:
         data.load_jsonl(path, "classification")
-    assert "line 2" in str(exc.value) and "duplicate" in str(exc.value)
+    assert str(exc.value) == f"{path}: line 2: duplicate sample id 3"
 
     # inconsistent feature dimension
     rows = [
@@ -369,13 +366,9 @@ def test_jsonl_error_lines(tmp_path):
         {"split": "train", "features": [1.0], "labels": ["Bug"]},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError) as exc:
         data.load_jsonl(path, "classification")
-
-    # summarization token id out of range
-    path.write_text(json.dumps({"split": "train", "source": [0, 99], "target": [0]}) + "\n")
-    with pytest.raises(SchemaError):
-        data.load_jsonl(path, "summarization")
+    assert str(exc.value) == f"{path}: line 2: feature dimension 1 != 2 seen earlier"
 
     with pytest.raises(UsageError):
         data.load_jsonl(path, "translation")

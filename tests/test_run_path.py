@@ -3,9 +3,10 @@
 src/ holds what a run executes.  This test drives `mantra grid` for both
 tasks (at sizes where the treated classification arm drops), `mantra run`
 on each dataset-file form (features, text through a vocabulary, token
-strings through a vocabulary), a malformed file and `mantra compare`
-through cli.main under sys.setprofile, and fails on any function of the
-package that none of them calls, so code only the tests use cannot grow
+strings through a vocabulary), a malformed file, a record whose token the
+vocabulary lacks (its error must name the data file and line) and `mantra
+compare` through cli.main under sys.setprofile, and fails on any function
+of the package that none of them calls, so code only the tests use cannot grow
 back into src/.  The allowlist holds the seams only the benchmark reads
 (README "Benchmark"; ROADMAP item 5 removes them).
 """
@@ -53,8 +54,9 @@ def _defined_functions():
     return found
 
 
-def _main(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _main(*argv, err=None):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err or io.StringIO()):
         return cli.main([str(a) for a in argv])
 
 
@@ -94,6 +96,13 @@ def _run_every_input(tmp):
                      "--epochs", 2, "--warmup", 1) == 0, name
     (tmp / "bad.jsonl").write_text('{"split": "train",\n', encoding="utf-8")
     assert _main("run", "--task", "cls", "--data", tmp / "bad.jsonl") == 1
+    # valid JSON whose token the vocabulary lacks: the error names the data file
+    zap = tmp / "zap.jsonl"
+    zap.write_text(json.dumps({"split": "train", "text": "alpha zap", "labels": ["Bug"]}) + "\n",
+                   encoding="utf-8")
+    err = io.StringIO()
+    assert _main("run", "--task", "cls", "--data", zap, "--vocab", vocab, err=err) == 1
+    assert err.getvalue().startswith(f"error: {zap}: line 1: ")
 
 
 def test_every_function_in_src_runs(tmp_path):

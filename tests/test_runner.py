@@ -481,6 +481,12 @@ def test_compare_runs_contract(tiny_cls_config, tmp_path):
         compare_runs(base, run_experiment(tiny_cls_config(mantra=False, seed=4)))
     with pytest.raises(ConfigError):
         compare_runs(base, base)
+    # twins differ in the mantra flag only: any other setting is named
+    for key, value in (("epochs", 2), ("tau", 0.99)):
+        other = run_experiment(tiny_cls_config(mantra=True, **{key: value}))
+        for pair in ((base, other), (other, base)):
+            with pytest.raises(ConfigError, match=f"has {key} "):
+                compare_runs(*pair)
 
     # dicts and file paths are accepted interchangeably
     path = tmp_path / "base.json"
@@ -533,6 +539,8 @@ def test_compare_runs_rejects_mismatched_clean_references(tiny_cls_config,
         (run_experiment(tiny_sum_config(mantra=False, noise_rate=0.0)), "task"),
         (run_experiment(tiny_cls_config(mantra=False, noise_rate=0.0, seed=4)), "seed"),
         (base, "noise_rate"),
+        (run_experiment(tiny_cls_config(mantra=False, noise_rate=0.0, epochs=2)), "epochs"),
+        (run_experiment(tiny_cls_config(mantra=True, noise_rate=0.0, tau=0.99)), "tau"),
     ]
     for reference, needle in wrong:
         for kwargs in ({"clean_a": reference}, {"clean_a": clean, "clean_b": reference}):
