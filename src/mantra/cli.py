@@ -1,10 +1,11 @@
 """Command line entry points: `mantra run`, `mantra grid`, `mantra compare`.
 
-Exit status: 0 on success; 2 for a ConfigError (bad flags or an inconsistent
-experiment setup), raised before any work; 1 for any other MantraError or an
-OSError (unreadable or malformed files, a failed fit or a diverging run, an
-output path the OS cannot make a directory, which the runner tries before
-any work).  MANTRA_OUT, when set, overrides any --out flag.
+Exit status: 0 on success; 2 for a ConfigError: bad flags or a setup that
+cannot work, raised before any work unless the data reveals it (an empty
+split, an unused vocabulary, too few samples to corrupt), after --out is made
+and the data is read; 1 for any other MantraError or an OSError (unreadable
+or malformed files, a diverging run, an --out path the OS refuses, tried
+before any work).  MANTRA_OUT, when set, overrides any --out flag.
 
 Every run setting, with its default and its checks, is declared once, in
 runner.ExperimentConfig or the scheduler.DropPolicy it extends: `run` and

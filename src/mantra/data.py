@@ -241,12 +241,16 @@ def _numbered_lines(path):
 
 
 def load_vocab(path):
-    """Read a token-per-line UTF-8 vocabulary file: token id = line number (0-based)."""
+    """Read a UTF-8 vocabulary file, one token per line as text splits it: id = line number - 1."""
     vocab = {}
     for line_no, line in _numbered_lines(path):
-        token = line.strip()
-        if not token:
+        tokens = line.split()
+        if not tokens:
             raise ParseError(path, line_no, "empty vocabulary entry")
+        if len(tokens) > 1:
+            raise ParseError(path, line_no, f"vocabulary entry {line.strip()!r} "
+                                            f"holds {len(tokens)} tokens, not one")
+        token = tokens[0]
         if token in vocab:
             raise ParseError(path, line_no, f"duplicate vocabulary token {token!r}")
         vocab[token] = line_no - 1

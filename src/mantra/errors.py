@@ -1,9 +1,9 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline; an error's type says who must act.
 
-Every error raised on a user-facing path carries enough context to act on:
-parse errors name the file and the line, schema errors name a report field
-or a whole file, sequencing errors name the expected epoch.
-"""
+ConfigError: a run or comparison setup that cannot work, found by its checks or
+by the data it loads or makes.  ParseError: a line of a file.  SchemaError: a file or
+report as a whole, or a record, which load_jsonl then locates.  UsageError: a
+function called outside its contract."""
 
 
 class MantraError(Exception):
@@ -22,17 +22,10 @@ class SchemaError(MantraError):
 
 
 class ConfigError(MantraError):
-    """An experiment or policy configuration is inconsistent."""
-
-
-class FitError(MantraError):
-    """A model fit was requested on data that cannot support it."""
-
-
-class SequencingError(MantraError):
-    """Pipeline stages were invoked out of order (e.g. epochs recorded non-contiguously)."""
+    """A run or comparison setup cannot work; the CLI exits 2 on it."""
 
 
 class UsageError(MantraError):
-    """API misuse: an argument of the wrong task kind, shape or value.  One that
-    reaches the CLI (a run diverging to non-finite losses, say) exits 1."""
+    """A function called outside its contract (an argument of the wrong kind,
+    shape or value, or a call out of sequence); every library function raises
+    it for such a call.  A run whose losses diverge reaches the CLI with one: exit 1."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, UsageError
+from .errors import UsageError
 
 VAR_FLOOR = 1e-6
 MAX_ITER = 200      # EM iterations per fit
@@ -95,17 +95,17 @@ def fit_em(obs, k):
     """Fit a K-component univariate mixture; components come back sorted by mean.
 
     The means start at the (j - 0.5)/K quantiles of the distinct values, so
-    no two start equal.  Raises FitError when there are fewer distinct
+    no two start equal.  Raises UsageError when there are fewer distinct
     observations than components.
     """
     obs = np.asarray(obs, dtype=np.float64).ravel()
     if k < 1:
         raise UsageError(f"component count must be >= 1, got {k}")
     if not np.all(np.isfinite(obs)):
-        raise FitError("observations must be finite")
+        raise UsageError("observations must be finite")
     distinct = np.unique(obs)
     if distinct.shape[0] < k:
-        raise FitError(f"cannot fit {k} components to {distinct.shape[0]} distinct observations")
+        raise UsageError(f"cannot fit {k} components to {distinct.shape[0]} distinct observations")
 
     weights, means, variances, converged, history = _em(
         obs, np.full(k, 1.0 / k), np.quantile(distinct, (np.arange(k) + 0.5) / k),
@@ -141,7 +141,7 @@ def select_model(obs, k_max):
     if k_max < 1:
         raise UsageError(f"k_max must be >= 1, got {k_max}")
     if obs.shape[0] < 1:
-        raise FitError("cannot select a mixture on an empty sample")
+        raise UsageError("cannot select a mixture on an empty sample")
     best_model = None
     best_bic = math.inf
     trace = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import INTENTS, N_INTENTS
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 
 _TAG_SELECT = 31
 _TAG_DRAW = 32
@@ -23,7 +23,9 @@ LABEL_NOISE_MODES = ("replace-set", "flip-one")
 
 
 def corruption_count(rate, n):
-    """Number of samples to corrupt: round-half-up of rate * n."""
+    """Number of samples to corrupt: round-half-up of rate * n, rate in [0, 1]."""
+    if not (0.0 <= rate <= 1.0):
+        raise UsageError(f"noise rate must lie in [0, 1], got {rate}")
     return int(math.floor(rate * n + 0.5))
 
 
@@ -32,11 +34,6 @@ class NoiseMask:
     """What an injection created, by train position (the split's ids name them)."""
     corrupted: np.ndarray   # (n,) bool
     prior_drift: dict = field(default_factory=dict)   # label priors; labels only
-
-
-def _check_rate(rate):
-    if not (0.0 <= rate <= 1.0):
-        raise ConfigError(f"noise rate must lie in [0, 1], got {rate}")
 
 
 def _select(n_train, n_corrupt, seed, eligible):
@@ -66,9 +63,8 @@ def inject_label_noise(train, rate, seed, mode):
     leaving the rest of the set alone; all-7 samples have no absent intent
     and are skipped in shuffle order.  Returns (new_train, NoiseMask).
     """
-    _check_rate(rate)
     if mode not in LABEL_NOISE_MODES:
-        raise ConfigError(f"unknown classification noise mode {mode!r}")
+        raise UsageError(f"unknown classification noise mode {mode!r}")
     n = len(train)
     if mode == "replace-set":
         eligible = np.ones(n, dtype=bool)
@@ -102,7 +98,6 @@ def inject_summary_noise(train, rate, seed, n_content):
     after sample from one stream; length and the trailing EOS are preserved.
     Returns (new_train, NoiseMask).
     """
-    _check_rate(rate)
     n = len(train)
     picked = _select(n, corruption_count(rate, n), seed, np.ones(n, dtype=bool))
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gmm
-from .errors import ConfigError, SequencingError, UsageError
+from .errors import ConfigError, UsageError
 
 
 def has_type(value, types):
@@ -101,7 +101,7 @@ def evaluate_epoch(state, policy, epoch, losses):
     next epoch's active set.
     """
     if epoch != state.last_epoch + 1:
-        raise SequencingError(f"expected epoch {state.last_epoch + 1}, got {epoch}")
+        raise UsageError(f"expected epoch {state.last_epoch + 1}, got {epoch}")
     vals = np.asarray(losses, dtype=np.float64)
     n_active = np.count_nonzero(state.dropped_at == 0)
     if vals.shape[0] != n_active:

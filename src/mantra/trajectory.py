@@ -15,7 +15,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .errors import SequencingError, UsageError
+from .errors import UsageError
 
 
 _BLOCK = 256     # rows per write, so no column's cells are all alive at once
@@ -73,12 +73,12 @@ class TrajectoryStore:
         """Record one epoch's losses at the train positions it scored, in train order.
 
         epoch must be exactly last_epoch + 1 (starting from 1) and within the
-        store's epochs; anything else raises SequencingError so pipeline
+        store's epochs; anything else raises UsageError so pipeline
         ordering bugs surface immediately.
         """
         if not epoch == self.last_epoch + 1 <= len(self.losses):
-            raise SequencingError(f"expected epoch {self.last_epoch + 1} of "
-                                  f"{len(self.losses)}, got {epoch}")
+            raise UsageError(f"expected epoch {self.last_epoch + 1} of "
+                             f"{len(self.losses)}, got {epoch}")
         rows = np.asarray(rows, dtype=np.int64)
         vals = np.asarray(losses, dtype=np.float64)
         if rows.ndim != 1 or rows.shape != vals.shape:

@@ -71,6 +71,12 @@ def test_bad_usage_exits_2(tmp_path, capsys):
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
 
+    # the config, not the library checks behind it, rejects these settings
+    for flag, value, message in (("--noise-rate", "1.5", "noise rate must lie in [0, 1], got 1.5"),
+                                 ("--kmax", "0", "k_max must be >= 1")):
+        assert main(_tiny_run_args(tmp_path) + [flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     # retired settings are unknown flags, not silently accepted
     for flag, value in (("--bins", "10"), ("--init-scale", "0.1"),
                         ("--window", "2"), ("--transform", "log1p")):
@@ -175,6 +181,14 @@ def test_a_record_the_vocabulary_cannot_read_names_the_data_file(tmp_path, capsy
     # of the two files a run reads, line 1 is the data file's
     assert capsys.readouterr().err == (f"error: {tmp_path / 'd.jsonl'}: line 1: "
                                        "token 'zap' in text not in the vocabulary\n")
+
+
+def test_a_vocabulary_line_of_two_tokens_names_the_vocabulary(tmp_path, capsys):
+    (tmp_path / "v.txt").write_text("fix bug\nadd\n")
+    (tmp_path / "d.jsonl").write_text('{"split": "train", "text": "fix", "labels": ["Bug"]}\n')
+    assert main(["run", "--task", "cls", "--data", str(tmp_path / "d.jsonl"),
+                 "--vocab", str(tmp_path / "v.txt")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'v.txt'}: line 1: ")
 
 
 def test_malformed_compare_report_exits_1(tmp_path, capsys):

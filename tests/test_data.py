@@ -198,6 +198,14 @@ def test_load_vocab(tmp_path):
         data.load_vocab(path)
     assert "line 2" in str(exc.value)
 
+    # an entry is read as text is split, so one line holds one token
+    path.write_text(" alpha \t\nbeta\n")
+    assert data.load_vocab(path) == {"alpha": 0, "beta": 1}
+    path.write_text("fix bug\nadd\n")
+    with pytest.raises(ParseError) as exc:
+        data.load_vocab(path)
+    assert str(exc.value) == f"{path}: line 1: vocabulary entry 'fix bug' holds 2 tokens, not one"
+
     path.write_text("")
     with pytest.raises(SchemaError):
         data.load_vocab(path)

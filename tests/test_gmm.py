@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mantra import gmm
-from mantra.errors import FitError, UsageError
+from mantra.errors import UsageError
 
 
 def _bimodal(rng, n=2000, w=0.7, m1=0.3, s1=0.05, m2=2.0, s2=0.3):
@@ -159,7 +159,7 @@ def test_identical_observations_prefer_one_component():
         assert model.k == 1 and [row["k"] for row in trace] == [1]
         assert np.all(model.variances >= gmm.VAR_FLOOR)
         _assert_stop_rule(model, trace, 5, obs)
-        with pytest.raises(FitError):
+        with pytest.raises(UsageError, match="cannot fit 2 components to 1 distinct"):
             gmm.fit_em(obs, 2)
 
 
@@ -182,7 +182,7 @@ def test_distinct_values_cap_the_order():
     model, trace = gmm.select_model(obs, k_max=5)
     assert [row["k"] for row in trace] == [1, 2, 3] and model.k == 3
     _assert_stop_rule(model, trace, 5, obs)
-    with pytest.raises(FitError):
+    with pytest.raises(UsageError, match="cannot fit 4 components to 3 distinct"):
         gmm.fit_em(obs, 4)
 
 
@@ -195,16 +195,18 @@ def test_variance_floor_binds_on_point_clusters():
 
 
 def test_fit_errors():
-    with pytest.raises(FitError):
+    with pytest.raises(UsageError, match="cannot fit 2 components to 1 distinct"):
         gmm.fit_em(np.array([1.0]), 2)
-    with pytest.raises(FitError):
+    with pytest.raises(UsageError, match="observations must be finite"):
         gmm.fit_em(np.array([1.0, np.nan, 2.0]), 1)
-    for bad in (np.array([]), np.array([0.5, np.nan]), np.array([np.inf, 1.0])):
-        with pytest.raises(FitError):
+    for bad, message in ((np.array([]), "cannot select a mixture on an empty sample"),
+                         (np.array([0.5, np.nan]), "observations must be finite"),
+                         (np.array([np.inf, 1.0]), "observations must be finite")):
+        with pytest.raises(UsageError, match=message):
             gmm.select_model(bad, k_max=2)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="component count must be >= 1, got 0"):
         gmm.fit_em(np.array([1.0, 2.0]), 0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="k_max must be >= 1, got 0"):
         gmm.select_model(np.array([1.0, 2.0]), k_max=0)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mantra import data, noise
-from mantra.errors import ConfigError
+from mantra.errors import ConfigError, UsageError
 
 
 def test_corruption_count_rounds_half_up():
@@ -125,11 +125,13 @@ def test_summary_noise_draws_from_the_given_content_range(sum_train):
     assert np.unique(out.tgt[content]).tolist() == [0, 1, 2]
 
 
-def test_rate_bounds():
+def test_rate_bounds(sum_train):
     train = data.generate_classification_dataset(1, 4, 1, 1, d=2).train
     for bad in (-0.01, 1.01):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match=rf"noise rate must lie in \[0, 1\], got {bad}"):
             noise.inject_label_noise(train, bad, seed=0, mode="replace-set")
+        with pytest.raises(UsageError, match=rf"noise rate must lie in \[0, 1\], got {bad}"):
+            noise.inject_summary_noise(sum_train, bad, seed=0, n_content=3)
     out, mask = noise.inject_label_noise(train, 0.0, seed=0, mode="replace-set")
     assert mask.corrupted.sum() == 0
     np.testing.assert_array_equal(out.y, train.y)
@@ -137,5 +139,5 @@ def test_rate_bounds():
 
 def test_unknown_mode():
     train = data.generate_classification_dataset(1, 4, 1, 1, d=2).train
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError, match="unknown classification noise mode 'shuffle'"):
         noise.inject_label_noise(train, 0.5, seed=0, mode="shuffle")

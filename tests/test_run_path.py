@@ -8,9 +8,12 @@ vocabulary lacks (its error must name the data file and line) and `mantra
 compare` through cli.main under sys.setprofile, and fails on any function
 of the package that none of them calls, so code only the tests use cannot grow
 back into src/.  The allowlist holds the seams only the benchmark reads
-(README "Benchmark"; ROADMAP item 5 removes them).
+(README "Benchmark"; ROADMAP item 5 removes them).  Likewise every error
+class in mantra.errors but the MantraError base must be raised somewhere in
+src/, so an error name no code raises cannot come back.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -21,7 +24,7 @@ import sys
 from pathlib import Path
 
 import mantra
-from mantra import cli, data
+from mantra import cli, data, errors
 
 ONLY_THE_BENCHMARK_CALLS = {"kernels.backend", "runner.RunReport.as_dict"}
 
@@ -122,3 +125,16 @@ def test_every_function_in_src_runs(tmp_path):
         sys.setprofile(previous)
     never = {name for name, code in defined.items() if code not in seen}
     assert never == ONLY_THE_BENCHMARK_CALLS
+
+
+def test_every_error_class_is_raised():
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    raised = set()
+    for path in Path(mantra.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined - raised <= {"MantraError"}

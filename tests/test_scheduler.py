@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mantra import gmm
-from mantra.errors import ConfigError, SequencingError, UsageError
+from mantra.errors import ConfigError, UsageError
 from mantra.scheduler import (DropPolicy, DropState, EpochDecision, active_samples,
                               decide, evaluate_epoch)
 
@@ -244,7 +244,7 @@ def test_zero_cap_disables_dropping():
 def test_sequencing_and_input_validation():
     state = DropState.for_size(4)
     policy = _policy(warmup=0)
-    with pytest.raises(SequencingError):
+    with pytest.raises(UsageError, match="expected epoch 1, got 2"):
         evaluate_epoch(state, policy, 2, [0.1] * 4)
     evaluate_epoch(state, policy, 1, [0.1] * 4)
     for wrong in ([0.1] * 3, [0.1] * 5):           # one loss per active sample

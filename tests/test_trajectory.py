@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mantra import runner
-from mantra.errors import SequencingError, UsageError
+from mantra.errors import UsageError
 from mantra.trajectory import HIST_BINS, TrajectoryStore, write_csv
 
 
@@ -21,16 +21,16 @@ def _store_with(ids, noisy, epochs):
 
 def test_epochs_must_be_contiguous_from_one():
     store = TrajectoryStore([1], [False], 2)
-    with pytest.raises(SequencingError):
+    with pytest.raises(UsageError, match="expected epoch 1 of 2, got 0"):
         store.record_epoch(0, [0], [0.5])
-    with pytest.raises(SequencingError):
+    with pytest.raises(UsageError, match="expected epoch 1 of 2, got 2"):
         store.record_epoch(2, [0], [0.5])
     store.record_epoch(1, [0], [0.5])
-    with pytest.raises(SequencingError):
+    with pytest.raises(UsageError, match="expected epoch 2 of 2, got 1"):
         store.record_epoch(1, [0], [0.5])    # no rewrites
     store.record_epoch(2, [0], [0.4])
     assert store.last_epoch == 2
-    with pytest.raises(SequencingError):
+    with pytest.raises(UsageError, match="expected epoch 3 of 2, got 3"):
         store.record_epoch(3, [0], [0.3])    # past the store's epochs
 
 
