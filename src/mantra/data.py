@@ -228,9 +228,10 @@ def generate_summarization_dataset(seed, n_train, n_val, n_test):
 
 
 def _numbered_lines(path):
-    """A UTF-8 file's lines, numbered from 1.  A byte that is not UTF-8 decodes
-    to a lone surrogate, so the line holding one fails to encode: ParseError."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    """A UTF-8 file's lines, numbered from 1.  A leading byte-order mark is
+    not part of line 1.  A byte that is not UTF-8 decodes to a lone
+    surrogate, so the line holding one fails to encode: ParseError."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")

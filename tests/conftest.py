@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mantra import gmm
 from mantra.runner import ExperimentConfig, grid_configs, run_grid
 
 
@@ -46,21 +47,24 @@ def bench_run(run_cache):
 
 @pytest.fixture(scope="session")
 def seeded_fits():
-    """select_model(obs, k_max=5) of each of the 100 seeded EM inputs, and a
-    fit of every K <= 5, run once.
+    """select_model(obs, k_max=5) of each of the 100 seeded EM inputs, and
+    two fits of every K <= 5, run once.
 
-    Entry i is (obs, (model, trace), fits) for obs = _seeded_em_input(i) of
-    test_acceptance.py, fits being fit_em(obs, K) for K = 1..5 in K order:
-    the fits select_model made, then fit_em of each order its search did not
-    reach.  C3 and test_gmm.py's EM reference and stop-rule tests read them,
-    so the fits run under errstate(raise): a floating-point error in the
-    shipped loop fails them.
+    Entry i is (obs, (model, trace), fits, untargeted) for
+    obs = _seeded_em_input(i) of test_acceptance.py.  fits holds K = 1..5 in
+    K order: the fits select_model made, each with its target, so the order
+    that ends the search may be abandoned, then fit_em(obs, K) of each order
+    its search did not reach.  untargeted is fit_em(obs, K) of K = 1..5, EM
+    run to convergence or MAX_ITER.  C3 and test_gmm.py's EM reference and
+    stop-rule tests read them, so the fits run under errstate(raise): a
+    floating-point error in the shipped loop fails them.
     """
     from test_acceptance import _seeded_em_input
     from test_gmm import _select_fitting_every_order
     with pytest.MonkeyPatch.context() as patch, \
             np.errstate(divide="raise", over="raise", invalid="raise"):
-        return [(obs, *_select_fitting_every_order(patch, obs, 5))
+        return [(obs, *_select_fitting_every_order(patch, obs, 5),
+                 [gmm.fit_em(obs, k) for k in range(1, 6)])
                 for obs in map(_seeded_em_input, range(100))]
 
 

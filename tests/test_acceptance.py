@@ -126,8 +126,8 @@ def _seeded_em_input(i):
 
 def test_criterion_3_em_and_bic(seeded_fits):
     worst_step = 0.0
-    for _, _, fits in seeded_fits:      # fit_em(_seeded_em_input(i), K) for K = 1..5
-        for fit in fits[:3]:
+    for *_, untargeted in seeded_fits:      # fit_em(_seeded_em_input(i), K) for K = 1..5
+        for fit in untargeted[:3]:
             trace = np.asarray(fit.ll_trace)
             if trace.size > 1:
                 worst_step = min(worst_step, float(np.diff(trace).min()))

@@ -191,6 +191,18 @@ def test_a_vocabulary_line_of_two_tokens_names_the_vocabulary(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'v.txt'}: line 1: ")
 
 
+def test_files_that_open_with_a_byte_order_mark_run(tmp_path, capsys):
+    (tmp_path / "v.txt").write_text("\ufeffalpha\nbeta\n", encoding="utf-8")
+    rows = [{"split": split, "text": text, "labels": ["Bug"]}
+            for split, text in (("train", "alpha beta"), ("train", "beta"),
+                                ("val", "alpha"), ("test", "beta alpha"))]
+    (tmp_path / "d.jsonl").write_text(
+        "\ufeff" + "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    assert main(["run", "--task", "cls", "--data", str(tmp_path / "d.jsonl"),
+                 "--vocab", str(tmp_path / "v.txt"), "--epochs", "2", "--warmup", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_malformed_compare_report_exits_1(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({

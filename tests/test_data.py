@@ -211,6 +211,28 @@ def test_load_vocab(tmp_path):
         data.load_vocab(path)
 
 
+def test_a_vocabulary_byte_order_mark_is_not_part_of_its_first_token(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\ufeffalpha\nbeta\n", encoding="utf-8")
+    assert data.load_vocab(path) == {"alpha": 0, "beta": 1}
+
+
+def test_a_jsonl_byte_order_mark_is_not_part_of_line_1(tmp_path):
+    src = data.generate_classification_dataset(9, n_train=6, n_val=2, n_test=2, d=3)
+    path = tmp_path / "cls.jsonl"
+    write_jsonl(path, src)
+    want = data.load_jsonl(path, "classification")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = data.load_jsonl(path, "classification")
+    for a, b in zip(_splits(want), _splits(back)):
+        for name in ("ids", "x", "y"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    # the lines keep their numbers
+    path.write_bytes(b"\xef\xbb\xbf{}\n")
+    with pytest.raises(ParseError, match=r"cls.jsonl: line 1: split must be"):
+        data.load_jsonl(path, "classification")
+
+
 def test_jsonl_round_trip_classification(tmp_path):
     src = data.generate_classification_dataset(9, n_train=12, n_val=4, n_test=4, d=5)
     path = tmp_path / "cls.jsonl"

@@ -70,7 +70,7 @@ def test_known_mixture_recovery():
 
 def test_fit_limits_are_module_constants(monkeypatch):
     # a reference fit sets a longer limit the same way, by assigning gmm.MAX_ITER
-    assert (gmm.MAX_ITER, gmm.TOL) == (200, 1e-6)
+    assert (gmm.MAX_ITER, gmm.TOL, gmm.AITKEN_START, gmm.AITKEN_MARGIN) == (200, 1e-6, 50, 1.0)
     obs = _bimodal(np.random.default_rng(0))
     assert gmm.fit_em(obs, 2).n_iter > 3
     start = (np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.ones(2))
@@ -79,6 +79,10 @@ def test_fit_limits_are_module_constants(monkeypatch):
         # _em reads the limits at call time: any move now counts as converged
         *_, converged, history = gmm._em(obs, *start)
         assert converged and len(history) == 2
+    # a fit that cannot reach its target stops at the first pass the
+    # abandonment rule may act on
+    slow, full = _slow_fit()
+    assert gmm.fit_em(slow, 2, full.log_likelihood + 1.5).n_iter == gmm.AITKEN_START
     monkeypatch.setattr(gmm, "MAX_ITER", 3)
     *_, converged, history = gmm._em(obs, *start)
     assert not converged and len(history) == 4   # three passes, then the final state
@@ -86,6 +90,53 @@ def test_fit_limits_are_module_constants(monkeypatch):
     assert model.n_iter == 3 and not model.converged
     _, trace = gmm.select_model(obs, k_max=2)
     assert all(row["n_iter"] <= 3 for row in trace)
+
+
+def _slow_fit():
+    """Two components on 300 normal draws: EM creeps up a ridge and is still
+    short of TOL after MAX_ITER passes."""
+    obs = np.random.default_rng(0).normal(0.0, 1.0, 300)
+    model = gmm.fit_em(obs, 2)
+    assert not model.converged and model.n_iter == gmm.MAX_ITER
+    return obs, model
+
+
+def test_no_target_is_a_target_of_minus_infinity():
+    obs, _ = _slow_fit()
+    for data, k in ((obs, 2), (obs, 3), (_bimodal(np.random.default_rng(0)), 2)):
+        plain, unbounded = gmm.fit_em(data, k), gmm.fit_em(data, k, target=-math.inf)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(unbounded, name))
+        assert (plain.log_likelihood, plain.n_iter, plain.converged, plain.ll_trace) == \
+            (unbounded.log_likelihood, unbounded.n_iter, unbounded.converged,
+             unbounded.ll_trace)
+
+
+def test_a_reachable_target_never_abandons_a_fit():
+    obs, slow = _slow_fit()
+    # below every log-likelihood the fit passes through, or below the one it
+    # ends at: it runs as untargeted
+    for target in (min(slow.ll_trace) - 1.0, slow.log_likelihood - 1.0):
+        model = gmm.fit_em(obs, 2, target)
+        assert (model.n_iter, model.converged, model.ll_trace) == \
+            (slow.n_iter, slow.converged, slow.ll_trace)
+        np.testing.assert_array_equal(model.means, slow.means)
+
+
+def test_an_unreachable_target_abandons_a_slow_fit():
+    obs, slow = _slow_fit()
+    model = gmm.fit_em(obs, 2, slow.log_likelihood + 10.0)
+    # the gains shrink from the start, so the first pass the rule may act on stops it
+    assert model.n_iter == gmm.AITKEN_START < gmm.MAX_ITER
+    assert not model.converged
+    assert model.log_likelihood == model.ll_trace[-1]
+    # up to the stop it is the same fit: the rule only cuts EM short
+    assert model.ll_trace == slow.ll_trace[:model.n_iter + 1]
+    # the Aitken limit, plus the margin, falls short of the target
+    ll, prev, before = model.ll_trace[-3:][::-1]
+    assert 0 < ll - prev < prev - before
+    projected = ll + (ll - prev) ** 2 / ((prev - before) - (ll - prev))
+    assert projected + gmm.AITKEN_MARGIN < slow.log_likelihood + 10.0
 
 
 def _assert_stop_rule(model, trace, k_max, obs):
@@ -240,9 +291,10 @@ def _reference_rows(obs, weights, means, variances):
     return mx + np.log(np.exp(lp - mx[:, None]).sum(axis=1)), lp
 
 
-def _reference_em(obs, weights, means, variances):
+def _reference_em(obs, weights, means, variances, target=-math.inf):
     """Row-major (n, K) EM with boolean-indexed M-step updates, under the
-    limits gmm.MAX_ITER and gmm.TOL; returns what gmm._em returns."""
+    limits gmm.MAX_ITER and gmm.TOL and the abandonment rule of
+    gmm.AITKEN_START and gmm.AITKEN_MARGIN; returns what gmm._em returns."""
     history = []
     converged = False
     for _ in range(gmm.MAX_ITER):
@@ -251,6 +303,12 @@ def _reference_em(obs, weights, means, variances):
         if len(history) >= 2 and abs(history[-1] - history[-2]) < gmm.TOL:
             converged = True
             break
+        if len(history) > gmm.AITKEN_START:
+            # Aitken's delta-squared limit of the last three log-likelihoods
+            d_now, d_last = history[-1] - history[-2], history[-2] - history[-3]
+            if 0 < d_now < d_last and \
+                    history[-1] + d_now ** 2 / (d_last - d_now) + gmm.AITKEN_MARGIN < target:
+                break
         resp = np.exp(lp - rows[:, None])
         totals = resp.sum(axis=0)
         safe = totals > 1e-12
@@ -267,17 +325,33 @@ def _reference_em(obs, weights, means, variances):
     return weights, means, variances, converged, history
 
 
-def _reference_fit(obs, k):
-    """fit_em(obs, k) by the reference loop: means start on the (j - 0.5)/K
-    quantiles of the distinct values, with equal weights and the floored
-    overall variance, and the components come back sorted by mean."""
+def _reference_fit(obs, k, target=-math.inf):
+    """fit_em(obs, k, target) by the reference loop: means start on the
+    (j - 0.5)/K quantiles of the distinct values, with equal weights and the
+    floored overall variance, and the components come back sorted by mean."""
     distinct = np.unique(obs)
     weights, means, variances, converged, history = _reference_em(
         obs, np.full(k, 1.0 / k), np.quantile(distinct, (np.arange(k) + 0.5) / k),
-        np.full(k, max(float(obs.var()), gmm.VAR_FLOOR)))
+        np.full(k, max(float(obs.var()), gmm.VAR_FLOOR)), target)
     order = np.argsort(means, kind="stable")
     return gmm.GmmModel(weights[order], means[order], variances[order], history[-1],
                         len(history) - 1, converged, history)
+
+
+def _reference_fits(obs, k_max):
+    """_reference_fit of every K <= min(k_max, distinct observations).  The
+    orders of the reference's own forward BIC search get the log-likelihood
+    that would lower its best BIC as their target; the orders past the first
+    one that does not lower it get none."""
+    n = obs.shape[0]
+    fits, best_bic, searching = [], math.inf, True
+    for k in range(1, min(k_max, np.unique(obs).shape[0]) + 1):
+        penalty = (3 * k - 1) * math.log(n)
+        fits.append(_reference_fit(obs, k, (penalty - best_bic) / 2 if searching else -math.inf))
+        bic = -2.0 * fits[-1].log_likelihood + penalty
+        searching = searching and bic < best_bic
+        best_bic = min(best_bic, bic)
+    return fits
 
 
 def _assert_same_em(got, want):
@@ -320,7 +394,7 @@ def _assert_matches_reference(monkeypatch, obs, k_max, shipped=None):
     """select_model(obs, k_max) and fit_em of every order (or their recorded
     results) agree with the reference loop; returns the trace and the fits."""
     (model, trace), fits = shipped or _select_fitting_every_order(monkeypatch, obs, k_max)
-    refs = [_reference_fit(obs, k) for k in range(1, min(k_max, np.unique(obs).shape[0]) + 1)]
+    refs = _reference_fits(obs, k_max)
     # every order up to the cap, whether the search reached it or not
     assert [f.k for f in fits] == [r.k for r in refs]
     for fit, ref in zip(fits, refs):
@@ -329,7 +403,7 @@ def _assert_matches_reference(monkeypatch, obs, k_max, shipped=None):
         assert fit.n_iter == ref.n_iter
     # the same search over the reference fits stops at, and keeps, the same orders
     with monkeypatch.context() as m:
-        m.setattr(gmm, "fit_em", lambda obs, k: refs[k - 1])
+        m.setattr(gmm, "fit_em", lambda obs, k, target: refs[k - 1])
         _, ref_trace = gmm.select_model(obs, k_max)
     assert [(row["k"], row["selected"]) for row in trace] == \
         [(row["k"], row["selected"]) for row in ref_trace]
@@ -342,7 +416,7 @@ def _assert_matches_reference(monkeypatch, obs, k_max, shipped=None):
 
 def test_em_matches_row_major_reference(monkeypatch, seeded_fits):
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        for obs, select, fits in seeded_fits:
+        for obs, select, fits, _ in seeded_fits:
             _assert_matches_reference(monkeypatch, obs, 5, (select, fits))
         # all observations identical: only K=1 is fit
         trace, fits = _assert_matches_reference(monkeypatch, np.full(40, 0.7), 5)
@@ -375,20 +449,44 @@ def _exhaustive_trace(obs, fits):
     return rows
 
 
-def test_stop_rule_trace_is_the_exhaustive_trace_cut_short(seeded_fits):
+def test_stop_rule_trace_is_the_exhaustive_trace_cut_short(monkeypatch, seeded_fits):
     def unselected(rows):
         return [{key: v for key, v in row.items() if key != "selected"} for row in rows]
 
-    differs = []
-    for i, (obs, (model, trace), fits) in enumerate(seeded_fits):
-        full = _exhaustive_trace(obs, fits)
-        assert unselected(trace) == unselected(full[:len(trace)]), i
+    differs, departs, abandoned = [], [], 0
+    for i, (obs, (model, trace), fits, untargeted) in enumerate(seeded_fits):
+        full = _exhaustive_trace(obs, untargeted)
+        # the stop rule alone: the same search over the untargeted fits
+        with monkeypatch.context() as m:
+            m.setattr(gmm, "fit_em", lambda obs, k, target: untargeted[k - 1])
+            plain, plain_trace = gmm.select_model(obs, 5)
+        assert unselected(plain_trace) == unselected(full[:len(plain_trace)]), i
+        _assert_stop_rule(plain, plain_trace, 5, obs)
+        if next(row["k"] for row in full if row["selected"]) != plain.k:
+            differs.append(i)
+        # only the order that ends the search may be abandoned, and then it is
+        # its untargeted fit cut short
+        last = fits[len(trace) - 1]
+        cut = not last.converged and last.n_iter < gmm.MAX_ITER
+        if cut:
+            assert last.ll_trace == untargeted[last.k - 1].ll_trace[:last.n_iter + 1], i
+            abandoned += 1
+        kept = len(trace) - cut
+        assert unselected(trace[:kept]) == unselected(full[:kept]), i
         assert model is fits[model.k - 1]
         _assert_stop_rule(model, trace, 5, obs)
-        if next(row["k"] for row in full if row["selected"]) != model.k:
-            differs.append(i)
+        if model.k != plain.k:
+            # a misprojection: the abandoned order's untargeted fit, still
+            # unconverged at MAX_ITER, lowers the best BIC of the orders before it
+            assert cut and not untargeted[last.k - 1].converged, i
+            assert full[last.k - 1]["bic"] < min(row["bic"] for row in trace[:-1]), i
+            departs.append(i)
     # on these 100 inputs the stop rule keeps the order an exhaustive search keeps
     assert differs == []
+    # but Aitken's projection assumes geometrically shrinking gains: on these
+    # three the abandoned order is creeping when the rule acts, then climbs
+    # past its target before MAX_ITER, so the search keeps a smaller order
+    assert departs == [3, 15, 83] and abandoned > len(departs)
     # but BIC is not unimodal in K on seeded input 174 (its values do not
     # repeat): K=3 scores above K=2, which stops the search, and K=4 below both
     from test_acceptance import _seeded_em_input
@@ -398,6 +496,31 @@ def test_stop_rule_trace_is_the_exhaustive_trace_cut_short(seeded_fits):
     assert unselected(trace) == unselected(full[:len(trace)])
     assert [round(row["bic"], 2) for row in full] == [344.9, 299.35, 300.4, 288.01, 301.01]
     assert model.k == 2 and next(row["k"] for row in full if row["selected"]) == 4
+
+
+def test_abandoned_fits_end_the_search_unselected(run_cache):
+    # every treated run directory in the session run cache: both default
+    # grids and C6/C7's held-out seeds
+    from test_runner import _csv_rows
+    from test_scheduler import _REPLAYED
+    abandoned = 0
+    for task, rate, seed in _REPLAYED:
+        _, run_dir = run_cache.get(task=task, seed=seed, noise_rate=rate, mantra=True)
+        epochs = {}
+        for row in _csv_rows(run_dir / "gmm_trace.csv"):
+            epochs.setdefault(row["epoch"], []).append(row)
+        for epoch, rows in epochs.items():
+            for i, row in enumerate(rows):
+                if row["converged"] == "1" or int(row["n_iter"]) == gmm.MAX_ITER:
+                    continue
+                where = f"{run_dir.name}: epoch {epoch}, K={row['k']}"
+                # its target was the log-likelihood that would lower the best
+                # earlier BIC, and it fell more than a nat short
+                best = min((float(r["bic"]) for r in rows[:i]), default=math.inf)
+                assert float(row["bic"]) > best + 2, where
+                assert row is rows[-1] and row["selected"] == "0", where
+                abandoned += 1
+    assert abandoned > 0
 
 
 def test_starved_component_keeps_its_parameters():

@@ -70,8 +70,9 @@ def test_each_run_setting_has_one_default(tmp_path):
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
-    # settings no caller varies are module constants, not parameters
-    assert list(inspect.signature(gmm.fit_em).parameters) == ["obs", "k"]
+    # settings no caller varies are module constants, not parameters; an EM
+    # fit's target varies with each order select_model fits, so it is one
+    assert list(inspect.signature(gmm.fit_em).parameters) == ["obs", "k", "target"]
     assert list(inspect.signature(TrajectoryStore.save_histogram_csv).parameters) == [
         "self", "path", "epoch"]
     assert trajectory.HIST_BINS == 30
