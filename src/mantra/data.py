@@ -109,7 +109,7 @@ def classification_split(ids, x, y):
 
 
 def summarization_split(ids, sources, targets, n_src):
-    """A split from token arrays over n_src source ids, padded to the longest; EOS ends tgt."""
+    """A split packed by _pad from token-id lists over n_src source ids; EOS ends each target."""
     src, src_len = _pad(sources)
     tgt, tgt_len = _pad(targets)
     if (src.shape[1] > MAX_SRC_LEN or src.min(initial=0) < 0
@@ -335,9 +335,7 @@ def _parse_summarization(record, vocab, n_src, n_content, eos_id):
         raise SchemaError(f"source length {len(src)} exceeds {MAX_SRC_LEN}")
     if len(tgt) > MAX_TGT_LEN:
         raise SchemaError(f"target length {len(tgt)} exceeds {MAX_TGT_LEN}")
-    source = np.asarray(src, dtype=np.int64)
-    target = np.concatenate([np.asarray(tgt, dtype=np.int64), [eos_id]])
-    return source, target
+    return src, tgt + [eos_id]
 
 
 def load_jsonl(path, task, vocab_path=None):

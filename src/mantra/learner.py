@@ -158,14 +158,13 @@ def train_epoch(model, samples, config, epoch):
 
 
 def predict(model, samples):
-    """Hard predictions: label bit vectors, or greedily decoded token arrays."""
+    """Hard predictions: label bit vectors, or greedy_decode's (tokens, lengths)."""
     _check_task(model, samples)
     if isinstance(model, ClassifierModel):
         return (_classifier_probs(model, samples.x) > 0.5).astype(np.uint8)
-    out, out_len = kernels.greedy_decode(
+    return kernels.greedy_decode(
         model.u, model.v, model.b, samples.src_counts, samples.src_len, model.bos,
         model.eos, MAX_TGT_LEN)
-    return [out[i, :out_len[i]].copy() for i in range(len(samples))]
 
 
 def param_arrays(model):

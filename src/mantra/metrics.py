@@ -44,15 +44,25 @@ def _clipped_matches(cand_keys, ref_keys):
     return int(np.minimum(counts, np.where(hit, np.append(ref_counts, 0)[at], 0)).sum())
 
 
-def bleu4(candidates, references):
+def _valid_tokens(tokens, lengths):
+    """A padded (rows, width) token array's valid prefixes, concatenated, and its lengths."""
+    tokens, lengths = np.asarray(tokens, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    if (tokens.ndim != 2 or lengths.shape != tokens.shape[:1]
+            or ((lengths < 0) | (lengths > tokens.shape[1])).any()):
+        raise UsageError(f"a {tokens.shape} token array needs a length in [0, width] per row")
+    return tokens[np.arange(tokens.shape[1]) < lengths[:, None]], lengths
+
+
+def bleu4(cand, cand_len, ref, ref_len):
     """Corpus BLEU with n-grams up to 4, one reference per candidate.
 
-    Clipped n-gram counts pool over the corpus before the precision ratio is
-    taken.  A precision whose raw numerator is zero is smoothed add-one on
-    both numerator and denominator; nonzero numerators stay exact.  Brevity
-    penalty is 1 when the candidate corpus is longer than the reference
-    corpus, else exp(1 - r/c).  An empty candidate contributes length 0 and
-    no matches.  Returns a value in [0, 1].
+    Each side is a padded token array and its lengths, as greedy_decode
+    returns them.  Clipped n-gram counts pool over the corpus before the
+    precision ratio is taken.  A precision whose raw numerator is zero is
+    smoothed add-one on both numerator and denominator; nonzero numerators
+    stay exact.  Brevity penalty is 1 when the candidate corpus is longer
+    than the reference corpus, else exp(1 - r/c).  An empty candidate
+    contributes length 0 and no matches.  Returns a value in [0, 1].
 
     The counts are exact integers from array code.  Each n-gram of the
     corpus (N tokens, S sentence pairs) gets a dense id below N: the
@@ -62,20 +72,18 @@ def bleu4(candidates, references):
     collides or overflows int64 on a corpus that fits in memory, whatever
     the token ids.
     """
-    if len(references) != len(candidates):
-        raise UsageError("references and candidates must pair up one to one")
-    if not references:
-        raise UsageError("BLEU needs at least one sentence pair")
-    n_pairs = len(references)
-    sentences = [np.asarray(s, dtype=np.int64) for s in (*candidates, *references)]
-    lengths = np.array([s.size for s in sentences], dtype=np.int64)
-    c_len = int(lengths[:n_pairs].sum())
-    r_len = int(lengths[n_pairs:].sum())
+    cand_tokens, cand_len = _valid_tokens(cand, cand_len)
+    ref_tokens, ref_len = _valid_tokens(ref, ref_len)
+    n_pairs = cand_len.size
+    if ref_len.size != n_pairs or not n_pairs:
+        raise UsageError("BLEU needs at least one sentence pair, one reference per candidate")
+    lengths = np.concatenate([cand_len, ref_len])
+    c_len, r_len = cand_tokens.size, ref_tokens.size
     if c_len == 0:
         return 0.0
 
     # candidate tokens first, then reference tokens
-    distinct, tok = np.unique(np.concatenate(sentences), return_inverse=True)
+    distinct, tok = np.unique(np.concatenate([cand_tokens, ref_tokens]), return_inverse=True)
     n_tokens = tok.size
     pair = np.repeat(np.arange(2 * n_pairs) % n_pairs, lengths)
     # tokens from each one to the end of its sentence, itself included
@@ -88,13 +96,10 @@ def bleu4(candidates, references):
                              return_inverse=True)[1]
         key = pair[:gram.size] * n_tokens + gram
         fits = room[:gram.size] >= n            # the n-gram ends inside its sentence
-        cand = key[:c_len][fits[:c_len]]
-        matched = _clipped_matches(cand, key[c_len:][fits[c_len:]])
-        total = cand.size
-        if matched == 0:
-            precision = (matched + 1) / (total + 1)
-        else:
-            precision = matched / total
+        cand_keys = key[:c_len][fits[:c_len]]
+        matched = _clipped_matches(cand_keys, key[c_len:][fits[c_len:]])
+        total = cand_keys.size
+        precision = matched / total if matched else 1 / (total + 1)     # add-one smoothing
         log_precisions.append(0.25 * math.log(precision))
 
     brevity = 1.0 if c_len > r_len else math.exp(1.0 - r_len / c_len)
@@ -126,10 +131,7 @@ def detection_report(dropped, corrupted):
 
     precision = tp / n_dropped if n_dropped else None
     recall = tp / n_corrupted if n_corrupted else None
-    if precision is None or recall is None or precision + recall == 0.0:
-        f1 = None if (precision is None or recall is None) else 0.0
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
+    f1 = None if precision is None or recall is None else micro_f1_from_counts(tp, fp, fn)
     noise_rate = n_corrupted / n if n else 0.0
     lift = precision / noise_rate if (precision is not None and noise_rate > 0) else None
     return {"tp": tp, "fp": fp, "fn": fn, "tn": tn,

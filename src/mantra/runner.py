@@ -245,8 +245,7 @@ def _eval_metric(config, model, split):
     pred = learner.predict(model, split)
     if config.task == "classification":
         return metrics.micro_f1(split.y, pred)
-    refs = [t[:n - 1] for t, n in zip(split.tgt, split.tgt_len)]   # EOS stripped
-    return metrics.bleu4(pred, refs)
+    return metrics.bleu4(*pred, split.tgt, split.tgt_len - 1)     # EOS stripped
 
 
 def run_experiment(config, out_dir=None):

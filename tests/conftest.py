@@ -55,17 +55,21 @@ def seeded_fits():
     K order: the fits select_model made, each with its target, so the order
     that ends the search may be abandoned, then fit_em(obs, K) of each order
     its search did not reach.  untargeted is fit_em(obs, K) of K = 1..5, EM
-    run to convergence or MAX_ITER.  C3 and test_gmm.py's EM reference and
+    run to convergence or MAX_ITER; the orders the search did not reach
+    reuse these fits, the same call.  C3 and test_gmm.py's EM reference and
     stop-rule tests read them, so the fits run under errstate(raise): a
     floating-point error in the shipped loop fails them.
     """
     from test_acceptance import _seeded_em_input
     from test_gmm import _select_fitting_every_order
+
+    def entry(obs):
+        untargeted = [gmm.fit_em(obs, k) for k in range(1, 6)]
+        return (obs, *_select_fitting_every_order(patch, obs, 5, untargeted), untargeted)
+
     with pytest.MonkeyPatch.context() as patch, \
             np.errstate(divide="raise", over="raise", invalid="raise"):
-        return [(obs, *_select_fitting_every_order(patch, obs, 5),
-                 [gmm.fit_em(obs, k) for k in range(1, 6)])
-                for obs in map(_seeded_em_input, range(100))]
+        return [entry(obs) for obs in map(_seeded_em_input, range(100))]
 
 
 @pytest.fixture()

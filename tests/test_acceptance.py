@@ -164,9 +164,10 @@ def test_criterion_4_metric_oracles():
         "bic": abs(gmm.bic_value(-100.0, 2, 1000) - 234.5388) < 1e-4,
         "micro_f1": abs(metrics.micro_f1_from_counts(3, 1, 2) - 0.666667) < 1e-6,
         "bleu_clip": abs(
-            metrics.bleu4([[0] * 7], [[0, 1, 2, 3, 0, 4]])
+            metrics.bleu4(*data._pad([[0] * 7]), *data._pad([[0, 1, 2, 3, 0, 4]]))
             - ((2 / 7) * (1 / 7) * (1 / 6) * (1 / 5)) ** 0.25) < 1e-12,
-        "bleu_identity": metrics.bleu4([[1, 2, 3], [4, 5]], [[1, 2, 3], [4, 5]]) == 1.0,
+        "bleu_identity": metrics.bleu4(*data._pad([[1, 2, 3], [4, 5]]),
+                                       *data._pad([[1, 2, 3], [4, 5]])) == 1.0,
     }
     cls_loss = learner.per_sample_losses(
         learner.new_classifier(16),

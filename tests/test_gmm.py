@@ -369,10 +369,11 @@ def _fields(model):
     return (model.weights, model.means, model.variances, model.converged, model.ll_trace)
 
 
-def _select_fitting_every_order(monkeypatch, obs, k_max):
+def _select_fitting_every_order(monkeypatch, obs, k_max, untargeted=None):
     """select_model(obs, k_max), and a fit of every K <= min(k_max, distinct
     observations) in K order: the fits select_model made, then fit_em of
-    each order its search stopped short of."""
+    each order its search stopped short of, taken from untargeted (fit_em
+    of K = 1..k_max) when given."""
     fits = []
     fit_em = gmm.fit_em
 
@@ -386,7 +387,7 @@ def _select_fitting_every_order(monkeypatch, obs, k_max):
         # select_model calls fit_em once per order it fits, in K order
         assert [f.k for f in fits] == [row["k"] for row in trace]
         for k in range(len(fits) + 1, min(k_max, np.unique(obs).shape[0]) + 1):
-            recorder(obs, k)
+            fits.append(untargeted[k - 1] if untargeted else fit_em(obs, k))
     return (model, trace), fits
 
 

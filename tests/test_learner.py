@@ -208,7 +208,8 @@ def test_empty_inputs():
     seq = learner.new_seq2seq()
     empty = _empty_split("summarization")
     assert learner.per_sample_losses(seq, empty).shape == (0,)
-    assert learner.predict(seq, empty) == []
+    out, out_len = learner.predict(seq, empty)
+    assert out.shape == (0, data.MAX_TGT_LEN) and out_len.shape == (0,)
     learner.train_epoch(seq, empty, _cfg(lr=0.1), 0)
 
 
@@ -388,9 +389,24 @@ def test_overfit_tiny_summarization_set_decodes_exactly():
     cfg = _cfg(lr=16.0, batch_size=len(chosen))
     for epoch in range(300):
         learner.train_epoch(model, chosen, cfg, epoch)
-    decoded = learner.predict(model, chosen)
-    for target, out in zip(chosen.tgt, decoded):
-        np.testing.assert_array_equal(out, target[:-1])
+    out, out_len = learner.predict(model, chosen)
+    for target, n, row, length in zip(chosen.tgt, chosen.tgt_len, out, out_len):
+        np.testing.assert_array_equal(row[:length], target[:n - 1])
+
+
+def test_predict_returns_greedy_decodes_arrays():
+    seq = learner.new_seq2seq()
+    samples = _sum_samples(6, 60)
+    for epoch in range(3):
+        learner.train_epoch(seq, samples, _cfg(lr=16.0), epoch)
+    got = learner.predict(seq, samples)
+    want = kernels.greedy_decode(seq.u, seq.v, seq.b, samples.src_counts, samples.src_len,
+                                 seq.bos, seq.eos, data.MAX_TGT_LEN)
+    assert type(got) is tuple and len(got) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+    assert {1, 2, data.MAX_TGT_LEN} <= set(got[1].tolist())   # stopped at EOS or the cap
 
 
 def _read_checkpoint(path):

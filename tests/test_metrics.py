@@ -1,12 +1,13 @@
 """Metrics: micro-F1 and BLEU against independent reimplementations."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mantra import metrics
+from mantra import data, learner, metrics, runner
 from mantra.errors import UsageError
 
 
@@ -49,17 +50,31 @@ def test_micro_f1_matches_reference_on_random_batches(rng):
         metrics.micro_f1(np.zeros((2, 7)), np.zeros((3, 7)))
 
 
+def _bleu(cands, refs):
+    """bleu4 of list-form sentences, each side packed by data._pad."""
+    return metrics.bleu4(*data._pad(cands), *data._pad(refs))
+
+
 def test_bleu_identity_and_empties():
     refs = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
-    assert metrics.bleu4(refs, refs) == pytest.approx(1.0, abs=1e-12)
-    assert metrics.bleu4([[], []], refs) == 0.0
+    assert _bleu(refs, refs) == pytest.approx(1.0, abs=1e-12)
+    assert _bleu([[], []], refs) == 0.0
     # one empty candidate only loses its own mass
-    mixed = metrics.bleu4([refs[0], []], refs)
+    mixed = _bleu([refs[0], []], refs)
     assert 0.0 < mixed < 1.0
-    with pytest.raises(UsageError):
-        metrics.bleu4([[1]], [[1], [2]])
-    with pytest.raises(UsageError):
-        metrics.bleu4([], [])
+
+
+def test_bleu_rejects_arrays_outside_its_contract():
+    tokens, lengths = data._pad([[1, 2], [3]])
+    for args in (
+            (tokens, lengths, tokens[:1], lengths[:1]),         # pair counts differ
+            (tokens[:0], lengths[:0], tokens[:0], lengths[:0]),  # no pairs
+            (tokens, np.array([2, -1]), tokens, lengths),       # a negative length
+            (tokens, lengths, tokens, np.array([3, 1])),        # past the width
+            (tokens, lengths[:1], tokens, lengths),             # a row without length
+            (tokens[0], lengths[:1], tokens, lengths)):         # not a padded array
+        with pytest.raises(UsageError):
+            metrics.bleu4(*args)
 
 
 def test_bleu_clipped_unigram_case():
@@ -68,17 +83,17 @@ def test_bleu_clipped_unigram_case():
     cand = [[0, 0, 0, 0, 0, 0, 0]]
     ref = [[0, 1, 2, 3, 0, 4]]
     want = ((2 / 7) * (1 / 7) * (1 / 6) * (1 / 5)) ** 0.25
-    assert metrics.bleu4(cand, ref) == pytest.approx(want, rel=1e-12)
-    assert metrics.bleu4(cand, ref) == _reference_bleu4(cand, ref)
+    assert _bleu(cand, ref) == pytest.approx(want, rel=1e-12)
+    assert _bleu(cand, ref) == _reference_bleu4(cand, ref)
 
 
 def test_bleu_brevity_penalty_directions():
     ref = [[1, 2, 3, 4]]
-    short = metrics.bleu4([[1, 2]], ref)          # c < r: penalized
-    exact = metrics.bleu4([[1, 2, 3, 4]], ref)
+    short = _bleu([[1, 2]], ref)          # c < r: penalized
+    exact = _bleu([[1, 2, 3, 4]], ref)
     assert short < exact
     # longer candidate pays no brevity penalty but dilutes precision
-    longer = metrics.bleu4([[1, 2, 3, 4, 9, 9]], ref)
+    longer = _bleu([[1, 2, 3, 4, 9, 9]], ref)
     assert longer == _reference_bleu4([[1, 2, 3, 4, 9, 9]], ref)
 
 
@@ -130,11 +145,16 @@ def _corpus(rng, n_pairs, vocab, max_len, p_copy=0.3, p_empty=0.1, p_repeat=0.1)
 
 
 def _assert_exact_bleu(cands, refs):
-    got = metrics.bleu4(cands, refs)
+    got = _bleu(cands, refs)
     assert got == _reference_bleu4(cands, refs), (cands, refs)
-    # numpy arrays, as decoded predictions and sliced targets arrive
-    assert metrics.bleu4([np.array(c, dtype=np.int64) for c in cands],
-                         [np.array(r, dtype=np.int64) for r in refs]) == got
+    # no pad is read: wider arrays whose pads hold live token ids score the same
+    assert metrics.bleu4(*_live_pads(*data._pad(cands)), *_live_pads(*data._pad(refs))) == got
+
+
+def _live_pads(tokens, lengths):
+    """tokens three columns wider, every pad set to the largest token id."""
+    wide = np.pad(tokens, ((0, 0), (0, 3)))
+    return np.where(np.arange(wide.shape[1]) < lengths[:, None], wide, wide.max()), lengths
 
 
 def test_bleu_equals_counter_reference_exactly():
@@ -164,6 +184,27 @@ def test_bleu_exact_on_degenerate_corpora():
     ]
     for cands, refs in cases:
         _assert_exact_bleu(cands, refs)
+
+
+def test_bleu_of_trained_decodes_equals_counter_reference_exactly():
+    # what a run scores: greedy decodes of a baseline sum model after every
+    # epoch, on its validation and test splits, against their EOS-less targets
+    for seed, rate in itertools.product((1, 2), (0.0, 0.15)):
+        config = runner.ExperimentConfig(task="summarization", seed=seed,
+                                         noise_rate=rate, mantra=False)
+        dataset, train, _ = runner._prepare(config)
+        model = runner._new_model(config, dataset)
+        scores = []
+        for epoch in range(1, config.epochs + 1):
+            learner.train_epoch(model, train, config, epoch)
+            for split in (dataset.validation, dataset.test):
+                out, out_len = learner.predict(model, split)
+                got = metrics.bleu4(out, out_len, split.tgt, split.tgt_len - 1)
+                assert got == _reference_bleu4(
+                    [row[:n] for row, n in zip(out, out_len)],
+                    [row[:n - 1] for row, n in zip(split.tgt, split.tgt_len)]), (seed, epoch)
+                scores.append(got)
+        assert len(set(scores)) > 10        # the decodes change as the model learns
 
 
 def _reference_detection_report(dropped_ids, ids, corrupted):
@@ -236,3 +277,18 @@ def test_detection_report_matches_id_set_reference():
         got = metrics.detection_report(dropped, corrupted)
         assert got == _reference_detection_report(ids[dropped], ids, corrupted), (
             n, p_drop, p_bad)
+
+
+def test_detection_f1_matches_reference_on_every_small_confusion():
+    # tp, fp and fn below 16, including the confusions that drop nothing or
+    # corrupt nothing: micro_f1_from_counts agrees with the reference's own
+    # F1 formula bit for bit
+    for tp, fp, fn in itertools.product(range(16), repeat=3):
+        dropped = np.repeat([True, True, False, False], [tp, fp, fn, 1])
+        corrupted = np.repeat([True, False, True, False], [tp, fp, fn, 1])
+        f1 = metrics.detection_report(dropped, corrupted)["f1"]
+        if tp + fp == 0 or tp + fn == 0:
+            assert f1 is None, (tp, fp, fn)
+        else:
+            assert f1 == _reference_detection_report(
+                np.flatnonzero(dropped), np.arange(dropped.size), corrupted)["f1"], (tp, fp, fn)
