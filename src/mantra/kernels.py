@@ -22,7 +22,10 @@ pads hold +0.0 and so leave every sum unchanged: dv's per-sample rows are
 its ``sum(axis=0)`` and db is its ``sum(axis=1).sum(axis=0)``, because a
 reduction over an outer axis adds whole slices one after another.  A
 sample-major order would be off in the last bits.  Results do not depend
-on how a split is cut into blocks.
+on how a split is cut into blocks.  The softmax's row max is order-free
+(a tie between +0.0 and -0.0 may keep either sign, which no exp, loss or
+gradient can see), so it is taken on a transposed copy of the logits,
+along their contiguous slot axis; every sum keeps the order named here.
 
 seq_losses scores whole splits in blocks of 64 samples in row order.  Each
 block computes on its real slots only, so its samples need no sorting by
@@ -92,11 +95,14 @@ def _slots(tgt, tgt_len, bos):
 
 
 def _softmax(logits):
-    """Turn (S, V_t) logits into exp(logits - max) in place; return the max and the sum."""
-    mx = logits.max(axis=1)
+    """Turn (S, V_t) logits into exp(logits - max) in place; return the max and the sum.
+
+    One elementwise fold of a (V_t, S) copy's rows costs less than S reduces of V_t.
+    """
+    mx = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)
     logits -= mx[:, None]
     np.exp(logits, out=logits)
-    return mx, logits.sum(axis=1)
+    return mx, np.add.reduce(logits, axis=1)
 
 
 def seq_losses(u, v, b, src_counts, src_len, tgt, tgt_len, bos):
@@ -132,8 +138,8 @@ def seq_grad_sum(u, v, b, src_counts, src_len, tgt, tgt_len, bos):
     du = du.reshape(n_vocab, n_vocab).T.copy()                 # summed as [prev, next]
     dense = np.zeros((tgt.shape[1], n, n_vocab))                # pads hold +0.0
     dense[pos, rows] = dl
-    dv = dense.sum(axis=0).T @ bag
-    db = dense.sum(axis=1).sum(axis=0)
+    dv = np.add.reduce(dense, axis=0).T @ bag
+    db = np.add.reduce(np.add.reduce(dense, axis=1), axis=0)
     return du, dv, db
 
 

@@ -91,7 +91,7 @@ def _sigmoid(z):
     # exp(-|z|) never overflows; each branch is the stable form for its sign
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / d
 
 
 def _classifier_probs(model, x):

@@ -184,6 +184,16 @@ def test_kernels_equal_position_loop_on_seeded_batches(rng):
     _assert_matches_reference(_desk_batch(rng, 1500))   # several scoring blocks
     for _ in range(8):      # small vocabularies, pads as wide as the longest row
         _assert_matches_reference(_random_problem(rng)[:-1])
+    # integer transition scores and a flat source term: every logit row ties
+    # at its max across several columns, so any column could give the max
+    u, v, b, *rest = _desk_batch(rng, 48)
+    u = rng.integers(-4, 1, u.shape).astype(float)
+    assert ((u == u.max(axis=0)).sum(axis=0) >= 3).all()     # row p of the logits is u[:, p]
+    _assert_matches_reference((u, np.zeros_like(v), np.full_like(b, 0.5), *rest))
+    # parameters at scale 300: logits past exp's range of about 709, so the
+    # max shift decides which exps underflow to 0 and keeps the rest finite
+    u, v, b, *rest = _desk_batch(rng, 48)
+    _assert_matches_reference((200 * u, 200 * v, 200 * b, *rest))
 
 
 def test_kernels_equal_position_loop_on_edge_lengths(rng):
