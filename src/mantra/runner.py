@@ -20,19 +20,20 @@ it still runs every mixture fit and drop decision itself.  So the model it
 holds is the baseline's at every replayed epoch, and what it does next
 (train on a reduced set, or compute its test metric) it does exactly as a
 run alone would.  When it writes artifacts, the bytes of its replayed
-epochs (their trajectory rows and density files) and of the noise mask are
-copied from the baseline's files, in bounded blocks; it formats only its
-own epochs.  Every report and artifact of either arm equals that of the
-same config run alone, runtime_sec aside.
+epochs (their trajectory rows and density files) are copied from the
+baseline's files, in bounded blocks; it formats its own epochs and every
+other file, the noise mask included.  Every report and artifact of either
+arm equals that of the same config run alone, runtime_sec aside.
 The scheduler's DropState is the run's one drop record: the report's drop
 events, per-epoch counts, dropped ids and detection scores are all read off
 it by train position once the loop is over.
 
 Reports serialize to results.json deterministically: reruns of the same
-config are byte-identical except for the runtime field.  Each fact of a run
-directory lives in one file: the report's per-row tables are written as
-CSVs only, and results.json keeps the config, the scalars, the per-epoch
-metrics and detection.
+config are byte-identical except for the runtime field.  The report's
+per-row tables are written as CSVs only, but some facts are stated twice:
+results.json's drop counts and detection follow from drops.csv and
+noise_mask.csv, group_means.csv from trajectory.csv and noise_mask.csv,
+and each density_e*.csv from trajectory.csv alone.
 """
 
 import copy
@@ -356,14 +357,12 @@ def _write_artifacts(out_dir, report, store, model, copy_from=None, replayed=0):
 
     copy_from is the run directory of a grid pair's baseline, given to its
     treated arm, whose first `replayed` epochs were the baseline's: their
-    trajectory rows and density files, and the shared noise mask, are copied
-    from the baseline's files byte for byte rather than formatted again.
+    trajectory rows and density files are copied from the baseline's files
+    byte for byte rather than formatted again.
     """
     def path(name):
         return os.path.join(out_dir, name)
 
-    if copy_from is None:
-        replayed = 0
     report.save_json(path("results.json"))
     learner.save_model(model, path("model.ckpt.json"))
     store.save_csv(path("trajectory.csv"),
@@ -378,11 +377,8 @@ def _write_artifacts(out_dir, report, store, model, copy_from=None, replayed=0):
             shutil.copyfile(os.path.join(copy_from, name), path(name))
         else:
             store.save_histogram_csv(path(name), epoch)
-    if copy_from is None:
-        write_csv(path("noise_mask.csv"), ("sample_id", "corrupted"), (
-            map(str, store.ids.tolist()), map(_flag_cell, store.corrupted.tolist())))
-    else:
-        shutil.copyfile(os.path.join(copy_from, "noise_mask.csv"), path("noise_mask.csv"))
+    write_csv(path("noise_mask.csv"), ("sample_id", "corrupted"), (
+        map(str, store.ids.tolist()), map(_flag_cell, store.corrupted.tolist())))
     for name, rows, columns in (("drops.csv", report.drop_events, _DROP_COLUMNS),
                                 ("gmm_trace.csv", report.gmm_trace, _GMM_TRACE_COLUMNS)):
         write_csv(os.path.join(out_dir, name), columns,

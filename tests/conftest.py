@@ -1,4 +1,7 @@
-"""Shared fixtures: benchmark run cache, seeded mixture fits and small dataset helpers."""
+"""Shared fixtures: benchmark run cache, run directory bytes, seeded mixture fits
+and small dataset helpers."""
+
+import json
 
 import numpy as np
 import pytest
@@ -43,6 +46,21 @@ def run_cache(tmp_path_factory):
 def bench_run(run_cache):
     """Callable returning a cached RunReport for a benchmark config."""
     return lambda **kwargs: run_cache.get(**kwargs)[0]
+
+
+@pytest.fixture(scope="session")
+def run_dir_bytes():
+    """Callable: file name -> bytes of each file of a run directory, with
+    results.json read without runtime_sec (KeyError if it has none) and
+    dumped again, as tools/artifact_digests.py's _file_bytes does."""
+    def read(run_dir):
+        out = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        report = json.loads(out["results.json"])
+        report.pop("runtime_sec")
+        out["results.json"] = json.dumps(report, sort_keys=True, indent=2).encode("utf-8")
+        return out
+
+    return read
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ weakened; see the README's "known failure" note.
 """
 
 import csv
-import json
 import math
 
 import numpy as np
@@ -299,13 +298,7 @@ def test_criterion_8_curve_smoothness(bench_run):
 
 # -- criterion 9: determinism and bookkeeping hygiene ------------------------
 
-def _strip_runtime(path):
-    payload = json.loads(path.read_text())
-    payload.pop("runtime_sec")
-    return payload
-
-
-def test_criterion_9_determinism_and_hygiene(bench_run, tmp_path):
+def test_criterion_9_determinism_and_hygiene(bench_run, run_dir_bytes, tmp_path):
     identical = True
     for task in ("classification", "summarization"):
         dirs = []
@@ -313,16 +306,8 @@ def test_criterion_9_determinism_and_hygiene(bench_run, tmp_path):
             out = tmp_path / f"{task}_{attempt}"
             run_experiment(ExperimentConfig(task=task, seed=1, noise_rate=0.15,
                                             mantra=True), out_dir=str(out))
-            dirs.append(out)
-        names = sorted(p.name for p in dirs[0].iterdir())
-        identical = identical and names == sorted(p.name for p in dirs[1].iterdir())
-        for name in names:
-            if name == "results.json":
-                identical = identical and (
-                    _strip_runtime(dirs[0] / name) == _strip_runtime(dirs[1] / name))
-            else:
-                identical = identical and (
-                    (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes())
+            dirs.append(run_dir_bytes(out))
+        identical = identical and dirs[0] == dirs[1]
 
     hygiene = True
     notes = []

@@ -314,30 +314,18 @@ def test_mixture_sees_log1p_of_the_epochs_losses(tmp_path, monkeypatch, tiny_cls
         assert np.array_equal(obs, np.log1p(losses[epoch])), epoch
 
 
-def _artifacts(run_dir):
-    """File name -> bytes of a run directory; results.json without runtime_sec."""
-    out = {}
-    for path in run_dir.iterdir():
-        out[path.name] = path.read_bytes()
-        if path.name == "results.json":
-            doc = json.loads(out[path.name])
-            doc.pop("runtime_sec")
-            out[path.name] = json.dumps(doc, sort_keys=True).encode()
-    return out
-
-
 def _without_runtime(report):
     return {k: v for k, v in report.as_dict().items() if k != "runtime_sec"}
 
 
-def test_rerun_is_byte_identical_except_runtime(tmp_path, tiny_cls_config):
+def test_rerun_is_byte_identical_except_runtime(tmp_path, tiny_cls_config, run_dir_bytes):
     run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "a"))
     run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "b"))
-    assert _artifacts(tmp_path / "a") == _artifacts(tmp_path / "b")
+    assert run_dir_bytes(tmp_path / "a") == run_dir_bytes(tmp_path / "b")
     # a shorter rerun into a longer run's directory leaves none of its density_e*.csv
     run_experiment(tiny_cls_config(epochs=6), out_dir=str(tmp_path / "c"))
     run_experiment(tiny_cls_config(), out_dir=str(tmp_path / "c"))
-    assert _artifacts(tmp_path / "a") == _artifacts(tmp_path / "c")
+    assert run_dir_bytes(tmp_path / "a") == run_dir_bytes(tmp_path / "c")
 
 
 def test_artifact_set(tmp_path, tiny_cls_config):
@@ -603,74 +591,62 @@ def test_run_grid(tmp_path, tiny_cls_config):
             assert (d / "results.json").exists()
 
 
-@pytest.mark.parametrize("task, overrides, first_drop", [
-    ("cls", dict(noise_rate=0.0), None),        # never drops: the whole run is replayed
-    ("cls", dict(n_train=200, epochs=6), 3),    # takes effect two epochs before the last
-    ("sum", dict(n_train=80, epochs=6), 4),
-    ("cls", dict(n_train=200, epochs=3), 3),    # drops only in its last epoch: all replayed
-])
-def test_grid_arms_equal_their_standalone_runs(tmp_path, monkeypatch, tiny_cls_config,
-                                               tiny_sum_config, task, overrides,
-                                               first_drop):
-    cfg = (tiny_cls_config if task == "cls" else tiny_sum_config)(**overrides)
-    trained = []
-    train_epoch = runner.learner.train_epoch
-
-    def counting(model, samples, config, epoch):
-        trained.append(epoch)
-        return train_epoch(model, samples, config, epoch)
-
-    monkeypatch.setattr(runner.learner, "train_epoch", counting)
-    reports = run_grid(cfg, [cfg.noise_rate], [cfg.seed], out_dir=str(tmp_path / "grid"))
-    drops = [e for e, n in reports[1].dropped_per_epoch.items() if n]
-    assert min(drops, default=None) == first_drop
-    # the treated arm trains only once its first drop has taken effect
-    epochs = list(range(1, cfg.epochs + 1))
-    assert trained == epochs + (epochs[first_drop:] if first_drop else [])
-
-    for report, arm in zip(reports, ("baseline", "mantra")):
-        alone = run_experiment(ExperimentConfig(**report.config),
-                               out_dir=str(tmp_path / arm))
-        assert _without_runtime(report) == _without_runtime(alone)
-        grid_dir = tmp_path / "grid" / f"{cfg.task}_r{cfg.noise_rate:g}_s{cfg.seed}_{arm}"
-        assert _artifacts(grid_dir) == _artifacts(tmp_path / arm)
+def _earliest_drop(value):
+    """A case's id part for its pairs: their earliest first drop; pytest names the rest."""
+    if isinstance(value, list):
+        return str(min((first for *_, first in value if first is not None), default=None))
+    return None
 
 
-def test_treated_arms_copy_only_their_own_baselines_replayed_epochs(
-        tmp_path, monkeypatch, tiny_cls_config, tiny_sum_config):
-    # A treated arm's first drop-free epochs, and its noise mask, are copied
-    # from its own baseline's files; every arm still equals its run alone.
+# Each pair's (rate, seed, first drop epoch of its treated arm), in sweep order.
+@pytest.mark.parametrize("task, overrides, pairs", [
+    ("cls", {}, [(0.0, 3, None)]),       # never drops: the whole run is replayed
     # Pairs differ in rate and seed, so a copy from another pair shows, and
-    # each grid has a treated arm that drops before its last epoch, so a copy
-    # of one epoch too many shows.
-    grids = [(tiny_cls_config(n_train=200, epochs=6), [0.1, 0.15], [3, 4],
-              "generate_classification_dataset", "inject_label_noise"),
-             (tiny_sum_config(n_train=80, epochs=6), [0.15], [3],
-              "generate_summarization_dataset", "inject_summary_noise")]
-    for k, (cfg, rates, seeds, generate, inject) in enumerate(grids):
-        calls = []
-        with monkeypatch.context() as patch:
-            # wrapped where the runner looks them up, as the benchmark wraps them
-            for owner, name in ((runner, generate), (runner.noise, inject)):
-                fn = getattr(owner, name)
-                patch.setattr(owner, name, lambda *a, fn=fn, name=name, **kw:
-                              calls.append(name) or fn(*a, **kw))
-            grid = tmp_path / f"grid{k}"
-            reports = run_grid(cfg, rates, seeds, out_dir=str(grid))
-        pairs = len(rates) * len(seeds)
-        assert calls.count(generate) == calls.count(inject) == pairs
+    # drops take effect before the last epoch, so a copy of one epoch too many shows.
+    ("cls", dict(n_train=200, epochs=6),
+     [(0.1, 3, 3), (0.1, 4, 3), (0.15, 3, 3), (0.15, 4, 4)]),
+    ("sum", dict(n_train=80, epochs=6), [(0.15, 3, 4)]),
+    ("cls", dict(n_train=200, epochs=3), [(0.15, 3, 3)]),     # drops only in its last epoch
+], ids=_earliest_drop)
+def test_grid_arms_equal_their_standalone_runs(tmp_path, monkeypatch, tiny_cls_config,
+                                               tiny_sum_config, run_dir_bytes, task,
+                                               overrides, pairs):
+    cfg = (tiny_cls_config if task == "cls" else tiny_sum_config)(**overrides)
+    rates = list(dict.fromkeys(rate for rate, _, _ in pairs))
+    seeds = list(dict.fromkeys(seed for _, seed, _ in pairs))
+    generate = f"generate_{cfg.task}_dataset"
+    inject = "inject_label_noise" if task == "cls" else "inject_summary_noise"
+    calls = []
+    with monkeypatch.context() as patch:
+        # wrapped where the runner looks them up, as the benchmark wraps them
+        for owner, name in ((runner, generate), (runner.noise, inject),
+                            (runner.learner, "train_epoch")):
+            fn = getattr(owner, name)
+            patch.setattr(owner, name, lambda *a, fn=fn, name=name, **kw:
+                          calls.append((name, a)) or fn(*a, **kw))
+        reports = run_grid(cfg, rates, seeds, out_dir=str(tmp_path / "grid"))
+    names = [name for name, _ in calls]
+    assert names.count(generate) == names.count(inject) == len(pairs)
+    assert [(r.config["noise_rate"], r.config["seed"],
+             min((e for e, n in r.dropped_per_epoch.items() if n), default=None))
+            for r in reports[1::2]] == pairs
+    # each baseline trains every epoch, its treated arm only once its first drop took effect
+    epochs = list(range(1, cfg.epochs + 1))
+    assert [a[3] for name, a in calls if name == "train_epoch"] == [
+        e for *_, first in pairs for e in epochs + (epochs[first:] if first else [])]
 
-        first_drops = [min((e for e, n in r.dropped_per_epoch.items() if n), default=None)
-                       for r in reports[1::2]]
-        assert any(e is not None and e < cfg.epochs for e in first_drops), first_drops
-        for report in reports:
-            config = ExperimentConfig(**report.config)
-            alone = tmp_path / f"alone{k}" / f"r{config.noise_rate:g}_s{config.seed}_{config.mantra}"
-            assert _without_runtime(run_experiment(config, out_dir=str(alone))) == \
-                _without_runtime(report)
-            arm = "mantra" if config.mantra else "baseline"
-            grid_dir = grid / f"{config.task}_r{config.noise_rate:g}_s{config.seed}_{arm}"
-            assert _artifacts(grid_dir) == _artifacts(alone)
+    arm_dirs = []
+    for report in reports:
+        config = ExperimentConfig(**report.config)
+        arm = "mantra" if config.mantra else "baseline"
+        name = f"{config.task}_r{config.noise_rate:g}_s{config.seed}_{arm}"
+        alone = run_experiment(config, out_dir=str(tmp_path / "alone" / name))
+        assert _without_runtime(report) == _without_runtime(alone)
+        arm_dirs.append(run_dir_bytes(tmp_path / "grid" / name))
+        assert arm_dirs[-1] == run_dir_bytes(tmp_path / "alone" / name)
+    for baseline, treated in zip(arm_dirs[::2], arm_dirs[1::2]):
+        # each arm writes its own mask, and the pair's two are the same bytes
+        assert treated["noise_mask.csv"] == baseline["noise_mask.csv"]
 
 
 def test_a_run_ignores_the_slot_of_another_pair(monkeypatch, tiny_cls_config):
@@ -684,7 +660,7 @@ def test_a_run_ignores_the_slot_of_another_pair(monkeypatch, tiny_cls_config):
     assert (slot.inputs, slot.run_dir, slot.store, slot.epochs) == (None, None, None, [])
 
 
-def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config):
+def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config, run_dir_bytes):
     cfg = tiny_cls_config(n_train=200, epochs=6)
     treated = dataclasses.replace(cfg, seed=4)
     fresh = _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "fresh")))
@@ -694,7 +670,7 @@ def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config):
     # nothing of the grid's, in memory or on disk, feeds a later run
     shutil.rmtree(tmp_path / "grid")
     assert _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "after"))) == fresh
-    assert _artifacts(tmp_path / "after") == _artifacts(tmp_path / "fresh")
+    assert run_dir_bytes(tmp_path / "after") == run_dir_bytes(tmp_path / "fresh")
 
     datasets = []
     generate = runner.generate_classification_dataset
@@ -717,4 +693,4 @@ def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config):
     assert datasets[0]() is None          # the pair's dataset and splits are gone
     monkeypatch.undo()
     assert _without_runtime(run_experiment(treated, out_dir=str(tmp_path / "again"))) == fresh
-    assert _artifacts(tmp_path / "again") == _artifacts(tmp_path / "fresh")
+    assert run_dir_bytes(tmp_path / "again") == run_dir_bytes(tmp_path / "fresh")
