@@ -2,10 +2,10 @@
 
 Exit status: 0 on success; 2 for a ConfigError: bad flags or a setup that
 cannot work, raised before any work unless the data reveals it (an empty
-split, an unused vocabulary, too few samples to corrupt), after --out is made
-and the data is read; 1 for any other MantraError or an OSError (unreadable
-or malformed files, a diverging run, an --out path the OS refuses, tried
-before any work).  MANTRA_OUT, when set, overrides any --out flag.
+split, an unused vocabulary), after --out is made and the data is read; 1
+for any other MantraError or an OSError (unreadable or malformed files, a
+diverging run, an --out path the OS refuses, tried before any work).
+MANTRA_OUT, when set, overrides any --out flag.
 
 Every run setting, with its default and its checks, is declared once, in
 runner.ExperimentConfig or the scheduler.DropPolicy it extends: `run` and
@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import noise, runner
+from . import runner
 from .errors import ConfigError, MantraError
 
 
@@ -50,8 +50,6 @@ def _add_common_options(p):
     p.add_argument("--lr", type=float,
                    help="learning rate (default: the task's desk rate)")
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--noise-mode", choices=noise.LABEL_NOISE_MODES,
-                   help="classification corruption style")
     p.add_argument("--data",
                    help="'synthetic' or a path to a JSON-lines dataset")
     p.add_argument("--vocab",

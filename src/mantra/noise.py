@@ -15,11 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import INTENTS, N_INTENTS
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 
 _TAG_SELECT = 31
 _TAG_DRAW = 32
-LABEL_NOISE_MODES = ("replace-set", "flip-one")
 
 
 def corruption_count(rate, n):
@@ -36,14 +35,10 @@ class NoiseMask:
     prior_drift: dict = field(default_factory=dict)   # label priors; labels only
 
 
-def _select(n_train, n_corrupt, seed, eligible):
-    """First n_corrupt eligible positions of a seeded shuffle of 0..n-1, sorted."""
+def _select(n_train, n_corrupt, seed):
+    """First n_corrupt positions of a seeded shuffle of 0..n-1, sorted."""
     order = np.random.default_rng([seed, _TAG_SELECT]).permutation(n_train)
-    picked = order[eligible[order]][:n_corrupt]
-    if picked.size < n_corrupt:
-        raise ConfigError(
-            f"cannot corrupt {n_corrupt} samples: only {picked.size} eligible")
-    return np.sort(picked)
+    return np.sort(order[:n_corrupt])
 
 
 def label_priors(split):
@@ -52,37 +47,25 @@ def label_priors(split):
     return {INTENTS[i]: counts[i] / len(split) for i in range(N_INTENTS)}
 
 
-def inject_label_noise(train, rate, seed, mode):
+def inject_label_noise(train, rate, seed):
     """Corrupt the classification labels of a copy of the train split.
 
-    mode "replace-set": the whole label set of a selected sample is
-    replaced by a single intent drawn uniformly from the intents the sample
-    did not carry (a sample already carrying all 7 intents draws uniformly
-    from all of them; its singleton set still differs from the original).
-    mode "flip-one": one carried intent is swapped for one absent intent,
-    leaving the rest of the set alone; all-7 samples have no absent intent
-    and are skipped in shuffle order.  Returns (new_train, NoiseMask).
+    The whole label set of a selected sample is replaced by a single intent
+    drawn uniformly from the intents the sample did not carry (a sample
+    already carrying all 7 intents draws uniformly from all of them; its
+    singleton set still differs from the original).  Returns
+    (new_train, NoiseMask).
     """
-    if mode not in LABEL_NOISE_MODES:
-        raise UsageError(f"unknown classification noise mode {mode!r}")
     n = len(train)
-    if mode == "replace-set":
-        eligible = np.ones(n, dtype=bool)
-    else:
-        eligible = train.y.sum(axis=1) < N_INTENTS
-    picked = _select(n, corruption_count(rate, n), seed, eligible)
+    picked = _select(n, corruption_count(rate, n), seed)
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])
 
     y = train.y.copy()
     for pos in picked:
         absent = np.flatnonzero(y[pos] == 0)
-        if mode == "replace-set":
-            pool = absent if absent.size else np.arange(N_INTENTS)
-            y[pos] = 0.0
-            y[pos, draw_rng.choice(pool)] = 1.0
-        else:
-            y[pos, draw_rng.choice(np.flatnonzero(y[pos] == 1))] = 0.0
-            y[pos, draw_rng.choice(absent)] = 1.0
+        pool = absent if absent.size else np.arange(N_INTENTS)
+        y[pos] = 0.0
+        y[pos, draw_rng.choice(pool)] = 1.0
     out = replace(train, y=y)
     mask = NoiseMask(corrupted=np.isin(np.arange(n), picked),
                      prior_drift={"before": label_priors(train),
@@ -99,7 +82,7 @@ def inject_summary_noise(train, rate, seed, n_content):
     Returns (new_train, NoiseMask).
     """
     n = len(train)
-    picked = _select(n, corruption_count(rate, n), seed, np.ones(n, dtype=bool))
+    picked = _select(n, corruption_count(rate, n), seed)
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])
 
     tgt = train.tgt.copy()

@@ -96,7 +96,6 @@ class ExperimentConfig(scheduler.DropPolicy):
     warmup: int | None = None
     lr: float | None = None
     batch_size: int = 32
-    noise_mode: str = "replace-set"
     data: str = "synthetic"
     vocab: str | None = None
     n_train: int | None = None
@@ -131,13 +130,9 @@ class ExperimentConfig(scheduler.DropPolicy):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.noise_mode not in noise.LABEL_NOISE_MODES:
-            raise ConfigError(f"noise_mode must be one of {list(noise.LABEL_NOISE_MODES)}")
-        if self.task == "summarization" and (
-                self.noise_mode != ExperimentConfig.noise_mode
-                or self.n_features not in (None, DEFAULT_DIM)):
-            raise ConfigError("noise_mode and n_features apply to classification "
-                              "only; a summarization run keeps their defaults")
+        if self.task == "summarization" and self.n_features not in (None, DEFAULT_DIM):
+            raise ConfigError("n_features applies to classification only; "
+                              "a summarization run keeps its default")
         if self.data != "synthetic":
             given = [name for name in SYNTHETIC_SIZES if getattr(self, name) is not None]
             if given:
@@ -227,8 +222,7 @@ def _load_dataset(config):
 
 def _inject(config, dataset):
     if config.task == "classification":
-        return noise.inject_label_noise(dataset.train, config.noise_rate, config.seed,
-                                        mode=config.noise_mode)
+        return noise.inject_label_noise(dataset.train, config.noise_rate, config.seed)
     return noise.inject_summary_noise(dataset.train, config.noise_rate, config.seed,
                                       target_layout(dataset.meta["n_tgt_vocab"])[0])
 

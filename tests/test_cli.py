@@ -79,7 +79,8 @@ def test_bad_usage_exits_2(tmp_path, capsys):
 
     # retired settings are unknown flags, not silently accepted
     for flag, value in (("--bins", "10"), ("--init-scale", "0.1"),
-                        ("--window", "2"), ("--transform", "log1p")):
+                        ("--window", "2"), ("--transform", "log1p"),
+                        ("--noise-mode", "flip-one")):
         with pytest.raises(SystemExit) as exc:
             main(_tiny_run_args(tmp_path) + [flag, value])
         assert exc.value.code == 2

@@ -1,10 +1,10 @@
-"""Noise injection: counts, eligibility, determinism, mask bookkeeping."""
+"""Noise injection: counts, determinism, mask bookkeeping."""
 
 import numpy as np
 import pytest
 
 from mantra import data, noise
-from mantra.errors import ConfigError, UsageError
+from mantra.errors import UsageError
 
 
 def test_corruption_count_rounds_half_up():
@@ -35,7 +35,7 @@ def sum_train():
 
 
 def test_replace_set_semantics(cls_train):
-    out, mask = noise.inject_label_noise(cls_train, 0.2, seed=4, mode="replace-set")
+    out, mask = noise.inject_label_noise(cls_train, 0.2, seed=4)
     assert len(out) == len(cls_train)
     assert mask.corrupted.sum() == noise.corruption_count(0.2, 100) == 20
     assert out.ids is cls_train.ids
@@ -55,43 +55,22 @@ def test_replace_set_semantics(cls_train):
 def test_replace_set_all_seven_fallback():
     train = data.classification_split(range(4), np.zeros((4, 3)),
                                       np.ones((4, data.N_INTENTS)))
-    out, mask = noise.inject_label_noise(train, 1.0, seed=0, mode="replace-set")
+    out, mask = noise.inject_label_noise(train, 1.0, seed=0)
     assert mask.corrupted.all()
     assert (out.y.sum(axis=1) == 1).all()    # still corrupted: 7-set becomes a singleton
 
 
-def test_flip_one_semantics(cls_train):
-    out, mask = noise.inject_label_noise(cls_train, 0.15, seed=4, mode="flip-one")
-    for orig, new, bad in zip(cls_train.y, out.y, mask.corrupted):
-        if not bad:
-            continue
-        assert new.sum() == orig.sum()                       # cardinality preserved
-        gained = (new == 1) & (orig == 0)
-        lost = (new == 0) & (orig == 1)
-        assert gained.sum() == 1 and lost.sum() == 1
-
-
-def test_flip_one_skips_saturated_samples():
-    full = data.intents_to_bits(list(data.INTENTS))
-    one = data.intents_to_bits(["Bug"])
-    train = data.classification_split([0, 1, 2], np.zeros((3, 2)), [full, one, full])
-    out, mask = noise.inject_label_noise(train, 1 / 3, seed=9, mode="flip-one")
-    assert mask.corrupted.tolist() == [False, True, False]
-    with pytest.raises(ConfigError):
-        noise.inject_label_noise(train, 1.0, seed=9, mode="flip-one")
-
-
 def test_injection_determinism_and_seed_sensitivity(cls_train):
-    out_a, mask_a = noise.inject_label_noise(cls_train, 0.1, seed=21, mode="replace-set")
-    out_b, mask_b = noise.inject_label_noise(cls_train, 0.1, seed=21, mode="replace-set")
+    out_a, mask_a = noise.inject_label_noise(cls_train, 0.1, seed=21)
+    out_b, mask_b = noise.inject_label_noise(cls_train, 0.1, seed=21)
     np.testing.assert_array_equal(mask_a.corrupted, mask_b.corrupted)
     np.testing.assert_array_equal(out_a.y, out_b.y)
-    _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22, mode="replace-set")
+    _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22)
     assert not np.array_equal(mask_a.corrupted, mask_c.corrupted)
 
 
 def test_prior_drift_recorded(cls_train):
-    _, mask = noise.inject_label_noise(cls_train, 0.3, seed=2, mode="replace-set")
+    _, mask = noise.inject_label_noise(cls_train, 0.3, seed=2)
     before, after = mask.prior_drift["before"], mask.prior_drift["after"]
     assert set(before) == set(data.INTENTS)
     # replace-set strictly shrinks average label cardinality here
@@ -129,15 +108,9 @@ def test_rate_bounds(sum_train):
     train = data.generate_classification_dataset(1, 4, 1, 1, d=2).train
     for bad in (-0.01, 1.01):
         with pytest.raises(UsageError, match=rf"noise rate must lie in \[0, 1\], got {bad}"):
-            noise.inject_label_noise(train, bad, seed=0, mode="replace-set")
+            noise.inject_label_noise(train, bad, seed=0)
         with pytest.raises(UsageError, match=rf"noise rate must lie in \[0, 1\], got {bad}"):
             noise.inject_summary_noise(sum_train, bad, seed=0, n_content=3)
-    out, mask = noise.inject_label_noise(train, 0.0, seed=0, mode="replace-set")
+    out, mask = noise.inject_label_noise(train, 0.0, seed=0)
     assert mask.corrupted.sum() == 0
     np.testing.assert_array_equal(out.y, train.y)
-
-
-def test_unknown_mode():
-    train = data.generate_classification_dataset(1, 4, 1, 1, d=2).train
-    with pytest.raises(UsageError, match="unknown classification noise mode 'shuffle'"):
-        noise.inject_label_noise(train, 0.5, seed=0, mode="shuffle")

@@ -50,8 +50,8 @@ def test_config_is_its_own_drop_policy():
 def test_config_as_dict_is_flat_and_complete():
     shared = {"seed": 1, "noise_rate": 0.0, "epochs": 10, "mantra": True,
               "tau": 0.7, "persistence": 2, "max_drop_frac": 0.3, "k_max": 3,
-              "batch_size": 32, "noise_mode": "replace-set", "data": "synthetic",
-              "vocab": None, "n_features": 16}
+              "batch_size": 32, "data": "synthetic", "vocab": None,
+              "n_features": 16}
     assert ExperimentConfig(task="cls").as_dict() == {
         **shared, "task": "classification", "warmup": 5, "lr": 0.5,
         "n_train": 700, "n_val": 85, "n_test": 88}
@@ -65,7 +65,6 @@ def test_each_run_setting_has_one_default(tmp_path):
     sizes = ("n_train", "n_val", "n_test")
     for fn, names in ((data.generate_classification_dataset, (*sizes, "d")),
                       (data.generate_summarization_dataset, sizes),
-                      (noise.inject_label_noise, ("mode",)),
                       (gmm.select_model, ("k_max",))):
         params = inspect.signature(fn).parameters
         for name in names:
@@ -122,9 +121,7 @@ def test_config_validation():
         dict(task="cls", mantra=False, tau=0.4),   # even with the scheduler off
         # every setting is checked before any work starts
         dict(task="cls", seed=-1),
-        dict(task="cls", noise_mode="bogus"),
-        dict(task="sum", noise_mode="flip-one"),     # classification-only
-        dict(task="sum", n_features=8),
+        dict(task="sum", n_features=8),              # classification-only
         dict(task="cls", n_features=0),
         dict(task="cls", lr=float("nan")),
         dict(task="cls", lr=float("inf")),
@@ -482,9 +479,10 @@ def test_compare_runs_contract(tiny_cls_config, tmp_path):
     base.save_json(path)
     again = compare_runs(str(path), treat.as_dict())
     assert again["metric_delta"] == out["metric_delta"]
-    # a results.json written before window, transform and backend were retired
+    # a results.json written before window, transform, backend and
+    # noise_mode were retired
     legacy = json.loads(path.read_text())
-    legacy["config"].update(window=1, transform="log1p")
+    legacy["config"].update(window=1, transform="log1p", noise_mode="replace-set")
     legacy["backend"] = "numpy"
     path.write_text(json.dumps(legacy))
     assert compare_runs(str(path), treat.as_dict()) == again
