@@ -14,7 +14,7 @@ Every split is a PackedSplit: read-only arrays with one row per sample,
 built once here and read unchanged by noise injection, training, scoring
 and evaluation.  Both synthetic generators are fully seeded: the same seed
 reproduces the same dataset byte for byte.  Sample ids are unique across
-splits so that downstream bookkeeping (noise masks, drop sets) can be
+splits so that downstream bookkeeping (noise_mask.csv, drop sets) can be
 checked against validation/test membership by id alone.
 """
 

@@ -2,19 +2,18 @@
 
 Corruption only ever touches training samples; validation and test splits
 pass through untouched.  Sample count is round-half-up(rate * n) exactly,
-selection is a seeded shuffle, and the resulting mask records which train
-rows were corrupted so detection quality can be scored later.  Each
-injector returns a copy of the split in which only the labels (y) or the
-targets (tgt) are new arrays, plus a NoiseMask of what the injection
-created; the split's own ids name its train positions.
+and selection is a seeded shuffle.  Each injector returns a copy of the
+split in which only the labels (y) or the targets (tgt) are new arrays,
+plus the corruption flags: an (n,) bool array by train position, read-only
+like the split's own arrays, against which detection quality is scored.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .data import INTENTS, N_INTENTS
+from .data import N_INTENTS
 from .errors import UsageError
 
 _TAG_SELECT = 31
@@ -28,23 +27,10 @@ def corruption_count(rate, n):
     return int(math.floor(rate * n + 0.5))
 
 
-@dataclass
-class NoiseMask:
-    """What an injection created, by train position (the split's ids name them)."""
-    corrupted: np.ndarray   # (n,) bool
-    prior_drift: dict = field(default_factory=dict)   # label priors; labels only
-
-
 def _select(n_train, n_corrupt, seed):
     """First n_corrupt positions of a seeded shuffle of 0..n-1, sorted."""
     order = np.random.default_rng([seed, _TAG_SELECT]).permutation(n_train)
     return np.sort(order[:n_corrupt])
-
-
-def label_priors(split):
-    """Fraction of samples carrying each intent, keyed by intent name."""
-    counts = split.y.sum(axis=0)
-    return {INTENTS[i]: counts[i] / len(split) for i in range(N_INTENTS)}
 
 
 def inject_label_noise(train, rate, seed):
@@ -54,7 +40,7 @@ def inject_label_noise(train, rate, seed):
     drawn uniformly from the intents the sample did not carry (a sample
     already carrying all 7 intents draws uniformly from all of them; its
     singleton set still differs from the original).  Returns
-    (new_train, NoiseMask).
+    (new_train, corrupted).
     """
     n = len(train)
     picked = _select(n, corruption_count(rate, n), seed)
@@ -66,11 +52,9 @@ def inject_label_noise(train, rate, seed):
         pool = absent if absent.size else np.arange(N_INTENTS)
         y[pos] = 0.0
         y[pos, draw_rng.choice(pool)] = 1.0
-    out = replace(train, y=y)
-    mask = NoiseMask(corrupted=np.isin(np.arange(n), picked),
-                     prior_drift={"before": label_priors(train),
-                                  "after": label_priors(out)})
-    return out, mask
+    corrupted = np.isin(np.arange(n), picked)
+    corrupted.setflags(write=False)
+    return replace(train, y=y), corrupted
 
 
 def inject_summary_noise(train, rate, seed, n_content):
@@ -79,7 +63,7 @@ def inject_summary_noise(train, rate, seed, n_content):
     Every content token of a selected target is replaced by an independent
     uniform draw from the dataset's target content ids [0, n_content), sample
     after sample from one stream; length and the trailing EOS are preserved.
-    Returns (new_train, NoiseMask).
+    Returns (new_train, corrupted).
     """
     n = len(train)
     picked = _select(n, corruption_count(rate, n), seed)
@@ -89,5 +73,6 @@ def inject_summary_noise(train, rate, seed, n_content):
     rows, cols = np.nonzero(np.arange(tgt.shape[1]) < train.tgt_len[picked, None] - 1)
     tgt[picked[rows], cols] = draw_rng.integers(0, n_content, size=rows.size,
                                                 dtype=np.int64)
-    mask = NoiseMask(corrupted=np.isin(np.arange(n), picked))
-    return replace(train, tgt=tgt), mask
+    corrupted = np.isin(np.arange(n), picked)
+    corrupted.setflags(write=False)
+    return replace(train, tgt=tgt), corrupted

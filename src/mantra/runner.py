@@ -7,23 +7,23 @@ validation metric, record the trajectory, then (treated arm only) let the
 scheduler decide drops that take effect from the next epoch.  The baseline
 arm runs the identical loop with the scheduler bypassed, so a
 baseline/treated pair differing only in the `mantra` flag shares its
-dataset, noise mask, initialization, and shuffle order, and trains the same
-model until the treated arm's first drop takes effect.
+dataset, corruption flags, initialization, and shuffle order, and trains
+the same model until the treated arm's first drop takes effect.
 
 run_grid computes that shared prefix once.  The baseline arm keeps its
-dataset, noisy train split and noise mask (all read-only), its trajectory
-store, one row of losses per epoch, and records its validation metric and
-parameter copies.  The treated arm takes the dataset, split and mask as
-they are.  At each epoch it starts with nothing dropped, it takes that
-epoch's row and record and restores its parameters instead of training;
-it still runs every mixture fit and drop decision itself.  So the model it
-holds is the baseline's at every replayed epoch, and what it does next
-(train on a reduced set, or compute its test metric) it does exactly as a
-run alone would.  When it writes artifacts, the bytes of its replayed
-epochs (their trajectory rows and density files) are copied from the
-baseline's files, in bounded blocks; it formats its own epochs and every
-other file, the noise mask included.  Every report and artifact of either
-arm equals that of the same config run alone, runtime_sec aside.
+dataset, noisy train split and corruption flags (all read-only), its
+trajectory store, one row of losses per epoch, and records its validation
+metric and parameter copies.  The treated arm takes the dataset, split and
+flags as they are.  At each epoch it starts with nothing dropped, it takes
+that epoch's row and record and restores its parameters instead of
+training; it still runs every mixture fit and drop decision itself.  So
+the model it holds is the baseline's at every replayed epoch, and what it
+does next (train on a reduced set, or compute its test metric) it does
+exactly as a run alone would.  When it writes artifacts, the bytes of its
+replayed epochs (their trajectory rows and density files) are copied from
+the baseline's files, in bounded blocks; it formats its own epochs and
+every other file, noise_mask.csv included.  Every report and artifact of
+either arm equals that of the same config run alone, runtime_sec aside.
 The scheduler's DropState is the run's one drop record: the report's drop
 events, per-epoch counts, dropped ids and detection scores are all read off
 it by train position once the loop is over.
@@ -36,7 +36,6 @@ noise_mask.csv, group_means.csv from trajectory.csv and noise_mask.csv,
 and each density_e*.csv from trajectory.csv alone.
 """
 
-import copy
 import dataclasses
 import fnmatch
 import itertools
@@ -167,7 +166,6 @@ class RunReport:
     drop_events: list = field(default_factory=list)   # per-drop detail rows
     gmm_trace: list = field(default_factory=list)
     label_repairs: int | None = None
-    prior_drift: dict | None = None
     runtime_sec: float = 0.0
 
     def as_dict(self):
@@ -185,7 +183,7 @@ class RunReport:
 class _PairPrefix:
     """A grid baseline arm's inputs, results and files, for its treated twin to reuse."""
     config: ExperimentConfig         # the treated twin's config
-    inputs: tuple | None = None      # (dataset, noisy train split, NoiseMask), read-only
+    inputs: tuple | None = None      # (dataset, noisy train split, corruption flags), read-only
     run_dir: str | None = None       # where the baseline wrote its artifacts, if anywhere
     store: TrajectoryStore | None = None     # its losses: it never drops, so no NaN
     # per epoch: (validation metric, copies of the parameter arrays)
@@ -199,7 +197,7 @@ _pair_prefix = None
 
 
 def _prepare(config):
-    """The run's dataset, its noisy train split and the NoiseMask of the injection."""
+    """The run's dataset, its noisy train split and that split's corruption flags."""
     dataset = _load_dataset(config)
     if not dataset.train:
         raise ConfigError("training split is empty")
@@ -258,12 +256,13 @@ def run_experiment(config, out_dir=None):
     record = pair if pair is not None and not config.mantra else None
     replay = pair if pair is not None and config.mantra else None
 
-    dataset, train, mask = replay.inputs if replay is not None else _prepare(config)
+    dataset, train, corrupted = replay.inputs if replay is not None else _prepare(config)
     model = _new_model(config, dataset)
     state = scheduler.DropState.for_size(len(train))
-    store = TrajectoryStore(train.ids, mask.corrupted, config.epochs)
+    store = TrajectoryStore(train.ids, corrupted, config.epochs)
     if record is not None:
-        record.inputs, record.run_dir, record.store = (dataset, train, mask), out_dir, store
+        record.inputs = dataset, train, corrupted
+        record.run_dir, record.store = out_dir, store
 
     val_metrics = []
     gmm_trace = []
@@ -313,15 +312,13 @@ def run_experiment(config, out_dir=None):
         test_metric=test_metric,
         val_metrics=val_metrics,
         group_means=store.group_means(),
-        detection=metrics.detection_report(state.dropped_at > 0, mask.corrupted),
+        detection=metrics.detection_report(state.dropped_at > 0, corrupted),
         dropped_total=len(dropped_ids),
         dropped_ids=dropped_ids,
         dropped_per_epoch=dict(enumerate(per_epoch[1:].tolist(), start=1)),
         drop_events=drop_events,
         gmm_trace=gmm_trace,
         label_repairs=dataset.meta.get("label_repairs"),
-        # a copy: a grid pair shares its mask, and each report owns its fields
-        prior_drift=copy.deepcopy(mask.prior_drift) or None,
         runtime_sec=time.perf_counter() - t0,
     )
     if out_dir is not None:

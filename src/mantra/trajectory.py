@@ -1,14 +1,15 @@
 """Per-sample loss trajectory bookkeeping.
 
 The store is one (epochs, n_train) array of losses, recorded and indexed by
-train position like the scheduler's DropState and the noise mask: row e - 1
-holds epoch e, NaN where a sample was not scored.  Only active samples are
-scored, so a sample's column is NaN past the epoch it was dropped at.  Epochs
-must be recorded contiguously starting at 1 so that downstream consumers
-(group curves, histograms) can trust the sequence.  The store keeps the
-split's ids, for its CSV's sample_id cells, and the ground-truth corruption
-flags, for the clean and noisy group means.  The trajectory CSV holds epoch,
-sample id and loss only: the flag is noise_mask.csv, joined on sample id.
+train position like the scheduler's DropState and the corruption flags:
+row e - 1 holds epoch e, NaN where a sample was not scored.  Only active
+samples are scored, so a sample's column is NaN past the epoch it was
+dropped at.  Epochs must be recorded contiguously starting at 1 so that
+downstream consumers (group curves, histograms) can trust the sequence.
+The store keeps the split's ids, for its CSV's sample_id cells, and the
+ground-truth corruption flags, for the clean and noisy group means.  The
+trajectory CSV holds epoch, sample id and loss only: the flag is
+noise_mask.csv, joined on sample id.
 """
 
 from itertools import chain, islice, repeat

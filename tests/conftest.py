@@ -1,13 +1,16 @@
-"""Shared fixtures: benchmark run cache, run directory bytes, seeded mixture fits
-and small dataset helpers."""
+"""Shared fixtures: benchmark run cache, the artifact digest tool and its run
+directory reader, seeded mixture fits and small dataset helpers."""
 
-import json
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mantra import gmm
 from mantra.runner import ExperimentConfig, grid_configs, run_grid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class _RunCache:
@@ -49,18 +52,22 @@ def bench_run(run_cache):
 
 
 @pytest.fixture(scope="session")
-def run_dir_bytes():
-    """Callable: file name -> bytes of each file of a run directory, with
-    results.json read without runtime_sec (KeyError if it has none) and
-    dumped again, as tools/artifact_digests.py's _file_bytes does."""
-    def read(run_dir):
-        out = {path.name: path.read_bytes() for path in run_dir.iterdir()}
-        report = json.loads(out["results.json"])
-        report.pop("runtime_sec")
-        out["results.json"] = json.dumps(report, sort_keys=True, indent=2).encode("utf-8")
-        return out
+def digest_tool():
+    """tools/artifact_digests.py as a module, loaded once."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
-    return read
+
+@pytest.fixture(scope="session")
+def run_dir_bytes(digest_tool):
+    """Callable: file name -> bytes of each file of a run directory, as the
+    digest tool's _file_bytes reads them: results.json without runtime_sec
+    (KeyError if it has none), dumped again."""
+    return lambda run_dir: {path.name: digest_tool._file_bytes(path)
+                            for path in run_dir.iterdir()}
 
 
 @pytest.fixture(scope="session")

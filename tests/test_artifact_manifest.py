@@ -8,7 +8,6 @@ arm served from the session run cache that the acceptance criteria share.
 A change that means to alter an artifact regenerates the manifest.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -18,14 +17,6 @@ from mantra import runner
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "artifact_digests.txt"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "artifact_digests", ROOT / "tools" / "artifact_digests.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def _entries(lines):
@@ -41,10 +32,9 @@ def _difference(name, expected, have):
     return f"{name}: differs"
 
 
-def test_default_grids_match_the_manifest(monkeypatch, tmp_path, run_cache):
-    tool = _load_tool()
+def test_default_grids_match_the_manifest(monkeypatch, tmp_path, run_cache, digest_tool):
     want = MANIFEST.read_text(encoding="utf-8").splitlines()
-    env = tool.environment()
+    env = digest_tool.environment()
     assert env == want[0], f"the manifest was built on '{want[0]}', this is '{env}'"
 
     def cached_grid(base_config, rates, seeds, out_dir=None):
@@ -60,7 +50,7 @@ def test_default_grids_match_the_manifest(monkeypatch, tmp_path, run_cache):
 
     monkeypatch.delenv("MANTRA_OUT", raising=False)
     monkeypatch.setattr(runner, "run_grid", cached_grid)
-    got = tool.manifest(str(tmp_path))
+    got = digest_tool.manifest(str(tmp_path))
     expected, have = _entries(want), _entries(got)
     differ = [_difference(name, expected, have) for name in sorted(expected.keys() | have.keys())
               if expected.get(name) != have.get(name)]

@@ -100,9 +100,10 @@ def test_generator_rejects_empty_splits():
 def test_split_arrays_are_read_only():
     cls = data.generate_classification_dataset(2, n_train=6, n_val=2, n_test=2, d=3)
     summ = data.generate_summarization_dataset(2, n_train=6, n_val=2, n_test=2)
+    injected = [noise.inject_label_noise(cls.train, 0.5, seed=1),
+                noise.inject_summary_noise(summ.train, 0.5, seed=1, n_content=data.BOS)]
     splits = [*_splits(cls), *_splits(summ), cls.train.take(np.array([4, 1])),
-              noise.inject_label_noise(cls.train, 0.5, seed=1)[0],
-              noise.inject_summary_noise(summ.train, 0.5, seed=1, n_content=data.BOS)[0],
+              *(split for split, _ in injected),
               data.classification_split([7], [[1.0]], [[0] * 6 + [1]]),
               data.summarization_split([7], [[1, 2]], [[3, data.EOS]], 4)]
     for split in splits:
@@ -112,6 +113,9 @@ def test_split_arrays_are_read_only():
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 1
+    for _, corrupted in injected:       # the corruption flags of each injection
+        with pytest.raises(ValueError):
+            corrupted[0] = True
 
 
 def _reference_counts(n_src, src, src_len):

@@ -1,4 +1,4 @@
-"""Noise injection: counts, determinism, mask bookkeeping."""
+"""Noise injection: counts, determinism, corruption flags."""
 
 import numpy as np
 import pytest
@@ -35,13 +35,13 @@ def sum_train():
 
 
 def test_replace_set_semantics(cls_train):
-    out, mask = noise.inject_label_noise(cls_train, 0.2, seed=4)
+    out, corrupted = noise.inject_label_noise(cls_train, 0.2, seed=4)
     assert len(out) == len(cls_train)
-    assert mask.corrupted.sum() == noise.corruption_count(0.2, 100) == 20
+    assert corrupted.sum() == noise.corruption_count(0.2, 100) == 20
     assert out.ids is cls_train.ids
     assert out.x is cls_train.x                              # only the labels are copied
     assert out.y is not cls_train.y
-    for orig, new, bad in zip(cls_train.y, out.y, mask.corrupted):
+    for orig, new, bad in zip(cls_train.y, out.y, corrupted):
         if bad:
             assert new.sum() == 1                            # singleton replacement
             assert not np.array_equal(new, orig)
@@ -55,38 +55,30 @@ def test_replace_set_semantics(cls_train):
 def test_replace_set_all_seven_fallback():
     train = data.classification_split(range(4), np.zeros((4, 3)),
                                       np.ones((4, data.N_INTENTS)))
-    out, mask = noise.inject_label_noise(train, 1.0, seed=0)
-    assert mask.corrupted.all()
+    out, corrupted = noise.inject_label_noise(train, 1.0, seed=0)
+    assert corrupted.all()
     assert (out.y.sum(axis=1) == 1).all()    # still corrupted: 7-set becomes a singleton
 
 
 def test_injection_determinism_and_seed_sensitivity(cls_train):
-    out_a, mask_a = noise.inject_label_noise(cls_train, 0.1, seed=21)
-    out_b, mask_b = noise.inject_label_noise(cls_train, 0.1, seed=21)
-    np.testing.assert_array_equal(mask_a.corrupted, mask_b.corrupted)
+    out_a, corrupted_a = noise.inject_label_noise(cls_train, 0.1, seed=21)
+    out_b, corrupted_b = noise.inject_label_noise(cls_train, 0.1, seed=21)
+    np.testing.assert_array_equal(corrupted_a, corrupted_b)
     np.testing.assert_array_equal(out_a.y, out_b.y)
-    _, mask_c = noise.inject_label_noise(cls_train, 0.1, seed=22)
-    assert not np.array_equal(mask_a.corrupted, mask_c.corrupted)
-
-
-def test_prior_drift_recorded(cls_train):
-    _, mask = noise.inject_label_noise(cls_train, 0.3, seed=2)
-    before, after = mask.prior_drift["before"], mask.prior_drift["after"]
-    assert set(before) == set(data.INTENTS)
-    # replace-set strictly shrinks average label cardinality here
-    assert sum(after.values()) < sum(before.values())
+    _, corrupted_c = noise.inject_label_noise(cls_train, 0.1, seed=22)
+    assert not np.array_equal(corrupted_a, corrupted_c)
 
 
 def test_summary_noise_preserves_shape(sum_train):
-    out, mask = noise.inject_summary_noise(sum_train, 0.25, seed=6,
-                                           n_content=data.N_TGT_CONTENT)
-    assert mask.corrupted.sum() == noise.corruption_count(0.25, 80) == 20
+    out, corrupted = noise.inject_summary_noise(sum_train, 0.25, seed=6,
+                                                n_content=data.N_TGT_CONTENT)
+    assert corrupted.sum() == noise.corruption_count(0.25, 80) == 20
     for name in ("ids", "src", "src_len", "tgt_len", "src_counts"):   # only tgt is new
         assert getattr(out, name) is getattr(sum_train, name)
     assert out.tgt.shape == sum_train.tgt.shape              # lengths and pad preserved
     changed = 0
     for orig, new, n_tgt, bad in zip(sum_train.tgt, out.tgt, sum_train.tgt_len,
-                                     mask.corrupted):
+                                     corrupted):
         assert new[n_tgt - 1] == data.EOS and not new[n_tgt:].any()
         if bad:
             assert (new[:n_tgt - 1] < data.N_TGT_CONTENT).all()
@@ -98,9 +90,9 @@ def test_summary_noise_preserves_shape(sum_train):
 
 def test_summary_noise_draws_from_the_given_content_range(sum_train):
     # a file vocabulary can be far smaller than the synthetic one
-    out, mask = noise.inject_summary_noise(sum_train, 1.0, seed=6, n_content=3)
+    out, corrupted = noise.inject_summary_noise(sum_train, 1.0, seed=6, n_content=3)
     content = np.arange(out.tgt.shape[1]) < out.tgt_len[:, None] - 1
-    assert mask.corrupted.all()
+    assert corrupted.all()
     assert np.unique(out.tgt[content]).tolist() == [0, 1, 2]
 
 
@@ -111,6 +103,6 @@ def test_rate_bounds(sum_train):
             noise.inject_label_noise(train, bad, seed=0)
         with pytest.raises(UsageError, match=rf"noise rate must lie in \[0, 1\], got {bad}"):
             noise.inject_summary_noise(sum_train, bad, seed=0, n_content=3)
-    out, mask = noise.inject_label_noise(train, 0.0, seed=0)
-    assert mask.corrupted.sum() == 0
+    out, corrupted = noise.inject_label_noise(train, 0.0, seed=0)
+    assert corrupted.sum() == 0
     np.testing.assert_array_equal(out.y, train.y)

@@ -102,9 +102,15 @@ def test_each_run_setting_has_one_default(tmp_path):
         write_jsonl(tmp_path / "d.jsonl", ds)
         loaded.append(data.load_jsonl(tmp_path / "d.jsonl", ds.train.task))
     assert [set(ds.meta) for ds in loaded] == [set(), {"n_tgt_vocab"}]
-    # the mask holds what injection creates; ids are the split's own
-    mask_fields = [f.name for f in dataclasses.fields(noise.NoiseMask)]
-    assert mask_fields == ["corrupted", "prior_drift"]
+    # an injection returns the noisy split and its corruption flags, nothing
+    # more: ids are the split's own
+    cls_ds, sum_ds = generated
+    for split, corrupted in (
+            noise.inject_label_noise(cls_ds.train, 0.5, seed=1),
+            noise.inject_summary_noise(sum_ds.train, 0.5, seed=1, n_content=data.BOS)):
+        assert isinstance(split, data.PackedSplit)
+        assert corrupted.dtype == bool and corrupted.shape == (len(split),)
+        assert not corrupted.flags.writeable
 
 
 def test_config_validation():
@@ -172,8 +178,7 @@ def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
              if key not in {"drop_events", "gmm_trace", "group_means", "dropped_ids"}}
     assert set(json.loads((tmp_path / "results.json").read_text())) == {
         "config", "metric_name", "test_metric", "val_metrics", "detection",
-        "dropped_total", "dropped_per_epoch", "label_repairs", "prior_drift",
-        "runtime_sec"}
+        "dropped_total", "dropped_per_epoch", "label_repairs", "runtime_sec"}
     assert (tmp_path / "results.json").read_bytes() == (
         json.dumps(saved, sort_keys=True, indent=2) + "\n").encode("utf-8")
     want = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -200,7 +205,6 @@ def test_run_report_bookkeeping(tiny_cls_config):
     assert sum(report.dropped_per_epoch.values()) == report.dropped_total
     assert report.dropped_ids == sorted(report.dropped_ids)
     assert report.label_repairs is not None
-    assert set(report.prior_drift) == {"before", "after"}
     # drops never precede warmup + persistence
     assert report.drop_events
     for event in report.drop_events:
@@ -212,7 +216,6 @@ def test_summarization_report_fields(tiny_sum_config):
     report = run_experiment(tiny_sum_config())
     assert report.metric_name == "bleu4"
     assert report.label_repairs is None
-    assert report.prior_drift is None
 
 
 def test_baseline_arm_never_drops(tiny_cls_config):

@@ -83,33 +83,6 @@ def test_histogram_is_a_density(rng, tmp_path):
                for r in rows) == pytest.approx(1.0)
 
 
-def test_csv_exports(tmp_path):
-    store = _store_with([1, 2], [False, True], [
-        ([0, 1], [0.5, 1.5]),
-        ([0], [0.25]),
-    ])
-    traj = tmp_path / "traj.csv"
-    store.save_csv(traj)
-    rows = list(csv.DictReader(traj.open()))
-    assert len(rows) == 3
-    assert rows[0] == {"epoch": "1", "sample_id": "1", "loss": "0.5"}
-    # full float repr survives the round trip
-    assert float(rows[1]["loss"]) == 1.5
-
-    means = tmp_path / "means.csv"
-    store.save_group_means_csv(means)
-    rows = list(csv.DictReader(means.open()))
-    assert rows[1]["noisy_mean"] == ""    # None -> empty cell
-
-    hist = tmp_path / "hist.csv"
-    store.save_histogram_csv(hist, epoch=1)
-    rows = list(csv.DictReader(hist.open()))
-    assert len(rows) == HIST_BINS
-    widths = [float(r["bin_right"]) - float(r["bin_left"]) for r in rows]
-    total = sum(float(r["density"]) * w for r, w in zip(rows, widths))
-    assert total == pytest.approx(1.0)
-
-
 def _csv_writer_bytes(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -189,9 +162,9 @@ def _run_with_drops(tmp_path, tiny_cls_config):
 
 def test_noise_mask_csv_matches_csv_writer_reference(tmp_path, tiny_cls_config):
     cfg, _, out = _run_with_drops(tmp_path, tiny_cls_config)
-    train, mask = runner._inject(cfg, runner._load_dataset(cfg))
-    assert mask.corrupted.any() and not mask.corrupted.all()
-    want = [[int(i), int(c)] for i, c in zip(train.ids, mask.corrupted)]
+    train, corrupted = runner._inject(cfg, runner._load_dataset(cfg))
+    assert corrupted.any() and not corrupted.all()
+    want = [[int(i), int(c)] for i, c in zip(train.ids, corrupted)]
     assert (out / "noise_mask.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "ref.csv", ["sample_id", "corrupted"], want)
 

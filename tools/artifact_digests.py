@@ -70,11 +70,13 @@ def environment():
 
 
 def _file_bytes(path):
+    """A file's bytes as digested: a results.json, which must hold runtime_sec,
+    re-serialised without it."""
     with open(path, "rb") as fh:
         data = fh.read()
     if os.path.basename(path) == "results.json":
         report = json.loads(data)
-        report.pop("runtime_sec", None)
+        report.pop("runtime_sec")
         data = json.dumps(report, sort_keys=True, indent=2).encode("utf-8")
     return data
 
