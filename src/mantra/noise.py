@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import N_INTENTS
 from .errors import UsageError
 
 _TAG_SELECT = 31
@@ -28,9 +27,12 @@ def corruption_count(rate, n):
 
 
 def _select(n_train, n_corrupt, seed):
-    """First n_corrupt positions of a seeded shuffle of 0..n-1, sorted."""
+    """Sorted first n_corrupt positions of a seeded shuffle of 0..n-1, and their (n,) flags."""
     order = np.random.default_rng([seed, _TAG_SELECT]).permutation(n_train)
-    return np.sort(order[:n_corrupt])
+    corrupted = np.zeros(n_train, dtype=bool)
+    corrupted[order[:n_corrupt]] = True
+    corrupted.setflags(write=False)
+    return np.flatnonzero(corrupted), corrupted
 
 
 def inject_label_noise(train, rate, seed):
@@ -43,17 +45,15 @@ def inject_label_noise(train, rate, seed):
     (new_train, corrupted).
     """
     n = len(train)
-    picked = _select(n, corruption_count(rate, n), seed)
+    picked, corrupted = _select(n, corruption_count(rate, n), seed)
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])
 
+    pool = train.y[picked] == 0     # the intents each picked sample lacks,
+    pool[~pool.any(axis=1)] = True  # or all of them where it lacks none
+    draw = draw_rng.integers(0, pool.sum(axis=1))   # draw_rng.choice(pool)'s draws
     y = train.y.copy()
-    for pos in picked:
-        absent = np.flatnonzero(y[pos] == 0)
-        pool = absent if absent.size else np.arange(N_INTENTS)
-        y[pos] = 0.0
-        y[pos, draw_rng.choice(pool)] = 1.0
-    corrupted = np.isin(np.arange(n), picked)
-    corrupted.setflags(write=False)
+    y[picked] = 0.0
+    y[picked, np.argmax(pool.cumsum(axis=1) > draw[:, None], axis=1)] = 1.0   # pool[draw]
     return replace(train, y=y), corrupted
 
 
@@ -66,13 +66,11 @@ def inject_summary_noise(train, rate, seed, n_content):
     Returns (new_train, corrupted).
     """
     n = len(train)
-    picked = _select(n, corruption_count(rate, n), seed)
+    picked, corrupted = _select(n, corruption_count(rate, n), seed)
     draw_rng = np.random.default_rng([seed, _TAG_DRAW])
 
     tgt = train.tgt.copy()
     rows, cols = np.nonzero(np.arange(tgt.shape[1]) < train.tgt_len[picked, None] - 1)
     tgt[picked[rows], cols] = draw_rng.integers(0, n_content, size=rows.size,
                                                 dtype=np.int64)
-    corrupted = np.isin(np.arange(n), picked)
-    corrupted.setflags(write=False)
     return replace(train, tgt=tgt), corrupted

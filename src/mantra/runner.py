@@ -19,11 +19,11 @@ that epoch's row and record and restores its parameters instead of
 training; it still runs every mixture fit and drop decision itself.  So
 the model it holds is the baseline's at every replayed epoch, and what it
 does next (train on a reduced set, or compute its test metric) it does
-exactly as a run alone would.  When it writes artifacts, the bytes of its
-replayed epochs (their trajectory rows and density files) are copied from
-the baseline's files, in bounded blocks; it formats its own epochs and
-every other file, noise_mask.csv included.  Every report and artifact of
-either arm equals that of the same config run alone, runtime_sec aside.
+exactly as a run alone would.  When it writes artifacts, its replayed
+epochs' trajectory rows are cut from one read of the baseline's file and
+their density files copied; it formats its own epochs and every other
+file, noise_mask.csv included.  Every report and artifact of either arm
+equals that of the same config run alone, runtime_sec aside.
 The scheduler's DropState is the run's one drop record: the report's drop
 events, per-epoch counts, dropped ids and detection scores are all read off
 it by train position once the loop is over.
@@ -81,8 +81,11 @@ class ExperimentConfig(scheduler.DropPolicy):
     it like a built one.  Only warmup is redeclared, because its default
     depends on the task: a setting left None takes its value from the
     task's TASK_DEFAULTS row, and n_features from DEFAULT_DIM (the sizes
-    and n_features on synthetic data only).  It is also the training
-    schedule: learner.train_epoch reads lr, batch_size and seed off it.
+    and n_features on synthetic data only).  A variant keeps those values
+    even when task changes, as a config cannot tell a derived value from a
+    given one: build a config for another task as ExperimentConfig(task=...).
+    It is also the training schedule: learner.train_epoch reads lr,
+    batch_size and seed off it.
     Models start with every parameter +0.0 (learner's constructors), the
     density exports use trajectory.HIST_BINS bins, and the mixture is fit
     to np.log1p of one epoch's losses (scheduler): no run varies them.

@@ -23,8 +23,8 @@ _BLOCK = 256     # rows per write, so no column's cells are all alive at once
 HIST_BINS = 30   # bins of each density_e*.csv
 
 
-def write_csv(path, header, columns, prefix=None):
-    """Write the header row, then row i from cell i of each column.
+def write_csv(path, header, columns, head=b""):
+    """Write the header row, then head, then row i from cell i of each column.
 
     Every CSV artifact of the package is written here.  columns are
     equal-length iterables of cell strings (ValueError if not).  The cells
@@ -32,27 +32,13 @@ def write_csv(path, header, columns, prefix=None):
     empty cells (float_cell): none holds a comma, a quote or a line break,
     and no table has one column, so no row is a lone empty cell.  Nothing
     needs quoting, and the bytes equal the csv module's default dialect,
-    CRLF row ends included.
-
-    prefix, if given, is (src, n): the first n lines of the CSV file src,
-    header included, are copied byte for byte ahead of the rows.  UsageError
-    if src starts with another header or has fewer lines.
+    CRLF row ends included.  head is rows already formatted that way, as
+    bytes (a grid pair's replayed trajectory rows), written as they are.
     """
     rows = map(",".join, zip(*columns, strict=True))
-    head = (",".join(header) + "\r\n").encode()
     with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         fh.write(head)
-        if prefix is not None:
-            src, n = prefix
-            with open(src, "rb") as lines:
-                if next(lines, None) != head:
-                    raise UsageError(f"{src} does not start with the header {header}")
-                copied, todo = 1, islice(lines, n - 1)
-                while block := list(islice(todo, _BLOCK)):
-                    fh.writelines(block)
-                    copied += len(block)
-            if copied < n:
-                raise UsageError(f"{src} has {copied} lines, fewer than {n}")
         while block := list(islice(rows, _BLOCK)):
             fh.write(("\r\n".join(block) + "\r\n").encode())
 
@@ -117,22 +103,34 @@ class TrajectoryStore:
 
         copy_from, if given, is the trajectory CSV of a run whose first
         copy_epochs epochs scored the same samples with the same losses (a
-        grid pair's baseline): those rows are copied from it byte for byte,
-        and only the later epochs are formatted.
+        grid pair's baseline): those rows are cut from one read of it and
+        written byte for byte, and only the later epochs are formatted.
+        UsageError if copy_from has another header, or if its rows of those
+        epochs are not as many as this store scored.
         """
-        scored = list(self._scored())
-        prefix = None
+        header = ("epoch", "sample_id", "loss")
+        scored, head = list(self._scored()), b""
         if copy_from is not None:
-            # the header line, then one line per sample scored in the copied epochs
-            prefix = (copy_from, 1 + sum(pos.size for _, pos, _ in scored[:copy_epochs]))
+            with open(copy_from, "rb") as fh:
+                text = fh.read()
+            if not text.startswith(",".join(header).encode() + b"\r\n"):
+                raise UsageError(f"{copy_from} does not start with the header {header}")
+            # Rows are epoch-major and start with their epoch: the copied rows
+            # end where the first row of epoch copy_epochs + 1 starts, if any.
+            end = text.find(b"\r\n%d," % (copy_epochs + 1))
+            head = text[text.index(b"\n") + 1:None if end < 0 else end + 2]
+            rows, want = head.count(b"\n"), sum(pos.size for _, pos, _ in scored[:copy_epochs])
+            if rows != want:
+                raise UsageError(f"{copy_from} holds {rows} rows in epochs 1-{copy_epochs}, "
+                                 f"not the {want} this store scored")
             scored = scored[copy_epochs:]
         id_cells = np.array(list(map(str, self.ids.tolist())), dtype=object)
         # Each column is built an epoch at a time as write_csv consumes it.
-        write_csv(path, ("epoch", "sample_id", "loss"), (
+        write_csv(path, header, (
             chain.from_iterable(repeat(str(e), pos.size) for e, pos, _ in scored),
             chain.from_iterable(id_cells[pos].tolist() for _, pos, _ in scored),
             chain.from_iterable(map(repr, losses.tolist()) for _, _, losses in scored)),
-            prefix)
+            head)
 
     def save_group_means_csv(self, path):
         means = self.group_means()

@@ -1,13 +1,13 @@
 """Acceptance suite for the full pipeline on the seeded benchmark configs.
 
 One test per criterion, each printing a single verdict line (visible with
-pytest -v via the test outcome, and in captured output with details).  C6
-and C7 judge seeds 1-5 and print a second line, the same statistics on
-seeds 6-10, which no verdict reads: a gain that holds on seeds 1-5 only
-shows there.  The benchmark runs are deterministic and shared across
-criteria (and with the artifact manifest test) through the session run
-cache in conftest, which also keeps each run's artifact directory, so the
-whole suite stays in CPU-minutes territory.
+pytest -v via the test outcome, and in captured output with details).  C1
+judges seeds 1-10.  C6 and C7 judge seeds 1-5 and print a second line, the
+same statistics on seeds 6-10, which no verdict reads: a gain that holds on
+seeds 1-5 only shows there.  The benchmark runs are deterministic and
+shared across criteria (and with the artifact manifest test) through the
+session run cache in conftest, which also keeps each run's artifact
+directory, so the whole suite stays in CPU-minutes territory.
 
 Criterion 8 (validation-curve smoothness) is known to fail at this scale:
 the baseline learner is convex and descends smoothly even under label
@@ -29,7 +29,7 @@ from mantra.runner import ExperimentConfig, compare_runs, run_experiment
 from grad_audit import gradient_check, randomized
 
 SEEDS = (1, 2, 3, 4, 5)
-HELD_OUT_SEEDS = (6, 7, 8, 9, 10)      # reported beside C6 and C7, never judged
+HELD_OUT_SEEDS = (6, 7, 8, 9, 10)      # judged by C1; only reported beside C6 and C7
 RATES = (0.05, 0.10, 0.15)
 EPOCHS = 10
 
@@ -47,19 +47,26 @@ def _held_out(tag, ok, detail):
 # -- criterion 1: noisy/clean loss separation --------------------------------
 
 def test_criterion_1_loss_separation(bench_run):
-    gaps = {}
-    ok = True
+    held, seed_1 = {}, {}
     for task in ("classification", "summarization"):
         for rate in RATES:
-            report = bench_run(task=task, seed=1, noise_rate=rate, mantra=False)
-            means = report.group_means
-            gap = {e: means[e]["noisy"] - means[e]["clean"] for e in sorted(means)}
-            separated = all(gap[e] > 0 for e in range(2, EPOCHS + 1))
-            widening = gap[EPOCHS] > gap[2]
-            gaps[(task[:3], rate)] = (gap[2], gap[EPOCHS])
-            ok = ok and separated and widening
-    detail = "noisy-minus-clean mean loss gap (epoch2 -> epoch10): " + ", ".join(
-        f"{t}@{r:g}: {g2:.3f}->{g10:.3f}" for (t, r), (g2, g10) in gaps.items())
+            cell = (task[:3], rate)
+            held[cell] = 0
+            for seed in SEEDS + HELD_OUT_SEEDS:
+                means = bench_run(task=task, seed=seed, noise_rate=rate,
+                                  mantra=False).group_means
+                gap = {e: means[e]["noisy"] - means[e]["clean"] for e in sorted(means)}
+                separated = all(gap[e] > 0 for e in range(2, EPOCHS + 1))
+                widening = gap[EPOCHS] > gap[2]
+                held[cell] += separated and widening
+                if seed == 1:
+                    seed_1[cell] = (gap[2], gap[EPOCHS])
+    ok = min(held.values()) >= 8
+    detail = ("seeds 1-10 whose noisy-minus-clean mean loss gap is positive at "
+              "epochs 2-10 and wider at 10 than at 2 (need >=8 per cell; seed 1's "
+              "gap epoch2 -> epoch10): " + ", ".join(
+                  f"{t}@{r:g}: {held[(t, r)]}/10 ({g2:.3f}->{g10:.3f})"
+                  for (t, r), (g2, g10) in seed_1.items()))
     line, ok = _verdict("C1 loss separation", ok, detail)
     assert ok, line
 

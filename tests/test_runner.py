@@ -160,6 +160,14 @@ def test_config_is_frozen():
     for change in (dict(epochs=0), dict(tau=0.2, persistence=0)):
         with pytest.raises(ConfigError):
             dataclasses.replace(config, **change)
+    # a variant keeps its base's task-derived values, even when task changes;
+    # a config for another task is built by keyword
+    derived = ("warmup", "lr", "n_train", "n_val", "n_test")
+    for change in (dict(seed=2), dict(task="sum")):
+        variant = dataclasses.replace(config, **change)
+        assert [getattr(variant, name) for name in derived] == [5, 0.5, 700, 85, 88]
+    sum_config = ExperimentConfig(task="sum")
+    assert [getattr(sum_config, name) for name in derived] == [3, 16.0, 1000, 100, 100]
     # a grid's arms are the configs built by keyword
     arms = runner.grid_configs(ExperimentConfig(task="sum", epochs=4), [0.0, 0.2], [3])
     assert arms == [ExperimentConfig(task="sum", epochs=4, noise_rate=rate, seed=3,

@@ -232,31 +232,58 @@ def test_grid_pair_stores_share_rows_until_the_first_drop(monkeypatch, tiny_cls_
     assert np.array_equal(np.isnan(treat.losses), (dropped_at > 0) & (epoch > dropped_at))
 
 
-def test_write_csv_copies_a_prefix(tmp_path):
-    src = tmp_path / "src.csv"
-    write_csv(src, ("x", "y"), (map(str, range(600)), map(repr, range(600))))
-    lines = src.read_bytes().splitlines(keepends=True)
-    # the header and 299 rows copied, more than one block, then two formatted rows
-    write_csv(tmp_path / "a.csv", ("x", "y"), (["a", "b"], ["1", "2"]), prefix=(src, 300))
-    assert (tmp_path / "a.csv").read_bytes() == b"".join(lines[:300]) + b"a,1\r\nb,2\r\n"
-    write_csv(tmp_path / "a.csv", ("x", "y"), ([], []), prefix=(src, 1))
-    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n"
-    with pytest.raises(UsageError, match="header"):
-        write_csv(tmp_path / "a.csv", ("x", "z"), ([], []), prefix=(src, 2))
-    with pytest.raises(UsageError, match="601 lines, fewer than 602"):
-        write_csv(tmp_path / "a.csv", ("x", "y"), ([], []), prefix=(src, 602))
+def test_write_csv_writes_a_head(tmp_path):
+    # the header, then the head's bytes as they are, then rows formatted in
+    # more than one write block
+    head = b"".join(b"%d,%d\r\n" % (i, -i) for i in range(300))
+    write_csv(tmp_path / "a.csv", ("x", "y"), (map(str, range(600)), map(repr, range(600))), head)
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n" + head + b"".join(
+        b"%d,%d\r\n" % (i, i) for i in range(600))
+    write_csv(tmp_path / "a.csv", ("x", "y"), ([], []), head)
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n" + head
 
 
 def test_trajectory_csv_copies_leading_epochs(tmp_path):
     # the copy holds the header and the rows of the first epochs; later
     # epochs, a shrunken one included, are formatted from the store
+    ids, noisy = [7, 3, 12], [False, True, False]
     epochs = [([0, 1, 2], [1e-05, 0.5, 2.0]), ([0, 1, 2], [0.25, 0.75, 1.5]),
               ([1], [0.125])]
-    store = _store_with([7, 3, 12], [False, True, False], epochs)
+    store = _store_with(ids, noisy, epochs)
     store.save_csv(tmp_path / "whole.csv")
     whole = (tmp_path / "whole.csv").read_bytes()
     for copied in range(4):
         src = tmp_path / "src.csv"
-        _store_with([7, 3, 12], [False, True, False], epochs[:copied]).save_csv(src)
+        _store_with(ids, noisy, epochs[:copied]).save_csv(src)
         store.save_csv(tmp_path / "part.csv", copy_from=src, copy_epochs=copied)
         assert (tmp_path / "part.csv").read_bytes() == whole
+    # a grid pair: the baseline's file holds all 12 epochs, and the treated
+    # arm shares its first k, then scores fewer samples with other losses;
+    # epoch 12's rows start with "12,", which the search for epoch 2 must skip
+    baseline = [([0, 1, 2], [e + 0.5, 2.0 / e, 12.0]) for e in range(1, 13)]
+    src = tmp_path / "baseline.csv"
+    _store_with(ids, noisy, baseline).save_csv(src)
+    for copied in (0, 1, 2, 11, 12):
+        treated = _store_with(ids, noisy, baseline[:copied] + [
+            ([0, 2], [0.25 / e, 1e-07]) for e in range(copied + 1, 13)])
+        treated.save_csv(tmp_path / "whole.csv")
+        treated.save_csv(tmp_path / "part.csv", copy_from=src, copy_epochs=copied)
+        assert (tmp_path / "part.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_trajectory_csv_copy_checks_its_source(tmp_path):
+    # the copied epochs must hold as many rows as the store scored in them
+    whole = _store_with([7, 3, 12], [False, True, False],
+                        [([0, 1, 2], [0.5, 1.0, 2.0]), ([0, 1, 2], [0.25, 0.75, 1.5])])
+    shrunk = _store_with([7, 3, 12], [False, True, False],
+                         [([0, 1, 2], [0.5, 1.0, 2.0]), ([0, 2], [0.25, 1.5])])
+    src = tmp_path / "src.csv"
+    for store, source, message in ((whole, shrunk, "holds 5 rows in epochs 1-2, not the 6"),
+                                   (shrunk, whole, "holds 6 rows in epochs 1-2, not the 5")):
+        source.save_csv(src)
+        with pytest.raises(UsageError, match=message):
+            store.save_csv(tmp_path / "a.csv", copy_from=src, copy_epochs=2)
+        store.save_csv(tmp_path / "a.csv", copy_from=src, copy_epochs=1)
+    write_csv(src, ("epoch", "sample_id", "losses"), ([], []))
+    with pytest.raises(UsageError, match="header"):
+        whole.save_csv(tmp_path / "a.csv", copy_from=src, copy_epochs=0)
