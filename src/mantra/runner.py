@@ -11,27 +11,27 @@ dataset, corruption flags, initialization, and shuffle order, and trains
 the same model until the treated arm's first drop takes effect.
 
 run_grid computes that shared prefix once.  The baseline arm keeps its
-dataset, noisy train split and corruption flags (all read-only), its
-trajectory store, one row of losses per epoch, and records its validation
-metric and parameter copies.  The treated arm takes the dataset, split and
-flags as they are.  At each epoch it starts with nothing dropped, it takes
-that epoch's row and record and restores its parameters instead of
-training; it still runs every mixture fit and drop decision itself.  So
-the model it holds is the baseline's at every replayed epoch, and what it
-does next (train on a reduced set, or compute its test metric) it does
-exactly as a run alone would.  When it writes artifacts, its replayed
-epochs' trajectory rows are cut from one read of the baseline's file and
-their density files copied; it formats its own epochs and every other
-file, noise_mask.csv included.  Every report and artifact of either arm
-equals that of the same config run alone, runtime_sec aside.
+dataset, noisy train split and corruption flags (all read-only), and
+records one row per epoch: its losses, validation metric and parameter
+copies.  The treated arm takes the dataset, split and flags as they are.
+At each epoch it starts with nothing dropped, it takes that epoch's row
+and restores its parameters instead of training; it still runs every
+mixture fit and drop decision itself.  So the model it holds is the
+baseline's at every replayed epoch, and what it does next (train on a
+reduced set, or compute its test metric) it does exactly as a run alone
+would.  When it writes artifacts, its replayed epochs' trajectory rows are
+cut from one read of the baseline's file and their density files copied;
+it formats its own epochs and every other file, noise_mask.csv included.
+Every report and artifact of either arm equals that of the same config run
+alone, runtime_sec aside.
 The scheduler's DropState is the run's one drop record: the report's drop
-events, per-epoch counts, dropped ids and detection scores are all read off
-it by train position once the loop is over.
+events, dropped ids and detection scores are all read off it by train
+position once the loop is over.
 
 Reports serialize to results.json deterministically: reruns of the same
 config are byte-identical except for the runtime field.  The report's
 per-row tables are written as CSVs only, but some facts are stated twice:
-results.json's drop counts and detection follow from drops.csv and
+results.json's drop total and detection follow from drops.csv and
 noise_mask.csv, group_means.csv from trajectory.csv and noise_mask.csv,
 and each density_e*.csv from trajectory.csv alone.
 """
@@ -165,7 +165,6 @@ class RunReport:
     detection: dict
     dropped_total: int
     dropped_ids: list
-    dropped_per_epoch: dict            # epoch -> count
     drop_events: list = field(default_factory=list)   # per-drop detail rows
     gmm_trace: list = field(default_factory=list)
     label_repairs: int | None = None
@@ -184,12 +183,11 @@ class RunReport:
 
 @dataclass
 class _PairPrefix:
-    """A grid baseline arm's inputs, results and files, for its treated twin to reuse."""
+    """A grid baseline arm's inputs, epochs and files, for its treated twin to reuse."""
     config: ExperimentConfig         # the treated twin's config
     inputs: tuple | None = None      # (dataset, noisy train split, corruption flags), read-only
     run_dir: str | None = None       # where the baseline wrote its artifacts, if anywhere
-    store: TrajectoryStore | None = None     # its losses: it never drops, so no NaN
-    # per epoch: (validation metric, copies of the parameter arrays)
+    # one row per epoch: (losses of the whole split, validation metric, parameter copies)
     epochs: list = field(default_factory=list)
 
 
@@ -264,8 +262,7 @@ def run_experiment(config, out_dir=None):
     state = scheduler.DropState.for_size(len(train))
     store = TrajectoryStore(train.ids, corrupted, config.epochs)
     if record is not None:
-        record.inputs = dataset, train, corrupted
-        record.run_dir, record.store = out_dir, store
+        record.inputs, record.run_dir = (dataset, train, corrupted), out_dir
 
     val_metrics = []
     gmm_trace = []
@@ -278,8 +275,7 @@ def run_experiment(config, out_dir=None):
         if replay is not None and active is train:
             # nothing dropped yet: this epoch is the baseline's, so take it whole
             replayed = epoch
-            losses = replay.store.losses[epoch - 1]
-            val_metric, params = replay.epochs[epoch - 1]
+            losses, val_metric, params = replay.epochs[epoch - 1]
             for dst, src in zip(learner.param_arrays(model), params):
                 dst[...] = src
         else:
@@ -295,7 +291,7 @@ def run_experiment(config, out_dir=None):
         if record is not None:
             # plain copies: copy.deepcopy of the model costs several times more
             record.epochs.append(
-                (val_metric, [a.copy() for a in learner.param_arrays(model)]))
+                (losses, val_metric, [a.copy() for a in learner.param_arrays(model)]))
 
     test_metric = _eval_metric(config, model, dataset.test)
     # The baseline arm never drops, so its drop fields come out empty.
@@ -306,7 +302,6 @@ def run_experiment(config, out_dir=None):
         for epoch, sid, posterior in zip(
             state.dropped_at[hit].tolist(), train.ids[hit].tolist(),
             state.posterior[hit].tolist())]
-    per_epoch = np.bincount(state.dropped_at, minlength=config.epochs + 1)
     dropped_ids = np.sort(train.ids[hit]).tolist()
 
     report = RunReport(
@@ -318,7 +313,6 @@ def run_experiment(config, out_dir=None):
         detection=metrics.detection_report(state.dropped_at > 0, corrupted),
         dropped_total=len(dropped_ids),
         dropped_ids=dropped_ids,
-        dropped_per_epoch=dict(enumerate(per_epoch[1:].tolist(), start=1)),
         drop_events=drop_events,
         gmm_trace=gmm_trace,
         label_repairs=dataset.meta.get("label_repairs"),

@@ -7,10 +7,11 @@ When more than one component is selected, the component with the largest
 mean is read as the noisy population; samples whose posterior for that
 component exceeds the threshold collect consecutive-epoch flags, and a
 sample flagged `persistence` epochs in a row is dropped permanently.  A
-single-component selection is treated as "no noise evidence this epoch" and
-resets every counter.  Total drops never exceed floor(max_drop_frac *
-initial train size); when candidates outnumber the remaining budget, higher
-posterior wins and ties fall to the earlier train position.
+single-component selection, or one whose two highest means lie less than
+MEAN_GAP apart, is "no noise evidence this epoch" and resets every counter.
+Total drops never exceed floor(max_drop_frac * initial train size); when
+candidates outnumber the remaining budget, higher posterior wins and ties
+fall to the earlier train position.
 
 The state is a set of arrays indexed by train position: the consecutive-flag
 counters, the epoch each sample was dropped at (0 while it is active, so
@@ -27,6 +28,9 @@ import numpy as np
 
 from . import gmm
 from .errors import ConfigError, UsageError
+
+# The least log1p gap between the top two means that splits clean from noisy.
+MEAN_GAP = 0.05
 
 
 def has_type(value, types):
@@ -122,8 +126,9 @@ def decide(state, policy, epoch, features, model):
     order, and model the mixture selected on them.  A run passes what
     evaluate_epoch fit; a replay may pass a model rebuilt from gmm_trace.csv
     and the log1p of trajectory.csv's losses, and gets the same drops.
+    Top two means under MEAN_GAP apart read as one component (no evidence).
     """
-    if model.k == 1:
+    if model.k == 1 or model.means[-1] - model.means[-2] < MEAN_GAP:
         # No mixture evidence: treat the epoch as clean and restart persistence.
         state.counters[:] = 0
         return []

@@ -329,9 +329,9 @@ def test_criterion_9_determinism_and_hygiene(bench_run, run_dir_bytes, tmp_path)
                 good = (
                     dropped <= train_ids
                     and len(event_ids) == len(set(event_ids)) == len(dropped)
+                        == report.dropped_total
                     and report.dropped_total <= math.floor(0.3 * n_train)
                     and all(e["epoch"] > cfg["warmup"] for e in report.drop_events)
-                    and sum(report.dropped_per_epoch.values()) == report.dropped_total
                 )
                 if not good:
                     hygiene = False

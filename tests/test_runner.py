@@ -1,5 +1,6 @@
 """Run orchestration: pairing guarantees, artifacts, comparisons, grids."""
 
+import collections
 import csv
 import dataclasses
 import gc
@@ -186,7 +187,7 @@ def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
              if key not in {"drop_events", "gmm_trace", "group_means", "dropped_ids"}}
     assert set(json.loads((tmp_path / "results.json").read_text())) == {
         "config", "metric_name", "test_metric", "val_metrics", "detection",
-        "dropped_total", "dropped_per_epoch", "label_repairs", "runtime_sec"}
+        "dropped_total", "label_repairs", "runtime_sec"}
     assert (tmp_path / "results.json").read_bytes() == (
         json.dumps(saved, sort_keys=True, indent=2) + "\n").encode("utf-8")
     want = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -196,9 +197,13 @@ def test_results_json_is_the_dumped_report(tiny_cls_config, tmp_path):
     out["config"]["seed"] = -1
     out["gmm_trace"][0]["k"] = -1
     out["drop_events"].clear()
-    out["dropped_per_epoch"][1] = -1
     out["detection"].clear()
     assert json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n" == want
+
+
+def _drops_per_epoch(report):
+    """epoch -> drops made at it, for the epochs that dropped, read off drop_events."""
+    return collections.Counter(event["epoch"] for event in report.drop_events)
 
 
 def test_run_report_bookkeeping(tiny_cls_config):
@@ -210,7 +215,6 @@ def test_run_report_bookkeeping(tiny_cls_config):
     assert len(report.val_metrics) == cfg["epochs"]
     assert sorted(report.group_means) == [1, 2, 3, 4]
     assert report.dropped_total == len(report.dropped_ids) == len(report.drop_events)
-    assert sum(report.dropped_per_epoch.values()) == report.dropped_total
     assert report.dropped_ids == sorted(report.dropped_ids)
     assert report.label_repairs is not None
     # drops never precede warmup + persistence
@@ -230,7 +234,6 @@ def test_baseline_arm_never_drops(tiny_cls_config):
     report = run_experiment(tiny_cls_config(mantra=False))
     assert report.dropped_total == 0 and report.dropped_ids == []
     assert report.gmm_trace == [] and report.drop_events == []
-    assert set(report.dropped_per_epoch.values()) == {0}
 
 
 def test_baseline_arm_calls_no_scheduler(monkeypatch, tiny_cls_config, tiny_sum_config):
@@ -273,7 +276,7 @@ def test_mask_and_drops_stay_inside_train_split(tiny_cls_config):
 @pytest.mark.parametrize("config, drops", [
     (dict(task="cls", seed=3, noise_rate=0.15, epochs=4, warmup=1, n_train=200,
           n_val=16, n_test=16, n_features=8), {3: 16}),
-    (dict(task="sum", seed=1, noise_rate=0.15), {5: 114, 8: 30}),
+    (dict(task="sum", seed=1, noise_rate=0.15), {5: 114, 9: 30}),
 ])
 def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, config, drops):
     decisions = []             # (epoch, EpochDecision)
@@ -293,8 +296,8 @@ def test_drop_fields_follow_the_scheduler_decisions(tmp_path, monkeypatch, confi
         {"epoch": epoch, "sample_id": rows[pos][0], "posterior": post}
         for epoch, d in decisions for pos, post in sorted(
             d.dropped, key=lambda drop: rows[drop[0]][0])]
-    assert report.dropped_per_epoch == {epoch: len(d.dropped) for epoch, d in decisions}
-    assert {e: n for e, n in report.dropped_per_epoch.items() if n} == drops
+    assert [epoch for epoch, _ in decisions] == list(range(1, report.config["epochs"] + 1))
+    assert _drops_per_epoch(report) == drops
     assert report.detection["tp"] == sum(
         rows[pos][1] for _, d in decisions for pos, _ in d.dropped)
 
@@ -315,7 +318,7 @@ def test_mixture_sees_log1p_of_the_epochs_losses(tmp_path, monkeypatch, tiny_cls
         for row in csv.DictReader(fh):
             losses.setdefault(int(row["epoch"]), []).append(float(row["loss"]))
     # epochs 2-4 are fit, and epoch 4 runs without the 16 dropped at epoch 3
-    assert report.dropped_per_epoch == {1: 0, 2: 0, 3: 16, 4: 0}
+    assert _drops_per_epoch(report) == {3: 16}
     assert [len(losses[epoch]) for epoch in (2, 3, 4)] == [200, 200, 184]
     assert len(fits) == 3
     for epoch, obs in zip((2, 3, 4), fits):
@@ -370,7 +373,7 @@ def test_artifact_set(tmp_path, tiny_cls_config):
     dropped_so_far = 0
     for epoch in range(1, cfg.epochs + 1):
         assert active_per_epoch[epoch] == cfg.n_train - dropped_so_far
-        dropped_so_far += report.dropped_per_epoch[epoch]
+        dropped_so_far += _drops_per_epoch(report)[epoch]
 
     # only active samples are scored, and a dropped id has no row after the
     # epoch it was dropped at
@@ -435,8 +438,7 @@ def test_file_ids_stay_at_the_run_edges(tmp_path, tiny_cls_config):
 
     assert from_file.test_metric == synthetic.test_metric
     assert from_file.val_metrics == synthetic.val_metrics
-    assert from_file.dropped_per_epoch == synthetic.dropped_per_epoch
-    assert synthetic.dropped_per_epoch == {1: 0, 2: 0, 3: 16, 4: 0}   # cap 60 unmet
+    assert _drops_per_epoch(synthetic) == {3: 16}   # cap 60 unmet
     assert from_file.dropped_ids == sorted(map(to_id, synthetic.dropped_ids))
     assert {e["sample_id"]: e for e in from_file.drop_events} == {
         to_id(e["sample_id"]): {**e, "sample_id": to_id(e["sample_id"])}
@@ -490,11 +492,11 @@ def test_compare_runs_contract(tiny_cls_config, tmp_path):
     base.save_json(path)
     again = compare_runs(str(path), treat.as_dict())
     assert again["metric_delta"] == out["metric_delta"]
-    # a results.json written before window, transform, backend and
-    # noise_mode were retired
+    # a results.json written before window, transform, backend, noise_mode
+    # and dropped_per_epoch were retired
     legacy = json.loads(path.read_text())
     legacy["config"].update(window=1, transform="log1p", noise_mode="replace-set")
-    legacy["backend"] = "numpy"
+    legacy.update(backend="numpy", dropped_per_epoch={"1": 0})
     path.write_text(json.dumps(legacy))
     assert compare_runs(str(path), treat.as_dict()) == again
 
@@ -613,7 +615,7 @@ def _earliest_drop(value):
     # Pairs differ in rate and seed, so a copy from another pair shows, and
     # drops take effect before the last epoch, so a copy of one epoch too many shows.
     ("cls", dict(n_train=200, epochs=6),
-     [(0.1, 3, 3), (0.1, 4, 3), (0.15, 3, 3), (0.15, 4, 4)]),
+     [(0.1, 3, 3), (0.1, 4, 4), (0.15, 3, 3), (0.15, 4, 4)]),
     ("sum", dict(n_train=80, epochs=6), [(0.15, 3, 4)]),
     ("cls", dict(n_train=200, epochs=3), [(0.15, 3, 3)]),     # drops only in its last epoch
 ], ids=_earliest_drop)
@@ -637,7 +639,7 @@ def test_grid_arms_equal_their_standalone_runs(tmp_path, monkeypatch, tiny_cls_c
     names = [name for name, _ in calls]
     assert names.count(generate) == names.count(inject) == len(pairs)
     assert [(r.config["noise_rate"], r.config["seed"],
-             min((e for e, n in r.dropped_per_epoch.items() if n), default=None))
+             min(_drops_per_epoch(r), default=None))
             for r in reports[1::2]] == pairs
     # each baseline trains every epoch, its treated arm only once its first drop took effect
     epochs = list(range(1, cfg.epochs + 1))
@@ -666,7 +668,7 @@ def test_a_run_ignores_the_slot_of_another_pair(monkeypatch, tiny_cls_config):
     slot = runner._PairPrefix(dataclasses.replace(cfg, seed=4))
     monkeypatch.setattr(runner, "_pair_prefix", slot)
     assert [_without_runtime(run_experiment(config)) for config in configs] == alone
-    assert (slot.inputs, slot.run_dir, slot.store, slot.epochs) == (None, None, None, [])
+    assert (slot.inputs, slot.run_dir, slot.epochs) == (None, None, [])
 
 
 def test_grid_clears_the_pair_slot(tmp_path, monkeypatch, tiny_cls_config, run_dir_bytes):

@@ -10,8 +10,8 @@ import pytest
 
 from mantra import gmm
 from mantra.errors import ConfigError, UsageError
-from mantra.scheduler import (DropPolicy, DropState, EpochDecision, active_samples,
-                              decide, evaluate_epoch)
+from mantra.scheduler import (MEAN_GAP, DropPolicy, DropState, EpochDecision,
+                              active_samples, decide, evaluate_epoch)
 
 from test_runner import _csv_rows
 
@@ -180,6 +180,25 @@ def test_single_component_epoch_resets_persistence():
     assert [pos for pos, _ in d5.dropped] == sorted(noisy)       # fresh streak
 
 
+def test_close_top_means_reset_persistence_and_drop_nothing():
+    # two components closer than MEAN_GAP split one population, so the epoch
+    # reads like K = 1 even though the top one holds posteriors over tau
+    n = 30
+    features = np.zeros(n)
+    features[20:] = 5.0
+    close = _model([0.0, 0.9 * MEAN_GAP])
+    assert (gmm.posteriors(close, features)[20:, -1] > 0.7).all()
+    state = DropState.for_size(n)
+    policy = _policy(warmup=0, persistence=2)
+    assert decide(state, policy, 1, features, _model([0.0, 5.0])) == []
+    assert _flagged(state, []) == list(range(20, 30))          # a streak of one
+
+    assert decide(state, policy, 2, features, close) == []
+    assert not state.counters.any() and _dropped(state) == {}  # reset, nothing dropped
+    assert decide(state, policy, 3, features, _model([0.0, 5.0])) == []   # a fresh streak
+    assert _flagged(state, []) == list(range(20, 30))
+
+
 def test_cap_binds_and_ties_fall_to_earlier_positions():
     # 20 of 100 noisy at one shared loss level but cap is 10: equal posteriors,
     # so the 10 earliest noisy train positions win the budget
@@ -293,7 +312,7 @@ def _reference_evaluate_epoch(state, policy, epoch, losses):
         return decision
     features = np.log1p(np.asarray(losses, dtype=np.float64))
     model, decision.gmm_trace = gmm.select_model(features, k_max=policy.k_max)
-    if model.k == 1:
+    if model.k == 1 or model.means[-1] - model.means[-2] < 0.05:     # one population
         state.counters.clear()
         return decision
 
